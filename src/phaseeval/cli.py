@@ -71,7 +71,7 @@ from .relaxed import (
     legacy_pipeline,
     relax_flags,
     relaxed_accuracy,
-    relaxed_counts,
+    relaxed_counts_by_phase,
     relaxed_metric,
 )
 
@@ -242,13 +242,9 @@ def run_relaxed(
         out = {}
         for r, pred in sorted(corpus.predictions[v].items()):
             flags = relax_flags(ann, pred, omega, matrices)
+            counts = relaxed_counts_by_phase(ann, pred, flags, phases.count)
             cells = {
-                kind: tuple(
-                    relaxed_metric(
-                        kind, relaxed_counts(ann, pred, flags, p), truncate
-                    )
-                    for p in phases
-                )
+                kind: tuple(relaxed_metric(kind, c, truncate) for c in counts)
                 for kind in RELAXED_KINDS
             }
             out[r] = (cells, relaxed_accuracy(flags))

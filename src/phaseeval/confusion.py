@@ -87,9 +87,8 @@ def confusion_of(
     validate_sequence(annotation, phases)
     validate_sequence(prediction, phases)
     p = phases.count
-    y = np.asarray(annotation.labels, dtype=np.int64)
-    yhat = np.asarray(prediction.labels, dtype=np.int64)
-    counts = np.bincount(y * p + yhat, minlength=p * p).reshape(p, p)
+    y = annotation.labels.astype(np.int64)
+    counts = np.bincount(y * p + prediction.labels, minlength=p * p).reshape(p, p)
     return ConfusionMatrix(counts, p)
 
 

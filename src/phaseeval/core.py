@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PhaseEvalError
 
 
@@ -65,44 +67,63 @@ def cholec80_phases() -> PhaseSet:
     return PhaseSet(7, CHOLEC80_PHASE_NAMES)
 
 
-@dataclass(frozen=True)
+LABEL_MAX = int(np.iinfo(np.int32).max)
+
+
+@dataclass(frozen=True, eq=False)
 class LabelSequence:
     """Frame-wise phase labels at a fixed temporal resolution.
 
-    The default resolution of 1.0 seconds per frame matches annotations
-    downsampled to 1 fps.
+    Labels are held as a read-only int32 array; indexing and iteration
+    yield plain Python ints.  The default resolution of 1.0 seconds per
+    frame matches annotations downsampled to 1 fps.
     """
 
-    labels: tuple[int, ...]
+    labels: np.ndarray
     resolution_seconds: float = 1.0
 
     def __post_init__(self):
-        labels = tuple(int(x) for x in self.labels)
-        if not labels:
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1:
+            raise ValueError("labels must be a flat sequence")
+        if labels.size == 0:
             raise EmptySequence("label sequence has no frames")
-        if any(x < 0 for x in labels):
+        if labels.dtype.kind not in "biu":
+            raise OutOfRangeLabel(f"labels must be integers in 0..{LABEL_MAX}")
+        if labels.min() < 0:
             raise OutOfRangeLabel("labels must be non-negative")
+        if labels.max() > LABEL_MAX:
+            raise OutOfRangeLabel(f"labels must not exceed {LABEL_MAX}")
         if not self.resolution_seconds > 0:
             raise ValueError("resolution must be positive")
+        labels = labels.astype(np.int32)
+        labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
+
+    def __eq__(self, other):
+        if not isinstance(other, LabelSequence):
+            return NotImplemented
+        return self.resolution_seconds == other.resolution_seconds and np.array_equal(
+            self.labels, other.labels
+        )
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def __iter__(self):
-        return iter(self.labels)
+        return iter(self.labels.tolist())
 
     def __getitem__(self, t: int) -> int:
-        return self.labels[t]
+        return int(self.labels[t])
 
 
 def validate_sequence(seq: LabelSequence, phases: PhaseSet) -> None:
     """Raise OutOfRangeLabel if any frame label is outside the vocabulary."""
-    for t, label in enumerate(seq.labels):
-        if label >= phases.count:
-            raise OutOfRangeLabel(
-                f"label {label} at frame {t} exceeds phase range 0..{phases.count - 1}"
-            )
+    if seq.labels.max() >= phases.count:
+        t = int(np.argmax(seq.labels >= phases.count))
+        raise OutOfRangeLabel(
+            f"label {seq[t]} at frame {t} exceeds phase range 0..{phases.count - 1}"
+        )
 
 
 @dataclass(frozen=True)
@@ -128,15 +149,16 @@ def extract_segments(seq: LabelSequence) -> tuple[Segment, ...]:
     Consecutive segments always carry distinct phases, and concatenating
     the segments reproduces the sequence exactly.
     """
-    segments = []
-    start = 0
     labels = seq.labels
-    for t in range(1, len(labels)):
-        if labels[t] != labels[start]:
-            segments.append(Segment(labels[start], start, t - 1))
-            start = t
-    segments.append(Segment(labels[start], start, len(labels) - 1))
-    return tuple(segments)
+    cuts = np.flatnonzero(np.diff(labels)) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts - 1, [len(labels) - 1]))
+    return tuple(
+        Segment(phase, start, end)
+        for phase, start, end in zip(
+            labels[starts].tolist(), starts.tolist(), ends.tolist()
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -190,9 +212,10 @@ def cholec80_graph() -> WorkflowGraph:
 
 
 def linear_graph(count: int) -> WorkflowGraph:
-    """Strictly sequential workflow 0 -> 1 -> ... -> count-1."""
-    if count < 2:
-        raise ValueError("a linear workflow needs at least two phases")
+    """Strictly sequential workflow 0 -> 1 -> ... -> count-1; a single
+    phase has no transitions."""
+    if count < 1:
+        raise ValueError("a workflow needs at least one phase")
     return WorkflowGraph(frozenset((p, p + 1) for p in range(count - 1)))
 
 

@@ -16,14 +16,15 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from .aggregate import MetricSummary
 from .confusion import LengthMismatch
-from .core import LabelSequence, PhaseSet, validate_sequence
+from .core import LABEL_MAX, LabelSequence, OutOfRangeLabel, PhaseSet, validate_sequence
 from .errors import PhaseEvalError
 
 FORMAT_VERSION = "1"
@@ -55,23 +56,52 @@ class RaggedRuns(PhaseEvalError):
     """Videos in one manifest must share the same run ids."""
 
 
-_LABEL_RE = re.compile(r"^[0-9]+$")
+_NEWLINE = ord("\n")
+_ZERO = ord("0")
+# Ten digits hold every int32 label; a nonzero digit further left does not fit.
+_WIDTH = len(str(LABEL_MAX))
 
 
-def parse_labels(text: str) -> LabelSequence:
+def parse_labels(text: str | bytes) -> LabelSequence:
     """Parse label-file content; see load_labels."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    if isinstance(text, str):
+        data, errors = text.encode("utf-8", "surrogatepass"), "surrogatepass"
+    else:
+        data, errors = text, "backslashreplace"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf.size == 0:
         raise EmptyFile("no frames")
-    labels = []
-    for i, line in enumerate(lines, start=1):
-        if not _LABEL_RE.match(line):
-            what = "blank line" if line == "" else f"not a non-negative integer: {line!r}"
-            raise ParseError(what, line=i)
-        labels.append(int(line))
-    return LabelSequence(tuple(labels))
+    newline = buf == _NEWLINE
+    ends = np.flatnonzero(newline)  # one past each line's last byte
+    if not newline[-1]:
+        ends = np.concatenate((ends, [buf.size]))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    digit = buf - np.uint8(_ZERO)  # non-digit bytes wrap to values above 9
+    junk = (digit > 9) & ~newline
+    if junk.any() or not lengths.all():
+        first_junk = np.searchsorted(ends, np.argmax(junk)) if junk.any() else ends.size
+        first_blank = np.argmin(lengths) if not lengths.all() else ends.size
+        i = int(min(first_junk, first_blank))
+        if lengths[i] == 0:
+            raise ParseError("blank line", line=i + 1)
+        line = data[starts[i] : ends[i]].decode("utf-8", errors)
+        raise ParseError(f"not a non-negative integer: {line!r}", line=i + 1)
+    # Each line's value from its last _WIDTH digits, one place value at a time.
+    values = digit[ends - 1].astype(np.int64)
+    for place in range(1, min(int(lengths.max()), _WIDTH)):
+        longer = lengths > place
+        values[longer] += digit[ends[longer] - 1 - place].astype(np.int64) * 10**place
+    too_wide = values > LABEL_MAX
+    if lengths.max() > _WIDTH:
+        nonzero = np.flatnonzero((digit >= 1) & (digit <= 9))
+        owner = np.searchsorted(ends, nonzero)
+        too_wide[owner[nonzero < ends[owner] - _WIDTH]] = True
+    if too_wide.any():
+        i = int(np.argmax(too_wide))
+        label = data[starts[i] : ends[i]].decode("ascii")
+        raise OutOfRangeLabel(f"line {i + 1}: label {label} exceeds {LABEL_MAX}")
+    return LabelSequence(values)
 
 
 def load_labels(path: str | Path) -> LabelSequence:
@@ -79,11 +109,11 @@ def load_labels(path: str | Path) -> LabelSequence:
     p = Path(path)
     if not p.is_file():
         raise MissingFile(str(p))
-    return parse_labels(p.read_text(encoding="utf-8"))
+    return parse_labels(p.read_bytes())
 
 
 def dump_labels(seq: LabelSequence) -> str:
-    return "\n".join(str(x) for x in seq.labels) + "\n"
+    return "\n".join(map(str, seq.labels.tolist())) + "\n"
 
 
 @dataclass(frozen=True)
@@ -105,6 +135,11 @@ class Corpus:
         return tuple(sorted(self.predictions[first]))
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: true and false are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_manifest(path: str | Path) -> Corpus:
     """Load a manifest and every file it references.
 
@@ -122,7 +157,7 @@ def load_manifest(path: str | Path) -> Corpus:
     if not isinstance(doc, dict):
         raise SchemaError("manifest must be a JSON object")
     phase_count = doc.get("phase_count")
-    if not isinstance(phase_count, int) or phase_count < 1:
+    if not _is_int(phase_count) or phase_count < 1:
         raise SchemaError("phase_count must be a positive integer")
     split = doc.get("split")
     if split is not None and not isinstance(split, str):
@@ -139,7 +174,7 @@ def load_manifest(path: str | Path) -> Corpus:
         if not isinstance(entry, dict):
             raise SchemaError("each video entry must be an object")
         vid = entry.get("id")
-        if not isinstance(vid, int):
+        if not _is_int(vid):
             raise SchemaError("video id must be an integer")
         if vid in annotations:
             raise SchemaError(f"video id {vid} listed twice")

@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .aggregate import StdMode, _sample_std
 from .confusion import LengthMismatch
@@ -46,6 +48,11 @@ from .metrics import (
 class SegmentShorterThanOmega(PhaseEvalError):
     """The legacy script never saw segments shorter than its window; its
     behaviour there is unspecified, so we refuse instead of guessing."""
+
+
+class LegacyGridsUnavailable(PhaseEvalError, ValueError):
+    """The legacy acceptance grids exist only for the 7-phase
+    cholecystectomy workflow."""
 
 
 class MatrixMode(Enum):
@@ -94,9 +101,9 @@ def build_matrices(
         end[a][b] = 1
     if mode is MatrixMode.LEGACY:
         if phase_count != 7 or graph.edges != cholec80_graph().edges:
-            raise ValueError(
-                "legacy acceptance grids exist only for the 7-phase "
-                "cholecystectomy graph"
+            raise LegacyGridsUnavailable(
+                f"legacy acceptance grids exist only for the 7-phase "
+                f"cholecystectomy graph, not a {phase_count}-phase workflow"
             )
         for q, qhat in _LEGACY_DROPPED_START:
             start[q][qhat] = 0
@@ -142,22 +149,22 @@ def relax_flags(
     """
     _check_pair(annotation, prediction)
     n = matrices.phase_count
-    flags = [yhat == y for y, yhat in zip(annotation, prediction)]
+    # Predicted labels past the grids read the all-False column n.
+    yhat = np.minimum(prediction.labels, n)
+    flags = annotation.labels == prediction.labels
+    start_grid = np.zeros((n, n + 1), dtype=bool)
+    end_grid = np.zeros((n, n + 1), dtype=bool)
+    start_grid[:, :n] = matrices.start
+    end_grid[:, :n] = matrices.end
     for seg in extract_segments(annotation):
         if seg.phase >= n:
             raise ValueError(f"annotated phase {seg.phase} outside acceptance grids")
         w = min(omega, seg.length)
-        start_row = matrices.start[seg.phase]
-        end_row = matrices.end[seg.phase]
-        for t in range(seg.start, seg.start + w):
-            q = prediction[t]
-            if not flags[t] and q < n and start_row[q]:
-                flags[t] = True
-        for t in range(seg.end - w + 1, seg.end + 1):
-            q = prediction[t]
-            if not flags[t] and q < n and end_row[q]:
-                flags[t] = True
-    return tuple(flags)
+        head = slice(seg.start, seg.start + w)
+        tail = slice(seg.end - w + 1, seg.end + 1)
+        flags[head] |= start_grid[seg.phase][yhat[head]]
+        flags[tail] |= end_grid[seg.phase][yhat[tail]]
+    return tuple(flags.tolist())
 
 
 def relax_flags_legacy(
@@ -176,7 +183,7 @@ def relax_flags_legacy(
     as the script never visits them.
     """
     _check_pair(annotation, prediction)
-    d = [yhat - y for y, yhat in zip(annotation, prediction)]
+    d = prediction.labels.astype(np.int64) - annotation.labels
     for seg in extract_segments(annotation):
         if seg.phase > 6:
             continue
@@ -185,20 +192,18 @@ def relax_flags_legacy(
                 f"segment of phase {seg.phase} has {seg.length} frames, "
                 f"shorter than omega={omega}"
             )
+        head = d[seg.start : seg.start + omega]  # a view: writes go to d
         if seg.phase in (5, 6):
-            start_match = (-1, -2)
+            head[(head == -1) | (head == -2)] = 0
         else:
-            start_match = (-1,)
-        end_match = (1, 2) if seg.phase >= 3 else (1,)
-        s = seg.start
-        for j in range(omega):
-            if d[s + j] in start_match:
-                d[s + j] = 0
-        mask = [d[seg.end - omega + 1 + j] in end_match for j in range(omega)]
-        for j in range(omega):
-            if mask[j]:
-                d[s + j] = 0
-    return tuple(x == 0 for x in d)
+            head[head == -1] = 0
+        tail = d[seg.end - omega + 1 : seg.end + 1]
+        if seg.phase >= 3:
+            mask = (tail == 1) | (tail == 2)
+        else:
+            mask = tail == 1
+        head[mask] = 0
+    return tuple((d == 0).tolist())
 
 
 @dataclass(frozen=True)
@@ -211,29 +216,49 @@ class RelaxedCounts:
     annotated: int
 
 
+def relaxed_counts_by_phase(
+    annotation: LabelSequence,
+    prediction: LabelSequence,
+    flags: Sequence[bool],
+    phase_count: int,
+) -> tuple[RelaxedCounts, ...]:
+    """Relaxed counts of phases 0 .. phase_count-1 in one pass over the
+    frames; entry p counts the frames involving phase p on either side."""
+    _check_pair(annotation, prediction)
+    if len(flags) != len(annotation):
+        raise LengthMismatch("flags do not cover the sequence")
+    y, yhat = annotation.labels, prediction.labels
+    ok = np.fromiter(flags, dtype=bool, count=len(flags))
+    differ = y != yhat
+
+    def count(labels):
+        return np.bincount(labels, minlength=phase_count)[:phase_count].tolist()
+
+    annotated = count(y)
+    predicted = count(yhat)
+    predicted_elsewhere = count(yhat[differ])  # predicted p, annotated not p
+    r_tp_annotated = count(y[ok])
+    r_tp_elsewhere = count(yhat[ok & differ])
+    return tuple(
+        RelaxedCounts(
+            r_tp=r_tp_annotated[p] + r_tp_elsewhere[p],
+            union=annotated[p] + predicted_elsewhere[p],
+            predicted=predicted[p],
+            annotated=annotated[p],
+        )
+        for p in range(phase_count)
+    )
+
+
 def relaxed_counts(
     annotation: LabelSequence,
     prediction: LabelSequence,
-    flags: tuple[bool, ...],
+    flags: Sequence[bool],
     phase: int,
 ) -> RelaxedCounts:
     """Count relaxed true positives among frames involving `phase` on
     either side."""
-    _check_pair(annotation, prediction)
-    if len(flags) != len(annotation):
-        raise LengthMismatch("flags do not cover the sequence")
-    r_tp = union = predicted = annotated = 0
-    for y, yhat, ok in zip(annotation, prediction, flags):
-        involved = y == phase or yhat == phase
-        if involved:
-            union += 1
-            if ok:
-                r_tp += 1
-        if yhat == phase:
-            predicted += 1
-        if y == phase:
-            annotated += 1
-    return RelaxedCounts(r_tp, union, predicted, annotated)
+    return relaxed_counts_by_phase(annotation, prediction, flags, phase + 1)[phase]
 
 
 def relaxed_metric(kind: str, counts: RelaxedCounts, truncate: bool) -> MetricCell:
@@ -324,10 +349,12 @@ def legacy_pipeline(
             prediction = predictions[v][r]
             flags = relax_flags_legacy(annotation, prediction, config.omega)
             acc_runs.append(relaxed_accuracy(flags).value)
-            for p in range(phases.count):
+            phase_counts = relaxed_counts_by_phase(
+                annotation, prediction, flags, phases.count
+            )
+            for p, counts in enumerate(phase_counts):
                 if p not in present:
                     continue
-                counts = relaxed_counts(annotation, prediction, flags, p)
                 for kind in kinds:
                     cell = relaxed_metric(kind, counts, truncate=True)
                     if cell.is_defined:

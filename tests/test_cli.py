@@ -243,3 +243,19 @@ def test_splits_output(capsys):
 def test_missing_manifest_exits_1(capsys):
     assert main(["evaluate", "/nonexistent/manifest.json"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("phase_count", [1, 5])
+def test_relaxed_legacy_grids_on_non_7_phase_corpus_exit_1(tmp_path, capsys, phase_count):
+    y = [min(p, phase_count - 1) for p in (0, 0, 1, 1, 4)]
+    path = _write_corpus(tmp_path, {1: (y, {"r0": y})}, phase_count=phase_count)
+    assert main(["relaxed", str(path)]) == 1
+    assert "7-phase" in capsys.readouterr().err
+    assert main(["relaxed", str(path), "--matrices", "graph"]) == 0
+
+
+def test_label_wider_than_int32_exits_1(tmp_path, capsys):
+    path = _write_corpus(tmp_path, {1: ([0, 0, 1], {"r0": [0, 0, 1]})})
+    (tmp_path / "video01" / "r0.txt").write_text("0\n99999999999999999999999\n1\n")
+    assert main(["evaluate", str(path)]) == 1
+    assert "line 2" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Label sequences, segments, the workflow graph, and split definitions."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +20,7 @@ from phaseeval.core import (
     resolve_split,
     validate_sequence,
 )
+from phaseeval.io import canonical_json
 
 
 def test_phase_set_basics():
@@ -38,6 +40,38 @@ def test_label_sequence_validation():
         LabelSequence(())
     with pytest.raises(OutOfRangeLabel):
         LabelSequence((0, -1, 2))
+
+
+def test_label_array_is_read_only_int32():
+    seq = LabelSequence([0, 0, 1, 2])
+    assert seq.labels.dtype == np.int32
+    with pytest.raises(ValueError):
+        seq.labels[0] = 5
+    source = np.array([3, 1], dtype=np.int64)
+    copied = LabelSequence(source)
+    source[0] = 0
+    assert tuple(copied) == (3, 1)
+    assert LabelSequence((0, 1)) == LabelSequence(np.array([0, 1]))
+    assert LabelSequence((0, 1)) != LabelSequence((0, 2))
+
+
+@pytest.mark.parametrize(
+    "labels", [(1, 2**31), (1, 2**63), (1, 10**30), (0.5, 1.0), ("1", "2")]
+)
+def test_label_sequence_rejects_non_int32_values(labels):
+    with pytest.raises(OutOfRangeLabel):
+        LabelSequence(labels)
+
+
+def test_sequence_and_segments_yield_python_ints():
+    seq = LabelSequence(np.array([4, 4, 2], dtype=np.int32))
+    assert type(seq[0]) is int
+    assert all(type(x) is int for x in seq)
+    for seg in extract_segments(seq):
+        assert all(type(v) is int for v in (seg.phase, seg.start, seg.end))
+    assert canonical_json([seq[1], *seq, extract_segments(seq)[0].end]) == (
+        "[\n  4,\n  4,\n  4,\n  2,\n  1\n]"
+    )
 
 
 def test_validate_sequence_reports_frame():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from phaseeval.aggregate import MetricSummary
 from phaseeval.confusion import LengthMismatch
 from phaseeval.core import LabelSequence
+from phaseeval.errors import PhaseEvalError
 from phaseeval.io import (
     Corpus,
     EmptyFile,
@@ -48,6 +49,40 @@ def test_parse_labels_rejects_junk(text, line):
     with pytest.raises(ParseError) as exc:
         parse_labels(text)
     assert exc.value.line == line
+
+
+def test_parse_labels_rejects_labels_wider_than_int32():
+    assert tuple(parse_labels("2147483647\n00000000000000000007\n")) == (2147483647, 7)
+    for text in ("0\n2147483648\n", "0\n99999999999999999999999\n"):
+        with pytest.raises(PhaseEvalError) as exc:
+            parse_labels(text)
+        assert "line 2" in str(exc.value)
+
+
+label_text = st.one_of(
+    st.text(),
+    st.lists(
+        st.one_of(
+            st.integers(0, 2**40).map(str),
+            st.text(alphabet="0123456789", max_size=25),
+            st.sampled_from(["", " 1", "+1", "-1", "1\r", "\u0663", "1_0"]),
+        ),
+        max_size=30,
+    ).map("\n".join),
+)
+
+
+@given(label_text, st.booleans())
+def test_parse_labels_fuzz(text, as_bytes):
+    """Either every line is read as int() reads it, or a typed error."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    try:
+        seq = parse_labels(text.encode("utf-8", "surrogatepass") if as_bytes else text)
+    except PhaseEvalError:
+        return
+    assert list(seq) == [int(line) for line in lines]
 
 
 def test_parse_labels_empty():
@@ -118,6 +153,8 @@ def test_load_manifest_rejects_length_mismatch(tmp_path):
         lambda d: d.update(videos=[]),
         lambda d: d["videos"].append(dict(d["videos"][0])),  # duplicate id
         lambda d: d["videos"][0].pop("annotation"),
+        lambda d: d.update(phase_count=True),  # bools are not ints
+        lambda d: d["videos"][0].update(id=True),
     ],
 )
 def test_load_manifest_schema_errors(tmp_path, mutate):

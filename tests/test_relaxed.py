@@ -19,9 +19,10 @@ from phaseeval.relaxed import (
     relax_flags_legacy,
     relaxed_accuracy,
     relaxed_counts,
+    relaxed_counts_by_phase,
     relaxed_metric,
 )
-from reference import oracle_legacy_flags, oracle_relax_flags
+from reference import oracle_legacy_flags, oracle_relax_flags, oracle_relaxed_counts
 
 GRAPH = cholec80_graph()
 GRAPH_MX = build_matrices(GRAPH, MatrixMode.GRAPH_DERIVED, 7)
@@ -192,6 +193,25 @@ def test_relaxed_tp_dominates_strict_tp(pair):
         strict_tp = sum(1 for t in range(n) if y[t] == yhat[t] == p)
         assert c.r_tp >= strict_tp
         assert c.union >= max(c.predicted, c.annotated)
+
+
+@given(st.data(), st.integers(1, 12))
+@settings(max_examples=200)
+def test_counts_by_phase_match_oracle(data, phase_count):
+    """Every phase at once, including phases absent from both sequences
+    and predicted labels past the grid."""
+    y = data.draw(st.lists(st.integers(0, phase_count - 1), min_size=1, max_size=60))
+    n = len(y)
+    yhat = data.draw(st.lists(st.integers(0, phase_count + 3), min_size=n, max_size=n))
+    flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    got = relaxed_counts_by_phase(_seq(y), _seq(yhat), tuple(flags), phase_count)
+    assert len(got) == phase_count
+    for p, c in enumerate(got):
+        want = oracle_relaxed_counts(y, yhat, flags, p)
+        got_p = (c.r_tp, c.union, c.predicted, c.annotated)
+        assert got_p == want
+        assert all(type(v) is int for v in got_p)
+        assert c == relaxed_counts(_seq(y), _seq(yhat), tuple(flags), p)
 
 
 def test_relaxed_metric_undefined_on_zero_denominator():
