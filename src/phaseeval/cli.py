@@ -71,7 +71,7 @@ from .relaxed import (
     legacy_pipeline,
     relax_flags,
     relaxed_accuracy,
-    relaxed_counts_by_phase,
+    relaxed_counts,
     relaxed_metric,
 )
 
@@ -242,7 +242,7 @@ def run_relaxed(
         out = {}
         for r, pred in sorted(corpus.predictions[v].items()):
             flags = relax_flags(ann, pred, omega, matrices)
-            counts = relaxed_counts_by_phase(ann, pred, flags, phases.count)
+            counts = relaxed_counts(ann, pred, flags, range(phases.count))
             cells = {
                 kind: tuple(relaxed_metric(kind, c, truncate) for c in counts)
                 for kind in RELAXED_KINDS

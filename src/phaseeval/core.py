@@ -107,6 +107,9 @@ class LabelSequence:
             self.labels, other.labels
         )
 
+    def __hash__(self):
+        return hash((self.resolution_seconds, self.labels.tobytes()))
+
     def __len__(self) -> int:
         return len(self.labels)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, overload
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class SegmentShorterThanOmega(PhaseEvalError):
     behaviour there is unspecified, so we refuse instead of guessing."""
 
 
-class LegacyGridsUnavailable(PhaseEvalError, ValueError):
+class LegacyGridsUnavailable(PhaseEvalError):
     """The legacy acceptance grids exist only for the 7-phase
     cholecystectomy workflow."""
 
@@ -216,49 +216,69 @@ class RelaxedCounts:
     annotated: int
 
 
-def relaxed_counts_by_phase(
+@overload
+def relaxed_counts(
     annotation: LabelSequence,
     prediction: LabelSequence,
     flags: Sequence[bool],
-    phase_count: int,
-) -> tuple[RelaxedCounts, ...]:
-    """Relaxed counts of phases 0 .. phase_count-1 in one pass over the
-    frames; entry p counts the frames involving phase p on either side."""
+    phase: int,
+) -> RelaxedCounts: ...
+
+
+@overload
+def relaxed_counts(
+    annotation: LabelSequence,
+    prediction: LabelSequence,
+    flags: Sequence[bool],
+    phase: range,
+) -> tuple[RelaxedCounts, ...]: ...
+
+
+def relaxed_counts(annotation, prediction, flags, phase):
+    """Count relaxed true positives among frames involving `phase` on
+    either side.
+
+    Given a range of phases (e.g. `range(phase_count)`), counts all of
+    them in one pass over the frames and returns one entry per phase.
+    """
     _check_pair(annotation, prediction)
     if len(flags) != len(annotation):
         raise LengthMismatch("flags do not cover the sequence")
-    y, yhat = annotation.labels, prediction.labels
+    single = not isinstance(phase, range)
+    phases = range(phase, phase + 1) if single else phase
+    if phases.step != 1:
+        raise ValueError("phases must be a contiguous range")
+    width = len(phases)
+
+    # Each label's offset into `phases`.  Labels below the range wrap to
+    # huge unsigned values, so every label outside it lands in the one bin
+    # past the end: the bins follow the phases asked for, never the labels.
+    def offsets(labels):
+        off = (labels - np.int64(phases.start)).view(np.uint64)
+        return np.minimum(off, np.uint64(width)).view(np.int64)
+
+    y, yhat = offsets(annotation.labels), offsets(prediction.labels)
     ok = np.fromiter(flags, dtype=bool, count=len(flags))
     differ = y != yhat
 
     def count(labels):
-        return np.bincount(labels, minlength=phase_count)[:phase_count].tolist()
+        return np.bincount(labels, minlength=width + 1)[:width].tolist()
 
     annotated = count(y)
     predicted = count(yhat)
     predicted_elsewhere = count(yhat[differ])  # predicted p, annotated not p
     r_tp_annotated = count(y[ok])
     r_tp_elsewhere = count(yhat[ok & differ])
-    return tuple(
+    counts = tuple(
         RelaxedCounts(
-            r_tp=r_tp_annotated[p] + r_tp_elsewhere[p],
-            union=annotated[p] + predicted_elsewhere[p],
-            predicted=predicted[p],
-            annotated=annotated[p],
+            r_tp=r_tp_annotated[i] + r_tp_elsewhere[i],
+            union=annotated[i] + predicted_elsewhere[i],
+            predicted=predicted[i],
+            annotated=annotated[i],
         )
-        for p in range(phase_count)
+        for i in range(width)
     )
-
-
-def relaxed_counts(
-    annotation: LabelSequence,
-    prediction: LabelSequence,
-    flags: Sequence[bool],
-    phase: int,
-) -> RelaxedCounts:
-    """Count relaxed true positives among frames involving `phase` on
-    either side."""
-    return relaxed_counts_by_phase(annotation, prediction, flags, phase + 1)[phase]
+    return counts[0] if single else counts
 
 
 def relaxed_metric(kind: str, counts: RelaxedCounts, truncate: bool) -> MetricCell:
@@ -349,8 +369,8 @@ def legacy_pipeline(
             prediction = predictions[v][r]
             flags = relax_flags_legacy(annotation, prediction, config.omega)
             acc_runs.append(relaxed_accuracy(flags).value)
-            phase_counts = relaxed_counts_by_phase(
-                annotation, prediction, flags, phases.count
+            phase_counts = relaxed_counts(
+                annotation, prediction, flags, range(phases.count)
             )
             for p, counts in enumerate(phase_counts):
                 if p not in present:

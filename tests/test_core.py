@@ -55,6 +55,11 @@ def test_label_array_is_read_only_int32():
     assert LabelSequence((0, 1)) != LabelSequence((0, 2))
 
 
+def test_label_sequence_hashes_by_value():
+    a, b = LabelSequence((0, 1)), LabelSequence(np.array([0, 1], dtype=np.int64))
+    assert hash(a) == hash(b) and len({a, b, LabelSequence((0, 2))}) == 2
+
+
 @pytest.mark.parametrize(
     "labels", [(1, 2**31), (1, 2**63), (1, 10**30), (0.5, 1.0), ("1", "2")]
 )

@@ -19,7 +19,6 @@ from phaseeval.relaxed import (
     relax_flags_legacy,
     relaxed_accuracy,
     relaxed_counts,
-    relaxed_counts_by_phase,
     relaxed_metric,
 )
 from reference import oracle_legacy_flags, oracle_relax_flags, oracle_relaxed_counts
@@ -195,23 +194,47 @@ def test_relaxed_tp_dominates_strict_tp(pair):
         assert c.union >= max(c.predicted, c.annotated)
 
 
+LABEL_MAX = 2**31 - 1
+
+
 @given(st.data(), st.integers(1, 12))
 @settings(max_examples=200)
 def test_counts_by_phase_match_oracle(data, phase_count):
     """Every phase at once, including phases absent from both sequences
-    and predicted labels past the grid."""
+    and predicted labels past the grid, up to the largest int32 label."""
     y = data.draw(st.lists(st.integers(0, phase_count - 1), min_size=1, max_size=60))
     n = len(y)
-    yhat = data.draw(st.lists(st.integers(0, phase_count + 3), min_size=n, max_size=n))
+    predicted = st.integers(0, phase_count + 3) | st.just(LABEL_MAX)
+    yhat = data.draw(st.lists(predicted, min_size=n, max_size=n))
     flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    got = relaxed_counts_by_phase(_seq(y), _seq(yhat), tuple(flags), phase_count)
-    assert len(got) == phase_count
-    for p, c in enumerate(got):
+    phases = range(phase_count + 2)
+    got = relaxed_counts(_seq(y), _seq(yhat), tuple(flags), phases)
+    assert len(got) == len(phases)
+    for p, c in zip(phases, got):
         want = oracle_relaxed_counts(y, yhat, flags, p)
         got_p = (c.r_tp, c.union, c.predicted, c.annotated)
         assert got_p == want
         assert all(type(v) is int for v in got_p)
         assert c == relaxed_counts(_seq(y), _seq(yhat), tuple(flags), p)
+
+
+def test_counts_stay_small_for_the_largest_label():
+    y, yhat = _seq([0, 1, 1]), _seq([0, LABEL_MAX, 1])
+    flags = (True, True, False)
+    assert relaxed_counts(y, yhat, flags, range(2)) == (
+        relaxed_counts(y, yhat, flags, 0),
+        relaxed_counts(y, yhat, flags, 1),
+    )
+    top = relaxed_counts(y, yhat, flags, LABEL_MAX)
+    assert (top.r_tp, top.union, top.predicted, top.annotated) == (1, 1, 1, 0)
+    assert relaxed_counts(y, y, flags, LABEL_MAX).union == 0
+    assert relaxed_counts(y, yhat, flags, -1).union == 0
+    assert relaxed_counts(y, yhat, flags, range(LABEL_MAX, LABEL_MAX + 2)) == (
+        top,
+        relaxed_counts(y, yhat, flags, LABEL_MAX + 1),
+    )
+    with pytest.raises(ValueError):
+        relaxed_counts(y, yhat, flags, range(0, 4, 2))
 
 
 def test_relaxed_metric_undefined_on_zero_denominator():
