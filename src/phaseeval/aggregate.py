@@ -1,6 +1,7 @@
 """Aggregation of metric cells over phases, videos and runs.
 
-A ResultTensor holds one tri-state cell per (phase, video, run).  Because
+A ResultTensor holds one tri-state cell per (phase, video, run), as a
+value array and a state array.  Because
 excluded cells drop out of each averaging stage separately, the order of
 collapsing matters; AveragingOrder makes the choice explicit:
 
@@ -18,21 +19,25 @@ Bessel's k-1 correction; UNCORRECTED divides by k.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 from .confusion import ConfusionMatrix
 from .errors import PhaseEvalError
 from .metrics import (
-    EXCLUDED_CELL,
+    DEFINED,
+    STATES,
+    Cells,
     MetricCell,
-    UndefinedPolicy,
-    accuracy,
-    macro_f1_of_means,
-    macro_metric,
-    phase_metric,
-    resolve_cell,
+    cell_arrays,
+    cell_of,
+    mean_defined,
+    phase_cells,
+    phase_counts,
 )
 
 
@@ -78,9 +83,27 @@ class MetricSummary:
     sd_runs: float | None
 
 
-@dataclass(frozen=True)
+class CellView(Sequence):
+    """A tensor's cells in layout order, each made when it is read."""
+
+    def __init__(self, values: np.ndarray, state: np.ndarray):
+        self._values, self._state = values.ravel(), state.ravel()
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, i: int) -> MetricCell:
+        return cell_of(self._values[i], self._state[i])
+
+
+@dataclass(frozen=True, eq=False)
 class ResultTensor:
     """Cells laid out phase-major, then video, then run.
+
+    `values` (float64) and `state` (int8 codes metrics.DEFINED, UNDEFINED
+    and EXCLUDED) are read-only arrays shaped (phase, video, run); the
+    value of every cell that is not defined is NaN.  `cells` and
+    `cell_at` are MetricCell views of them.
 
     The phase axis is (None,) for video-level metrics such as accuracy,
     where no per-phase decomposition exists.
@@ -89,14 +112,30 @@ class ResultTensor:
     phases: tuple[int | None, ...]
     videos: tuple[int, ...]
     runs: tuple[str, ...]
-    cells: tuple[MetricCell, ...]
+    values: np.ndarray
+    state: np.ndarray
 
     def __post_init__(self):
         if not (self.phases and self.videos and self.runs):
             raise ValueError("every tensor axis needs at least one entry")
-        expected = len(self.phases) * len(self.videos) * len(self.runs)
-        if len(self.cells) != expected:
-            raise ValueError(f"expected {expected} cells, got {len(self.cells)}")
+        shape = (len(self.phases), len(self.videos), len(self.runs))
+        values = np.array(self.values, dtype=np.float64)
+        state = np.array(self.state, dtype=np.int8)
+        if values.shape != shape or state.shape != shape:
+            raise ValueError(
+                f"expected {shape} cells, got {values.shape} values "
+                f"and {state.shape} states"
+            )
+        defined = state == DEFINED
+        kept = values[defined]
+        known = np.isin(state, range(len(STATES))).all()
+        if not (known and ((kept >= 0) & (kept < math.inf)).all()):
+            raise ValueError("cells need a known state, and finite values >= 0 if defined")
+        values[~defined] = math.nan
+        for a in (values, state):
+            a.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "state", state)
 
     @classmethod
     def build(
@@ -104,85 +143,62 @@ class ResultTensor:
         phases: Iterable[int | None],
         videos: Iterable[int],
         runs: Iterable[str],
-        fn: Callable[[int | None, int, str], MetricCell],
+        cells: Cells | Callable[[int | None, int, str], MetricCell],
     ) -> "ResultTensor":
+        """A tensor from `cells`: a (values, state) pair of arrays shaped
+        (phase, video, run), or a function (phase, video, run) ->
+        MetricCell called for every cell in layout order."""
         phases = tuple(phases)
         videos = tuple(videos)
         runs = tuple(runs)
-        cells = tuple(
-            fn(p, v, r) for p in phases for v in videos for r in runs
-        )
-        return cls(phases, videos, runs, cells)
+        if callable(cells):
+            shape = (len(phases), len(videos), len(runs))
+            values, state = cell_arrays(
+                cells(p, v, r) for p in phases for v in videos for r in runs
+            )
+            cells = values.reshape(shape), state.reshape(shape)
+        return cls(phases, videos, runs, *cells)
 
-    def _index(self, pi: int, vi: int, ri: int) -> int:
-        return (pi * len(self.videos) + vi) * len(self.runs) + ri
+    @property
+    def cells(self) -> CellView:
+        return CellView(self.values, self.state)
 
     def cell_at(self, pi: int, vi: int, ri: int) -> MetricCell:
-        return self.cells[self._index(pi, vi, ri)]
+        return cell_of(self.values[pi, vi, ri], self.state[pi, vi, ri])
 
-    def map_cells(
-        self, fn: Callable[[int | None, int, str, MetricCell], MetricCell]
-    ) -> "ResultTensor":
-        cells = tuple(
-            fn(p, v, r, self.cell_at(pi, vi, ri))
-            for pi, p in enumerate(self.phases)
-            for vi, v in enumerate(self.videos)
-            for ri, r in enumerate(self.runs)
+    def phase_slice(self, pi: int) -> "ResultTensor":
+        """The one-phase tensor at phase position `pi`."""
+        at = slice(pi, pi + 1)
+        return ResultTensor(
+            self.phases[at], self.videos, self.runs, self.values[at], self.state[at]
         )
-        return ResultTensor(self.phases, self.videos, self.runs, cells)
-
-    def axis_groups(self, axis: str) -> list[list[MetricCell]]:
-        """Cells grouped by position along `axis`, in axis order."""
-        nph, nv, nr = len(self.phases), len(self.videos), len(self.runs)
-        if axis == PHASES:
-            return [
-                [self.cell_at(pi, vi, ri) for vi in range(nv) for ri in range(nr)]
-                for pi in range(nph)
-            ]
-        if axis == VIDEOS:
-            return [
-                [self.cell_at(pi, vi, ri) for pi in range(nph) for ri in range(nr)]
-                for vi in range(nv)
-            ]
-        if axis == RUNS:
-            return [
-                [self.cell_at(pi, vi, ri) for pi in range(nph) for vi in range(nv)]
-                for ri in range(nr)
-            ]
-        raise ValueError(f"unknown axis {axis!r}")
 
 
 def mean_cells(cells: Iterable[MetricCell]) -> MetricCell:
     """Mean over defined cells; undefined cells are skipped like excluded
     ones, so resolve policies before averaging.  Excluded when nothing
     defined remains."""
-    values = [c.value for c in cells if c.is_defined]
-    if not values:
-        return EXCLUDED_CELL
-    return MetricCell.defined(math.fsum(values) / len(values))
+    return cell_of(*mean_defined(*cell_arrays(cells), 0))
+
+
+# The axes each averaging order collapses, stage by stage.
+_STAGES = {
+    AveragingOrder.FLAT: ((0, 1, 2),),
+    AveragingOrder.PHASE_FIRST: (0, (0, 1)),
+    AveragingOrder.VIDEO_FIRST: ((1, 2), 0),
+}
 
 
 def ordered_mean(tensor: ResultTensor, order: AveragingOrder) -> float:
     """Collapse a tensor to one number under the given averaging order."""
-    if order is AveragingOrder.FLAT:
-        overall = mean_cells(tensor.cells)
-        if not overall.is_defined:
-            raise NoDefinedCells("tensor has no defined cells")
-        return overall.value
-    if order is AveragingOrder.PHASE_FIRST:
-        groups = [
-            [tensor.cell_at(pi, vi, ri) for pi in range(len(tensor.phases))]
-            for vi in range(len(tensor.videos))
-            for ri in range(len(tensor.runs))
-        ]
-    elif order is AveragingOrder.VIDEO_FIRST:
-        groups = tensor.axis_groups(PHASES)
-    else:
+    if order not in _STAGES:
         raise ValueError(f"unknown order {order!r}")
-    stage = mean_cells(mean_cells(g) for g in groups)
-    if not stage.is_defined:
+    mean, state = tensor.values, tensor.state
+    for axes in _STAGES[order]:
+        mean, state = mean_defined(mean, state, axes)
+    if state != DEFINED:
         raise NoDefinedCells("tensor has no defined cells")
-    return stage.value
+    return float(mean)
 
 
 def _sample_std(points: list[float], mode: StdMode) -> float:
@@ -195,15 +211,18 @@ def _sample_std(points: list[float], mode: StdMode) -> float:
     return math.sqrt(ss / denom)
 
 
+# The tensor axes collapsed to take the spread across each axis.
+_COLLAPSED = {PHASES: (1, 2), VIDEOS: (0, 2), RUNS: (0, 1)}
+
+
 def std_over(tensor: ResultTensor, axis: str, mode: StdMode) -> float:
     """Spread across one axis: collapse the other two axes per position by
     the defined-cell mean, then take the sample standard deviation of the
     positions that retain a value."""
-    points = [
-        g.value for g in (mean_cells(cells) for cells in tensor.axis_groups(axis))
-        if g.is_defined
-    ]
-    return _sample_std(points, mode)
+    if axis not in _COLLAPSED:
+        raise ValueError(f"unknown axis {axis!r}")
+    means, state = mean_defined(tensor.values, tensor.state, _COLLAPSED[axis])
+    return _sample_std(means[state == DEFINED].tolist(), mode)
 
 
 def summarize(tensor: ResultTensor, spec: SummarySpec = SummarySpec()) -> MetricSummary:
@@ -223,7 +242,11 @@ def summarize(tensor: ResultTensor, spec: SummarySpec = SummarySpec()) -> Metric
     return MetricSummary(mean, sds[VIDEOS], sds[PHASES], sds[RUNS])
 
 
-def _check_grid(matrices: Mapping[int, Mapping[str, ConfusionMatrix]]):
+def stack_confusions(
+    matrices: Mapping[int, Mapping[str, ConfusionMatrix]],
+) -> tuple[tuple[int, ...], tuple[str, ...], np.ndarray]:
+    """Videos, runs and the (video, run, phase, phase) count stack of a
+    video/run grid of confusion matrices."""
     videos = tuple(sorted(matrices))
     if not videos:
         raise ValueError("need at least one video")
@@ -233,7 +256,15 @@ def _check_grid(matrices: Mapping[int, Mapping[str, ConfusionMatrix]]):
             raise ValueError(f"video {v} has a different run set")
     if not runs:
         raise ValueError("need at least one run")
-    return videos, runs
+    counts = np.array([[matrices[v][r].counts for r in runs] for v in videos])
+    return videos, runs, counts
+
+
+def video_tensor(videos: Iterable[int], runs: Iterable[str], cells: Cells) -> ResultTensor:
+    """Single-phase-axis tensor of a video-level metric (accuracy, macro
+    means) from cells shaped (video, run)."""
+    values, state = cells
+    return ResultTensor.build((None,), videos, runs, (values[None], state[None]))
 
 
 def phase_metric_tensor(
@@ -243,43 +274,7 @@ def phase_metric_tensor(
 ) -> ResultTensor:
     """Raw per-phase cells (no policy applied) for a video/run grid of
     confusion matrices."""
-    videos, runs = _check_grid(matrices)
+    videos, runs, counts = stack_confusions(matrices)
     return ResultTensor.build(
-        range(phase_count),
-        videos,
-        runs,
-        lambda p, v, r: phase_metric(kind, matrices[v][r], p),
+        range(phase_count), videos, runs, phase_cells(kind, *phase_counts(counts))
     )
-
-
-def video_metric_tensor(
-    fn: Callable[[ConfusionMatrix], MetricCell],
-    matrices: Mapping[int, Mapping[str, ConfusionMatrix]],
-) -> ResultTensor:
-    """Single-phase-axis tensor for video-level metrics (accuracy, macro
-    means): fn maps one confusion matrix to one cell."""
-    videos, runs = _check_grid(matrices)
-    return ResultTensor.build(
-        (None,), videos, runs, lambda p, v, r: fn(matrices[v][r])
-    )
-
-
-def accuracy_tensor(
-    matrices: Mapping[int, Mapping[str, ConfusionMatrix]]
-) -> ResultTensor:
-    return video_metric_tensor(accuracy, matrices)
-
-
-def macro_tensor(
-    kind: str,
-    matrices: Mapping[int, Mapping[str, ConfusionMatrix]],
-    policy: UndefinedPolicy,
-) -> ResultTensor:
-    return video_metric_tensor(lambda m: macro_metric(kind, m, policy), matrices)
-
-
-def macro_f1_of_means_tensor(
-    matrices: Mapping[int, Mapping[str, ConfusionMatrix]],
-    policy: UndefinedPolicy,
-) -> ResultTensor:
-    return video_metric_tensor(lambda m: macro_f1_of_means(m, policy), matrices)

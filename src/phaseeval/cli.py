@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import random
-import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .aggregate import (
@@ -27,77 +25,62 @@ from .aggregate import (
     StdMode,
     SummarySpec,
     MetricSummary,
-    accuracy_tensor,
-    macro_f1_of_means_tensor,
-    macro_tensor,
-    phase_metric_tensor,
+    _sample_std,
+    stack_confusions,
     summarize,
+    video_tensor,
 )
-from .confusion import confusion_of, sum_confusions
+from .confusion import confusion_of
 from .core import (
     CHOLEC80_PHASE_NAMES,
     UnknownSplit,
     builtin_split_names,
     cholec80_graph,
     cv_folds,
-    extract_segments,
     linear_graph,
     resolve_split,
 )
 from .errors import PhaseEvalError
-from .io import Corpus, EvaluationReport, REPORT_FORMATS, canonical_json, load_manifest, write_report
+from .io import Corpus, EvaluationReport, REPORT_FORMATS, SchemaError, canonical_json, load_manifest, write_report
 from .metrics import (
+    DEFINED,
     F1,
     JACCARD,
     PRECISION,
     RECALL,
     DegenerateMeans,
     UndefinedPolicy,
+    accuracy_cells,
     apply_policy,
+    f1_of_means_cells,
     f1_upper,
-    macro_metric,
+    macro_cells,
+    phase_cells,
+    phase_counts,
 )
 from .protocol import (
     ProtocolDescriptor,
     ingest_ledger,
     leaderboard_obj,
+    parse_reference,
     render_leaderboard,
     seed_ledger,
 )
 from .relaxed import (
+    RELAXED_KINDS,
+    RELAXED_POLICY,
     MatrixMode,
     RelaxedConfig,
     build_matrices,
     legacy_pipeline,
     relax_flags,
-    relaxed_accuracy,
-    relaxed_counts,
-    relaxed_metric,
+    relaxed_tensors,
 )
 
 PHASE_KINDS = (PRECISION, RECALL, F1, JACCARD)
-RELAXED_KINDS = (PRECISION, RECALL, JACCARD)
 
 
 # ---------------------------------------------------------------- helpers
-
-def _map_videos(videos, fn, jobs):
-    """Apply fn to every video id; order of results is fixed by `videos`
-    regardless of scheduling."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(fn, videos))
-    else:
-        results = [fn(v) for v in videos]
-    return dict(zip(videos, results))
-
-
-def _annotated_sets(corpus: Corpus) -> dict[int, set[int]]:
-    return {
-        v: {s.phase for s in extract_segments(corpus.annotations[v])}
-        for v in corpus.videos
-    }
-
 
 def _phase_names(corpus: Corpus) -> tuple[str, ...]:
     if corpus.phases.count == 7:
@@ -105,24 +88,20 @@ def _phase_names(corpus: Corpus) -> tuple[str, ...]:
     return tuple(corpus.phases.name_of(p) for p in corpus.phases)
 
 
-def _single_phase(tensor: ResultTensor, phase: int) -> ResultTensor:
-    pi = tensor.phases.index(phase)
-    vi = {v: i for i, v in enumerate(tensor.videos)}
-    ri = {r: i for i, r in enumerate(tensor.runs)}
-    return ResultTensor.build(
-        (phase,),
-        tensor.videos,
-        tensor.runs,
-        lambda _, v, r: tensor.cell_at(pi, vi[v], ri[r]),
-    )
+def _report(corpus: Corpus, protocol: dict, summary: dict, per_phase: dict) -> EvaluationReport:
+    protocol = {"split": corpus.split or "unknown", **protocol, "runs": len(corpus.runs)}
+    return EvaluationReport(protocol, summary, per_phase, _phase_names(corpus))
 
 
-def _run_std(values, mode: StdMode) -> float | None:
-    if len(values) < 2:
-        return None
-    if mode is StdMode.CORRECTED:
-        return statistics.stdev(values)
-    return statistics.pstdev(values)
+def _summaries(tensors: dict[str, ResultTensor], spec: SummarySpec, prefix: str = ""):
+    """Summary of each named per-phase tensor, and per phase of its slices."""
+    summary = {prefix + k: summarize(t, spec) for k, t in tensors.items()}
+    phases = next(iter(tensors.values())).phases
+    per_phase = {
+        p: {prefix + k: summarize(t.phase_slice(pi), spec) for k, t in tensors.items()}
+        for pi, p in enumerate(phases)
+    }
+    return summary, per_phase
 
 
 # ----------------------------------------------------------- evaluate
@@ -132,37 +111,35 @@ def run_evaluate(
     policy: UndefinedPolicy,
     order: AveragingOrder,
     std_mode: StdMode,
-    jobs: int = 1,
 ) -> EvaluationReport:
     """Regular (unrelaxed) metric report over a loaded corpus."""
     phases = corpus.phases
-
-    def per_video(v):
-        ann = corpus.annotations[v]
-        return {
-            r: confusion_of(ann, pred, phases)
-            for r, pred in sorted(corpus.predictions[v].items())
+    videos, runs, counts = stack_confusions({
+        v: {
+            r: confusion_of(corpus.annotations[v], pred, phases)
+            for r, pred in corpus.predictions[v].items()
         }
-
-    mats = _map_videos(corpus.videos, per_video, jobs)
-    annotated = _annotated_sets(corpus)
+        for v in corpus.videos
+    })
+    per_pair = phase_counts(counts)  # (phase, video, run) arrays
     spec = SummarySpec(std_mode=std_mode, order=order)
-
-    resolved = {
+    summary, per_phase = _summaries({
         kind: apply_policy(
-            phase_metric_tensor(kind, mats, phases.count), policy, annotated
+            ResultTensor.build(phases, videos, runs, phase_cells(kind, *per_pair)),
+            policy,
+            per_pair[1] > 0,
         )
         for kind in PHASE_KINDS
-    }
+    }, spec)
 
-    summary: dict[str, MetricSummary] = {}
-    for kind in PHASE_KINDS:
-        summary[kind] = summarize(resolved[kind], spec)
-    summary["accuracy"] = summarize(accuracy_tensor(mats), spec)
-    summary["macro_precision"] = summarize(macro_tensor(PRECISION, mats, policy), spec)
-    summary["macro_recall"] = summarize(macro_tensor(RECALL, mats, policy), spec)
-    summary["macro_f1"] = summarize(macro_tensor(F1, mats, policy), spec)
-    summary["bold_macro_f1"] = summarize(macro_f1_of_means_tensor(mats, policy), spec)
+    macro = {kind: macro_cells(kind, *per_pair, policy) for kind in (PRECISION, RECALL, F1)}
+    per_video = {
+        "accuracy": accuracy_cells(counts),
+        **{"macro_" + kind: cells for kind, cells in macro.items()},
+        "bold_macro_f1": f1_of_means_cells(macro[PRECISION], macro[RECALL]),
+    }
+    for name, cells in per_video.items():
+        summary[name] = summarize(video_tensor(videos, runs, cells), spec)
 
     mp, mr = summary[PRECISION].mean, summary[RECALL].mean
     if mp is not None and mr is not None:
@@ -171,40 +148,22 @@ def run_evaluate(
         except DegenerateMeans:
             pass
 
-    frame_vals = []
-    for r in corpus.runs:
-        pooled = sum_confusions([mats[v][r] for v in corpus.videos])
-        cell = macro_metric(F1, pooled, policy)
-        if cell.is_defined:
-            frame_vals.append(cell.value)
+    # macro f1 of each run's matrix pooled over videos
+    frame, frame_state = macro_cells(F1, *phase_counts(counts.sum(axis=0)), policy)
+    frame_vals = frame[frame_state == DEFINED].tolist()
     summary["frame_f1"] = MetricSummary(
         sum(frame_vals) / len(frame_vals) if frame_vals else None,
         None,
         None,
-        _run_std(frame_vals, std_mode),
+        _sample_std(frame_vals, std_mode) if len(frame_vals) > 1 else None,
     )
-
-    per_phase = {}
-    for p in phases:
-        per_phase[p] = {
-            kind: summarize(_single_phase(resolved[kind], p), spec)
-            for kind in PHASE_KINDS
-        }
-
     protocol = {
-        "split": corpus.split or "unknown",
         "relaxed": False,
         "policy": policy.value,
         "order": order.value,
         "std_mode": std_mode.value,
-        "runs": len(corpus.runs),
     }
-    return EvaluationReport(
-        protocol=protocol,
-        summary=summary,
-        per_phase=per_phase,
-        phase_names=_phase_names(corpus),
-    )
+    return _report(corpus, protocol, summary, per_phase)
 
 
 # ------------------------------------------------------------- relaxed
@@ -215,165 +174,66 @@ def run_relaxed(
     matrix_mode: MatrixMode,
     truncate: bool,
     bug_compatible: bool = False,
-    jobs: int = 1,
 ) -> EvaluationReport:
     """Boundary-relaxed report; bug-compatible mode defers to the
     pipeline that replicates the legacy script end to end."""
     if bug_compatible:
-        config = RelaxedConfig(
-            omega=omega,
-            matrix_mode=MatrixMode.LEGACY,
-            truncate=True,
-            bug_compatible=True,
-        )
-        legacy = legacy_pipeline(
-            corpus.annotations, corpus.predictions, config, corpus.phases
-        )
+        config = RelaxedConfig(omega, MatrixMode.LEGACY, truncate=True, bug_compatible=True)
+        legacy = legacy_pipeline(corpus.annotations, corpus.predictions, config, corpus.phases)
         return _legacy_evaluation(legacy, corpus)
 
     phases = corpus.phases
     graph = cholec80_graph() if phases.count == 7 else linear_graph(phases.count)
     matrices = build_matrices(graph, matrix_mode, phases.count)
-    policy = UndefinedPolicy.EXCLUDE_MISSING_PHASE
     spec = SummarySpec()  # flat order, corrected spread
 
-    def per_video(v):
-        ann = corpus.annotations[v]
-        out = {}
-        for r, pred in sorted(corpus.predictions[v].items()):
-            flags = relax_flags(ann, pred, omega, matrices)
-            counts = relaxed_counts(ann, pred, flags, range(phases.count))
-            cells = {
-                kind: tuple(relaxed_metric(kind, c, truncate) for c in counts)
-                for kind in RELAXED_KINDS
-            }
-            out[r] = (cells, relaxed_accuracy(flags))
-        return out
-
-    data = _map_videos(corpus.videos, per_video, jobs)
-    annotated = _annotated_sets(corpus)
-
-    def tensor_for(kind):
-        raw = ResultTensor.build(
-            list(phases),
-            corpus.videos,
-            corpus.runs,
-            lambda p, v, r: data[v][r][0][kind][p],
-        )
-        return apply_policy(raw, policy, annotated)
-
-    resolved = {kind: tensor_for(kind) for kind in RELAXED_KINDS}
-    acc = ResultTensor.build(
-        (None,), corpus.videos, corpus.runs, lambda _, v, r: data[v][r][1]
+    tensors, acc = relaxed_tensors(
+        corpus.annotations, corpus.predictions,
+        lambda y, yhat: relax_flags(y, yhat, omega, matrices), phases, truncate,
     )
-
-    summary = {
-        "relaxed_" + kind: summarize(resolved[kind], spec)
-        for kind in RELAXED_KINDS
-    }
+    summary, per_phase = _summaries(tensors, spec, "relaxed_")
     summary["relaxed_accuracy"] = summarize(acc, spec)
-
-    per_phase = {}
-    for p in phases:
-        per_phase[p] = {
-            "relaxed_" + kind: summarize(_single_phase(resolved[kind], p), spec)
-            for kind in RELAXED_KINDS
-        }
-
     protocol = {
-        "split": corpus.split or "unknown",
         "relaxed": True,
         "omega": omega,
         "matrices": matrix_mode.value,
         "truncate": truncate,
-        "policy": policy.value,
+        "policy": RELAXED_POLICY.value,
         "order": spec.order.value,
         "std_mode": spec.std_mode.value,
-        "runs": len(corpus.runs),
     }
-    return EvaluationReport(
-        protocol=protocol,
-        summary=summary,
-        per_phase=per_phase,
-        phase_names=_phase_names(corpus),
-    )
+    return _report(corpus, protocol, summary, per_phase)
 
 
 def _legacy_evaluation(legacy, corpus: Corpus) -> EvaluationReport:
-    summary = {}
-    for kind in RELAXED_KINDS:
-        summary["relaxed_" + kind] = MetricSummary(
+    summary = {
+        "relaxed_" + kind: MetricSummary(
             legacy.means[kind], None, legacy.spreads[kind], None
         )
+        for kind in RELAXED_KINDS
+    }
     summary["relaxed_accuracy"] = MetricSummary(
         legacy.accuracy_mean, legacy.accuracy_sd, None, None
     )
-    per_phase = {}
-    for p in corpus.phases:
-        block = {}
-        for kind in RELAXED_KINDS:
-            block["relaxed_" + kind] = MetricSummary(
-                legacy.phase_means[kind][p], None, None, None
-            )
-        per_phase[p] = block
+    per_phase = {
+        p: {
+            "relaxed_" + kind: MetricSummary(legacy.phase_means[kind][p], None, None, None)
+            for kind in RELAXED_KINDS
+        }
+        for p in corpus.phases
+    }
     protocol = {
-        "split": corpus.split or "unknown",
         "relaxed": True,
         "omega": legacy.omega,
         "matrices": MatrixMode.LEGACY.value,
         "truncate": True,
         "bug_compatible": True,
         "watermark": legacy.watermark,
-        "policy": UndefinedPolicy.EXCLUDE_MISSING_PHASE.value,
+        "policy": RELAXED_POLICY.value,
         "order": AveragingOrder.VIDEO_FIRST.value,
         "std_mode": StdMode.CORRECTED.value,
-        "runs": len(corpus.runs),
     }
-    return EvaluationReport(
-        protocol=protocol,
-        summary=summary,
-        per_phase=per_phase,
-        phase_names=_phase_names(corpus),
-    )
-
-
-# ------------------------------------------------------------- compare
-
-_REF_KEYS = {
-    "split": "split_name",
-    "relaxed": "relaxed",
-    "omega": "omega",
-    "policy": "policy",
-    "f1_variant": "f1_variant",
-    "std_source": "std_source",
-    "std_mode": "std_mode",
-    "runs": "runs",
-    "trained_on_validation": "trained_on_validation",
-}
-
-_BOOL_FIELDS = {"relaxed", "trained_on_validation"}
-_INT_FIELDS = {"omega", "runs"}
-
-
-def parse_reference(pairs) -> ProtocolDescriptor:
-    """Build a protocol descriptor from KEY=VALUE flags."""
-    kwargs = {}
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep or key not in _REF_KEYS:
-            raise ValueError(f"bad reference field {pair!r}")
-        if value == "unknown":
-            parsed = None
-        elif key in _BOOL_FIELDS:
-            if value not in ("true", "false"):
-                raise ValueError(f"{key} takes true/false/unknown, got {value!r}")
-            parsed = value == "true"
-        elif key in _INT_FIELDS:
-            parsed = int(value)
-        else:
-            parsed = value
-        kwargs[_REF_KEYS[key]] = parsed
-    return ProtocolDescriptor(**kwargs)
+    return _report(corpus, protocol, summary, per_phase)
 
 
 # --------------------------------------------------------------- synth
@@ -475,13 +335,8 @@ def _emit(text: str, out: str) -> None:
 
 def cmd_evaluate(args) -> int:
     corpus = load_manifest(args.manifest)
-    report = run_evaluate(
-        corpus,
-        UndefinedPolicy(args.policy),
-        AveragingOrder(args.order),
-        StdMode(args.std_mode),
-        jobs=args.jobs,
-    )
+    policy, order = UndefinedPolicy(args.policy), AveragingOrder(args.order)
+    report = run_evaluate(corpus, policy, order, StdMode(args.std_mode))
     _emit(write_report(report, args.format), args.out)
     return 0
 
@@ -489,12 +344,7 @@ def cmd_evaluate(args) -> int:
 def cmd_relaxed(args) -> int:
     corpus = load_manifest(args.manifest)
     report = run_relaxed(
-        corpus,
-        args.omega,
-        MatrixMode(args.matrices),
-        args.truncate,
-        bug_compatible=args.bug_compat,
-        jobs=args.jobs,
+        corpus, args.omega, MatrixMode(args.matrices), args.truncate, bug_compatible=args.bug_compat
     )
     _emit(write_report(report, args.format), args.out)
     return 0
@@ -578,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[m.value for m in StdMode],
         default=StdMode.CORRECTED.value,
     )
-    ev.add_argument("--jobs", type=int, default=1)
     _add_output_flags(ev)
 
     rx = sub.add_parser("relaxed", help="boundary-relaxed metric report")
@@ -595,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replicate the legacy script exactly; output is watermarked",
     )
-    rx.add_argument("--jobs", type=int, default=1)
     _add_output_flags(rx)
 
     cp = sub.add_parser("compare", help="grade a ledger against a reference protocol")
@@ -631,8 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(parser: argparse.ArgumentParser, args) -> ProtocolDescriptor | None:
     """Flag validation before any file IO; usage problems exit 2."""
     reference = None
-    if args.command in ("evaluate", "relaxed") and args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.command == "relaxed":
         if args.omega < 0:
             parser.error("--omega must be >= 0")
@@ -643,7 +489,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> ProtocolDescriptor | Non
     if args.command == "compare":
         try:
             reference = parse_reference(args.ref)
-        except ValueError as exc:
+        except SchemaError as exc:
             parser.error(str(exc))
     if args.command == "synth":
         if args.phase_count < 2:

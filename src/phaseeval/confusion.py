@@ -87,8 +87,9 @@ def confusion_of(
     validate_sequence(annotation, phases)
     validate_sequence(prediction, phases)
     p = phases.count
-    y = annotation.labels.astype(np.int64)
-    counts = np.bincount(y * p + prediction.labels, minlength=p * p).reshape(p, p)
+    index = np.multiply(annotation.labels, p, dtype=np.int64)
+    index += prediction.labels  # in place: one frame-long array per pair
+    counts = np.bincount(index, minlength=p * p).reshape(p, p)
     return ConfusionMatrix(counts, p)
 
 

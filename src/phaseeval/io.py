@@ -71,13 +71,17 @@ def parse_labels(text: str | bytes) -> LabelSequence:
     buf = np.frombuffer(data, dtype=np.uint8)
     if buf.size == 0:
         raise EmptyFile("no frames")
+    digit = buf - np.uint8(_ZERO)  # non-digit bytes wrap to values above 9
+    # One digit a line, the usual layout, is read without the line arrays
+    # below, whose allocation costs more than the parsing itself.
+    if (buf[1::2] == _NEWLINE).all() and (digit[::2] <= 9).all():
+        return LabelSequence(digit[::2])
     newline = buf == _NEWLINE
     ends = np.flatnonzero(newline)  # one past each line's last byte
     if not newline[-1]:
         ends = np.concatenate((ends, [buf.size]))
     starts = np.concatenate(([0], ends[:-1] + 1))
     lengths = ends - starts
-    digit = buf - np.uint8(_ZERO)  # non-digit bytes wrap to values above 9
     junk = (digit > 9) & ~newline
     if junk.any() or not lengths.all():
         first_junk = np.searchsorted(ends, np.argmax(junk)) if junk.any() else ends.size

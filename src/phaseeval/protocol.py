@@ -204,17 +204,22 @@ class ReportedResult:
         object.__setattr__(self, "metrics", dict(self.metrics))
 
 
-_PROTO_KEYS = {
-    "split": "split_name",
-    "relaxed": "relaxed",
-    "omega": "omega",
-    "policy": "policy",
-    "f1_variant": "f1_variant",
-    "std_source": "std_source",
-    "std_mode": "std_mode",
-    "runs": "runs",
-    "trained_on_validation": "trained_on_validation",
+# Ledger key -> (ProtocolDescriptor attribute, JSON type).  Types match
+# exactly, so a bool is not an int here.
+PROTOCOL_FIELDS = {
+    "split": ("split_name", str),
+    "relaxed": ("relaxed", bool),
+    "omega": ("omega", int),
+    "policy": ("policy", str),
+    "f1_variant": ("f1_variant", str),
+    "std_source": ("std_source", str),
+    "std_mode": ("std_mode", str),
+    "runs": ("runs", int),
+    "trained_on_validation": ("trained_on_validation", bool),
 }
+
+_TYPE_NAMES = {str: "a string", bool: "true or false", int: "an integer"}
+_FROM_TEXT = {str: str, int: int, bool: {"true": True, "false": False}.__getitem__}
 
 
 def _parse_protocol(obj, where: str) -> ProtocolDescriptor:
@@ -222,20 +227,45 @@ def _parse_protocol(obj, where: str) -> ProtocolDescriptor:
         raise SchemaError(f"{where}: protocol must be an object")
     kwargs = {}
     for key, value in obj.items():
-        if key not in _PROTO_KEYS:
+        if key not in PROTOCOL_FIELDS:
             raise SchemaError(f"{where}: unknown protocol field {key!r}")
         if value == "unknown" or value is None:
             continue
-        kwargs[_PROTO_KEYS[key]] = value
+        attr, kind = PROTOCOL_FIELDS[key]
+        if type(value) is not kind:
+            raise SchemaError(
+                f"{where}: protocol field {key!r} must be {_TYPE_NAMES[kind]}, "
+                f"got {value!r}"
+            )
+        kwargs[attr] = value
     try:
         return ProtocolDescriptor(**kwargs)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise SchemaError(f"{where}: {e}") from None
+
+
+def parse_reference(pairs: Iterable[str]) -> ProtocolDescriptor:
+    """A reference protocol from KEY=VALUE strings, with the keys and types
+    of a ledger protocol: VALUE is "unknown", true/false for a flag, a
+    decimal integer for a count, else the string itself."""
+    obj = {}
+    for pair in pairs:
+        key, sep, text = pair.partition("=")
+        if not sep or key not in PROTOCOL_FIELDS:
+            raise SchemaError(f"bad reference field {pair!r}")
+        kind = PROTOCOL_FIELDS[key][1]
+        try:
+            obj[key] = text if text == "unknown" else _FROM_TEXT[kind](text)
+        except (KeyError, ValueError):
+            raise SchemaError(
+                f"{key} takes {_TYPE_NAMES[kind]} or unknown, got {text!r}"
+            ) from None
+    return _parse_protocol(obj, "reference")
 
 
 def _protocol_obj(d: ProtocolDescriptor) -> dict:
     out = {}
-    for key, attr in _PROTO_KEYS.items():
+    for key, (attr, _) in PROTOCOL_FIELDS.items():
         value = getattr(d, attr)
         out[key] = "unknown" if value is None else value
     return out

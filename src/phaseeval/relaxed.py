@@ -19,14 +19,19 @@ is applied to the *first* omega positions of each segment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence, overload
+from typing import Callable, Mapping, Sequence, overload
 
 import numpy as np
 
-from .aggregate import StdMode, _sample_std
+from .aggregate import (
+    AveragingOrder,
+    ResultTensor,
+    SummarySpec,
+    summarize,
+    video_tensor,
+)
 from .confusion import LengthMismatch
 from .core import (
     LabelSequence,
@@ -37,12 +42,24 @@ from .core import (
 )
 from .errors import PhaseEvalError
 from .metrics import (
+    DEFINED,
     JACCARD,
     PRECISION,
     RECALL,
+    Cells,
     MetricCell,
-    UNDEFINED_CELL,
+    UndefinedPolicy,
+    apply_policy,
+    cell_of,
+    defined_cells,
+    mean_defined,
+    ratio_cells,
 )
+
+
+RELAXED_KINDS = (PRECISION, RECALL, JACCARD)
+# Relaxed scores always drop the phases missing from a video's annotation.
+RELAXED_POLICY = UndefinedPolicy.EXCLUDE_MISSING_PHASE
 
 
 class SegmentShorterThanOmega(PhaseEvalError):
@@ -183,7 +200,7 @@ def relax_flags_legacy(
     as the script never visits them.
     """
     _check_pair(annotation, prediction)
-    d = prediction.labels.astype(np.int64) - annotation.labels
+    d = np.subtract(prediction.labels, annotation.labels, dtype=np.int64)
     for seg in extract_segments(annotation):
         if seg.phase > 6:
             continue
@@ -208,7 +225,8 @@ def relax_flags_legacy(
 
 @dataclass(frozen=True)
 class RelaxedCounts:
-    """Exact frame counts behind the relaxed scores of one phase."""
+    """Exact frame counts behind the relaxed scores of one phase (or
+    arrays of them, one entry per phase, video and run)."""
 
     r_tp: int
     union: int
@@ -254,8 +272,8 @@ def relaxed_counts(annotation, prediction, flags, phase):
     # huge unsigned values, so every label outside it lands in the one bin
     # past the end: the bins follow the phases asked for, never the labels.
     def offsets(labels):
-        off = (labels - np.int64(phases.start)).view(np.uint64)
-        return np.minimum(off, np.uint64(width)).view(np.int64)
+        off = np.subtract(labels, phases.start, dtype=np.int64).view(np.uint64)
+        return np.minimum(off, np.uint64(width), out=off).view(np.int64)
 
     y, yhat = offsets(annotation.labels), offsets(prediction.labels)
     ok = np.fromiter(flags, dtype=bool, count=len(flags))
@@ -267,11 +285,11 @@ def relaxed_counts(annotation, prediction, flags, phase):
     annotated = count(y)
     predicted = count(yhat)
     predicted_elsewhere = count(yhat[differ])  # predicted p, annotated not p
-    r_tp_annotated = count(y[ok])
+    unforgiven = count(y[~ok])  # annotated p, not forgiven: a short selection
     r_tp_elsewhere = count(yhat[ok & differ])
     counts = tuple(
         RelaxedCounts(
-            r_tp=r_tp_annotated[i] + r_tp_elsewhere[i],
+            r_tp=annotated[i] - unforgiven[i] + r_tp_elsewhere[i],
             union=annotated[i] + predicted_elsewhere[i],
             predicted=predicted[i],
             annotated=annotated[i],
@@ -281,30 +299,30 @@ def relaxed_counts(annotation, prediction, flags, phase):
     return counts[0] if single else counts
 
 
-def relaxed_metric(kind: str, counts: RelaxedCounts, truncate: bool) -> MetricCell:
-    """Relaxed jaccard, precision or recall from counts.
+def relaxed_cells(kind: str, counts: RelaxedCounts, truncate: bool) -> Cells:
+    """Relaxed jaccard, precision or recall from counts whose fields are
+    ints or arrays of one shape.
 
     Relaxed precision and recall divide boundary-forgiven true positives
     by plain prediction and annotation counts, so they can exceed 1;
     truncate caps them at 1.  Jaccard never exceeds 1.
     """
-    if kind == JACCARD:
-        if counts.union == 0:
-            return UNDEFINED_CELL
-        value = counts.r_tp / counts.union
-    elif kind == PRECISION:
-        if counts.predicted == 0:
-            return UNDEFINED_CELL
-        value = counts.r_tp / counts.predicted
-    elif kind == RECALL:
-        if counts.annotated == 0:
-            return UNDEFINED_CELL
-        value = counts.r_tp / counts.annotated
-    else:
+    denominators = {
+        JACCARD: counts.union,
+        PRECISION: counts.predicted,
+        RECALL: counts.annotated,
+    }
+    if kind not in denominators:
         raise ValueError(f"no relaxed variant of {kind!r}")
+    values, state = ratio_cells(counts.r_tp, denominators[kind])
     if truncate:
-        value = min(1.0, value)
-    return MetricCell.defined(value)
+        values = np.where(values > 1.0, 1.0, values)
+    return values, state
+
+
+def relaxed_metric(kind: str, counts: RelaxedCounts, truncate: bool) -> MetricCell:
+    """The relaxed_cells of one phase's counts."""
+    return cell_of(*relaxed_cells(kind, counts, truncate))
 
 
 def relaxed_accuracy(flags: tuple[bool, ...]) -> MetricCell:
@@ -312,6 +330,47 @@ def relaxed_accuracy(flags: tuple[bool, ...]) -> MetricCell:
     if not flags:
         raise ValueError("no frames")
     return MetricCell.defined(sum(flags) / len(flags))
+
+
+def relaxed_tensors(
+    annotations: Mapping[int, LabelSequence],
+    predictions: Mapping[int, Mapping[str, LabelSequence]],
+    flags_of: Callable[[LabelSequence, LabelSequence], tuple[bool, ...]],
+    phases: PhaseSet,
+    truncate: bool,
+) -> tuple[dict[str, ResultTensor], ResultTensor]:
+    """Relaxed precision, recall and jaccard tensors, with the phases
+    missing from a video's annotation excluded, and the relaxed accuracy
+    tensor of every (video, run) pair.  `flags_of(annotation, prediction)`
+    gives a pair's relaxation flags."""
+    videos = sorted(annotations)
+    if not videos:
+        raise ValueError("need at least one video")
+    runs = sorted(predictions[videos[0]])
+    counts, acc = [], []
+    for v in videos:
+        if sorted(predictions[v]) != runs:
+            raise ValueError(f"video {v} has a different run set")
+        for r in runs:
+            y, yhat = annotations[v], predictions[v][r]
+            flags = flags_of(y, yhat)
+            acc.append(relaxed_accuracy(flags).value)
+            counts.append([
+                (c.r_tp, c.union, c.predicted, c.annotated)
+                for c in relaxed_counts(y, yhat, flags, range(phases.count))
+            ])
+    shape = (len(videos), len(runs))
+    stack = np.array(counts, dtype=np.int64).reshape(*shape, phases.count, 4)
+    grid = RelaxedCounts(*np.moveaxis(stack, (3, 2), (0, 1)))  # (phase, video, run)
+    tensors = {
+        kind: apply_policy(
+            ResultTensor.build(phases, videos, runs, relaxed_cells(kind, grid, truncate)),
+            RELAXED_POLICY,
+            grid.annotated > 0,
+        )
+        for kind in RELAXED_KINDS
+    }
+    return tensors, video_tensor(videos, runs, defined_cells(np.array(acc).reshape(shape)))
 
 
 LEGACY_WATERMARK = "legacy-bug-compatible"
@@ -350,60 +409,24 @@ def legacy_pipeline(
         raise ValueError("legacy evaluation requires bug_compatible and truncate")
     if config.matrix_mode is not MatrixMode.LEGACY:
         raise ValueError("legacy evaluation uses the legacy acceptance rules")
-    videos = sorted(annotations)
-    if not videos:
-        raise ValueError("need at least one video")
-    runs = sorted(predictions[videos[0]])
-    kinds = (PRECISION, RECALL, JACCARD)
-    by_phase: dict[str, list[list[float]]] = {
-        k: [[] for _ in range(phases.count)] for k in kinds
-    }
-    acc_by_video: list[list[float]] = []
-    for v in videos:
-        annotation = annotations[v]
-        present = {seg.phase for seg in extract_segments(annotation)}
-        if sorted(predictions[v]) != runs:
-            raise ValueError(f"video {v} has a different run set")
-        acc_runs = []
-        for r in runs:
-            prediction = predictions[v][r]
-            flags = relax_flags_legacy(annotation, prediction, config.omega)
-            acc_runs.append(relaxed_accuracy(flags).value)
-            phase_counts = relaxed_counts(
-                annotation, prediction, flags, range(phases.count)
-            )
-            for p, counts in enumerate(phase_counts):
-                if p not in present:
-                    continue
-                for kind in kinds:
-                    cell = relaxed_metric(kind, counts, truncate=True)
-                    if cell.is_defined:
-                        by_phase[kind][p].append(cell.value)
-        acc_by_video.append(acc_runs)
-    phase_means: dict[str, tuple[float | None, ...]] = {}
-    means: dict[str, float | None] = {}
-    spreads: dict[str, float | None] = {}
-    for kind in kinds:
-        pm = tuple(
-            math.fsum(vals) / len(vals) if vals else None
-            for vals in by_phase[kind]
-        )
-        phase_means[kind] = pm
-        retained = [x for x in pm if x is not None]
-        means[kind] = math.fsum(retained) / len(retained) if retained else None
-        spreads[kind] = (
-            _sample_std(retained, StdMode.CORRECTED) if len(retained) > 1 else None
-        )
-    video_acc = [math.fsum(a) / len(a) for a in acc_by_video]
-    acc_mean = math.fsum(x for a in acc_by_video for x in a) / sum(
-        len(a) for a in acc_by_video
+    tensors, acc = relaxed_tensors(
+        annotations, predictions,
+        lambda y, yhat: relax_flags_legacy(y, yhat, config.omega), phases, truncate=True,
     )
-    acc_sd = _sample_std(video_acc, StdMode.CORRECTED) if len(video_acc) > 1 else None
+    spec = SummarySpec(order=AveragingOrder.VIDEO_FIRST)
+    summaries = {kind: summarize(t, spec) for kind, t in tensors.items()}
+    accuracy = summarize(acc, spec)
+    phase_means = {}
+    for kind, t in tensors.items():
+        means, state = mean_defined(t.values, t.state, (1, 2))
+        phase_means[kind] = tuple(
+            x if s == DEFINED else None for x, s in zip(means.tolist(), state.tolist())
+        )
     return LegacyReport(
         omega=config.omega,
         phase_means=phase_means,
-        means=means,
-        spreads=spreads,
-        accuracy_mean=acc_mean,
-        accuracy_sd=acc_sd,
+        means={kind: s.mean for kind, s in summaries.items()},
+        spreads={kind: s.sd_phases for kind, s in summaries.items()},
+        accuracy_mean=accuracy.mean,
+        accuracy_sd=accuracy.sd_videos,
     )

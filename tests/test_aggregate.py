@@ -13,13 +13,13 @@ from phaseeval.aggregate import (
     ResultTensor,
     StdMode,
     SummarySpec,
-    accuracy_tensor,
-    macro_tensor,
     mean_cells,
     ordered_mean,
     phase_metric_tensor,
+    stack_confusions,
     std_over,
     summarize,
+    video_tensor,
 )
 from phaseeval.confusion import confusion_of
 from phaseeval.core import LabelSequence, PhaseSet
@@ -29,6 +29,9 @@ from phaseeval.metrics import (
     UNDEFINED_CELL,
     MetricCell,
     UndefinedPolicy,
+    accuracy_cells,
+    macro_cells,
+    phase_counts,
 )
 from reference import (
     UNDEFINED,
@@ -211,11 +214,17 @@ def test_phase_tensor_from_matrices():
 
 
 def test_accuracy_and_macro_tensors():
-    mats = _matrices()
-    acc = accuracy_tensor(mats)
+    videos, runs, counts = stack_confusions(_matrices())
+    acc = video_tensor(videos, runs, accuracy_cells(counts))
     assert acc.phases == (None,)
     assert acc.cell_at(0, 0, 0).value == pytest.approx(0.8)
     assert acc.cell_at(0, 1, 0).value == pytest.approx(2 / 3)
-    mac = macro_tensor(PRECISION, mats, UndefinedPolicy.EXCLUDE_MISSING_PHASE)
+    mac = video_tensor(
+        videos,
+        runs,
+        macro_cells(
+            PRECISION, *phase_counts(counts), UndefinedPolicy.EXCLUDE_MISSING_PHASE
+        ),
+    )
     # video 2: phase 2 dropped as unannotated, phases 0 and 1 kept
     assert mac.cell_at(0, 1, 0).value == pytest.approx((1.0 + 1.0) / 2)

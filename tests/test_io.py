@@ -36,6 +36,29 @@ def test_parse_labels_without_trailing_newline():
 
 
 @pytest.mark.parametrize(
+    "text,want",
+    [
+        ("5", (5,)),
+        ("5\n", (5,)),
+        ("9\n0\n12\n", (9, 0, 12)),  # one wider line leaves the one-digit layout
+        ("12\n3", (12, 3)),
+        ("5\n\n", 2),  # a second newline is a blank line, not a label
+        ("\n", 1),
+        ("4\n:\n", 2),  # ':' sits just past '9'
+        ("4\n/\n", 2),  # '/' sits just before '0'
+    ],
+)
+def test_parse_labels_one_digit_layout_and_its_edges(text, want):
+    if isinstance(want, tuple):
+        assert tuple(parse_labels(text)) == want
+        assert parse_labels(text).labels.dtype == "int32"
+        return
+    with pytest.raises(ParseError) as exc:
+        parse_labels(text)
+    assert exc.value.line == want
+
+
+@pytest.mark.parametrize(
     "text,line",
     [
         ("0\n\n1\n", 2),   # blank interior line

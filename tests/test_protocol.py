@@ -19,9 +19,11 @@ from phaseeval.protocol import (
     dump_ledger,
     leaderboard_obj,
     parse_ledger,
+    parse_reference,
     render_leaderboard,
     seed_ledger,
 )
+from phaseeval.io import SchemaError
 
 FULL = ProtocolDescriptor(
     split_name="32:8:40",
@@ -172,6 +174,31 @@ def test_ledger_accepts_omitted_protocol_fields():
     assert res.protocol.split_name == "60:20"
     assert res.protocol.relaxed is None
     assert res.metrics["accuracy"].spread is None
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("split", 5),
+        ("omega", True),
+        ("relaxed", "yes"),
+        ("runs", 2.5),
+        ("trained_on_validation", 1),
+    ],
+)
+def test_ledger_rejects_ill_typed_protocol_fields(field, value):
+    ok = {"method": "m", "source": "s", "metrics": {"accuracy": {"mean": 0.9}}}
+    bad = {**ok, "method": "n", "protocol": {field: value}}
+    with pytest.raises(SchemaError, match=rf"record 1: protocol field '{field}'"):
+        parse_ledger(json.dumps([ok, bad]))
+
+
+def test_reference_parses_like_a_ledger_protocol():
+    ref = parse_reference(["split=60:20", "relaxed=true", "omega=10", "runs=unknown"])
+    assert ref == ProtocolDescriptor(split_name="60:20", relaxed=True, omega=10)
+    for pair in ("relaxed=yes", "omega=ten", "runs=2.5", "policy=drop-them", "x=1"):
+        with pytest.raises(SchemaError):
+            parse_reference([pair])
 
 
 def test_ledger_rejects_duplicates():
