@@ -45,6 +45,10 @@ class NoDefinedCells(PhaseEvalError):
     """An average over zero defined cells has no value."""
 
 
+class RaggedRuns(PhaseEvalError):
+    """Videos in one manifest or video/run grid must share the same run ids."""
+
+
 class InsufficientPoints(PhaseEvalError):
     """A standard deviation needs at least two points."""
 
@@ -242,20 +246,26 @@ def summarize(tensor: ResultTensor, spec: SummarySpec = SummarySpec()) -> Metric
     return MetricSummary(mean, sds[VIDEOS], sds[PHASES], sds[RUNS])
 
 
+def grid_axes(grid: Mapping[int, Mapping[str, object]]) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """Sorted video ids and run ids of a video/run grid."""
+    videos = tuple(sorted(grid))
+    if not videos:
+        raise ValueError("need at least one video")
+    runs = tuple(sorted(grid[videos[0]]))
+    for v in videos:
+        if tuple(sorted(grid[v])) != runs:
+            raise RaggedRuns(f"video {v} has a different run set")
+    if not runs:
+        raise ValueError("need at least one run")
+    return videos, runs
+
+
 def stack_confusions(
     matrices: Mapping[int, Mapping[str, ConfusionMatrix]],
 ) -> tuple[tuple[int, ...], tuple[str, ...], np.ndarray]:
     """Videos, runs and the (video, run, phase, phase) count stack of a
     video/run grid of confusion matrices."""
-    videos = tuple(sorted(matrices))
-    if not videos:
-        raise ValueError("need at least one video")
-    runs = tuple(sorted(matrices[videos[0]]))
-    for v in videos:
-        if tuple(sorted(matrices[v])) != runs:
-            raise ValueError(f"video {v} has a different run set")
-    if not runs:
-        raise ValueError("need at least one run")
+    videos, runs = grid_axes(matrices)
     counts = np.array([[matrices[v][r].counts for r in runs] for v in videos])
     return videos, runs, counts
 

@@ -72,8 +72,8 @@ from .relaxed import (
     MatrixMode,
     RelaxedConfig,
     build_matrices,
+    graph_rule,
     legacy_pipeline,
-    relax_flags,
     relaxed_tensors,
 )
 
@@ -189,7 +189,7 @@ def run_relaxed(
 
     tensors, acc = relaxed_tensors(
         corpus.annotations, corpus.predictions,
-        lambda y, yhat: relax_flags(y, yhat, omega, matrices), phases, truncate,
+        lambda y: graph_rule(y, omega, matrices), phases, truncate,
     )
     summary, per_phase = _summaries(tensors, spec, "relaxed_")
     summary["relaxed_accuracy"] = summarize(acc, spec)

@@ -146,21 +146,24 @@ class Segment:
         return self.end - self.start + 1
 
 
+def segment_bounds(seq: LabelSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase, first frame and last frame (inclusive) of each maximal
+    constant-phase run, as arrays in frame order."""
+    labels = seq.labels
+    cuts = np.flatnonzero(np.diff(labels)) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts - 1, [len(labels) - 1]))
+    return labels[starts], starts, ends
+
+
 def extract_segments(seq: LabelSequence) -> tuple[Segment, ...]:
     """Decompose a sequence into its maximal constant-phase runs.
 
     Consecutive segments always carry distinct phases, and concatenating
     the segments reproduces the sequence exactly.
     """
-    labels = seq.labels
-    cuts = np.flatnonzero(np.diff(labels)) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts - 1, [len(labels) - 1]))
     return tuple(
-        Segment(phase, start, end)
-        for phase, start, end in zip(
-            labels[starts].tolist(), starts.tolist(), ends.tolist()
-        )
+        Segment(*fields) for fields in zip(*(a.tolist() for a in segment_bounds(seq)))
     )
 
 

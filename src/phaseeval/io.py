@@ -16,13 +16,14 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .aggregate import MetricSummary
+from .aggregate import MetricSummary, RaggedRuns
 from .confusion import LengthMismatch
 from .core import LABEL_MAX, LabelSequence, OutOfRangeLabel, PhaseSet, validate_sequence
 from .errors import PhaseEvalError
@@ -50,10 +51,6 @@ class MissingFile(PhaseEvalError):
 
 class SchemaError(PhaseEvalError):
     """A structured document does not match its expected shape."""
-
-
-class RaggedRuns(PhaseEvalError):
-    """Videos in one manifest must share the same run ids."""
 
 
 _NEWLINE = ord("\n")
@@ -240,6 +237,8 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise SchemaError(f"{obj!r} has no JSON form")
         return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from sys import float_info
 from typing import Iterable, Mapping
 
 from .errors import PhaseEvalError
@@ -303,14 +304,14 @@ def parse_ledger(text: str) -> tuple[ReportedResult, ...]:
                 raise SchemaError(f"{where}: unknown metric name {name!r}")
             if not isinstance(mv, dict) or "mean" not in mv:
                 raise SchemaError(f"{where}: metric {name!r} needs a mean")
-            mean = mv["mean"]
-            spread = mv.get("spread")
-            if not isinstance(mean, (int, float)) or isinstance(mean, bool):
-                raise SchemaError(f"{where}: metric {name!r} mean must be a number")
-            if spread is not None and (
-                not isinstance(spread, (int, float)) or isinstance(spread, bool)
-            ):
-                raise SchemaError(f"{where}: metric {name!r} spread must be a number")
+            mean, spread = mv["mean"], mv.get("spread")
+            for field, x in (("mean", mean), ("spread", 0 if spread is None else spread)):
+                # json.loads gives exact types, so a bool is neither; NaN fails the range
+                if type(x) not in (int, float) or not 0 <= x <= float_info.max:
+                    raise SchemaError(
+                        f"{where}: metric {name!r} {field} must be a finite and "
+                        f"non-negative number, got {x!r}"
+                    )
             metrics[name] = MetricValue(float(mean), None if spread is None else float(spread))
         provenance = rec.get("provenance")
         if provenance is not None and not isinstance(provenance, str):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence, overload
+from typing import Callable, Mapping, NamedTuple, Sequence, overload
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .aggregate import (
     AveragingOrder,
     ResultTensor,
     SummarySpec,
+    grid_axes,
     summarize,
     video_tensor,
 )
@@ -38,7 +39,8 @@ from .core import (
     PhaseSet,
     WorkflowGraph,
     cholec80_graph,
-    extract_segments,
+    segment_bounds,
+    validate_sequence,
 )
 from .errors import PhaseEvalError
 from .metrics import (
@@ -65,6 +67,10 @@ RELAXED_POLICY = UndefinedPolicy.EXCLUDE_MISSING_PHASE
 class SegmentShorterThanOmega(PhaseEvalError):
     """The legacy script never saw segments shorter than its window; its
     behaviour there is unspecified, so we refuse instead of guessing."""
+
+
+class InvalidOmega(PhaseEvalError):
+    """The relaxation window omega must be a non-negative frame count."""
 
 
 class LegacyGridsUnavailable(PhaseEvalError):
@@ -139,8 +145,12 @@ class RelaxedConfig:
     bug_compatible: bool = False
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("omega must be non-negative")
+        _check_omega(self.omega)
+
+
+def _check_omega(omega: int) -> None:
+    if omega < 0:
+        raise InvalidOmega(f"omega must be non-negative, got {omega}")
 
 
 def _check_pair(annotation: LabelSequence, prediction: LabelSequence):
@@ -149,6 +159,67 @@ def _check_pair(annotation: LabelSequence, prediction: LabelSequence):
             f"annotation has {len(annotation)} frames, "
             f"prediction has {len(prediction)}"
         )
+
+
+Flags = Callable[[LabelSequence], np.ndarray]
+
+
+def _rule(annotation: LabelSequence, segments, w, accept, end_on_head: bool) -> Flags:
+    """A flag rule bound to one annotation: prediction -> bool mask, exact
+    agreement set True where `accept` forgives.  Its start rows (first half,
+    by phase) read the first w[i] frames of segment i, end rows the last
+    w[i]; with `end_on_head` the end verdict lands on the start frame at the
+    same offset (the legacy defect).  The all-False last column of `accept`
+    takes every predicted label past the table."""
+    phase, first, last = segments
+    offset = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w, w)  # within each window
+    head, tail = np.repeat(first, w) + offset, np.repeat(last - w + 1, w) + offset
+    put, read = np.concatenate((head, head if end_on_head else tail)), np.concatenate((head, tail))
+    row = np.repeat(np.concatenate((phase, phase + len(accept) // 2)), np.tile(w, 2))
+
+    def flags(prediction: LabelSequence) -> np.ndarray:
+        _check_pair(annotation, prediction)
+        mask = annotation.labels == prediction.labels
+        mask[put[accept[row, np.minimum(prediction.labels[read], accept.shape[1] - 1)]]] = True
+        return mask
+
+    return flags
+
+
+def graph_rule(annotation: LabelSequence, omega: int, matrices: RelaxMatrices) -> Flags:
+    """relax_flags for the predictions of one annotation, whose windows (the
+    first and last min(omega, length) frames of each segment) are found once."""
+    _check_omega(omega)
+    validate_sequence(annotation, PhaseSet(matrices.phase_count))  # a row for every phase
+    segments = phase, first, last = segment_bounds(annotation)
+    accept = np.pad(np.concatenate((matrices.start, matrices.end)), ((0, 0), (0, 1))) > 0
+    return _rule(annotation, segments, np.minimum(omega, last - first + 1), accept, False)
+
+
+# The rule groups of relax_flags_legacy over predicted labels 0..9, by
+# d = predicted - annotated: start rows by phase, then end rows.
+_D = np.arange(10) - np.arange(7)[:, None]
+_LEGACY_ACCEPT = np.concatenate((
+    (_D == -1) | ((_D == -2) & (np.arange(7) >= 5)[:, None]),
+    (_D == 1) | ((_D == 2) & (np.arange(7) >= 3)[:, None]),
+))
+
+
+def legacy_rule(annotation: LabelSequence, omega: int) -> Flags:
+    """relax_flags_legacy for the predictions of one annotation: the first
+    omega frames of each segment of phases 0..6, forgiven by the start rule
+    in place or by the end rule at the same offset in its last omega frames."""
+    _check_omega(omega)
+    segments = phase, first, last = segment_bounds(annotation)
+    w = np.where(phase <= 6, omega, 0)
+    short = np.flatnonzero(last - first + 1 < w)
+    if len(short):
+        i = short[0]
+        raise SegmentShorterThanOmega(
+            f"segment of phase {phase[i]} has {last[i] - first[i] + 1} frames, "
+            f"shorter than omega={omega}"
+        )
+    return _rule(annotation, segments, w, _LEGACY_ACCEPT, True)
 
 
 def relax_flags(
@@ -164,24 +235,7 @@ def relax_flags(
     accepts the predicted phase, or symmetrically in the last omega frames
     via the end grid.  Windows clamp to the segment and may overlap.
     """
-    _check_pair(annotation, prediction)
-    n = matrices.phase_count
-    # Predicted labels past the grids read the all-False column n.
-    yhat = np.minimum(prediction.labels, n)
-    flags = annotation.labels == prediction.labels
-    start_grid = np.zeros((n, n + 1), dtype=bool)
-    end_grid = np.zeros((n, n + 1), dtype=bool)
-    start_grid[:, :n] = matrices.start
-    end_grid[:, :n] = matrices.end
-    for seg in extract_segments(annotation):
-        if seg.phase >= n:
-            raise ValueError(f"annotated phase {seg.phase} outside acceptance grids")
-        w = min(omega, seg.length)
-        head = slice(seg.start, seg.start + w)
-        tail = slice(seg.end - w + 1, seg.end + 1)
-        flags[head] |= start_grid[seg.phase][yhat[head]]
-        flags[tail] |= end_grid[seg.phase][yhat[tail]]
-    return tuple(flags.tolist())
+    return tuple(graph_rule(annotation, omega, matrices)(prediction).tolist())
 
 
 def relax_flags_legacy(
@@ -192,39 +246,18 @@ def relax_flags_legacy(
     Works on the signed difference d = prediction - annotation per
     annotated segment.  First the start window is cleared, then a boolean
     mask is computed over the last omega entries of d and applied to the
-    first omega positions; the two steps are sequential, so on segments
-    shorter than 2*omega the start clearing feeds the end mask.  Segments
+    first omega positions.  On segments shorter than 2*omega the clearing
+    feeds the end mask, but it only zeroes negative d and the end rules
+    accept only positive d, so the mask is the same either way.  Segments
     are matched to the script's three rule groups by phase: 0..2 accept
     d=-1 at start and d=1 at end, 3..4 accept d=-1 / d in {1,2}, 5..6
     accept d in {-1,-2} / d in {1,2}.  Phases beyond 6 are left untouched,
     as the script never visits them.
     """
-    _check_pair(annotation, prediction)
-    d = np.subtract(prediction.labels, annotation.labels, dtype=np.int64)
-    for seg in extract_segments(annotation):
-        if seg.phase > 6:
-            continue
-        if seg.length < omega:
-            raise SegmentShorterThanOmega(
-                f"segment of phase {seg.phase} has {seg.length} frames, "
-                f"shorter than omega={omega}"
-            )
-        head = d[seg.start : seg.start + omega]  # a view: writes go to d
-        if seg.phase in (5, 6):
-            head[(head == -1) | (head == -2)] = 0
-        else:
-            head[head == -1] = 0
-        tail = d[seg.end - omega + 1 : seg.end + 1]
-        if seg.phase >= 3:
-            mask = (tail == 1) | (tail == 2)
-        else:
-            mask = tail == 1
-        head[mask] = 0
-    return tuple((d == 0).tolist())
+    return tuple(legacy_rule(annotation, omega)(prediction).tolist())
 
 
-@dataclass(frozen=True)
-class RelaxedCounts:
+class RelaxedCounts(NamedTuple):
     """Exact frame counts behind the relaxed scores of one phase (or
     arrays of them, one entry per phase, video and run)."""
 
@@ -254,10 +287,12 @@ def relaxed_counts(
 
 def relaxed_counts(annotation, prediction, flags, phase):
     """Count relaxed true positives among frames involving `phase` on
-    either side.
+    either side.  `flags` is a bool mask or a sequence of bools.
 
     Given a range of phases (e.g. `range(phase_count)`), counts all of
-    them in one pass over the frames and returns one entry per phase.
+    them at once and returns one entry per phase: the pair's (annotated,
+    predicted) counts, corrected by the frames whose flag differs from
+    exact agreement (under a relaxation rule, the forgiven mismatches).
     """
     _check_pair(annotation, prediction)
     if len(flags) != len(annotation):
@@ -268,34 +303,32 @@ def relaxed_counts(annotation, prediction, flags, phase):
         raise ValueError("phases must be a contiguous range")
     width = len(phases)
 
-    # Each label's offset into `phases`.  Labels below the range wrap to
-    # huge unsigned values, so every label outside it lands in the one bin
-    # past the end: the bins follow the phases asked for, never the labels.
+    # Each label's offset into `phases` in uint32: labels (0..2**31-1) below
+    # the range wrap to huge values, so every label outside it lands in the
+    # one bin past the end; the bins follow the phases, never the labels.
+    # A start outside +-2**31 holds no label; clamping keeps the wrap exact.
+    start = np.uint32(min(max(phases.start, -(2**31)), 2**31) % 2**32)
+
     def offsets(labels):
-        off = np.subtract(labels, phases.start, dtype=np.int64).view(np.uint64)
-        return np.minimum(off, np.uint64(width), out=off).view(np.int64)
+        off = np.subtract(labels.view(np.uint32), start)
+        return np.minimum(off, np.uint32(width), out=off)
 
-    y, yhat = offsets(annotation.labels), offsets(prediction.labels)
-    ok = np.fromiter(flags, dtype=bool, count=len(flags))
-    differ = y != yhat
+    pair = offsets(annotation.labels)
+    pair *= np.uint32(width + 1)
+    pair += offsets(prediction.labels)
+    changed = np.asarray(flags, dtype=bool) != (annotation.labels == prediction.labels)
 
-    def count(labels):
-        return np.bincount(labels, minlength=width + 1)[:width].tolist()
+    def count(index):
+        bins = np.bincount(index, minlength=(width + 1) ** 2).reshape(width + 1, width + 1)
+        return bins.diagonal()[:width], bins.sum(axis=1)[:width], bins.sum(axis=0)[:width]
 
-    annotated = count(y)
-    predicted = count(yhat)
-    predicted_elsewhere = count(yhat[differ])  # predicted p, annotated not p
-    unforgiven = count(y[~ok])  # annotated p, not forgiven: a short selection
-    r_tp_elsewhere = count(yhat[ok & differ])
-    counts = tuple(
-        RelaxedCounts(
-            r_tp=annotated[i] - unforgiven[i] + r_tp_elsewhere[i],
-            union=annotated[i] + predicted_elsewhere[i],
-            predicted=predicted[i],
-            annotated=annotated[i],
-        )
-        for i in range(width)
-    )
+    tp, annotated, predicted = count(pair)
+    # Changed frames on the diagonal are agreements left unflagged, the
+    # others forgiven mismatches: each counts for its phase on both sides.
+    lost, forgiven_y, forgiven_yhat = count(pair[changed])
+    r_tp = tp - 3 * lost + forgiven_y + forgiven_yhat
+    fields = (r_tp, annotated + predicted - tp, predicted, annotated)
+    counts = tuple(map(RelaxedCounts, *(f.tolist() for f in fields)))
     return counts[0] if single else counts
 
 
@@ -325,40 +358,34 @@ def relaxed_metric(kind: str, counts: RelaxedCounts, truncate: bool) -> MetricCe
     return cell_of(*relaxed_cells(kind, counts, truncate))
 
 
-def relaxed_accuracy(flags: tuple[bool, ...]) -> MetricCell:
+def relaxed_accuracy(flags: Sequence[bool]) -> MetricCell:
     """Fraction of frames whose prediction is exactly or forgivably right."""
-    if not flags:
+    if len(flags) == 0:
         raise ValueError("no frames")
-    return MetricCell.defined(sum(flags) / len(flags))
+    return MetricCell.defined(np.count_nonzero(flags) / len(flags))
 
 
 def relaxed_tensors(
     annotations: Mapping[int, LabelSequence],
     predictions: Mapping[int, Mapping[str, LabelSequence]],
-    flags_of: Callable[[LabelSequence, LabelSequence], tuple[bool, ...]],
+    rule_of: Callable[[LabelSequence], Flags],
     phases: PhaseSet,
     truncate: bool,
 ) -> tuple[dict[str, ResultTensor], ResultTensor]:
     """Relaxed precision, recall and jaccard tensors, with the phases
     missing from a video's annotation excluded, and the relaxed accuracy
-    tensor of every (video, run) pair.  `flags_of(annotation, prediction)`
-    gives a pair's relaxation flags."""
-    videos = sorted(annotations)
-    if not videos:
-        raise ValueError("need at least one video")
-    runs = sorted(predictions[videos[0]])
+    tensor of every (video, run) pair.  `rule_of(annotation)` gives the
+    flag rule bound to an annotation, shared by every run of the video."""
+    videos, runs = grid_axes(predictions)
     counts, acc = [], []
     for v in videos:
-        if sorted(predictions[v]) != runs:
-            raise ValueError(f"video {v} has a different run set")
+        y = annotations[v]
+        flags_of = rule_of(y)
         for r in runs:
-            y, yhat = annotations[v], predictions[v][r]
-            flags = flags_of(y, yhat)
+            yhat = predictions[v][r]
+            flags = flags_of(yhat)
             acc.append(relaxed_accuracy(flags).value)
-            counts.append([
-                (c.r_tp, c.union, c.predicted, c.annotated)
-                for c in relaxed_counts(y, yhat, flags, range(phases.count))
-            ])
+            counts.append(relaxed_counts(y, yhat, flags, range(phases.count)))
     shape = (len(videos), len(runs))
     stack = np.array(counts, dtype=np.int64).reshape(*shape, phases.count, 4)
     grid = RelaxedCounts(*np.moveaxis(stack, (3, 2), (0, 1)))  # (phase, video, run)
@@ -411,7 +438,7 @@ def legacy_pipeline(
         raise ValueError("legacy evaluation uses the legacy acceptance rules")
     tensors, acc = relaxed_tensors(
         annotations, predictions,
-        lambda y, yhat: relax_flags_legacy(y, yhat, config.omega), phases, truncate=True,
+        lambda y: legacy_rule(y, config.omega), phases, truncate=True,
     )
     spec = SummarySpec(order=AveragingOrder.VIDEO_FIRST)
     summaries = {kind: summarize(t, spec) for kind, t in tensors.items()}

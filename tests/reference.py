@@ -64,7 +64,8 @@ def oracle_macro(kind, y, yhat, phase_count, policy):
 
 
 def oracle_relax_flags(y, yhat, omega, start_grid, end_grid):
-    """Per-frame relaxed correctness, segment bounds found by scanning."""
+    """Per-frame relaxed correctness, segment bounds found by scanning.
+    A predicted label past the grids is never accepted."""
     n = len(y)
     flags = []
     for t in range(n):
@@ -76,9 +77,10 @@ def oracle_relax_flags(y, yhat, omega, start_grid, end_grid):
             e += 1
         w = min(omega, e - s + 1)
         ok = yhat[t] == y[t]
-        if not ok and t - s < w and start_grid[y[t]][yhat[t]]:
+        inside = yhat[t] < len(start_grid[y[t]])
+        if not ok and inside and t - s < w and start_grid[y[t]][yhat[t]]:
             ok = True
-        if not ok and e - t < w and end_grid[y[t]][yhat[t]]:
+        if not ok and inside and e - t < w and end_grid[y[t]][yhat[t]]:
             ok = True
         flags.append(ok)
     return flags

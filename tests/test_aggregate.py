@@ -16,6 +16,7 @@ from phaseeval.aggregate import (
     mean_cells,
     ordered_mean,
     phase_metric_tensor,
+    RaggedRuns,
     stack_confusions,
     std_over,
     summarize,
@@ -211,6 +212,13 @@ def test_phase_tensor_from_matrices():
     assert t.cell_at(0, 0, 0).value == 1.0
     # video 2 phase 2: predicted but never annotated -> precision 0
     assert t.cell_at(2, 1, 0).value == 0.0
+
+
+def test_stack_confusions_rejects_a_different_run_set():
+    matrices = _matrices()
+    matrices[2] = {"other": matrices[2]["a"]}
+    with pytest.raises(RaggedRuns):
+        stack_confusions(matrices)
 
 
 def test_accuracy_and_macro_tensors():

@@ -206,6 +206,28 @@ def test_compare_malformed_ledger_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "metric",
+    [
+        '{"mean": 1e999}',
+        '{"mean": NaN}',
+        '{"mean": -0.1}',
+        '{"mean": 1' + "0" * 400 + '}',
+        '{"mean": 0.5, "spread": -0.5}',
+        '{"mean": 0.5, "spread": Infinity}',
+        '{"mean": 0.5, "spread": NaN}',
+    ],
+)
+def test_compare_ledger_value_not_finite_or_negative_exits_1(tmp_path, capsys, metric):
+    path = tmp_path / "ledger.json"
+    path.write_text(
+        '[{"method": "m", "source": "s", "metrics": {"accuracy": %s}}]' % metric
+    )
+    assert main(["compare", "--ledger", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "finite and non-negative" in err and "Traceback" not in err
+
+
 def test_compare_seed_ledger_groups_relaxed_apart(capsys):
     out = _run_json(
         capsys,

@@ -1,8 +1,10 @@
-"""The array cell layer end to end: evaluate reports against the
-brute-force oracles on random small grids, and report bytes against
-reports written by the per-cell implementation it replaced."""
+"""The array cell layer end to end: evaluate and relaxed reports against
+the brute-force oracles on random small grids, and report bytes against
+reports written by the implementations they replaced."""
 
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,17 +17,31 @@ from phaseeval.aggregate import (
     SummarySpec,
     summarize,
 )
-from phaseeval.cli import main, run_evaluate
-from phaseeval.core import LabelSequence, PhaseSet
+from phaseeval.cli import main, run_evaluate, run_relaxed
+from phaseeval.core import LABEL_MAX, LabelSequence, PhaseSet, cholec80_graph
 from phaseeval.io import Corpus
 from phaseeval.metrics import METRIC_KINDS, UNDEFINED_CELL, UndefinedPolicy
+from phaseeval.relaxed import (
+    RELAXED_KINDS,
+    MatrixMode,
+    SegmentShorterThanOmega,
+    build_matrices,
+    graph_rule,
+    legacy_rule,
+    relax_flags,
+    relax_flags_legacy,
+    relaxed_counts,
+)
 from reference import (
     UNDEFINED,
     oracle_accuracy,
     oracle_flat_mean,
+    oracle_legacy_flags,
     oracle_macro,
     oracle_metric,
     oracle_phase_first_mean,
+    oracle_relax_flags,
+    oracle_relaxed_counts,
     oracle_std,
     oracle_video_first_mean,
 )
@@ -162,6 +178,140 @@ def test_evaluate_matches_oracles(data):
                 assert got.sd_videos is None and got.sd_phases is None
 
 
+@st.composite
+def relaxed_corpora(draw):
+    """(omega, annotations, predictions) on the seven-phase workflow.
+    Segments run from 1 to 2*omega + 2 frames, so some are shorter than
+    omega and some have overlapping start and end windows.  Predictions
+    move the annotated label by up to 2 phases (what the windows forgive)
+    or take any label, past the grids and up to the largest int32."""
+    omega = draw(st.integers(0, 4))
+    runs = [f"r{i}" for i in range(draw(st.integers(1, 3)))]
+    segment = st.tuples(st.integers(0, 6), st.integers(1, 2 * omega + 2))
+    frame = st.integers(-2, 2).map(lambda d: ("near", d)) | st.sampled_from(
+        [*range(12), LABEL_MAX]
+    ).map(lambda x: ("label", x))
+    annotations, predictions = {}, {}
+    for v in range(1, draw(st.integers(1, 3)) + 1):
+        y = [p for p, n in draw(st.lists(segment, min_size=1, max_size=6)) for _ in range(n)]
+        annotations[v] = y
+        predictions[v] = {}
+        for r in runs:
+            codes = draw(st.lists(frame, min_size=len(y), max_size=len(y)))
+            predictions[v][r] = [
+                max(a + x, 0) if how == "near" else x for a, (how, x) in zip(y, codes)
+            ]
+    return omega, annotations, predictions
+
+
+def _relaxed_grid(kind, pairs, truncate):
+    """grid[p][v][r] of relaxed cells from oracle counts; phases missing
+    from the annotation and undefined cells are None (dropped)."""
+    field = {"precision": 2, "recall": 3, "jaccard": 1}[kind]
+    grid = []
+    for p in range(7):
+        plane = []
+        for row in pairs:
+            cells = []
+            for y, yhat, flags in row:
+                counts = oracle_relaxed_counts(y, yhat, flags, p)
+                if p not in y or counts[field] == 0:
+                    cells.append(None)
+                else:
+                    value = counts[0] / counts[field]
+                    cells.append(min(value, 1.0) if truncate else value)
+            plane.append(cells)
+        grid.append(plane)
+    return grid
+
+
+GRAPH_MX = build_matrices(cholec80_graph(), MatrixMode.GRAPH_DERIVED, 7)
+LEGACY_MX = build_matrices(cholec80_graph(), MatrixMode.LEGACY, 7)
+
+
+@given(relaxed_corpora(), st.booleans())
+@settings(max_examples=60, deadline=None)
+@example((4, {1: [3] * 5 + [4] * 7}, {1: {"r0": [3, 2, 4, 5, 5, 3, 4, 6, 4, 5, 5, 9]}}), False)
+@example((3, {1: [0, 1, 1, 2, 2, 2]}, {1: {"r0": [1, 0, 2, 1, 3, LABEL_MAX]}}), True)
+@example((0, {1: [5, 5, 6]}, {1: {"r0": [4, 6, 5]}}), True)
+def test_relaxed_matches_oracles(data, truncate):
+    """run_relaxed under both grids and the bug-compatible path against
+    the scanning flag oracles and per-frame counts; the flag functions and
+    relaxed_counts (mask and tuple forms) frame by frame."""
+    omega, annotations, predictions = data
+    seq = lambda labels: LabelSequence(tuple(labels))  # noqa: E731
+    corpus = Corpus(
+        PhaseSet(7),
+        {v: seq(y) for v, y in annotations.items()},
+        {v: {r: seq(p) for r, p in runs.items()} for v, runs in predictions.items()},
+    )
+    videos, runs = corpus.videos, corpus.runs
+
+    for mode, mx in ((MatrixMode.GRAPH_DERIVED, GRAPH_MX), (MatrixMode.LEGACY, LEGACY_MX)):
+        grids = np.asarray(mx.start), np.asarray(mx.end)
+        pairs = [
+            [(annotations[v], predictions[v][r],
+              oracle_relax_flags(annotations[v], predictions[v][r], omega, *grids))
+             for r in runs]
+            for v in videos
+        ]
+        for v, row in zip(videos, pairs):
+            y = corpus.annotations[v]
+            for r, (_, yhat, flags) in zip(runs, row):
+                pred = corpus.predictions[v][r]
+                assert list(relax_flags(y, pred, omega, mx)) == flags
+                mask = graph_rule(y, omega, mx)(pred)
+                wide = range(10)  # phases past the grids too
+                assert relaxed_counts(y, pred, mask, wide) == relaxed_counts(
+                    y, pred, tuple(flags), wide
+                )
+                for p, c in zip(wide, relaxed_counts(y, pred, mask, wide)):
+                    assert (c.r_tp, c.union, c.predicted, c.annotated) == (
+                        oracle_relaxed_counts(annotations[v], yhat, flags, p)
+                    )
+        report = run_relaxed(corpus, omega, mode, truncate)
+        for kind in RELAXED_KINDS:
+            grid = _relaxed_grid(kind, pairs, truncate)
+            _check(report.summary["relaxed_" + kind], grid, AveragingOrder.FLAT, True)
+            for p in range(7):
+                _check(report.per_phase[p]["relaxed_" + kind], [grid[p]], AveragingOrder.FLAT, True)
+        accuracy = [[[sum(f) / len(f) for _, _, f in row] for row in pairs]]
+        _check(report.summary["relaxed_accuracy"], accuracy, AveragingOrder.FLAT, True)
+
+    pairs, short = [], False
+    for v in videos:
+        y = corpus.annotations[v]
+        try:
+            row = [(annotations[v], predictions[v][r],
+                    oracle_legacy_flags(annotations[v], predictions[v][r], omega))
+                   for r in runs]
+        except ValueError:  # the oracle meets a segment shorter than omega
+            short = True
+            with pytest.raises(SegmentShorterThanOmega):
+                legacy_rule(y, omega)
+            continue
+        for r, (_, _, flags) in zip(runs, row):
+            assert list(relax_flags_legacy(y, corpus.predictions[v][r], omega)) == flags
+        pairs.append(row)
+    if short:
+        with pytest.raises(SegmentShorterThanOmega):
+            run_relaxed(corpus, omega, MatrixMode.LEGACY, True, bug_compatible=True)
+        return
+    report = run_relaxed(corpus, omega, MatrixMode.LEGACY, True, bug_compatible=True)
+    for kind in RELAXED_KINDS:
+        grid = _relaxed_grid(kind, pairs, truncate=True)
+        got = report.summary["relaxed_" + kind]
+        _close(got.mean, oracle_video_first_mean(grid))
+        _close(got.sd_phases, oracle_std(grid, "phases", True))
+        assert got.sd_videos is None and got.sd_runs is None
+        for p in range(7):
+            _close(report.per_phase[p]["relaxed_" + kind].mean, oracle_flat_mean([grid[p]]))
+    accuracy = [[[sum(f) / len(f) for _, _, f in row] for row in pairs]]
+    got = report.summary["relaxed_accuracy"]
+    _close(got.mean, oracle_video_first_mean(accuracy))
+    _close(got.sd_videos, oracle_std(accuracy, "videos", True))
+
+
 def test_all_undefined_tensor_has_no_mean_or_spread():
     t = ResultTensor.build(range(2), (1, 2), ("a", "b"), lambda p, v, r: UNDEFINED_CELL)
     for order in AveragingOrder:
@@ -187,6 +337,11 @@ def _report_argv(manifest: str) -> dict[str, list[str]]:
     argv["relaxed-legacy"] = ["relaxed", manifest, "--omega", "2"]
     argv["relaxed-bug-compat"] = [
         "relaxed", manifest, "--omega", "2", "--truncate", "--bug-compat",
+    ]
+    # omega 4 on segments of 6-12 frames: head and tail windows overlap
+    argv["relaxed-graph-omega4"] = ["relaxed", manifest, "--omega", "4", "--matrices", "graph"]
+    argv["relaxed-bug-compat-omega4"] = [
+        "relaxed", manifest, "--omega", "4", "--truncate", "--bug-compat",
     ]
     return argv
 

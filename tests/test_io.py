@@ -1,6 +1,7 @@
 """Label files, corpus manifests, and report serialization."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -222,6 +223,12 @@ def test_canonical_json_parses_and_is_deterministic(obj):
     out = canonical_json(obj)
     assert canonical_json(obj) == out
     json.loads(out)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_canonical_json_refuses_non_finite_floats(x):
+    with pytest.raises(SchemaError):
+        canonical_json({"mean": x})
 
 
 def _report():

@@ -5,21 +5,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phaseeval.core import LabelSequence, PhaseSet, cholec80_graph, extract_segments
+from phaseeval.aggregate import RaggedRuns
+from phaseeval.cli import run_relaxed
+from phaseeval.core import (
+    LabelSequence,
+    OutOfRangeLabel,
+    PhaseSet,
+    cholec80_graph,
+    extract_segments,
+)
+from phaseeval.io import Corpus
 from phaseeval.metrics import CellState, JACCARD, PRECISION, RECALL
 from phaseeval.relaxed import (
     LEGACY_WATERMARK,
+    InvalidOmega,
     MatrixMode,
     RelaxedConfig,
     RelaxMatrices,
     SegmentShorterThanOmega,
     build_matrices,
+    graph_rule,
     legacy_pipeline,
     relax_flags,
     relax_flags_legacy,
     relaxed_accuracy,
     relaxed_counts,
     relaxed_metric,
+    relaxed_tensors,
 )
 from reference import oracle_legacy_flags, oracle_relax_flags, oracle_relaxed_counts
 
@@ -142,6 +154,32 @@ def test_legacy_bug_visible_on_short_phase3_segment():
     buggy = relax_flags_legacy(y, yhat, 2)
     assert list(corrected) == [True, True, True]
     assert list(buggy) == [True, True, False]
+
+
+def test_negative_omega_is_a_typed_error():
+    y, yhat = _seq([0, 0, 1]), _seq([0, 1, 1])
+    anns, preds, ph = _corpus()
+    corpus = Corpus(ph, anns, preds)
+    for call in (
+        lambda: relax_flags(y, yhat, -1, GRAPH_MX),
+        lambda: relax_flags_legacy(y, yhat, -1),
+        lambda: run_relaxed(corpus, -1, MatrixMode.GRAPH_DERIVED, False),
+        lambda: run_relaxed(corpus, -1, MatrixMode.LEGACY, True, bug_compatible=True),
+    ):
+        with pytest.raises(InvalidOmega):
+            call()
+
+
+def test_annotated_phase_outside_grids_is_a_typed_error():
+    with pytest.raises(OutOfRangeLabel, match="label 7 at frame 1"):
+        relax_flags(_seq([0, 7, 8]), _seq([0, 0, 0]), 0, GRAPH_MX)
+
+
+def test_relaxed_run_set_mismatch_is_a_typed_error():
+    anns, preds, ph = _corpus()
+    preds[2] = {"r1": preds[2]["r0"]}
+    with pytest.raises(RaggedRuns):
+        relaxed_tensors(anns, preds, lambda y: graph_rule(y, 2, GRAPH_MX), ph, False)
 
 
 def test_legacy_rejects_short_segments():
