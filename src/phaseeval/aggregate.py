@@ -170,13 +170,6 @@ class ResultTensor:
     def cell_at(self, pi: int, vi: int, ri: int) -> MetricCell:
         return cell_of(self.values[pi, vi, ri], self.state[pi, vi, ri])
 
-    def phase_slice(self, pi: int) -> "ResultTensor":
-        """The one-phase tensor at phase position `pi`."""
-        at = slice(pi, pi + 1)
-        return ResultTensor(
-            self.phases[at], self.videos, self.runs, self.values[at], self.state[at]
-        )
-
 
 def mean_cells(cells: Iterable[MetricCell]) -> MetricCell:
     """Mean over defined cells; undefined cells are skipped like excluded
@@ -244,6 +237,24 @@ def summarize(tensor: ResultTensor, spec: SummarySpec = SummarySpec()) -> Metric
         except InsufficientPoints:
             sds[axis] = None
     return MetricSummary(mean, sds[VIDEOS], sds[PHASES], sds[RUNS])
+
+
+def phase_summaries(tensor: ResultTensor, std_mode: StdMode) -> tuple[MetricSummary, ...]:
+    """The summarize of each phase's one-phase tensor, in phase order, from
+    one pass per statistic.  One phase has the same mean under every
+    averaging order, and no spread over phases."""
+    means, state = mean_defined(tensor.values, tensor.state, (1, 2))
+
+    def spreads(collapsed: int) -> list[float | None]:
+        axis_means, axis_state = mean_defined(tensor.values, tensor.state, collapsed)
+        points = [row[kept].tolist() for row, kept in zip(axis_means, axis_state == DEFINED)]
+        return [_sample_std(p, std_mode) if len(p) > 1 else None for p in points]
+
+    rows = zip(means.tolist(), state.tolist(), spreads(2), spreads(1))
+    return tuple(
+        MetricSummary(mean if code == DEFINED else None, sd_videos, None, sd_runs)
+        for mean, code, sd_videos, sd_runs in rows
+    )
 
 
 def grid_axes(grid: Mapping[int, Mapping[str, object]]) -> tuple[tuple[int, ...], tuple[str, ...]]:

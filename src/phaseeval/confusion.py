@@ -57,22 +57,8 @@ class ConfusionMatrix:
         """Frames annotated as `phase`."""
         return int(self.counts[phase].sum())
 
-    def col_sum(self, phase: int) -> int:
-        """Frames predicted as `phase`."""
-        return int(self.counts[:, phase].sum())
-
     def tp(self, phase: int) -> int:
         return int(self.counts[phase, phase])
-
-    def fn(self, phase: int) -> int:
-        return self.row_sum(phase) - self.tp(phase)
-
-    def fp(self, phase: int) -> int:
-        return self.col_sum(phase) - self.tp(phase)
-
-    def annotated_phases(self) -> tuple[int, ...]:
-        """Phases that occur at least once in the annotation."""
-        return tuple(p for p in range(self.phase_count) if self.row_sum(p) > 0)
 
 
 def confusion_of(

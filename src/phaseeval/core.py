@@ -26,6 +26,15 @@ class UnknownSplit(PhaseEvalError):
     """No built-in split is registered under the requested name."""
 
 
+class UnsupportedPhaseCount(PhaseEvalError):
+    """A vocabulary holds 1 to MAX_PHASES phases."""
+
+
+# Counts are phase x phase int64 per (video, run) pair, 512 KiB at this width:
+# far past any surgical workflow, and a bound on what a manifest can allocate.
+MAX_PHASES = 256
+
+
 @dataclass(frozen=True)
 class PhaseSet:
     """Label vocabulary: phases are the integers 0 .. count-1."""
@@ -34,8 +43,10 @@ class PhaseSet:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("phase count must be at least 1")
+        if not 1 <= self.count <= MAX_PHASES:
+            raise UnsupportedPhaseCount(
+                f"phase count must be within 1..{MAX_PHASES}, got {self.count}"
+            )
         if self.names is not None and len(self.names) != self.count:
             raise ValueError("need exactly one name per phase")
 
@@ -223,6 +234,15 @@ def linear_graph(count: int) -> WorkflowGraph:
     if count < 1:
         raise ValueError("a workflow needs at least one phase")
     return WorkflowGraph(frozenset((p, p + 1) for p in range(count - 1)))
+
+
+def assumed_workflow(phases: PhaseSet) -> tuple[PhaseSet, WorkflowGraph]:
+    """The named vocabulary and workflow graph a corpus is scored with.  A
+    manifest names neither, so seven phases are taken as the cholecystectomy
+    workflow, and any other count as its phases in order."""
+    if phases.count == 7:
+        return cholec80_phases(), cholec80_graph()
+    return phases, linear_graph(phases.count)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .aggregate import MetricSummary, RaggedRuns
 from .confusion import LengthMismatch
-from .core import LABEL_MAX, LabelSequence, OutOfRangeLabel, PhaseSet, validate_sequence
+from .core import LABEL_MAX, MAX_PHASES, LabelSequence, OutOfRangeLabel, PhaseSet, validate_sequence
 from .errors import PhaseEvalError
 
 FORMAT_VERSION = "1"
@@ -153,13 +153,13 @@ def load_manifest(path: str | Path) -> Corpus:
         raise MissingFile(str(p))
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise SchemaError(f"manifest is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise SchemaError("manifest must be a JSON object")
     phase_count = doc.get("phase_count")
-    if not _is_int(phase_count) or phase_count < 1:
-        raise SchemaError("phase_count must be a positive integer")
+    if not _is_int(phase_count) or not 1 <= phase_count <= MAX_PHASES:
+        raise SchemaError(f"phase_count must be an integer within 1..{MAX_PHASES}")
     split = doc.get("split")
     if split is not None and not isinstance(split, str):
         raise SchemaError("split must be a string if present")

@@ -1,0 +1,192 @@
+"""Report assembly: the regular and the boundary-relaxed report of a
+loaded corpus, each with the protocol block that produced it."""
+
+from __future__ import annotations
+
+from dataclasses import fields, replace
+
+from .aggregate import (
+    AveragingOrder,
+    MetricSummary,
+    ResultTensor,
+    StdMode,
+    SummarySpec,
+    _sample_std,
+    phase_summaries,
+    stack_confusions,
+    summarize,
+    video_tensor,
+)
+from .confusion import confusion_of
+from .core import assumed_workflow
+from .errors import PhaseEvalError
+from .io import Corpus, EvaluationReport
+from .metrics import (
+    DEFINED,
+    F1,
+    JACCARD,
+    PRECISION,
+    RECALL,
+    DegenerateMeans,
+    UndefinedPolicy,
+    accuracy_cells,
+    apply_policy,
+    f1_of_means_cells,
+    f1_upper,
+    macro_cells,
+    phase_cells,
+    phase_counts,
+)
+from .relaxed import (
+    LEGACY_WATERMARK,
+    RELAXED_KINDS,
+    RELAXED_POLICY,
+    MatrixMode,
+    build_matrices,
+    graph_rule,
+    legacy_pipeline,
+    relaxed_tensors,
+)
+
+PHASE_KINDS = (PRECISION, RECALL, F1, JACCARD)
+
+
+class BugCompatConflict(PhaseEvalError):
+    """Bug-compatible mode runs only on the legacy grids, truncated."""
+
+
+def _report(corpus: Corpus, protocol: dict, summary: dict, per_phase: dict) -> EvaluationReport:
+    protocol = {"split": corpus.split or "unknown", **protocol, "runs": len(corpus.runs)}
+    named, _ = assumed_workflow(corpus.phases)
+    return EvaluationReport(protocol, summary, per_phase, tuple(map(named.name_of, named)))
+
+
+def _summaries(tensors: dict[str, ResultTensor], spec: SummarySpec, prefix: str = ""):
+    """Summary of each named per-phase tensor, and of each of its phases."""
+    summary = {prefix + k: summarize(t, spec) for k, t in tensors.items()}
+    rows = {prefix + k: phase_summaries(t, spec.std_mode) for k, t in tensors.items()}
+    phases = next(iter(tensors.values())).phases
+    per_phase = {p: {k: r[pi] for k, r in rows.items()} for pi, p in enumerate(phases)}
+    return summary, per_phase
+
+
+# ----------------------------------------------------------- evaluate
+
+def run_evaluate(
+    corpus: Corpus,
+    policy: UndefinedPolicy,
+    order: AveragingOrder,
+    std_mode: StdMode,
+) -> EvaluationReport:
+    """Regular (unrelaxed) metric report over a loaded corpus."""
+    phases = corpus.phases
+    videos, runs, counts = stack_confusions({
+        v: {
+            r: confusion_of(corpus.annotations[v], pred, phases)
+            for r, pred in corpus.predictions[v].items()
+        }
+        for v in corpus.videos
+    })
+    per_pair = phase_counts(counts)  # (phase, video, run) arrays
+    spec = SummarySpec(std_mode=std_mode, order=order)
+    summary, per_phase = _summaries({
+        kind: apply_policy(
+            ResultTensor.build(phases, videos, runs, phase_cells(kind, *per_pair)),
+            policy,
+            per_pair[1] > 0,
+        )
+        for kind in PHASE_KINDS
+    }, spec)
+
+    macro = {kind: macro_cells(kind, *per_pair, policy) for kind in (PRECISION, RECALL, F1)}
+    per_video = {
+        "accuracy": accuracy_cells(counts),
+        **{"macro_" + kind: cells for kind, cells in macro.items()},
+        "bold_macro_f1": f1_of_means_cells(macro[PRECISION], macro[RECALL]),
+    }
+    for name, cells in per_video.items():
+        summary[name] = summarize(video_tensor(videos, runs, cells), spec)
+
+    mp, mr = summary[PRECISION].mean, summary[RECALL].mean
+    if mp is not None and mr is not None:
+        try:
+            summary["f1_upper"] = MetricSummary(f1_upper(mp, mr), None, None, None)
+        except DegenerateMeans:
+            pass
+
+    # macro f1 of each run's matrix pooled over videos
+    frame, frame_state = macro_cells(F1, *phase_counts(counts.sum(axis=0)), policy)
+    frame_vals = frame[frame_state == DEFINED].tolist()
+    summary["frame_f1"] = MetricSummary(
+        sum(frame_vals) / len(frame_vals) if frame_vals else None,
+        None,
+        None,
+        _sample_std(frame_vals, std_mode) if len(frame_vals) > 1 else None,
+    )
+    protocol = {
+        "relaxed": False,
+        "policy": policy.value,
+        "order": order.value,
+        "std_mode": std_mode.value,
+    }
+    return _report(corpus, protocol, summary, per_phase)
+
+
+# ------------------------------------------------------------- relaxed
+
+# The statistics the shared script prints of each row of its report; a
+# bug-compatible report leaves the others out.
+_SCRIPT_PRINTS = {
+    "relaxed_accuracy": ("mean", "sd_videos"),
+    **{"relaxed_" + kind: ("mean", "sd_phases") for kind in RELAXED_KINDS},
+    "per_phase": ("mean",),
+}
+
+
+def _printed(s: MetricSummary, row: str) -> MetricSummary:
+    return replace(s, **{f.name: None for f in fields(s) if f.name not in _SCRIPT_PRINTS[row]})
+
+
+def run_relaxed(
+    corpus: Corpus,
+    omega: int,
+    matrix_mode: MatrixMode,
+    truncate: bool,
+    bug_compatible: bool = False,
+) -> EvaluationReport:
+    """Boundary-relaxed report.  Bug-compatible mode replicates the shared
+    script: its flag rule on the legacy grids, truncated, averaged over
+    videos and runs before phases, and only the statistics it prints."""
+    phases = corpus.phases
+    if bug_compatible:
+        if matrix_mode is not MatrixMode.LEGACY or not truncate:
+            raise BugCompatConflict("bug-compatible mode needs the legacy grids and truncation")
+        tensors, acc = legacy_pipeline(corpus.annotations, corpus.predictions, omega, phases)
+        spec = SummarySpec(order=AveragingOrder.VIDEO_FIRST)
+    else:
+        matrices = build_matrices(assumed_workflow(phases)[1], matrix_mode, phases.count)
+        tensors, acc = relaxed_tensors(
+            corpus.annotations, corpus.predictions,
+            lambda y: graph_rule(y, omega, matrices), phases, truncate,
+        )
+        spec = SummarySpec()  # flat order, corrected spread
+
+    summary, per_phase = _summaries(tensors, spec, "relaxed_")
+    summary["relaxed_accuracy"] = summarize(acc, spec)
+    protocol = {
+        "relaxed": True,
+        "omega": omega,
+        "matrices": matrix_mode.value,
+        "truncate": truncate,
+        "policy": RELAXED_POLICY.value,
+        "order": spec.order.value,
+        "std_mode": spec.std_mode.value,
+    }
+    if bug_compatible:
+        protocol.update(bug_compatible=True, watermark=LEGACY_WATERMARK)
+        summary = {k: _printed(s, k) for k, s in summary.items()}
+        per_phase = {
+            p: {k: _printed(s, "per_phase") for k, s in row.items()}
+            for p, row in per_phase.items()
+        }
+    return _report(corpus, protocol, summary, per_phase)

@@ -24,8 +24,10 @@ from pathlib import Path
 from sys import float_info
 from typing import Iterable, Mapping
 
+from .aggregate import StdMode
 from .errors import PhaseEvalError
 from .io import SchemaError, canonical_json
+from .metrics import UndefinedPolicy
 
 
 class DuplicateEntry(PhaseEvalError):
@@ -36,14 +38,14 @@ class EmptyLedger(PhaseEvalError):
     """A leaderboard needs at least one entry."""
 
 
-POLICIES = ("exclude-undefined", "exclude-missing-phase", "zero-fill", "one-fill")
+POLICIES = tuple(p.value for p in UndefinedPolicy)
 F1_VARIANTS = (
     "mean-of-harmonic",
     "harmonic-of-macro-means",
     "harmonic-of-overall-means",
 )
 STD_SOURCES = ("videos", "phases", "runs")
-STD_MODES = ("corrected", "uncorrected")
+STD_MODES = tuple(m.value for m in StdMode)
 
 METRIC_NAMES = (
     "accuracy",
@@ -87,11 +89,11 @@ class ProtocolDescriptor:
         ):
             value = getattr(self, field_name)
             if value is not None and value not in vocab:
-                raise ValueError(f"{field_name} must be one of {vocab}, got {value!r}")
+                raise SchemaError(f"{field_name} must be one of {vocab}, got {value!r}")
         if self.omega is not None and self.omega < 0:
-            raise ValueError("omega must be non-negative")
+            raise SchemaError("omega must be non-negative")
         if self.runs is not None and self.runs < 1:
-            raise ValueError("runs must be positive")
+            raise SchemaError("runs must be positive")
 
 
 class Verdict(Enum):
@@ -239,10 +241,7 @@ def _parse_protocol(obj, where: str) -> ProtocolDescriptor:
                 f"got {value!r}"
             )
         kwargs[attr] = value
-    try:
-        return ProtocolDescriptor(**kwargs)
-    except ValueError as e:
-        raise SchemaError(f"{where}: {e}") from None
+    return ProtocolDescriptor(**kwargs)
 
 
 def parse_reference(pairs: Iterable[str]) -> ProtocolDescriptor:
@@ -272,11 +271,11 @@ def _protocol_obj(d: ProtocolDescriptor) -> dict:
     return out
 
 
-def parse_ledger(text: str) -> tuple[ReportedResult, ...]:
-    """Parse a ledger document: a JSON list of result records."""
+def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
+    """Parse a ledger document (str, or bytes in a JSON encoding): a list of records."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise SchemaError(f"ledger is not valid JSON: {e}") from None
     if not isinstance(doc, list):
         raise SchemaError("ledger must be a JSON list of records")
@@ -324,7 +323,7 @@ def ingest_ledger(path: str | Path) -> tuple[ReportedResult, ...]:
     p = Path(path)
     if not p.is_file():
         raise SchemaError(f"no such ledger file: {p}")
-    return parse_ledger(p.read_text(encoding="utf-8"))
+    return parse_ledger(p.read_bytes())
 
 
 def dump_ledger(results: Iterable[ReportedResult]) -> str:

@@ -25,14 +25,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence, overload
 
 import numpy as np
 
-from .aggregate import (
-    AveragingOrder,
-    ResultTensor,
-    SummarySpec,
-    grid_axes,
-    summarize,
-    video_tensor,
-)
+from .aggregate import ResultTensor, grid_axes, video_tensor
 from .confusion import LengthMismatch
 from .core import (
     LabelSequence,
@@ -44,7 +37,6 @@ from .core import (
 )
 from .errors import PhaseEvalError
 from .metrics import (
-    DEFINED,
     JACCARD,
     PRECISION,
     RECALL,
@@ -54,7 +46,6 @@ from .metrics import (
     apply_policy,
     cell_of,
     defined_cells,
-    mean_defined,
     ratio_cells,
 )
 
@@ -78,6 +69,10 @@ class LegacyGridsUnavailable(PhaseEvalError):
     cholecystectomy workflow."""
 
 
+class InvalidGrids(PhaseEvalError):
+    """Malformed acceptance grids, or a workflow edge outside them."""
+
+
 class MatrixMode(Enum):
     GRAPH_DERIVED = "graph"
     LEGACY = "legacy"
@@ -94,10 +89,10 @@ class RelaxMatrices:
         n = len(self.start)
         for grid in (self.start, self.end):
             if len(grid) != n or any(len(row) != n for row in grid):
-                raise ValueError("acceptance grids must be square and equal-sized")
+                raise InvalidGrids("acceptance grids must be square and equal-sized")
             for q in range(n):
                 if grid[q][q]:
-                    raise ValueError("a phase cannot relax into itself")
+                    raise InvalidGrids("a phase cannot relax into itself")
 
     @property
     def phase_count(self) -> int:
@@ -119,7 +114,7 @@ def build_matrices(
     end = [[0] * phase_count for _ in range(phase_count)]
     for a, b in graph.edges:
         if a >= phase_count or b >= phase_count:
-            raise ValueError("graph edge outside the phase range")
+            raise InvalidGrids("graph edge outside the phase range")
         start[b][a] = 1
         end[a][b] = 1
     if mode is MatrixMode.LEGACY:
@@ -135,17 +130,6 @@ def build_matrices(
     return RelaxMatrices(
         tuple(tuple(row) for row in start), tuple(tuple(row) for row in end)
     )
-
-
-@dataclass(frozen=True)
-class RelaxedConfig:
-    omega: int = 10
-    matrix_mode: MatrixMode = MatrixMode.LEGACY
-    truncate: bool = False
-    bug_compatible: bool = False
-
-    def __post_init__(self):
-        _check_omega(self.omega)
 
 
 def _check_omega(omega: int) -> None:
@@ -403,57 +387,14 @@ def relaxed_tensors(
 LEGACY_WATERMARK = "legacy-bug-compatible"
 
 
-@dataclass(frozen=True)
-class LegacyReport:
-    """Output shape of the legacy evaluation: per-phase means pooled over
-    videos and runs, their mean and spread over phases, and accuracy with
-    spread over videos."""
-
-    omega: int
-    phase_means: dict[str, tuple[float | None, ...]]
-    means: dict[str, float | None]
-    spreads: dict[str, float | None]
-    accuracy_mean: float
-    accuracy_sd: float | None
-    watermark: str = LEGACY_WATERMARK
-
-
 def legacy_pipeline(
     annotations: Mapping[int, LabelSequence],
     predictions: Mapping[int, Mapping[str, LabelSequence]],
-    config: RelaxedConfig,
+    omega: int,
     phases: PhaseSet,
-) -> LegacyReport:
-    """Reproduce the shared script's evaluation end to end.
-
-    Fixed choices, validated on entry: bug-compatible flags, legacy
-    acceptance rules, truncation, and missing-phase exclusion.  Per-phase
-    scores are pooled over videos and runs first, then averaged over
-    phases; the spread is the corrected std over the phase means.
-    Accuracy is averaged with a corrected std over videos.
-    """
-    if not (config.bug_compatible and config.truncate):
-        raise ValueError("legacy evaluation requires bug_compatible and truncate")
-    if config.matrix_mode is not MatrixMode.LEGACY:
-        raise ValueError("legacy evaluation uses the legacy acceptance rules")
-    tensors, acc = relaxed_tensors(
-        annotations, predictions,
-        lambda y: legacy_rule(y, config.omega), phases, truncate=True,
-    )
-    spec = SummarySpec(order=AveragingOrder.VIDEO_FIRST)
-    summaries = {kind: summarize(t, spec) for kind, t in tensors.items()}
-    accuracy = summarize(acc, spec)
-    phase_means = {}
-    for kind, t in tensors.items():
-        means, state = mean_defined(t.values, t.state, (1, 2))
-        phase_means[kind] = tuple(
-            x if s == DEFINED else None for x, s in zip(means.tolist(), state.tolist())
-        )
-    return LegacyReport(
-        omega=config.omega,
-        phase_means=phase_means,
-        means={kind: s.mean for kind, s in summaries.items()},
-        spreads={kind: s.sd_phases for kind, s in summaries.items()},
-        accuracy_mean=accuracy.mean,
-        accuracy_sd=accuracy.sd_videos,
+) -> tuple[dict[str, ResultTensor], ResultTensor]:
+    """The relaxed_tensors of the shared script: its bug-compatible flags on
+    its own acceptance rules, truncated."""
+    return relaxed_tensors(
+        annotations, predictions, lambda y: legacy_rule(y, omega), phases, truncate=True
     )

@@ -1,0 +1,97 @@
+"""Deterministic synthetic corpora: annotations that walk a workflow, and
+prediction runs that shift its boundaries and flip frames."""
+
+from __future__ import annotations
+
+import random
+from pathlib import Path
+
+from .core import PhaseSet, assumed_workflow, cholec80_graph
+from .io import canonical_json
+
+
+def _walk_phases(rng: random.Random, graph, phase_count: int) -> list[int]:
+    """A random walk on the cholecystectomy workflow, else every phase in order."""
+    if graph == cholec80_graph():
+        phases = [0]
+        for _ in range(rng.randint(4, 8)):
+            phases.append(rng.choice(graph.successors(phases[-1])))
+        return phases
+    return list(range(phase_count))
+
+
+def _perturb(labels, boundaries, phase_order, rng, shift, flip_rate, phase_count):
+    """One prediction run: shift segment boundaries by <= shift frames,
+    then flip interior frames (further than `shift` from any original
+    boundary) to a random other phase at rate flip_rate."""
+    total = len(labels)
+    moved = [b + rng.randint(-shift, shift) for b in boundaries] if shift else list(boundaries)
+    pred = []
+    cuts = moved + [total]
+    start = 0
+    for phase, cut in zip(phase_order, cuts):
+        pred.extend([phase] * (cut - start))
+        start = cut
+    edges = [0] + list(boundaries) + [total - 1]
+    if flip_rate > 0:
+        for t in range(total):
+            near = any(abs(t - b) <= shift for b in edges) or any(
+                abs(t - (b - 1)) <= shift for b in boundaries
+            )
+            if near:
+                continue
+            if rng.random() < flip_rate:
+                pred[t] = rng.choice([q for q in range(phase_count) if q != labels[t]])
+    return pred
+
+
+def generate_corpus(
+    out_dir: Path,
+    phase_count: int,
+    videos: int,
+    runs: int,
+    min_len: int,
+    max_len: int,
+    boundary_shift: int,
+    flip_rate: float,
+    seed: int,
+) -> Path:
+    """Write a synthetic corpus and return the manifest path."""
+    rng = random.Random(seed)
+    _, graph = assumed_workflow(PhaseSet(phase_count))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_videos = []
+    for vid in range(1, videos + 1):
+        phase_order = _walk_phases(rng, graph, phase_count)
+        lengths = [rng.randint(min_len, max_len) for _ in phase_order]
+        labels = [p for p, n in zip(phase_order, lengths) for _ in range(n)]
+        boundaries = []
+        acc = 0
+        for n in lengths[:-1]:
+            acc += n
+            boundaries.append(acc)
+        vdir = out_dir / f"video{vid:02d}"
+        vdir.mkdir(exist_ok=True)
+        (vdir / "annotation.txt").write_text(
+            "".join(f"{x}\n" for x in labels), encoding="utf-8"
+        )
+        entry = {
+            "id": vid,
+            "annotation": f"video{vid:02d}/annotation.txt",
+            "predictions": {},
+        }
+        for ri in range(runs):
+            run = f"r{ri}"
+            pred = _perturb(
+                labels, boundaries, phase_order, rng,
+                boundary_shift, flip_rate, phase_count,
+            )
+            (vdir / f"{run}.txt").write_text(
+                "".join(f"{x}\n" for x in pred), encoding="utf-8"
+            )
+            entry["predictions"][run] = f"video{vid:02d}/{run}.txt"
+        manifest_videos.append(entry)
+    manifest = {"phase_count": phase_count, "videos": manifest_videos}
+    path = out_dir / "manifest.json"
+    path.write_text(canonical_json(manifest) + "\n", encoding="utf-8")
+    return path

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phaseeval.aggregate import (
     AveragingOrder,
@@ -16,6 +16,7 @@ from phaseeval.aggregate import (
     mean_cells,
     ordered_mean,
     phase_metric_tensor,
+    phase_summaries,
     RaggedRuns,
     stack_confusions,
     std_over,
@@ -43,15 +44,15 @@ from reference import (
 )
 
 
-def _tensor_from_grid(grid):
-    """grid[p][v][r]: float -> Defined, None -> Excluded."""
+def _tensor_from_grid(grid, missing=EXCLUDED_CELL):
+    """grid[p][v][r]: float -> Defined, None -> `missing` (Excluded)."""
     nph, nv, nr = len(grid), len(grid[0]), len(grid[0][0])
     videos = tuple(range(1, nv + 1))
     runs = tuple(f"r{i}" for i in range(nr))
 
     def fn(p, v, r):
         x = grid[p][videos.index(v)][runs.index(r)]
-        return EXCLUDED_CELL if x is None else MetricCell.defined(x)
+        return missing if x is None else MetricCell.defined(x)
 
     return ResultTensor.build(range(nph), videos, runs, fn)
 
@@ -175,6 +176,23 @@ def test_uncorrected_never_exceeds_corrected(grid):
         assert u <= c + 1e-12
         if c > 1e-9:
             assert u < c
+
+
+@given(grids)
+@settings(max_examples=200)
+@example([[[None, None]], [[0.5, 0.25]]])  # one video; phase 0 has no defined cell
+@example([[[0.1], [0.7], [None]], [[None], [None], [None]]])  # one run
+def test_phase_summaries_equal_each_phase_summarized_alone(grid):
+    for missing in (EXCLUDED_CELL, UNDEFINED_CELL):
+        t = _tensor_from_grid(grid, missing)
+        for mode in StdMode:
+            rows = phase_summaries(t, mode)
+            assert len(rows) == len(t.phases)
+            for pi, row in enumerate(rows):
+                at = slice(pi, pi + 1)
+                alone = ResultTensor(t.phases[at], t.videos, t.runs, t.values[at], t.state[at])
+                for order in AveragingOrder:
+                    assert row == summarize(alone, SummarySpec(mode, order))
 
 
 def test_summarize_fills_none_where_degenerate():

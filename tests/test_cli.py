@@ -78,6 +78,7 @@ def test_synth_noise_free_predictions_match_annotations(tmp_path, capsys):
         ["evaluate", "m.json", "--jobs", "4"],
         ["relaxed", "m.json", "--jobs", "4"],
         ["compare", "--ref", "omega=true"],
+        ["compare", "--sort-metric", "bogus"],
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
@@ -272,3 +273,24 @@ def test_label_wider_than_int32_exits_1(tmp_path, capsys):
     (tmp_path / "video01" / "r0.txt").write_text("0\n99999999999999999999999\n1\n")
     assert main(["evaluate", str(path)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["evaluate"], ["relaxed", "--matrices", "graph"]])
+def test_phase_count_past_the_maximum_exits_1(tmp_path, capsys, argv):
+    """The counts would take phase_count**2 int64 a (video, run) pair: the
+    manifest is refused before anything is allocated."""
+    path = _write_corpus(tmp_path, {1: ([0, 1], {"r0": [0, 1]})}, phase_count=1_000_000_000)
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "phase_count must be an integer within 1..256" in err
+    assert "Traceback" not in err
+
+
+def test_synth_phase_count_past_the_maximum_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out-dir", str(tmp_path / "c"), "--phase-count", "257"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--phase-count must be within 2..256" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c").exists()

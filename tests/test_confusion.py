@@ -11,6 +11,7 @@ from phaseeval.confusion import (
     sum_confusions,
 )
 from phaseeval.core import LabelSequence, PhaseSet
+from phaseeval.metrics import phase_counts
 
 PHASES5 = PhaseSet(5)
 
@@ -27,9 +28,10 @@ def test_counts_match_hand_example():
     assert np.array_equal(m.counts, expected)
     assert m.total == 5
     assert m.tp(1) == 2
-    assert m.fp(1) == 2
-    assert m.fn(1) == 0
-    assert m.annotated_phases() == (0, 1, 2)
+    tp, annotated, predicted = phase_counts(m.counts)
+    assert predicted[1] - tp[1] == 2  # false positives
+    assert annotated[1] - tp[1] == 0  # false negatives
+    assert np.flatnonzero(annotated).tolist() == [0, 1, 2]  # annotated phases
 
 
 def test_length_mismatch():

@@ -1,0 +1,110 @@
+"""The input contract: whatever bytes a manifest, its label files or a
+ledger hold, loading returns a value or raises PhaseEvalError, never
+anything else.  Generated names stay short, since a path the OS refuses raises
+OSError, which the CLI reports as exit 1 on its own."""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from phaseeval.errors import PhaseEvalError
+from phaseeval.io import SchemaError, load_manifest
+from phaseeval.protocol import METRIC_NAMES, PROTOCOL_FIELDS, ingest_ledger, parse_ledger
+
+# Any JSON value, with the ints that typed fields must tell from bools and
+# floats, and the huge ones a count must not be trusted with.
+edge_ints = st.sampled_from([-1, 0, 1, 7, 256, 257, 10**9, 2**31, 2**63, 10**30])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | edge_ints | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def field(sensible):
+    """A field's sensible value, or one time in five any JSON value at all,
+    so that generated documents also get past their first checks."""
+    return st.integers(0, 4).flatmap(lambda k: json_values if k == 3 else sensible)
+
+
+FILES = ("a", "b", "c", "d/e")
+paths = field(st.sampled_from([*FILES, "d", "missing", "", "manifest.json"]))
+label_files = st.binary(max_size=24) | st.lists(
+    st.integers(0, 8) | st.sampled_from([300, 2**31, 10**12]), min_size=1, max_size=4
+).map(lambda xs: "".join(f"{x}\n" for x in xs).encode())
+entries = st.fixed_dictionaries(
+    {
+        "id": field(st.integers(1, 3)),
+        "annotation": paths,
+        "predictions": field(st.dictionaries(st.sampled_from(["r0", "r1"]), paths, min_size=1, max_size=2)),
+    }
+)
+manifests = field(st.fixed_dictionaries(
+    {"phase_count": field(st.integers(1, 8)), "videos": field(st.lists(field(entries), min_size=1, max_size=3))},
+    optional={"split": field(st.text(max_size=4))},
+))
+
+
+@given(
+    st.dictionaries(st.sampled_from(FILES), label_files, max_size=4),
+    manifests.map(lambda doc: json.dumps(doc).encode()) | st.binary(max_size=30),
+)
+@settings(max_examples=300, deadline=None)
+def test_load_manifest_returns_or_raises_a_typed_error(files, manifest):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, data in files.items():
+            (root / name).parent.mkdir(exist_ok=True)
+            (root / name).write_bytes(data)
+        path = root / "manifest.json"
+        path.write_bytes(manifest)
+        try:
+            load_manifest(path)
+        except PhaseEvalError:
+            pass
+
+
+vocabulary = st.sampled_from(["unknown", "zero-fill", "corrected", "videos", "32:8:40"])
+records = st.fixed_dictionaries(
+    {
+        "method": field(st.text(max_size=4)),
+        "source": field(st.text(max_size=4)),
+        "protocol": field(
+            st.dictionaries(st.sampled_from([*PROTOCOL_FIELDS, "x"]), field(vocabulary), max_size=4)
+        ),
+        "metrics": field(
+            st.dictionaries(
+                st.sampled_from([*METRIC_NAMES[:3], "x"]),
+                field(st.fixed_dictionaries({"mean": json_values}, optional={"spread": json_values})),
+                max_size=3,
+            )
+        ),
+    },
+    optional={"provenance": json_values},
+)
+
+
+@given(
+    field(st.lists(field(records), max_size=3)).map(json.dumps)
+    | st.text(max_size=30)
+    | st.binary(max_size=30)
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_ledger_returns_or_raises_a_typed_error(text):
+    try:
+        parse_ledger(text)
+    except PhaseEvalError:
+        pass
+
+
+def test_undecodable_or_deeply_nested_documents_are_schema_errors(tmp_path):
+    path = tmp_path / "doc.json"
+    for data in (b"[\x80]", b"[" * 100_000):
+        path.write_bytes(data)
+        with pytest.raises(SchemaError):
+            load_manifest(path)
+        with pytest.raises(SchemaError):
+            ingest_ledger(path)

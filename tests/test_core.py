@@ -6,12 +6,15 @@ from hypothesis import given, strategies as st
 
 from phaseeval.core import (
     CHOLEC80_PHASE_NAMES,
+    MAX_PHASES,
     EmptySequence,
     LabelSequence,
     OutOfRangeLabel,
+    PhaseSet,
     Segment,
     SplitDefinition,
     UnknownSplit,
+    UnsupportedPhaseCount,
     builtin_split_names,
     cholec80_graph,
     cholec80_phases,
@@ -30,6 +33,13 @@ def test_phase_set_basics():
     assert 6 in ph and 7 not in ph and -1 not in ph
     assert ph.name_of(2) == "Clipping and cutting"
     assert len(CHOLEC80_PHASE_NAMES) == 7
+
+
+def test_phase_count_is_bounded():
+    assert PhaseSet(MAX_PHASES).count == MAX_PHASES
+    for count in (0, MAX_PHASES + 1, 1_000_000_000):
+        with pytest.raises(UnsupportedPhaseCount):
+            PhaseSet(count)
 
 
 def test_label_sequence_validation():

@@ -174,6 +174,7 @@ def test_load_manifest_rejects_length_mismatch(tmp_path):
     [
         lambda d: d.pop("phase_count"),
         lambda d: d.update(phase_count=0),
+        lambda d: d.update(phase_count=257),  # past core.MAX_PHASES
         lambda d: d.update(videos=[]),
         lambda d: d["videos"].append(dict(d["videos"][0])),  # duplicate id
         lambda d: d["videos"][0].pop("annotation"),

@@ -39,11 +39,11 @@ FULL = ProtocolDescriptor(
 
 
 def test_descriptor_vocabulary_is_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         ProtocolDescriptor(policy="drop-them")
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         ProtocolDescriptor(std_source="folds")
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         ProtocolDescriptor(f1_variant="macro")
     ProtocolDescriptor()  # all-unknown is fine
 

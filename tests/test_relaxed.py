@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from phaseeval.aggregate import RaggedRuns
 from phaseeval.cli import run_relaxed
+from phaseeval.pipeline import BugCompatConflict
 from phaseeval.core import (
     LabelSequence,
     OutOfRangeLabel,
@@ -18,14 +19,13 @@ from phaseeval.io import Corpus
 from phaseeval.metrics import CellState, JACCARD, PRECISION, RECALL
 from phaseeval.relaxed import (
     LEGACY_WATERMARK,
+    InvalidGrids,
     InvalidOmega,
     MatrixMode,
-    RelaxedConfig,
     RelaxMatrices,
     SegmentShorterThanOmega,
     build_matrices,
     graph_rule,
-    legacy_pipeline,
     relax_flags,
     relax_flags_legacy,
     relaxed_accuracy,
@@ -76,8 +76,17 @@ def test_legacy_matrices_need_the_standard_workflow():
 def test_matrices_reject_diagonal():
     bad = np.zeros((7, 7), dtype=np.int64)
     bad[2, 2] = 1
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidGrids):
         RelaxMatrices(bad, np.zeros((7, 7), dtype=np.int64))
+
+
+def test_malformed_grids_are_a_typed_error():
+    from phaseeval.core import WorkflowGraph
+
+    with pytest.raises(InvalidGrids, match="square"):
+        RelaxMatrices(((0, 1), (1, 0)), ((0,),))
+    with pytest.raises(InvalidGrids, match="edge outside"):
+        build_matrices(WorkflowGraph(frozenset({(0, 9)})), MatrixMode.GRAPH_DERIVED, 7)
 
 
 labels7 = st.lists(st.integers(0, 6), min_size=1, max_size=80)
@@ -299,10 +308,9 @@ def _corpus():
 
 def test_legacy_pipeline_report():
     anns, preds, ph = _corpus()
-    cfg = RelaxedConfig(omega=2, truncate=True, bug_compatible=True)
-    rep = legacy_pipeline(anns, preds, cfg, ph)
-    assert rep.watermark == LEGACY_WATERMARK
-    assert rep.omega == 2
+    rep = run_relaxed(Corpus(ph, anns, preds), 2, MatrixMode.LEGACY, True, bug_compatible=True)
+    assert rep.protocol["watermark"] == LEGACY_WATERMARK
+    assert rep.protocol["omega"] == 2
 
     # recompute by hand: pool counts per phase across videos, truncate,
     # mean over the phases that occur
@@ -318,35 +326,37 @@ def test_legacy_pipeline_report():
                     per_phase.setdefault(kind, {}).setdefault(p, []).append(cell.value)
     for kind in (PRECISION, RECALL, JACCARD):
         means = [sum(v) / len(v) for _, v in sorted(per_phase[kind].items())]
-        assert rep.means[kind] == pytest.approx(sum(means) / len(means))
-        defined = {
-            p: x for p, x in enumerate(rep.phase_means[kind]) if x is not None
-        }
+        summary = rep.summary["relaxed_" + kind]
+        assert summary.mean == pytest.approx(sum(means) / len(means))
+        assert summary.sd_videos is summary.sd_runs is None  # the script prints neither
+        rows = [rep.per_phase[p]["relaxed_" + kind] for p in ph]
+        defined = {p: row.mean for p, row in enumerate(rows) if row.mean is not None}
         assert set(defined) == set(per_phase[kind])
         for p, vals in per_phase[kind].items():
             assert defined[p] == pytest.approx(sum(vals) / len(vals))
+        assert all(row.sd_videos is row.sd_runs is None for row in rows)
 
     # accuracy: every video counts once, whatever its length
     f1 = relax_flags_legacy(anns[1], preds[1]["r0"], 2)
     f2 = relax_flags_legacy(anns[2], preds[2]["r0"], 2)
     a1, a2 = sum(f1) / len(f1), sum(f2) / len(f2)
-    assert rep.accuracy_mean == pytest.approx((a1 + a2) / 2)
+    accuracy = rep.summary["relaxed_accuracy"]
+    assert accuracy.mean == pytest.approx((a1 + a2) / 2)
     import statistics
 
-    assert rep.accuracy_sd == pytest.approx(statistics.stdev([a1, a2]))
+    assert accuracy.sd_videos == pytest.approx(statistics.stdev([a1, a2]))
+    assert accuracy.sd_phases is accuracy.sd_runs is None
 
 
 def test_legacy_pipeline_guards_config():
+    """Bug-compatible mode runs the script's own grids, truncated; other
+    settings are refused rather than replaced."""
     anns, preds, ph = _corpus()
-    for cfg in (
-        RelaxedConfig(omega=2, truncate=True, bug_compatible=False),
-        RelaxedConfig(omega=2, truncate=False, bug_compatible=True),
-        RelaxedConfig(
-            omega=2,
-            truncate=True,
-            bug_compatible=True,
-            matrix_mode=MatrixMode.GRAPH_DERIVED,
-        ),
+    corpus = Corpus(ph, anns, preds)
+    for mode, truncate in (
+        (MatrixMode.GRAPH_DERIVED, True),
+        (MatrixMode.GRAPH_DERIVED, False),
+        (MatrixMode.LEGACY, False),
     ):
-        with pytest.raises(Exception):
-            legacy_pipeline(anns, preds, cfg, ph)
+        with pytest.raises(BugCompatConflict):
+            run_relaxed(corpus, 2, mode, truncate, bug_compatible=True)
