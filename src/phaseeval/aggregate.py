@@ -26,7 +26,6 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .confusion import ConfusionMatrix
 from .errors import PhaseEvalError
 from .metrics import (
     DEFINED,
@@ -62,12 +61,6 @@ class AveragingOrder(Enum):
 class StdMode(Enum):
     CORRECTED = "corrected"
     UNCORRECTED = "uncorrected"
-
-
-VIDEOS = "videos"
-PHASES = "phases"
-RUNS = "runs"
-AXES = (VIDEOS, PHASES, RUNS)
 
 
 @dataclass(frozen=True)
@@ -178,24 +171,13 @@ def mean_cells(cells: Iterable[MetricCell]) -> MetricCell:
     return cell_of(*mean_defined(*cell_arrays(cells), 0))
 
 
-# The axes each averaging order collapses, stage by stage.
+# The axes each averaging order collapses, stage by stage, in a
+# (group, phase, video, run) stack.
 _STAGES = {
-    AveragingOrder.FLAT: ((0, 1, 2),),
-    AveragingOrder.PHASE_FIRST: (0, (0, 1)),
-    AveragingOrder.VIDEO_FIRST: ((1, 2), 0),
+    AveragingOrder.FLAT: ((1, 2, 3),),
+    AveragingOrder.PHASE_FIRST: (1, (1, 2)),
+    AveragingOrder.VIDEO_FIRST: ((2, 3), 1),
 }
-
-
-def ordered_mean(tensor: ResultTensor, order: AveragingOrder) -> float:
-    """Collapse a tensor to one number under the given averaging order."""
-    if order not in _STAGES:
-        raise ValueError(f"unknown order {order!r}")
-    mean, state = tensor.values, tensor.state
-    for axes in _STAGES[order]:
-        mean, state = mean_defined(mean, state, axes)
-    if state != DEFINED:
-        raise NoDefinedCells("tensor has no defined cells")
-    return float(mean)
 
 
 def _sample_std(points: list[float], mode: StdMode) -> float:
@@ -208,53 +190,52 @@ def _sample_std(points: list[float], mode: StdMode) -> float:
     return math.sqrt(ss / denom)
 
 
-# The tensor axes collapsed to take the spread across each axis.
-_COLLAPSED = {PHASES: (1, 2), VIDEOS: (0, 2), RUNS: (0, 1)}
-
-
-def std_over(tensor: ResultTensor, axis: str, mode: StdMode) -> float:
-    """Spread across one axis: collapse the other two axes per position by
-    the defined-cell mean, then take the sample standard deviation of the
-    positions that retain a value."""
-    if axis not in _COLLAPSED:
-        raise ValueError(f"unknown axis {axis!r}")
-    means, state = mean_defined(tensor.values, tensor.state, _COLLAPSED[axis])
-    return _sample_std(means[state == DEFINED].tolist(), mode)
+def summaries(
+    values: np.ndarray, state: np.ndarray, spec: SummarySpec = SummarySpec()
+) -> list[MetricSummary]:
+    """The summary of each group of a (group, phase, video, run) stack of
+    cells: the mean under spec.order, and the spread across each of the
+    phase, video and run axes.  A spread collapses the other two axes per
+    position by the defined-cell mean, then takes the sample standard
+    deviation of the positions that retain a value; over fewer than two
+    such positions it is None, as is a mean over no defined cell."""
+    if spec.order not in _STAGES:
+        raise ValueError(f"unknown order {spec.order!r}")
+    means, kept = values, state
+    for axes in _STAGES[spec.order]:
+        means, kept = mean_defined(means, kept, axes)
+    mean = [m if k == DEFINED else None for m, k in zip(means.tolist(), kept.tolist())]
+    sds = {}
+    for axis in (1, 2, 3):
+        if values.shape[axis] == 1:
+            sds[axis] = [None] * len(values)
+            continue
+        means, kept = mean_defined(values, state, tuple(a for a in (1, 2, 3) if a != axis))
+        points = [row[k].tolist() for row, k in zip(means, kept == DEFINED)]
+        sds[axis] = [_sample_std(p, spec.std_mode) if len(p) > 1 else None for p in points]
+    return [MetricSummary(*row) for row in zip(mean, sds[2], sds[1], sds[3])]
 
 
 def summarize(tensor: ResultTensor, spec: SummarySpec = SummarySpec()) -> MetricSummary:
     """Mean under the requested averaging order plus spreads across all
     three axes.  A spread over fewer than two retained positions is None; with a
     single run, sd_runs is always None."""
-    try:
-        mean = ordered_mean(tensor, spec.order)
-    except NoDefinedCells:
-        mean = None
-    sds = {}
-    for axis in AXES:
-        try:
-            sds[axis] = std_over(tensor, axis, spec.std_mode)
-        except InsufficientPoints:
-            sds[axis] = None
-    return MetricSummary(mean, sds[VIDEOS], sds[PHASES], sds[RUNS])
+    return summaries(tensor.values[None], tensor.state[None], spec)[0]
+
+
+def ordered_mean(tensor: ResultTensor, order: AveragingOrder) -> float:
+    """Collapse a tensor to one number under the given averaging order."""
+    mean = summaries(tensor.values[None], tensor.state[None], SummarySpec(order=order))[0].mean
+    if mean is None:
+        raise NoDefinedCells("tensor has no defined cells")
+    return mean
 
 
 def phase_summaries(tensor: ResultTensor, std_mode: StdMode) -> tuple[MetricSummary, ...]:
-    """The summarize of each phase's one-phase tensor, in phase order, from
-    one pass per statistic.  One phase has the same mean under every
-    averaging order, and no spread over phases."""
-    means, state = mean_defined(tensor.values, tensor.state, (1, 2))
-
-    def spreads(collapsed: int) -> list[float | None]:
-        axis_means, axis_state = mean_defined(tensor.values, tensor.state, collapsed)
-        points = [row[kept].tolist() for row, kept in zip(axis_means, axis_state == DEFINED)]
-        return [_sample_std(p, std_mode) if len(p) > 1 else None for p in points]
-
-    rows = zip(means.tolist(), state.tolist(), spreads(2), spreads(1))
-    return tuple(
-        MetricSummary(mean if code == DEFINED else None, sd_videos, None, sd_runs)
-        for mean, code, sd_videos, sd_runs in rows
-    )
+    """The summarize of each phase's one-phase tensor, in phase order.  One
+    phase has the same mean under every averaging order, and no spread over
+    phases."""
+    return tuple(summaries(tensor.values[:, None], tensor.state[:, None], SummarySpec(std_mode)))
 
 
 def grid_axes(grid: Mapping[int, Mapping[str, object]]) -> tuple[tuple[int, ...], tuple[str, ...]]:
@@ -272,12 +253,12 @@ def grid_axes(grid: Mapping[int, Mapping[str, object]]) -> tuple[tuple[int, ...]
 
 
 def stack_confusions(
-    matrices: Mapping[int, Mapping[str, ConfusionMatrix]],
+    matrices: Mapping[int, Mapping[str, np.ndarray]],
 ) -> tuple[tuple[int, ...], tuple[str, ...], np.ndarray]:
     """Videos, runs and the (video, run, phase, phase) count stack of a
     video/run grid of confusion matrices."""
     videos, runs = grid_axes(matrices)
-    counts = np.array([[matrices[v][r].counts for r in runs] for v in videos])
+    counts = np.array([[matrices[v][r] for r in runs] for v in videos])
     return videos, runs, counts
 
 
@@ -290,7 +271,7 @@ def video_tensor(videos: Iterable[int], runs: Iterable[str], cells: Cells) -> Re
 
 def phase_metric_tensor(
     kind: str,
-    matrices: Mapping[int, Mapping[str, ConfusionMatrix]],
+    matrices: Mapping[int, Mapping[str, np.ndarray]],
     phase_count: int,
 ) -> ResultTensor:
     """Raw per-phase cells (no policy applied) for a video/run grid of

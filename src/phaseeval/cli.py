@@ -34,7 +34,7 @@ from .protocol import (
     render_leaderboard,
     seed_ledger,
 )
-from .relaxed import MatrixMode
+from .relaxed import OMEGA_MAX, MatrixMode
 from .synth import generate_corpus
 
 
@@ -186,8 +186,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> ProtocolDescriptor | Non
     """Flag validation before any file IO; usage problems exit 2."""
     reference = None
     if args.command == "relaxed":
-        if args.omega < 0:
-            parser.error("--omega must be >= 0")
+        if not 0 <= args.omega <= OMEGA_MAX:
+            parser.error(f"--omega must be within 0..{OMEGA_MAX}")
         if args.bug_compat and not args.truncate:
             parser.error("--bug-compat requires --truncate")
         if args.bug_compat and args.matrices != MatrixMode.LEGACY.value:

@@ -83,15 +83,13 @@ LABEL_MAX = int(np.iinfo(np.int32).max)
 
 @dataclass(frozen=True, eq=False)
 class LabelSequence:
-    """Frame-wise phase labels at a fixed temporal resolution.
+    """Frame-wise phase labels.
 
     Labels are held as a read-only int32 array; indexing and iteration
-    yield plain Python ints.  The default resolution of 1.0 seconds per
-    frame matches annotations downsampled to 1 fps.
+    yield plain Python ints.  Two sequences are equal when their labels are.
     """
 
     labels: np.ndarray
-    resolution_seconds: float = 1.0
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
@@ -105,8 +103,6 @@ class LabelSequence:
             raise OutOfRangeLabel("labels must be non-negative")
         if labels.max() > LABEL_MAX:
             raise OutOfRangeLabel(f"labels must not exceed {LABEL_MAX}")
-        if not self.resolution_seconds > 0:
-            raise ValueError("resolution must be positive")
         labels = labels.astype(np.int32)
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
@@ -114,12 +110,10 @@ class LabelSequence:
     def __eq__(self, other):
         if not isinstance(other, LabelSequence):
             return NotImplemented
-        return self.resolution_seconds == other.resolution_seconds and np.array_equal(
-            self.labels, other.labels
-        )
+        return np.array_equal(self.labels, other.labels)
 
     def __hash__(self):
-        return hash((self.resolution_seconds, self.labels.tobytes()))
+        return hash(self.labels.tobytes())
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 
 import numpy as np
 
-from .confusion import ConfusionMatrix
 from .errors import PhaseEvalError
 
 if TYPE_CHECKING:
@@ -185,9 +184,9 @@ def phase_cells(kind: str, tp, annotated, predicted) -> Cells:
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
-def phase_metric(kind: str, matrix: ConfusionMatrix, phase: int) -> MetricCell:
+def phase_metric(kind: str, counts: np.ndarray, phase: int) -> MetricCell:
     """The phase_cells entry of one phase of one confusion matrix."""
-    values, state = phase_cells(kind, *phase_counts(matrix.counts))
+    values, state = phase_cells(kind, *phase_counts(counts))
     return cell_of(values[phase], state[phase])
 
 
@@ -200,9 +199,9 @@ def accuracy_cells(counts: np.ndarray) -> Cells:
     return defined_cells(np.trace(counts, axis1=-2, axis2=-1) / total)
 
 
-def accuracy(matrix: ConfusionMatrix) -> MetricCell:
+def accuracy(counts: np.ndarray) -> MetricCell:
     """Fraction of frames whose prediction matches the annotation."""
-    return cell_of(*accuracy_cells(matrix.counts))
+    return cell_of(*accuracy_cells(counts))
 
 
 def resolve(values, state, policy: UndefinedPolicy, present) -> Cells:
@@ -260,11 +259,9 @@ def macro_cells(kind: str, tp, annotated, predicted, policy: UndefinedPolicy) ->
     return mean_defined(*resolve(*cells, policy, annotated > 0), 0)
 
 
-def macro_metric(
-    kind: str, matrix: ConfusionMatrix, policy: UndefinedPolicy
-) -> MetricCell:
+def macro_metric(kind: str, counts: np.ndarray, policy: UndefinedPolicy) -> MetricCell:
     """The macro_cells entry of one confusion matrix."""
-    return cell_of(*macro_cells(kind, *phase_counts(matrix.counts), policy))
+    return cell_of(*macro_cells(kind, *phase_counts(counts), policy))
 
 
 def f1_of_means_cells(precision: Cells, recall: Cells) -> Cells:
@@ -278,10 +275,10 @@ def f1_of_means_cells(precision: Cells, recall: Cells) -> Cells:
     return harmonic(precision[0], recall[0]), np.where(both, DEFINED, EXCLUDED).astype(np.int8)
 
 
-def macro_f1_of_means(matrix: ConfusionMatrix, policy: UndefinedPolicy) -> MetricCell:
+def macro_f1_of_means(counts: np.ndarray, policy: UndefinedPolicy) -> MetricCell:
     """The f1_of_means_cells entry of one confusion matrix."""
-    counts = phase_counts(matrix.counts)
-    means = (macro_cells(kind, *counts, policy) for kind in (PRECISION, RECALL))
+    per_phase = phase_counts(counts)
+    means = (macro_cells(kind, *per_phase, policy) for kind in (PRECISION, RECALL))
     return cell_of(*f1_of_means_cells(*means))
 
 

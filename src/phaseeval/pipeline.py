@@ -11,7 +11,6 @@ from .aggregate import (
     ResultTensor,
     StdMode,
     SummarySpec,
-    _sample_std,
     phase_summaries,
     stack_confusions,
     summarize,
@@ -22,7 +21,6 @@ from .core import assumed_workflow
 from .errors import PhaseEvalError
 from .io import Corpus, EvaluationReport
 from .metrics import (
-    DEFINED,
     F1,
     JACCARD,
     PRECISION,
@@ -114,15 +112,10 @@ def run_evaluate(
         except DegenerateMeans:
             pass
 
-    # macro f1 of each run's matrix pooled over videos
+    # macro f1 of each run's matrix pooled over videos, as one video
     frame, frame_state = macro_cells(F1, *phase_counts(counts.sum(axis=0)), policy)
-    frame_vals = frame[frame_state == DEFINED].tolist()
-    summary["frame_f1"] = MetricSummary(
-        sum(frame_vals) / len(frame_vals) if frame_vals else None,
-        None,
-        None,
-        _sample_std(frame_vals, std_mode) if len(frame_vals) > 1 else None,
-    )
+    pooled = video_tensor((0,), runs, (frame[None], frame_state[None]))
+    summary["frame_f1"] = summarize(pooled, spec)
     protocol = {
         "relaxed": False,
         "policy": policy.value,

@@ -241,7 +241,10 @@ def _parse_protocol(obj, where: str) -> ProtocolDescriptor:
                 f"got {value!r}"
             )
         kwargs[attr] = value
-    return ProtocolDescriptor(**kwargs)
+    try:
+        return ProtocolDescriptor(**kwargs)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def parse_reference(pairs: Iterable[str]) -> ProtocolDescriptor:

@@ -20,6 +20,7 @@ is applied to the *first* omega positions of each segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple, Sequence, overload
 
@@ -61,7 +62,7 @@ class SegmentShorterThanOmega(PhaseEvalError):
 
 
 class InvalidOmega(PhaseEvalError):
-    """The relaxation window omega must be a non-negative frame count."""
+    """The relaxation window omega must be a frame count within 0..OMEGA_MAX."""
 
 
 class LegacyGridsUnavailable(PhaseEvalError):
@@ -98,6 +99,14 @@ class RelaxMatrices:
     def phase_count(self) -> int:
         return len(self.start)
 
+    @cached_property
+    def accept(self) -> np.ndarray:
+        """Read-only bool table of both grids: start rows, then end rows,
+        with an all-False last column for predicted labels past the grids."""
+        accept = np.pad(np.concatenate((self.start, self.end)), ((0, 0), (0, 1))) > 0
+        accept.flags.writeable = False
+        return accept
+
 
 _LEGACY_DROPPED_START = ((4, 5), (5, 6))
 _LEGACY_DROPPED_END = ((5, 4), (6, 5))
@@ -132,9 +141,13 @@ def build_matrices(
     )
 
 
+# Windows are int64 frame counts.
+OMEGA_MAX = int(np.iinfo(np.int64).max)
+
+
 def _check_omega(omega: int) -> None:
-    if omega < 0:
-        raise InvalidOmega(f"omega must be non-negative, got {omega}")
+    if not 0 <= omega <= OMEGA_MAX:
+        raise InvalidOmega(f"omega must be within 0..{OMEGA_MAX}, got {omega}")
 
 
 def _check_pair(annotation: LabelSequence, prediction: LabelSequence):
@@ -176,8 +189,7 @@ def graph_rule(annotation: LabelSequence, omega: int, matrices: RelaxMatrices) -
     _check_omega(omega)
     validate_sequence(annotation, PhaseSet(matrices.phase_count))  # a row for every phase
     segments = phase, first, last = segment_bounds(annotation)
-    accept = np.pad(np.concatenate((matrices.start, matrices.end)), ((0, 0), (0, 1))) > 0
-    return _rule(annotation, segments, np.minimum(omega, last - first + 1), accept, False)
+    return _rule(annotation, segments, np.minimum(omega, last - first + 1), matrices.accept, False)
 
 
 # The rule groups of relax_flags_legacy over predicted labels 0..9, by

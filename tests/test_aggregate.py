@@ -2,12 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phaseeval.aggregate import (
     AveragingOrder,
-    InsufficientPoints,
     MetricSummary,
     NoDefinedCells,
     ResultTensor,
@@ -19,7 +19,7 @@ from phaseeval.aggregate import (
     phase_summaries,
     RaggedRuns,
     stack_confusions,
-    std_over,
+    summaries,
     summarize,
     video_tensor,
 )
@@ -57,25 +57,27 @@ def _tensor_from_grid(grid, missing=EXCLUDED_CELL):
     return ResultTensor.build(range(nph), videos, runs, fn)
 
 
-grids = st.integers(1, 3).flatmap(
-    lambda nph: st.integers(1, 3).flatmap(
-        lambda nv: st.integers(1, 3).flatmap(
-            lambda nr: st.lists(
-                st.lists(
-                    st.lists(
-                        st.one_of(st.none(), st.floats(0, 1, width=32)),
-                        min_size=nr,
-                        max_size=nr,
-                    ),
-                    min_size=nv,
-                    max_size=nv,
-                ),
-                min_size=nph,
-                max_size=nph,
-            )
-        )
+def _grid(nph, nv, nr):
+    """grid[p][v][r] of the given shape: a float, or None for a missing cell."""
+    return st.lists(
+        st.lists(
+            st.lists(
+                st.one_of(st.none(), st.floats(0, 1, width=32)),
+                min_size=nr,
+                max_size=nr,
+            ),
+            min_size=nv,
+            max_size=nv,
+        ),
+        min_size=nph,
+        max_size=nph,
     )
-)
+
+
+shapes = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+grids = shapes.flatmap(lambda shape: _grid(*shape))
+# 1 to 3 grids of one shape, for a (group, phase, video, run) stack
+stacks = shapes.flatmap(lambda shape: st.lists(_grid(*shape), min_size=1, max_size=3))
 
 
 def test_tensor_layout_and_lookup():
@@ -140,6 +142,10 @@ def test_orders_diverge_with_exclusions():
     assert len({round(flat, 9), round(pf, 9), round(vf, 9)}) == 3
 
 
+def _sd(tensor, axis, mode):
+    return getattr(summarize(tensor, SummarySpec(mode)), "sd_" + axis)
+
+
 @given(grids, st.sampled_from(["videos", "phases", "runs"]))
 @settings(max_examples=200)
 def test_std_matches_enumeration(grid, axis):
@@ -147,18 +153,17 @@ def test_std_matches_enumeration(grid, axis):
     for mode, corrected in [(StdMode.CORRECTED, True), (StdMode.UNCORRECTED, False)]:
         want = oracle_std(grid, axis, corrected)
         if want is UNDEFINED:
-            with pytest.raises((InsufficientPoints, NoDefinedCells)):
-                std_over(t, axis, mode)
+            assert _sd(t, axis, mode) is None
         else:
-            assert std_over(t, axis, mode) == pytest.approx(want, abs=1e-12)
+            assert _sd(t, axis, mode) == pytest.approx(want, abs=1e-12)
 
 
 def test_std_known_values():
     # per-video means 1, 2, 3
     grid = [[[1.0], [2.0], [3.0]]]
     t = _tensor_from_grid(grid)
-    assert std_over(t, "videos", StdMode.CORRECTED) == pytest.approx(1.0)
-    assert std_over(t, "videos", StdMode.UNCORRECTED) == pytest.approx(
+    assert _sd(t, "videos", StdMode.CORRECTED) == pytest.approx(1.0)
+    assert _sd(t, "videos", StdMode.UNCORRECTED) == pytest.approx(
         math.sqrt(2.0 / 3.0)
     )
 
@@ -168,14 +173,32 @@ def test_std_known_values():
 def test_uncorrected_never_exceeds_corrected(grid):
     t = _tensor_from_grid(grid)
     for axis in ("videos", "phases", "runs"):
-        try:
-            c = std_over(t, axis, StdMode.CORRECTED)
-            u = std_over(t, axis, StdMode.UNCORRECTED)
-        except (InsufficientPoints, NoDefinedCells):
+        c = _sd(t, axis, StdMode.CORRECTED)
+        u = _sd(t, axis, StdMode.UNCORRECTED)
+        if c is None:
+            assert u is None
             continue
         assert u <= c + 1e-12
         if c > 1e-9:
             assert u < c
+
+
+@given(stacks)
+@settings(max_examples=150)
+def test_summaries_of_a_stack_equal_each_tensor_summarized(grids):
+    for missing in (EXCLUDED_CELL, UNDEFINED_CELL):
+        tensors = [_tensor_from_grid(g, missing) for g in grids]
+        values = np.stack([t.values for t in tensors])
+        state = np.stack([t.state for t in tensors])
+        for mode in StdMode:
+            for order in AveragingOrder:
+                spec = SummarySpec(mode, order)
+                got = summaries(values, state, spec)
+                assert got == [summarize(t, spec) for t in tensors]
+                for s in got:
+                    for axis, positions in zip(("phases", "videos", "runs"), values.shape[1:]):
+                        if positions == 1:
+                            assert getattr(s, "sd_" + axis) is None
 
 
 @given(grids)

@@ -1,10 +1,15 @@
 """End-to-end behavior of the command-line interface."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from phaseeval.cli import main
+
+README = Path(__file__).parents[1] / "README.md"
 
 GOLDEN_Y = [3] * 3 + [4] * 6 + [5] * 6 + [6] * 3
 GOLDEN_P = [3, 5, 4, 4, 3, 3, 3, 4, 6, 3, 4, 4, 6, 5, 6, 5, 4, 6]
@@ -70,6 +75,9 @@ def test_synth_noise_free_predictions_match_annotations(tmp_path, capsys):
         ["synth", "--out-dir", "x", "--phase-count", "1"],
         ["relaxed", "m.json", "--bug-compat"],
         ["relaxed", "m.json", "--omega", "-1"],
+        ["relaxed", "m.json", "--omega", "99999999999999999999"],
+        ["relaxed", "m.json", "--omega", "99999999999999999999", "--matrices", "legacy",
+         "--truncate", "--bug-compat"],
         ["compare", "--ref", "split"],
         ["compare", "--ref", "relaxed=si"],
         ["compare", "--ref", "banana=1"],
@@ -294,3 +302,39 @@ def test_synth_phase_count_past_the_maximum_exits_2(tmp_path, capsys):
     assert "--phase-count must be within 2..256" in err
     assert "Traceback" not in err
     assert not (tmp_path / "c").exists()
+
+
+def _readme_block(lang, heading):
+    """The first fenced `lang` block after `heading` in README."""
+    text = README.read_text()
+    return re.search(rf"```{lang}\n(.*?)```", text[text.index(heading):], re.S).group(1)
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    block = _readme_block("sh", "## CLI").replace("\\\n", " ")
+    commands = [
+        shlex.split(line.replace("/tmp/demo", str(tmp_path)), comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("phaseeval ")
+    ]
+    assert len(commands) == 7
+    outputs = []
+    for argv in commands:
+        assert main(argv) == 0, argv
+        outputs.append((argv, capsys.readouterr().out))
+
+    def summary(*words):
+        (out,) = [out for argv, out in outputs if set(words) <= set(argv)]
+        return json.loads(out)["summary"]
+
+    # the shift-2 corpus is scored perfectly at omega=2, and not without relaxation
+    assert summary("relaxed", "graph")["relaxed_accuracy"]["mean"] == 1.0
+    assert summary("evaluate")["accuracy"]["mean"] < 1.0
+
+    code = _readme_block("python", "## Library").replace(
+        '"manifest.json"', repr(str(tmp_path / "manifest.json"))
+    )
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["report"].summary["f1"].mean is not None
+    assert capsys.readouterr().out.strip()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phaseeval.confusion import (
-    ConfusionMatrix,
+    DimensionMismatch,
     LengthMismatch,
     confusion_of,
     sum_confusions,
@@ -25,10 +25,11 @@ def test_counts_match_hand_example():
     yhat = _seq([0, 1, 1, 1, 1])
     m = confusion_of(y, yhat, PhaseSet(3))
     expected = np.array([[1, 1, 0], [0, 2, 0], [0, 1, 0]])
-    assert np.array_equal(m.counts, expected)
-    assert m.total == 5
-    assert m.tp(1) == 2
-    tp, annotated, predicted = phase_counts(m.counts)
+    assert m.dtype == np.int64
+    assert np.array_equal(m, expected)
+    assert m.sum() == 5
+    assert m[1, 1] == 2
+    tp, annotated, predicted = phase_counts(m)
     assert predicted[1] - tp[1] == 2  # false positives
     assert annotated[1] - tp[1] == 0  # false negatives
     assert np.flatnonzero(annotated).tolist() == [0, 1, 2]  # annotated phases
@@ -42,7 +43,7 @@ def test_length_mismatch():
 def test_counts_are_read_only():
     m = confusion_of(_seq([0, 1]), _seq([1, 1]), PhaseSet(2))
     with pytest.raises(ValueError):
-        m.counts[0, 0] = 99
+        m[0, 0] = 99
 
 
 labels5 = st.lists(st.integers(0, 4), min_size=1, max_size=60)
@@ -57,9 +58,9 @@ def test_counts_by_brute_force(pair):
     for p in range(5):
         for q in range(5):
             want = sum(1 for t in range(n) if y[t] == p and yhat[t] == q)
-            assert m.counts[p, q] == want
-    assert m.total == n
-    assert sum(m.row_sum(p) for p in range(5)) == n
+            assert m[p, q] == want
+    assert m.sum() == n
+    assert sum(m[p].sum() for p in range(5)) == n
 
 
 @given(st.lists(st.tuples(labels5, labels5), min_size=1, max_size=4))
@@ -68,11 +69,13 @@ def test_sum_matches_concatenation(pairs):
     mats = [confusion_of(_seq(y), _seq(p), PHASES5) for y, p in pairs]
     cat_y = [x for y, _ in pairs for x in y]
     cat_p = [x for _, p in pairs for x in p]
-    assert sum_confusions(mats) == confusion_of(_seq(cat_y), _seq(cat_p), PHASES5)
+    assert np.array_equal(
+        sum_confusions(mats), confusion_of(_seq(cat_y), _seq(cat_p), PHASES5)
+    )
 
 
 def test_sum_rejects_mixed_sizes():
-    a = ConfusionMatrix(np.zeros((3, 3), dtype=np.int64), 3)
-    b = ConfusionMatrix(np.zeros((4, 4), dtype=np.int64), 4)
-    with pytest.raises(Exception):
+    a = np.zeros((3, 3), dtype=np.int64)
+    b = np.zeros((4, 4), dtype=np.int64)
+    with pytest.raises(DimensionMismatch):
         sum_confusions([a, b])

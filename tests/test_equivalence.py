@@ -2,6 +2,7 @@
 the brute-force oracles on random small grids, and report bytes against
 reports written by the implementations they replaced."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,10 @@ from phaseeval.aggregate import (
     summarize,
 )
 from phaseeval.cli import main, run_evaluate, run_relaxed
+from phaseeval.confusion import confusion_of, sum_confusions
 from phaseeval.core import LABEL_MAX, LabelSequence, PhaseSet, cholec80_graph
 from phaseeval.io import Corpus
-from phaseeval.metrics import METRIC_KINDS, UNDEFINED_CELL, UndefinedPolicy
+from phaseeval.metrics import F1, METRIC_KINDS, UNDEFINED_CELL, UndefinedPolicy, macro_metric
 from phaseeval.relaxed import (
     RELAXED_KINDS,
     MatrixMode,
@@ -310,6 +312,34 @@ def test_relaxed_matches_oracles(data, truncate):
     got = report.summary["relaxed_accuracy"]
     _close(got.mean, oracle_video_first_mean(accuracy))
     _close(got.sd_videos, oracle_std(accuracy, "videos", True))
+
+
+def test_frame_f1_mean_is_the_fsum_of_each_runs_pooled_macro_f1():
+    # Found by search: plain float addition of these three runs' values
+    # rounds differently from the exactly rounded sum.
+    ph = PhaseSet(3)
+    annotations = {1: (0, 2), 2: (0, 0)}
+    predictions = {
+        1: {"a": (0, 2), "b": (1, 0), "c": (0, 1)},
+        2: {"a": (2, 1), "b": (0, 1), "c": (2, 1)},
+    }
+    corpus = Corpus(
+        ph,
+        {v: LabelSequence(y) for v, y in annotations.items()},
+        {v: {r: LabelSequence(p) for r, p in runs.items()} for v, runs in predictions.items()},
+    )
+    policy = UndefinedPolicy.EXCLUDE_UNDEFINED
+    values = [
+        macro_metric(F1, sum_confusions(
+            confusion_of(corpus.annotations[v], corpus.predictions[v][r], ph)
+            for v in corpus.videos
+        ), policy).value
+        for r in corpus.runs
+    ]
+    assert sum(values) / len(values) != math.fsum(values) / len(values)
+    for order in AveragingOrder:
+        report = run_evaluate(corpus, policy, order, StdMode.CORRECTED)
+        assert report.summary["frame_f1"].mean == math.fsum(values) / len(values)
 
 
 def test_all_undefined_tensor_has_no_mean_or_spread():

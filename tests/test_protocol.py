@@ -193,6 +193,14 @@ def test_ledger_rejects_ill_typed_protocol_fields(field, value):
         parse_ledger(json.dumps([ok, bad]))
 
 
+@pytest.mark.parametrize("field, value", [("policy", "bogus"), ("omega", -1), ("runs", 0)])
+def test_ledger_protocol_value_errors_name_their_record(field, value):
+    ok = {"method": "m", "source": "s", "metrics": {"accuracy": {"mean": 0.9}}}
+    bad = {**ok, "method": "n", "protocol": {field: value}}
+    with pytest.raises(SchemaError, match=rf"^record 1: {field} must be"):
+        parse_ledger(json.dumps([ok, bad]))
+
+
 def test_reference_parses_like_a_ledger_protocol():
     ref = parse_reference(["split=60:20", "relaxed=true", "omega=10", "runs=unknown"])
     assert ref == ProtocolDescriptor(split_name="60:20", relaxed=True, omega=10)

@@ -166,17 +166,21 @@ def test_legacy_bug_visible_on_short_phase3_segment():
 
 
 def test_negative_omega_is_a_typed_error():
+    """So is an omega past int64, the width of a window."""
     y, yhat = _seq([0, 0, 1]), _seq([0, 1, 1])
     anns, preds, ph = _corpus()
     corpus = Corpus(ph, anns, preds)
-    for call in (
-        lambda: relax_flags(y, yhat, -1, GRAPH_MX),
-        lambda: relax_flags_legacy(y, yhat, -1),
-        lambda: run_relaxed(corpus, -1, MatrixMode.GRAPH_DERIVED, False),
-        lambda: run_relaxed(corpus, -1, MatrixMode.LEGACY, True, bug_compatible=True),
-    ):
-        with pytest.raises(InvalidOmega):
-            call()
+    for omega in (-1, 2**63, 2**64):
+        for call in (
+            lambda: relax_flags(y, yhat, omega, GRAPH_MX),
+            lambda: relax_flags_legacy(y, yhat, omega),
+            lambda: run_relaxed(corpus, omega, MatrixMode.GRAPH_DERIVED, False),
+            lambda: run_relaxed(corpus, omega, MatrixMode.LEGACY, True, bug_compatible=True),
+        ):
+            with pytest.raises(InvalidOmega):
+                call()
+    # the largest omega clamps every window to its segment
+    assert relax_flags(y, yhat, 2**63 - 1, GRAPH_MX) == relax_flags(y, yhat, 3, GRAPH_MX)
 
 
 def test_annotated_phase_outside_grids_is_a_typed_error():
