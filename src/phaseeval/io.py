@@ -17,7 +17,7 @@ import csv
 import io as _io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -29,8 +29,6 @@ from .core import LABEL_MAX, MAX_PHASES, LabelSequence, OutOfRangeLabel, PhaseSe
 from .errors import PhaseEvalError
 
 FORMAT_VERSION = "1"
-
-REPORT_FORMATS = ("json", "csv", "md")
 
 
 class ParseError(PhaseEvalError):
@@ -126,6 +124,13 @@ class Corpus:
     predictions: dict[int, dict[str, LabelSequence]]
     split: str | None = None
 
+    def __post_init__(self):
+        videos = set(self.annotations)
+        if not videos or videos != set(self.predictions) or not all(self.predictions.values()):
+            raise SchemaError(
+                "a corpus needs at least one video, and each video an annotation and runs"
+            )
+
     @property
     def videos(self) -> tuple[int, ...]:
         return tuple(sorted(self.annotations))
@@ -212,14 +217,13 @@ def load_manifest(path: str | Path) -> Corpus:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Protocol block plus summaries; per_phase may be None (video-level
-    only reports)."""
+    """Protocol block, summaries, and the summaries of each phase, which
+    phase_names names."""
 
     protocol: dict[str, object]
     summary: dict[str, MetricSummary]
-    per_phase: dict[int, dict[str, MetricSummary]] | None = None
-    phase_names: tuple[str, ...] | None = None
-    format_version: str = FORMAT_VERSION
+    per_phase: dict[int, dict[str, MetricSummary]]
+    phase_names: tuple[str, ...]
 
 
 def _fmt_float(x: float) -> str:
@@ -260,49 +264,41 @@ def canonical_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+_STATS = tuple(f.name for f in fields(MetricSummary))
+# A phase's summary has no spread across phases.
+_PHASE_STATS = tuple(k for k in _STATS if k != "sd_phases")
+
+
 def _summary_obj(s: MetricSummary) -> dict:
-    return {
-        "mean": s.mean,
-        "sd_videos": s.sd_videos,
-        "sd_phases": s.sd_phases,
-        "sd_runs": s.sd_runs,
-    }
+    return {k: getattr(s, k) for k in _STATS}
 
 
-def _report_obj(report: EvaluationReport) -> dict:
-    obj: dict[str, object] = {
-        "format_version": report.format_version,
+def _json_report(report: EvaluationReport) -> str:
+    obj = {
+        "format_version": FORMAT_VERSION,
         "protocol": dict(report.protocol),
         "summary": {k: _summary_obj(s) for k, s in report.summary.items()},
-    }
-    if report.per_phase is not None:
-        obj["per_phase"] = {
+        "per_phase": {
             str(p): {k: _summary_obj(s) for k, s in metrics.items()}
             for p, metrics in report.per_phase.items()
-        }
-    return obj
-
-
-_STATS = ("mean", "sd_videos", "sd_phases", "sd_runs")
+        },
+    }
+    return canonical_json(obj) + "\n"
 
 
 def _csv_report(report: EvaluationReport) -> str:
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["section", "phase", "metric", "statistic", "value"])
-    w.writerow(["meta", "", "format_version", "", report.format_version])
+    w.writerow(["meta", "", "format_version", "", FORMAT_VERSION])
     for k in sorted(report.protocol):
         w.writerow(["protocol", "", k, "", _csv_value(report.protocol[k])])
-    for name in sorted(report.summary):
-        s = _summary_obj(report.summary[name])
-        for stat in _STATS:
-            w.writerow(["summary", "", name, stat, _csv_value(s[stat])])
-    if report.per_phase is not None:
-        for p in sorted(report.per_phase):
-            for name in sorted(report.per_phase[p]):
-                s = _summary_obj(report.per_phase[p][name])
-                for stat in _STATS:
-                    w.writerow(["per_phase", p, name, stat, _csv_value(s[stat])])
+    sections = [("summary", "", report.summary)]
+    sections += [("per_phase", p, report.per_phase[p]) for p in sorted(report.per_phase)]
+    for section, phase, rows in sections:
+        for name in sorted(rows):
+            for stat in _STATS:
+                w.writerow([section, phase, name, stat, _csv_value(getattr(rows[name], stat))])
     return buf.getvalue()
 
 
@@ -316,8 +312,15 @@ def _csv_value(v) -> str:
     return str(v)
 
 
-def _md_cell(v: float | None) -> str:
-    return "n/a" if v is None else _fmt_float(v)
+def _md_table(head: list[str], stats: tuple[str, ...], rows) -> list[str]:
+    """A markdown table of (leading cells, MetricSummary) rows: the `head`
+    columns, then one column per statistic."""
+    lines = ["| " + " | ".join([*head, *stats]) + " |", "|---" * (len(head) + len(stats)) + "|"]
+    for cells, s in rows:
+        values = (getattr(s, k) for k in stats)
+        shown = ["n/a" if v is None else _fmt_float(v) for v in values]
+        lines.append("| " + " | ".join(cells + shown) + " |")
+    return lines
 
 
 def _md_report(report: EvaluationReport) -> str:
@@ -328,42 +331,22 @@ def _md_report(report: EvaluationReport) -> str:
     )
     lines.append(f"Protocol: {proto}")
     lines.append("")
-    lines.append("| metric | mean | sd_videos | sd_phases | sd_runs |")
-    lines.append("|---|---|---|---|---|")
-    for name in sorted(report.summary):
-        s = report.summary[name]
-        lines.append(
-            f"| {name} | {_md_cell(s.mean)} | {_md_cell(s.sd_videos)} "
-            f"| {_md_cell(s.sd_phases)} | {_md_cell(s.sd_runs)} |"
-        )
-    if report.per_phase is not None:
-        lines.append("")
-        lines.append("## Per phase")
-        lines.append("")
-        lines.append("| phase | metric | mean | sd_videos | sd_runs |")
-        lines.append("|---|---|---|---|---|")
-        for p in sorted(report.per_phase):
-            label = (
-                report.phase_names[p]
-                if report.phase_names is not None and p < len(report.phase_names)
-                else str(p)
-            )
-            for name in sorted(report.per_phase[p]):
-                s = report.per_phase[p][name]
-                lines.append(
-                    f"| {label} | {name} | {_md_cell(s.mean)} "
-                    f"| {_md_cell(s.sd_videos)} | {_md_cell(s.sd_runs)} |"
-                )
+    summary, per_phase = report.summary, report.per_phase
+    lines += _md_table(["metric"], _STATS, [([k], s) for k, s in sorted(summary.items())])
+    lines += ["", "## Per phase", ""]
+    named = [(report.phase_names[p], per_phase[p]) for p in sorted(per_phase)]
+    rows = [([name, k], s) for name, row in named for k, s in sorted(row.items())]
+    lines += _md_table(["phase", "metric"], _PHASE_STATS, rows)
     lines.append("")
     return "\n".join(lines)
 
 
+_WRITERS = {"json": _json_report, "csv": _csv_report, "md": _md_report}
+REPORT_FORMATS = tuple(_WRITERS)
+
+
 def write_report(report: EvaluationReport, fmt: str) -> str:
     """Serialize a report; identical reports yield identical bytes."""
-    if fmt == "json":
-        return canonical_json(_report_obj(report)) + "\n"
-    if fmt == "csv":
-        return _csv_report(report)
-    if fmt == "md":
-        return _md_report(report)
-    raise ValueError(f"unknown report format {fmt!r}; use one of {REPORT_FORMATS}")
+    if fmt not in _WRITERS:
+        raise ValueError(f"unknown report format {fmt!r}; use one of {REPORT_FORMATS}")
+    return _WRITERS[fmt](report)

@@ -22,7 +22,7 @@ from .errors import PhaseEvalError
 from .io import Corpus, EvaluationReport
 from .metrics import (
     F1,
-    JACCARD,
+    METRIC_KINDS,
     PRECISION,
     RECALL,
     DegenerateMeans,
@@ -45,8 +45,6 @@ from .relaxed import (
     legacy_pipeline,
     relaxed_tensors,
 )
-
-PHASE_KINDS = (PRECISION, RECALL, F1, JACCARD)
 
 
 class BugCompatConflict(PhaseEvalError):
@@ -93,7 +91,7 @@ def run_evaluate(
             policy,
             per_pair[1] > 0,
         )
-        for kind in PHASE_KINDS
+        for kind in METRIC_KINDS
     }, spec)
 
     macro = {kind: macro_cells(kind, *per_pair, policy) for kind in (PRECISION, RECALL, F1)}

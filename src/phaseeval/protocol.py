@@ -17,12 +17,13 @@ state it.  check_comparable grades each field:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from sys import float_info
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .aggregate import StdMode
 from .errors import PhaseEvalError
@@ -37,15 +38,6 @@ class DuplicateEntry(PhaseEvalError):
 class EmptyLedger(PhaseEvalError):
     """A leaderboard needs at least one entry."""
 
-
-POLICIES = tuple(p.value for p in UndefinedPolicy)
-F1_VARIANTS = (
-    "mean-of-harmonic",
-    "harmonic-of-macro-means",
-    "harmonic-of-overall-means",
-)
-STD_SOURCES = ("videos", "phases", "runs")
-STD_MODES = tuple(m.value for m in StdMode)
 
 METRIC_NAMES = (
     "accuracy",
@@ -66,6 +58,48 @@ METRIC_NAMES = (
 )
 
 
+HARD = "hard"
+SOFT = "soft"
+UNKNOWN = "unknown"
+
+
+class ProtocolField(NamedTuple):
+    """Everything about one ledger protocol key: the ProtocolDescriptor
+    attribute (which findings name), the exact JSON type (a bool is not an
+    int), the closed vocabulary or None, and the rule and severity of a
+    difference, or None for a field that is not graded."""
+
+    attr: str
+    kind: type
+    vocabulary: tuple[str, ...] | None = None
+    rule: str | None = None
+    severity: str | None = None
+
+
+PROTOCOL_FIELDS = {
+    "split": ProtocolField("split_name", str, None, "C", HARD),
+    "relaxed": ProtocolField("relaxed", bool, None, "A", HARD),
+    "omega": ProtocolField("omega", int, None, "A", HARD),  # graded when both are relaxed
+    "policy": ProtocolField("policy", str, tuple(p.value for p in UndefinedPolicy), "policy", HARD),
+    "f1_variant": ProtocolField(
+        "f1_variant",
+        str,
+        ("mean-of-harmonic", "harmonic-of-macro-means", "harmonic-of-overall-means"),
+        "f1-variant",
+        HARD,
+    ),
+    "std_source": ProtocolField("std_source", str, ("videos", "phases", "runs"), "B", SOFT),
+    "std_mode": ProtocolField("std_mode", str, tuple(m.value for m in StdMode), "std-mode", SOFT),
+    "runs": ProtocolField("runs", int),
+    "trained_on_validation": ProtocolField(
+        "trained_on_validation", bool, None, "validation-use", SOFT
+    ),
+}
+
+_CLOSED = tuple(f for f in PROTOCOL_FIELDS.values() if f.vocabulary is not None)
+_GRADED = tuple((f.attr, f.rule, f.severity) for f in PROTOCOL_FIELDS.values() if f.rule)
+
+
 @dataclass(frozen=True)
 class ProtocolDescriptor:
     """Evaluation protocol of one reported result; None means unstated."""
@@ -81,15 +115,10 @@ class ProtocolDescriptor:
     trained_on_validation: bool | None = None
 
     def __post_init__(self):
-        for field_name, vocab in (
-            ("policy", POLICIES),
-            ("f1_variant", F1_VARIANTS),
-            ("std_source", STD_SOURCES),
-            ("std_mode", STD_MODES),
-        ):
-            value = getattr(self, field_name)
-            if value is not None and value not in vocab:
-                raise SchemaError(f"{field_name} must be one of {vocab}, got {value!r}")
+        for f in _CLOSED:
+            value = getattr(self, f.attr)
+            if value is not None and value not in f.vocabulary:
+                raise SchemaError(f"{f.attr} must be one of {f.vocabulary}, got {value!r}")
         if self.omega is not None and self.omega < 0:
             raise SchemaError("omega must be non-negative")
         if self.runs is not None and self.runs < 1:
@@ -97,14 +126,11 @@ class ProtocolDescriptor:
 
 
 class Verdict(Enum):
+    """In rank order: a leaderboard lists comparable groups first."""
+
     COMPARABLE = "comparable"
     INDETERMINATE = "indeterminate"
     INCOMPARABLE = "incomparable"
-
-
-HARD = "hard"
-SOFT = "soft"
-UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -128,20 +154,6 @@ def _show(v) -> str:
     return str(v)
 
 
-def _grade(rule: str, field: str, a, b, severity_when_different: str) -> Finding | None:
-    if a is None or b is None:
-        if a is None and b is None:
-            detail = f"{field} unstated on both sides"
-        else:
-            detail = f"{field} unstated on one side ({_pair(a, b)})"
-        return Finding(rule, UNKNOWN, field, detail)
-    if a != b:
-        return Finding(
-            rule, severity_when_different, field, f"{field} differs: {_pair(a, b)}"
-        )
-    return None
-
-
 @dataclass(frozen=True)
 class ComparabilityReport:
     verdict: Verdict
@@ -150,29 +162,19 @@ class ComparabilityReport:
 
 def check_comparable(a: ProtocolDescriptor, b: ProtocolDescriptor) -> ComparabilityReport:
     """Grade two protocols field by field; symmetric in its arguments."""
+    both_relaxed = a.relaxed is True and b.relaxed is True
     findings = []
-
-    def add(f: Finding | None):
-        if f is not None:
-            findings.append(f)
-
-    add(_grade("C", "split_name", a.split_name, b.split_name, HARD))
-    add(_grade("A", "relaxed", a.relaxed, b.relaxed, HARD))
-    if a.relaxed is True and b.relaxed is True:
-        add(_grade("A", "omega", a.omega, b.omega, HARD))
-    add(_grade("policy", "policy", a.policy, b.policy, HARD))
-    add(_grade("f1-variant", "f1_variant", a.f1_variant, b.f1_variant, HARD))
-    add(_grade("B", "std_source", a.std_source, b.std_source, SOFT))
-    add(_grade("std-mode", "std_mode", a.std_mode, b.std_mode, SOFT))
-    add(
-        _grade(
-            "validation-use",
-            "trained_on_validation",
-            a.trained_on_validation,
-            b.trained_on_validation,
-            SOFT,
-        )
-    )
+    for attr, rule, severity in _GRADED:
+        x, y = getattr(a, attr), getattr(b, attr)
+        if (x == y and x is not None) or (attr == "omega" and not both_relaxed):
+            continue
+        if x is None and y is None:
+            severity, detail = UNKNOWN, f"{attr} unstated on both sides"
+        elif x is None or y is None:
+            severity, detail = UNKNOWN, f"{attr} unstated on one side ({_pair(x, y)})"
+        else:
+            detail = f"{attr} differs: {_pair(x, y)}"
+        findings.append(Finding(rule, severity, attr, detail))
     findings.sort(key=lambda f: (f.rule, f.field))
     if any(f.severity == HARD for f in findings):
         verdict = Verdict.INCOMPARABLE
@@ -207,22 +209,17 @@ class ReportedResult:
         object.__setattr__(self, "metrics", dict(self.metrics))
 
 
-# Ledger key -> (ProtocolDescriptor attribute, JSON type).  Types match
-# exactly, so a bool is not an int here.
-PROTOCOL_FIELDS = {
-    "split": ("split_name", str),
-    "relaxed": ("relaxed", bool),
-    "omega": ("omega", int),
-    "policy": ("policy", str),
-    "f1_variant": ("f1_variant", str),
-    "std_source": ("std_source", str),
-    "std_mode": ("std_mode", str),
-    "runs": ("runs", int),
-    "trained_on_validation": ("trained_on_validation", bool),
-}
-
 _TYPE_NAMES = {str: "a string", bool: "true or false", int: "an integer"}
-_FROM_TEXT = {str: str, int: int, bool: {"true": True, "false": False}.__getitem__}
+_DECIMAL = re.compile("-?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+_FROM_TEXT = {str: str, int: _decimal, bool: {"true": True, "false": False}.__getitem__}
 
 
 def _parse_protocol(obj, where: str) -> ProtocolDescriptor:
@@ -234,13 +231,13 @@ def _parse_protocol(obj, where: str) -> ProtocolDescriptor:
             raise SchemaError(f"{where}: unknown protocol field {key!r}")
         if value == "unknown" or value is None:
             continue
-        attr, kind = PROTOCOL_FIELDS[key]
-        if type(value) is not kind:
+        field = PROTOCOL_FIELDS[key]
+        if type(value) is not field.kind:
             raise SchemaError(
-                f"{where}: protocol field {key!r} must be {_TYPE_NAMES[kind]}, "
+                f"{where}: protocol field {key!r} must be {_TYPE_NAMES[field.kind]}, "
                 f"got {value!r}"
             )
-        kwargs[attr] = value
+        kwargs[field.attr] = value
     try:
         return ProtocolDescriptor(**kwargs)
     except SchemaError as exc:
@@ -249,14 +246,17 @@ def _parse_protocol(obj, where: str) -> ProtocolDescriptor:
 
 def parse_reference(pairs: Iterable[str]) -> ProtocolDescriptor:
     """A reference protocol from KEY=VALUE strings, with the keys and types
-    of a ledger protocol: VALUE is "unknown", true/false for a flag, a
-    decimal integer for a count, else the string itself."""
+    of a ledger protocol: VALUE is "unknown", true/false for a flag, an
+    ASCII decimal integer (-?[0-9]+) for a count, else the string itself.
+    Each key may be given once."""
     obj = {}
     for pair in pairs:
         key, sep, text = pair.partition("=")
         if not sep or key not in PROTOCOL_FIELDS:
             raise SchemaError(f"bad reference field {pair!r}")
-        kind = PROTOCOL_FIELDS[key][1]
+        if key in obj:
+            raise SchemaError(f"reference field {key!r} given twice")
+        kind = PROTOCOL_FIELDS[key].kind
         try:
             obj[key] = text if text == "unknown" else _FROM_TEXT[kind](text)
         except (KeyError, ValueError):
@@ -268,10 +268,16 @@ def parse_reference(pairs: Iterable[str]) -> ProtocolDescriptor:
 
 def _protocol_obj(d: ProtocolDescriptor) -> dict:
     out = {}
-    for key, (attr, _) in PROTOCOL_FIELDS.items():
-        value = getattr(d, attr)
+    for key, field in PROTOCOL_FIELDS.items():
+        value = getattr(d, field.attr)
         out[key] = "unknown" if value is None else value
     return out
+
+
+def _metrics_obj(r: ReportedResult) -> dict:
+    return {
+        name: {"mean": mv.mean, "spread": mv.spread} for name, mv in sorted(r.metrics.items())
+    }
 
 
 def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
@@ -337,10 +343,7 @@ def dump_ledger(results: Iterable[ReportedResult]) -> str:
             "method": r.method,
             "source": r.source,
             "protocol": _protocol_obj(r.protocol),
-            "metrics": {
-                name: {"mean": mv.mean, "spread": mv.spread}
-                for name, mv in sorted(r.metrics.items())
-            },
+            "metrics": _metrics_obj(r),
         }
         if r.provenance is not None:
             rec["provenance"] = r.provenance
@@ -369,13 +372,6 @@ class Leaderboard:
     reference: ProtocolDescriptor
     sort_metric: str
     groups: tuple[LeaderboardGroup, ...]
-
-
-_VERDICT_RANK = {
-    Verdict.COMPARABLE: 0,
-    Verdict.INDETERMINATE: 1,
-    Verdict.INCOMPARABLE: 2,
-}
 
 
 def render_leaderboard(
@@ -414,7 +410,7 @@ def render_leaderboard(
         groups.append(LeaderboardGroup(verdict, findings, tuple(entries)))
     groups.sort(
         key=lambda g: (
-            _VERDICT_RANK[g.verdict],
+            list(Verdict).index(g.verdict),
             len(g.findings),
             tuple((f.rule, f.field) for f in g.findings),
         )
@@ -440,14 +436,7 @@ def leaderboard_obj(board: Leaderboard) -> dict:
                     for f in g.findings
                 ],
                 "entries": [
-                    {
-                        "method": r.method,
-                        "source": r.source,
-                        "metrics": {
-                            name: {"mean": mv.mean, "spread": mv.spread}
-                            for name, mv in sorted(r.metrics.items())
-                        },
-                    }
+                    {"method": r.method, "source": r.source, "metrics": _metrics_obj(r)}
                     for r in g.entries
                 ],
             }

@@ -96,6 +96,28 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "refs, message",
+    [
+        (["runs=1_000"], "takes an integer or unknown"),
+        (["omega=+5"], "takes an integer or unknown"),
+        (["omega= 7"], "takes an integer or unknown"),
+        (["runs=\u0665"], "takes an integer or unknown"),  # an Arabic-Indic five
+        (["omega=-1"], "omega must be non-negative"),
+        (["split=a", "split=b"], "'split' given twice"),
+        (["runs=unknown", "runs=3"], "'runs' given twice"),
+    ],
+)
+def test_bad_reference_exits_2(refs, message, capsys):
+    argv = ["compare"]
+    for r in refs:
+        argv += ["--ref", r]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_evaluate_perfect_predictions(tmp_path, capsys):
     out = tmp_path / "c"
     assert main(["synth", "--out-dir", str(out), "--videos", "3", "--runs", "2",

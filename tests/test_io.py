@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from phaseeval.aggregate import MetricSummary
 from phaseeval.confusion import LengthMismatch
-from phaseeval.core import LabelSequence
+from phaseeval.aggregate import AveragingOrder, StdMode
+from phaseeval.core import LabelSequence, PhaseSet
 from phaseeval.errors import PhaseEvalError
 from phaseeval.io import (
     Corpus,
@@ -25,6 +26,9 @@ from phaseeval.io import (
     parse_labels,
     write_report,
 )
+from phaseeval.metrics import UndefinedPolicy
+from phaseeval.pipeline import run_evaluate, run_relaxed
+from phaseeval.relaxed import MatrixMode
 
 
 def test_parse_labels_plain():
@@ -191,6 +195,33 @@ def test_load_manifest_schema_errors(tmp_path, mutate):
         load_manifest(path)
 
 
+_Y = LabelSequence([0] * 4 + [1] * 4)
+
+_RUNNERS = [
+    lambda c: run_evaluate(
+        c, UndefinedPolicy.EXCLUDE_MISSING_PHASE, AveragingOrder.FLAT, StdMode.CORRECTED
+    ),
+    lambda c: run_relaxed(c, 1, MatrixMode.GRAPH_DERIVED, False),
+    lambda c: run_relaxed(c, 1, MatrixMode.LEGACY, True, bug_compatible=True),
+]
+
+
+@pytest.mark.parametrize("run", _RUNNERS, ids=["evaluate", "graph-relaxed", "bug-compat"])
+@pytest.mark.parametrize(
+    "annotations, predictions",
+    [
+        ({1: _Y}, {1: {"r": _Y}, 2: {"r": _Y}}),  # a prediction without annotation
+        ({1: _Y, 2: _Y}, {1: {"r": _Y}}),  # an annotation without predictions
+        ({}, {}),
+        ({1: _Y}, {1: {}}),
+    ],
+    ids=["extra-predictions", "extra-annotation", "empty", "no-runs"],
+)
+def test_corpus_maps_must_name_the_same_videos_with_runs(run, annotations, predictions):
+    with pytest.raises(SchemaError):
+        run(Corpus(PhaseSet(7), annotations, predictions))
+
+
 def test_canonical_json_is_sorted_and_fixed_point():
     obj = {"b": 0.5, "a": [1, None, True, "x"], "c": {"z": 1 / 3}}
     out = canonical_json(obj)
@@ -245,7 +276,7 @@ def _report():
         protocol={"split": "32:8:40", "relaxed": False},
         summary=summary,
         per_phase=per_phase,
-        phase_names=("Preparation", "Calot triangle dissection"),
+        phase_names=("Preparation", "Calot triangle dissection", "Clipping", "Cutting"),
     )
 
 
@@ -266,6 +297,7 @@ def test_report_csv_and_md_shapes():
     assert any(line.startswith("summary,,accuracy,mean,0.865000") for line in lines)
     md = write_report(_report(), "md")
     assert "| accuracy |" in md
+    assert "| Cutting | precision | 0.800000 | 0.050000 | n/a |" in md
     assert "32:8:40" in md
     with pytest.raises(Exception):
         write_report(_report(), "xml")

@@ -1,16 +1,23 @@
 """Protocol descriptors, the comparability checker, and result ledgers."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from phaseeval.aggregate import AveragingOrder, StdMode
+from phaseeval.io import SchemaError, load_manifest
+from phaseeval.metrics import UndefinedPolicy
+from phaseeval.pipeline import run_evaluate, run_relaxed
 from phaseeval.protocol import (
     HARD,
+    METRIC_NAMES,
     SOFT,
     UNKNOWN,
     DuplicateEntry,
     EmptyLedger,
+    PROTOCOL_FIELDS,
     MetricValue,
     ProtocolDescriptor,
     ReportedResult,
@@ -23,7 +30,8 @@ from phaseeval.protocol import (
     render_leaderboard,
     seed_ledger,
 )
-from phaseeval.io import SchemaError
+from phaseeval.relaxed import MatrixMode
+from phaseeval.synth import generate_corpus
 
 FULL = ProtocolDescriptor(
     split_name="32:8:40",
@@ -45,6 +53,8 @@ def test_descriptor_vocabulary_is_enforced():
         ProtocolDescriptor(std_source="folds")
     with pytest.raises(SchemaError):
         ProtocolDescriptor(f1_variant="macro")
+    with pytest.raises(SchemaError, match=r"^std_mode must be one of"):
+        ProtocolDescriptor(std_mode="bogus")
     ProtocolDescriptor()  # all-unknown is fine
 
 
@@ -78,6 +88,37 @@ def test_omega_checked_only_when_both_relaxed():
     c = ProtocolDescriptor(**{**FULL.__dict__, "relaxed": False, "omega": 5})
     rep2 = check_comparable(a, c)
     assert not any(f.field == "omega" for f in rep2.findings)
+    # neither side relaxed -> omega is not graded at all
+    assert check_comparable(replace(c, omega=10), c).findings == ()
+
+
+# Ledger key, descriptor attribute, the other value, and the finding that
+# a difference in that field alone gives (None: the field is not graded).
+GRADING = [
+    ("split", "split_name", "60:20", ("C", HARD)),
+    ("relaxed", "relaxed", False, ("A", HARD)),
+    ("omega", "omega", 5, ("A", HARD)),
+    ("policy", "policy", "zero-fill", ("policy", HARD)),
+    ("f1_variant", "f1_variant", "mean-of-harmonic", ("f1-variant", HARD)),
+    ("std_source", "std_source", "runs", ("B", SOFT)),
+    ("std_mode", "std_mode", "uncorrected", ("std-mode", SOFT)),
+    ("runs", "runs", 3, None),
+    ("trained_on_validation", "trained_on_validation", True, ("validation-use", SOFT)),
+]
+
+
+def test_grading_covers_every_ledger_field():
+    assert [key for key, *_ in GRADING] == list(PROTOCOL_FIELDS)
+
+
+@pytest.mark.parametrize("key, attr, value, expected", GRADING)
+def test_each_field_alone_gives_its_finding(key, attr, value, expected):
+    a = replace(FULL, relaxed=True, omega=10)
+    rep = check_comparable(a, replace(a, **{attr: value}))
+    want = [] if expected is None else [(*expected, attr)]
+    assert [(f.rule, f.severity, f.field) for f in rep.findings] == want
+    hard = expected is not None and expected[1] == HARD
+    assert rep.verdict is (Verdict.INCOMPARABLE if hard else Verdict.COMPARABLE)
 
 
 def test_std_source_mismatch_is_soft():
@@ -253,3 +294,20 @@ def test_leaderboard_grouping_and_order():
 
     with pytest.raises(EmptyLedger):
         render_leaderboard([], FULL)
+
+
+def test_report_metric_names_are_ledger_metric_names(tmp_path):
+    """Every summary and per-phase key of a report can be a ledger metric."""
+    generate_corpus(tmp_path, 7, 3, 2, 10, 20, 2, 0.1, 0)
+    corpus = load_manifest(tmp_path / "manifest.json")
+    reports = [
+        run_evaluate(
+            corpus, UndefinedPolicy.EXCLUDE_MISSING_PHASE, AveragingOrder.FLAT, StdMode.CORRECTED
+        ),
+        run_relaxed(corpus, 3, MatrixMode.GRAPH_DERIVED, False),
+        run_relaxed(corpus, 3, MatrixMode.LEGACY, True, bug_compatible=True),
+    ]
+    for report in reports:
+        assert set(report.summary) <= set(METRIC_NAMES)
+        for row in report.per_phase.values():
+            assert set(row) <= set(METRIC_NAMES)
