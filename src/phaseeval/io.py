@@ -230,38 +230,57 @@ def _fmt_float(x: float) -> str:
     return format(x, ".6f")
 
 
-def canonical_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats with six fractional digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+# Quotes a string exactly as json.dumps(s, ensure_ascii=False) does.
+_quote = json.encoder.encode_basestring
+
+
+def canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, floats with six fractional digits,
+    two-space indent."""
+    out: list[str] = []
+    _write(obj, out, "\n")
+    return "".join(out)
+
+
+def _write(obj, out: list[str], pad: str) -> None:
+    """Append obj's canonical form to out; pad is the line break and indent
+    of the line obj starts on."""
     if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
         if not math.isfinite(obj):
             raise SchemaError(f"{obj!r} has no JSON form")
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, dict):
+        out.append(_fmt_float(obj))
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = []
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
         for k in sorted(obj, key=str):
-            items.append(
-                f"{inner}{json.dumps(str(k), ensure_ascii=False)}: "
-                f"{canonical_json(obj[k], indent + 1)}"
-            )
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
+            out += (sep, _quote(str(k)), ": ")
+            _write(obj[k], out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        items = [f"{inner}{canonical_json(x, indent + 1)}" for x in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for x in obj:
+            out.append(sep)
+            _write(x, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 _STATS = tuple(f.name for f in fields(MetricSummary))

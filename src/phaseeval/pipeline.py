@@ -149,13 +149,14 @@ def run_relaxed(
     script: its flag rule on the legacy grids, truncated, averaged over
     videos and runs before phases, and only the statistics it prints."""
     phases = corpus.phases
+    if bug_compatible and (matrix_mode is not MatrixMode.LEGACY or not truncate):
+        raise BugCompatConflict("bug-compatible mode needs the legacy grids and truncation")
+    # Both modes pass the grids' phase-count check, though only one uses them.
+    matrices = build_matrices(assumed_workflow(phases)[1], matrix_mode, phases.count)
     if bug_compatible:
-        if matrix_mode is not MatrixMode.LEGACY or not truncate:
-            raise BugCompatConflict("bug-compatible mode needs the legacy grids and truncation")
         tensors, acc = legacy_pipeline(corpus.annotations, corpus.predictions, omega, phases)
         spec = SummarySpec(order=AveragingOrder.VIDEO_FIRST)
     else:
-        matrices = build_matrices(assumed_workflow(phases)[1], matrix_mode, phases.count)
         tensors, acc = relaxed_tensors(
             corpus.annotations, corpus.predictions,
             lambda y: graph_rule(y, omega, matrices), phases, truncate,

@@ -391,9 +391,11 @@ def render_leaderboard(
         raise EmptyLedger("no entries to rank")
     if sort_metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric name {sort_metric!r}")
+    # Descriptors are frozen, so each distinct protocol is graded once.
+    reports = {p: check_comparable(reference, p) for p in {r.protocol for r in results}}
     buckets: dict[tuple, tuple[Verdict, tuple[Finding, ...], list[ReportedResult]]] = {}
     for r in results:
-        report = check_comparable(reference, r.protocol)
+        report = reports[r.protocol]
         key = tuple((f.rule, f.severity, f.field) for f in report.findings)
         if key not in buckets:
             buckets[key] = (report.verdict, report.findings, [])

@@ -9,6 +9,7 @@ dropped (excluded) entry.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -209,3 +210,39 @@ def oracle_std(grid, axis, corrected):
     m = sum(points) / k
     ss = sum((x - m) ** 2 for x in points)
     return math.sqrt(ss / (k - 1 if corrected else k))
+
+
+def oracle_canonical_json(obj, indent=0):
+    """The canonical JSON layout as one string-returning recursion: sorted
+    keys, six fractional digits, two-space indent.  A non-finite float
+    raises ValueError here (the package raises its SchemaError)."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"{obj!r} has no JSON form")
+        return format(obj, ".6f")
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for k in sorted(obj, key=str):
+            items.append(
+                f"{inner}{json.dumps(str(k), ensure_ascii=False)}: "
+                f"{oracle_canonical_json(obj[k], indent + 1)}"
+            )
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{oracle_canonical_json(x, indent + 1)}" for x in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

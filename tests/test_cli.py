@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from phaseeval.cli import main
+from phaseeval.protocol import dump_ledger, seed_ledger
 
 README = Path(__file__).parents[1] / "README.md"
+GOLDEN_CLI = Path(__file__).parent / "data" / "cli"
 
 GOLDEN_Y = [3] * 3 + [4] * 6 + [5] * 6 + [6] * 3
 GOLDEN_P = [3, 5, 4, 4, 3, 3, 3, 4, 6, 3, 4, 4, 6, 5, 6, 5, 4, 6]
@@ -324,6 +326,48 @@ def test_synth_phase_count_past_the_maximum_exits_2(tmp_path, capsys):
     assert "--phase-count must be within 2..256" in err
     assert "Traceback" not in err
     assert not (tmp_path / "c").exists()
+
+
+def test_bug_compat_on_a_5_phase_corpus_exits_1(tmp_path, capsys):
+    """Bug-compatible mode runs on the legacy grids too, so it is refused
+    with the same message as the plain legacy-grid command."""
+    out = tmp_path / "c"
+    main(["synth", "--out-dir", str(out), "--phase-count", "5", "--min-len", "20", "--max-len", "30"])
+    capsys.readouterr()
+    errors = []
+    for extra in ([], ["--bug-compat"]):
+        assert main(["relaxed", str(out / "manifest.json"), "--omega", "2", "--truncate", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert "7-phase" in errors[0]
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("compare-default.json", ["compare"]),
+        (
+            "compare-split-32-8-40-unrelaxed.json",
+            ["compare", "--ref", "split=32:8:40", "--ref", "relaxed=false"],
+        ),
+        (
+            "compare-relaxed-omega10-f1.json",
+            ["compare", "--ref", "relaxed=true", "--ref", "omega=10", "--sort-metric", "f1"],
+        ),
+        ("splits-list.json", ["splits", "--list"]),
+        ("splits-32-8-40.json", ["splits", "32:8:40"]),
+    ],
+)
+def test_cli_output_matches_golden_bytes(golden, argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN_CLI / golden).read_bytes()
+
+
+def test_seed_ledger_dump_matches_golden_bytes():
+    dumped = dump_ledger(seed_ledger()).encode("utf-8")
+    assert dumped == (GOLDEN_CLI / "seed-ledger.json").read_bytes()
 
 
 def _readme_block(lang, heading):

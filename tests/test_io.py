@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from reference import oracle_canonical_json
 
 from phaseeval.aggregate import MetricSummary
 from phaseeval.confusion import LengthMismatch
@@ -261,6 +263,45 @@ def test_canonical_json_parses_and_is_deterministic(obj):
 def test_canonical_json_refuses_non_finite_floats(x):
     with pytest.raises(SchemaError):
         canonical_json({"mean": x})
+    for deep in ({"a": [{"b": x}]}, [(0, {"b": np.float64(x)})]):  # three containers deep
+        with pytest.raises(SchemaError):
+            canonical_json(deep)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"raw", {"a": [frozenset()]}, [1, b""]])
+def test_canonical_json_refuses_unsupported_types(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
+
+
+# Characters that quoting must treat exactly as json.dumps does.
+_AWKWARD = st.sampled_from(
+    ['"', "\\", "\u2028", "\u2029", "\ud800", "\udfff", "\x00", "\x1f", "\x7f", "\n", "é", "𝄞"]
+)
+_TEXT = st.text(st.one_of(st.characters(), _AWKWARD), max_size=12)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    _TEXT,
+)
+
+
+@given(
+    st.recursive(
+        _LEAVES,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(st.one_of(_TEXT, st.integers(-5, 5)), inner, max_size=4),
+        ),
+        max_leaves=20,
+    )
+)
+def test_canonical_json_matches_the_recursive_oracle(obj):
+    assert canonical_json(obj) == oracle_canonical_json(obj)
 
 
 def _report():

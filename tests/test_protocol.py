@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phaseeval.aggregate import AveragingOrder, StdMode
+from phaseeval import protocol
 from phaseeval.io import SchemaError, load_manifest
 from phaseeval.metrics import UndefinedPolicy
 from phaseeval.pipeline import run_evaluate, run_relaxed
@@ -17,6 +18,8 @@ from phaseeval.protocol import (
     UNKNOWN,
     DuplicateEntry,
     EmptyLedger,
+    Leaderboard,
+    LeaderboardGroup,
     PROTOCOL_FIELDS,
     MetricValue,
     ProtocolDescriptor,
@@ -294,6 +297,32 @@ def test_leaderboard_grouping_and_order():
 
     with pytest.raises(EmptyLedger):
         render_leaderboard([], FULL)
+
+
+def test_leaderboard_grades_each_distinct_protocol_once(monkeypatch):
+    relaxed = ProtocolDescriptor(**{**FULL.__dict__, "relaxed": True, "omega": 10})
+    unknown = ProtocolDescriptor()
+    protocols = [FULL, relaxed, ProtocolDescriptor(**FULL.__dict__), relaxed, FULL, unknown]
+    results = [_result(f"m{i}", "s", p, 0.5 + i / 100) for i, p in enumerate(protocols)]
+
+    def group(protocol, *best_first):  # graded on its own, as each entry once was
+        report = check_comparable(FULL, protocol)
+        return LeaderboardGroup(report.verdict, report.findings, tuple(results[i] for i in best_first))
+
+    expected = Leaderboard(
+        FULL, "accuracy", (group(FULL, 4, 2, 0), group(unknown, 5), group(relaxed, 3, 1))
+    )
+    graded = []
+
+    def counting(reference, candidate):
+        graded.append(candidate)
+        return check_comparable(reference, candidate)
+
+    monkeypatch.setattr(protocol, "check_comparable", counting)
+    board = render_leaderboard(results, FULL)
+    assert len(graded) == 3
+    assert set(graded) == {FULL, relaxed, unknown}
+    assert board == expected
 
 
 def test_report_metric_names_are_ledger_metric_names(tmp_path):

@@ -21,6 +21,7 @@ from phaseeval.relaxed import (
     LEGACY_WATERMARK,
     InvalidGrids,
     InvalidOmega,
+    LegacyGridsUnavailable,
     MatrixMode,
     RelaxMatrices,
     SegmentShorterThanOmega,
@@ -364,3 +365,11 @@ def test_legacy_pipeline_guards_config():
     ):
         with pytest.raises(BugCompatConflict):
             run_relaxed(corpus, 2, mode, truncate, bug_compatible=True)
+
+
+@pytest.mark.parametrize("bug_compatible", [False, True])
+def test_legacy_grids_need_seven_phases_in_every_mode(bug_compatible):
+    y = _seq([0] * 4 + [1] * 4 + [4] * 4)
+    corpus = Corpus(PhaseSet(5), {1: y}, {1: {"r0": y}})
+    with pytest.raises(LegacyGridsUnavailable, match="not a 5-phase workflow"):
+        run_relaxed(corpus, 2, MatrixMode.LEGACY, True, bug_compatible=bug_compatible)
