@@ -99,9 +99,9 @@ class LabelSequence:
             raise EmptySequence("label sequence has no frames")
         if labels.dtype.kind not in "biu":
             raise OutOfRangeLabel(f"labels must be integers in 0..{LABEL_MAX}")
-        if labels.min() < 0:
+        if labels.dtype.kind == "i" and labels.min() < 0:  # only signed can be negative
             raise OutOfRangeLabel("labels must be non-negative")
-        if labels.max() > LABEL_MAX:
+        if not np.can_cast(labels.dtype, np.int32) and labels.max() > LABEL_MAX:
             raise OutOfRangeLabel(f"labels must not exceed {LABEL_MAX}")
         labels = labels.astype(np.int32)
         labels.flags.writeable = False

@@ -1,7 +1,7 @@
 """File formats: label files, evaluation manifests and report serialization.
 
-A label file is UTF-8 text, one non-negative integer per line, with an
-optional final newline; blank interior lines are rejected.  A manifest is
+A label file is ASCII decimal, one non-negative integer per line, with an
+optional final newline and no blank lines.  A manifest is
 a JSON document naming, per video, one annotation file and one prediction
 file per run id; run-id sets must agree across videos.
 
@@ -17,6 +17,7 @@ import csv
 import io as _io
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
@@ -63,14 +64,15 @@ def parse_labels(text: str | bytes) -> LabelSequence:
         data, errors = text.encode("utf-8", "surrogatepass"), "surrogatepass"
     else:
         data, errors = text, "backslashreplace"
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if buf.size == 0:
+    if not data:
         raise EmptyFile("no frames")
+    # One digit a line, the usual layout: each (digit, newline) byte pair, read
+    # as a little-endian uint16, is 0x0A30 plus the digit; any other wraps past 9.
+    labels = np.frombuffer(data + b"\n"[: len(data) % 2], "<u2") - 0x0A30
+    if labels.max() <= 9:
+        return LabelSequence(labels)
+    buf = np.frombuffer(data, dtype=np.uint8)
     digit = buf - np.uint8(_ZERO)  # non-digit bytes wrap to values above 9
-    # One digit a line, the usual layout, is read without the line arrays
-    # below, whose allocation costs more than the parsing itself.
-    if (buf[1::2] == _NEWLINE).all() and (digit[::2] <= 9).all():
-        return LabelSequence(digit[::2])
     newline = buf == _NEWLINE
     ends = np.flatnonzero(newline)  # one past each line's last byte
     if not newline[-1]:
@@ -104,11 +106,12 @@ def parse_labels(text: str | bytes) -> LabelSequence:
 
 
 def load_labels(path: str | Path) -> LabelSequence:
-    """Read one label file (one integer per line)."""
-    p = Path(path)
-    if not p.is_file():
-        raise MissingFile(str(p))
-    return parse_labels(p.read_bytes())
+    """Read one label file: the one Path(path) names, a trailing "/" or "/." dropped."""
+    name = os.fspath(path)
+    if not (os.path.isfile(name) or os.path.isfile(name := str(Path(name)))):
+        raise MissingFile(name)
+    with open(name, "rb", buffering=0) as f:
+        return parse_labels(f.read())
 
 
 def dump_labels(seq: LabelSequence) -> str:
@@ -172,7 +175,17 @@ def load_manifest(path: str | Path) -> Corpus:
     if not isinstance(videos, list) or not videos:
         raise SchemaError("videos must be a non-empty list")
     phases = PhaseSet(phase_count)
-    base = p.parent
+    base = os.fspath(p.parent)
+
+    def load(rel: str) -> LabelSequence:
+        path = os.path.join(base, rel)
+        try:
+            seq = load_labels(path)
+            validate_sequence(seq, phases)
+            return seq
+        except (EmptyFile, ParseError, OutOfRangeLabel) as e:
+            e.args = (f"{Path(path)}: {e}",)  # name the file, keep the class
+            raise
     annotations: dict[int, LabelSequence] = {}
     predictions: dict[int, dict[str, LabelSequence]] = {}
     run_ids: tuple[str, ...] | None = None
@@ -197,15 +210,12 @@ def load_manifest(path: str | Path) -> Corpus:
             raise RaggedRuns(
                 f"video {vid} has runs {list(entry_runs)}, expected {list(run_ids)}"
             )
-        annotation = load_labels(base / ann_path)
-        validate_sequence(annotation, phases)
-        annotations[vid] = annotation
+        annotation = annotations[vid] = load(ann_path)
         predictions[vid] = {}
         for run, rel in preds.items():
             if not isinstance(rel, str):
                 raise SchemaError(f"video {vid} run {run!r}: path must be a string")
-            pred = load_labels(base / rel)
-            validate_sequence(pred, phases)
+            pred = load(rel)
             if len(pred) != len(annotation):
                 raise LengthMismatch(
                     f"video {vid} run {run}: prediction has {len(pred)} frames, "

@@ -307,6 +307,25 @@ def test_label_wider_than_int32_exits_1(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("", "no frames"),
+        ("0\nx\n1\n", "line 2: not a non-negative integer: 'x'"),
+        ("9\n0\n1\n", "label 9 at frame 0 exceeds phase range 0..6"),
+    ],
+)
+def test_label_file_errors_name_the_file(tmp_path, capsys, content, message):
+    """An empty, malformed or out-of-range label file is named in the error,
+    among the many files a corpus holds."""
+    y = [0, 0, 1]
+    path = _write_corpus(tmp_path, {1: (y, {"r0": y, "r1": y}), 2: (y, {"r0": y, "r1": y})})
+    bad = tmp_path / "video02" / "r1.txt"
+    bad.write_text(content)
+    assert main(["evaluate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["evaluate"], ["relaxed", "--matrices", "graph"]])
 def test_phase_count_past_the_maximum_exits_1(tmp_path, capsys, argv):
     """The counts would take phase_count**2 int64 a (video, run) pair: the

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from phaseeval.core import (
     CHOLEC80_PHASE_NAMES,
+    LABEL_MAX,
     MAX_PHASES,
     EmptySequence,
     LabelSequence,
@@ -68,6 +69,35 @@ def test_label_array_is_read_only_int32():
 def test_label_sequence_hashes_by_value():
     a, b = LabelSequence((0, 1)), LabelSequence(np.array([0, 1], dtype=np.int64))
     assert hash(a) == hash(b) and len({a, b, LabelSequence((0, 2))}) == 2
+
+
+@pytest.mark.parametrize(
+    "dtype", [bool, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+)
+def test_label_sequence_dtype_matrix(dtype):
+    """Each integer dtype: values up to its own or int32's bound are taken as
+    a read-only int32 copy, and one step past either bound is refused."""
+    lo, hi = (0, 1) if dtype is bool else (int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+    top = min(hi, LABEL_MAX)
+    cases = [([0, 1, top], None), ([top, 0], None)]
+    if lo < 0:
+        cases.append(([0, -1], "labels must be non-negative"))
+        cases.append(([lo, 0], "labels must be non-negative"))
+    if hi > LABEL_MAX:
+        cases.append(([0, LABEL_MAX + 1], f"labels must not exceed {LABEL_MAX}"))
+        cases.append(([1, hi], f"labels must not exceed {LABEL_MAX}"))
+        if lo < 0:  # both bounds crossed: the sign is reported first
+            cases.append(([LABEL_MAX + 1, -1], "labels must be non-negative"))
+    for values, message in cases:
+        source = np.array(values, dtype=dtype)
+        if message is not None:
+            with pytest.raises(OutOfRangeLabel, match=f"^{message}$"):
+                LabelSequence(source)
+            continue
+        seq = LabelSequence(source)
+        assert seq.labels.dtype == np.int32 and not seq.labels.flags.writeable
+        assert seq.labels.tolist() == [int(v) for v in values]
+        assert seq.labels.base is not source and not np.shares_memory(seq.labels, source)
 
 
 @pytest.mark.parametrize(

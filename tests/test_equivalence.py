@@ -2,6 +2,7 @@
 the brute-force oracles on random small grids, and report bytes against
 reports written by the implementations they replaced."""
 
+import json
 import math
 from pathlib import Path
 
@@ -376,6 +377,15 @@ def _report_argv(manifest: str) -> dict[str, list[str]]:
     return argv
 
 
+def _assert_goldens(tmp_path: Path, manifest: Path, goldens) -> None:
+    argv = _report_argv(str(manifest))
+    for golden in goldens:
+        out = tmp_path / golden.name
+        fmt = golden.suffix.lstrip(".")
+        assert main([*argv[golden.stem], "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == golden.read_bytes(), golden.name
+
+
 def test_reports_match_committed_bytes(tmp_path, capsys):
     assert main(["synth", "--out-dir", str(tmp_path / "c"), *SYNTH]) == 0
     capsys.readouterr()
@@ -383,8 +393,39 @@ def test_reports_match_committed_bytes(tmp_path, capsys):
     assert sorted(argv) == sorted(p.stem for p in REPORTS.glob("*.json"))
     # plus csv and md goldens of a few reports, whose writers lay out the same
     # summary and per-phase rows differently
-    for golden in sorted(REPORTS.iterdir()):
-        out = tmp_path / golden.name
-        fmt = golden.suffix.lstrip(".")
-        assert main([*argv[golden.stem], "--format", fmt, "--out", str(out)]) == 0
-        assert out.read_bytes() == golden.read_bytes(), golden.name
+    _assert_goldens(tmp_path, tmp_path / "c" / "manifest.json", sorted(REPORTS.iterdir()))
+
+
+def _zero_padded(root: Path) -> None:
+    """Two digits a label: the general parse path instead of the one-digit one."""
+    for f in root.glob("video*/*.txt"):
+        f.write_text("".join(f"{int(x):02d}\n" for x in f.read_text().split()))
+
+
+def _no_final_newline(root: Path) -> None:
+    for f in root.glob("video*/*.txt"):
+        f.write_bytes(f.read_bytes().removesuffix(b"\n"))
+
+
+def _odd_label_paths(root: Path) -> None:
+    """Entries pathlib reads as the same file: a trailing "/", "./", "//", "/."."""
+    manifest = root / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    for entry, (before, after) in zip(doc["videos"], [("", "/"), ("./", ""), ("./", "/.")]):
+        parent, name = entry["annotation"].split("/")
+        entry["annotation"] = f"{before}{parent}//{name}{after}"
+        entry["predictions"] = {r: f"{before}{p}{after}" for r, p in entry["predictions"].items()}
+    manifest.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("rewrite", [_zero_padded, _no_final_newline, _odd_label_paths])
+def test_rewritten_golden_corpus_gives_the_committed_reports(tmp_path, capsys, rewrite):
+    """The same labels read through the general parse path, without final
+    newlines, or through label paths written differently."""
+    assert main(["synth", "--out-dir", str(tmp_path / "c"), *SYNTH]) == 0
+    capsys.readouterr()
+    files = sorted(p for p in (tmp_path / "c").rglob("*") if p.is_file())
+    before = [p.read_bytes() for p in files]
+    rewrite(tmp_path / "c")
+    assert [p.read_bytes() for p in files] != before
+    _assert_goldens(tmp_path, tmp_path / "c" / "manifest.json", sorted(REPORTS.glob("*.json")))

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from reference import oracle_canonical_json
 from phaseeval.aggregate import MetricSummary
 from phaseeval.confusion import LengthMismatch
 from phaseeval.aggregate import AveragingOrder, StdMode
-from phaseeval.core import LabelSequence, PhaseSet
+from phaseeval.core import LABEL_MAX, LabelSequence, OutOfRangeLabel, PhaseSet
 from phaseeval.errors import PhaseEvalError
 from phaseeval.io import (
     Corpus,
@@ -102,17 +104,57 @@ label_text = st.one_of(
 )
 
 
+def _line_oracle(data: bytes) -> list[int] | int:
+    """The labels as int() reads each line, when every line is ASCII digits;
+    otherwise the 1-based number of the first line that is not (bytes.isdigit
+    is false on an empty line)."""
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    bad = [i for i, line in enumerate(lines) if not line.isdigit()]
+    return bad[0] + 1 if bad else [int(line) for line in lines]
+
+
+def _assert_parses_as_oracle(data: bytes, text: str | bytes) -> None:
+    """parse_labels(text), where text is data or its decoding, against _line_oracle."""
+    want = _line_oracle(data)
+    if isinstance(want, int):
+        with pytest.raises(ParseError) as exc:
+            parse_labels(text)
+        assert exc.value.line == want
+    elif any(label > LABEL_MAX for label in want):
+        first = next(i for i, label in enumerate(want) if label > LABEL_MAX)
+        with pytest.raises(OutOfRangeLabel, match=f"^line {first + 1}: "):
+            parse_labels(text)
+    else:
+        seq = parse_labels(text)
+        assert seq.labels.dtype == np.int32
+        assert list(seq) == want
+
+
 @given(label_text, st.booleans())
 def test_parse_labels_fuzz(text, as_bytes):
-    """Either every line is read as int() reads it, or a typed error."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    try:
-        seq = parse_labels(text.encode("utf-8", "surrogatepass") if as_bytes else text)
-    except PhaseEvalError:
+    """Either every line is read as int() reads it, or a typed error naming
+    the first line that is not."""
+    data = text.encode("utf-8", "surrogatepass")
+    if not data:
+        with pytest.raises(EmptyFile):
+            parse_labels(data if as_bytes else text)
         return
-    assert list(seq) == [int(line) for line in lines]
+    _assert_parses_as_oracle(data, data if as_bytes else text)
+
+
+@pytest.mark.parametrize("base", [b"3\n1\n4\n1\n5\n", b"3\n1\n4\n1\n5", b"2\n", b"7"])
+def test_one_digit_layout_edits_parse_as_the_line_oracle(base):
+    """The one-digit-a-line fast path accepts exactly what the line-by-line
+    reading accepts: every byte replaced by a neighbour of the digits, a
+    newline, a carriage return or an edge digit, and a newline-digit pair
+    written where a digit-newline pair belongs."""
+    for i in range(len(base)):
+        edits = [base[:i] + bytes([b]) + base[i + 1 :] for b in b"/:\n\r09"]
+        edits.append(base[:i] + b"\n5" + base[i + 2 :])
+        for data in edits:
+            _assert_parses_as_oracle(data, data)
 
 
 def test_parse_labels_empty():
@@ -127,8 +169,15 @@ def test_labels_round_trip(labels):
 
 
 def test_load_labels_missing(tmp_path):
-    with pytest.raises(MissingFile):
-        load_labels(tmp_path / "nope.txt")
+    """A missing path or one that is not a regular file, reported as pathlib
+    names it.  A FIFO is never opened, since that would wait for a writer."""
+    with pytest.raises(MissingFile, match=f"^{re.escape(str(tmp_path / 'nope.txt'))}$"):
+        load_labels(f"{tmp_path}/./nope.txt/")
+    fifo = tmp_path / "fifo.txt"
+    os.mkfifo(fifo)
+    for path in (tmp_path, fifo, f"{fifo}/"):
+        with pytest.raises(MissingFile):
+            load_labels(path)
 
 
 def _write_corpus(tmp_path, *, lengths=None, runs=("r0", "r1")):
@@ -173,6 +222,26 @@ def test_load_manifest_rejects_length_mismatch(tmp_path):
     (tmp_path / "video01" / "r0.txt").write_text("0\n0\n")
     with pytest.raises(LengthMismatch):
         load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "content, error, message",
+    [
+        ("", EmptyFile, "no frames"),
+        ("0\nx\n", ParseError, "line 2: not a non-negative integer: 'x'"),
+        ("0\n2147483648\n", OutOfRangeLabel, "line 2: label 2147483648 exceeds 2147483647"),
+        ("9\n0\n", OutOfRangeLabel, "label 9 at frame 0 exceeds phase range 0..6"),
+    ],
+)
+def test_load_manifest_errors_name_the_label_file(tmp_path, content, error, message):
+    path = _write_corpus(tmp_path)
+    (tmp_path / "video02" / "r1.txt").write_text(content)
+    with pytest.raises(error) as exc:
+        load_manifest(path)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{tmp_path / 'video02' / 'r1.txt'}: {message}"
+    if error is ParseError:
+        assert exc.value.line == 2
 
 
 @pytest.mark.parametrize(
