@@ -125,7 +125,7 @@ class ResultTensor:
             )
         defined = state == DEFINED
         kept = values[defined]
-        known = np.isin(state, range(len(STATES))).all()
+        known = state.min() >= 0 and state.max() < len(STATES)
         if not (known and ((kept >= 0) & (kept < math.inf)).all()):
             raise ValueError("cells need a known state, and finite values >= 0 if defined")
         values[~defined] = math.nan

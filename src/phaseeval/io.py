@@ -13,6 +13,7 @@ evaluation settings.
 
 from __future__ import annotations
 
+import copyreg
 import csv
 import io as _io
 import json
@@ -38,6 +39,9 @@ class ParseError(PhaseEvalError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+    def __reduce__(self):  # args hold the formatted text, so rebuild without __init__
+        return copyreg.__newobj__, (type(self),), {**vars(self), "args": self.args}
 
 
 class EmptyFile(PhaseEvalError):

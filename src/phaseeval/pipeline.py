@@ -12,11 +12,10 @@ from .aggregate import (
     StdMode,
     SummarySpec,
     phase_summaries,
-    stack_confusions,
     summarize,
     video_tensor,
 )
-from .confusion import confusion_of
+from .confusion import confusion_stack
 from .core import assumed_workflow
 from .errors import PhaseEvalError
 from .io import Corpus, EvaluationReport
@@ -76,13 +75,7 @@ def run_evaluate(
 ) -> EvaluationReport:
     """Regular (unrelaxed) metric report over a loaded corpus."""
     phases = corpus.phases
-    videos, runs, counts = stack_confusions({
-        v: {
-            r: confusion_of(corpus.annotations[v], pred, phases)
-            for r, pred in corpus.predictions[v].items()
-        }
-        for v in corpus.videos
-    })
+    videos, runs, counts = confusion_stack(corpus.annotations, corpus.predictions, phases)
     per_pair = phase_counts(counts)  # (phase, video, run) arrays
     spec = SummarySpec(std_mode=std_mode, order=order)
     summary, per_phase = _summaries({

@@ -22,15 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
+from itertools import chain
 from typing import Callable, Mapping, NamedTuple, Sequence, overload
 
 import numpy as np
 
 from .aggregate import ResultTensor, grid_axes, video_tensor
-from .confusion import LengthMismatch
+from .confusion import LengthMismatch, check_lengths
 from .core import (
+    MAX_PHASES,
     LabelSequence,
     PhaseSet,
+    UnsupportedPhaseCount,
     WorkflowGraph,
     cholec80_graph,
     segment_bounds,
@@ -150,14 +153,6 @@ def _check_omega(omega: int) -> None:
         raise InvalidOmega(f"omega must be within 0..{OMEGA_MAX}, got {omega}")
 
 
-def _check_pair(annotation: LabelSequence, prediction: LabelSequence):
-    if len(annotation) != len(prediction):
-        raise LengthMismatch(
-            f"annotation has {len(annotation)} frames, "
-            f"prediction has {len(prediction)}"
-        )
-
-
 Flags = Callable[[LabelSequence], np.ndarray]
 
 
@@ -175,7 +170,7 @@ def _rule(annotation: LabelSequence, segments, w, accept, end_on_head: bool) -> 
     row = np.repeat(np.concatenate((phase, phase + len(accept) // 2)), np.tile(w, 2))
 
     def flags(prediction: LabelSequence) -> np.ndarray:
-        _check_pair(annotation, prediction)
+        check_lengths(annotation, prediction)
         mask = annotation.labels == prediction.labels
         mask[put[accept[row, np.minimum(prediction.labels[read], accept.shape[1] - 1)]]] = True
         return mask
@@ -263,6 +258,13 @@ class RelaxedCounts(NamedTuple):
     annotated: int
 
 
+# Rows r_tp, union, predicted and annotated; columns the diagonals, row sums
+# and column sums of the unchanged and changed squares.  A changed frame on the
+# diagonal is an agreement left unflagged, off it a forgiven mismatch (both sides).
+_COMBINE = np.array([
+    [1, -2, 0, 1, 0, 1], [-1, -1, 1, 1, 1, 1], [0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 0]])
+
+
 @overload
 def relaxed_counts(
     annotation: LabelSequence,
@@ -290,14 +292,16 @@ def relaxed_counts(annotation, prediction, flags, phase):
     predicted) counts, corrected by the frames whose flag differs from
     exact agreement (under a relaxation rule, the forgiven mismatches).
     """
-    _check_pair(annotation, prediction)
+    check_lengths(annotation, prediction)
     if len(flags) != len(annotation):
         raise LengthMismatch("flags do not cover the sequence")
     single = not isinstance(phase, range)
     phases = range(phase, phase + 1) if single else phase
     if phases.step != 1:
         raise ValueError("phases must be a contiguous range")
-    width = len(phases)
+    width = max(phases.stop - phases.start, 0)
+    if width > MAX_PHASES:
+        raise UnsupportedPhaseCount(f"cannot count {width} phases at once, at most {MAX_PHASES}")
 
     # Each label's offset into `phases` in uint32: labels (0..2**31-1) below
     # the range wrap to huge values, so every label outside it lands in the
@@ -312,19 +316,13 @@ def relaxed_counts(annotation, prediction, flags, phase):
     pair = offsets(annotation.labels)
     pair *= np.uint32(width + 1)
     pair += offsets(prediction.labels)
+    # Frames whose flag differs from exact agreement go to a second
+    # (annotated, predicted) square, so one bincount counts both.
     changed = np.asarray(flags, dtype=bool) != (annotation.labels == prediction.labels)
-
-    def count(index):
-        bins = np.bincount(index, minlength=(width + 1) ** 2).reshape(width + 1, width + 1)
-        return bins.diagonal()[:width], bins.sum(axis=1)[:width], bins.sum(axis=0)[:width]
-
-    tp, annotated, predicted = count(pair)
-    # Changed frames on the diagonal are agreements left unflagged, the
-    # others forgiven mismatches: each counts for its phase on both sides.
-    lost, forgiven_y, forgiven_yhat = count(pair[changed])
-    r_tp = tp - 3 * lost + forgiven_y + forgiven_yhat
-    fields = (r_tp, annotated + predicted - tp, predicted, annotated)
-    counts = tuple(map(RelaxedCounts, *(f.tolist() for f in fields)))
+    np.add(pair, np.uint32((width + 1) ** 2), out=pair, where=changed)
+    bins = np.bincount(pair, minlength=2 * (width + 1) ** 2).reshape(2, width + 1, width + 1)
+    parts = np.concatenate((bins.diagonal(0, 1, 2), bins.sum(2), bins.sum(1)))[:, :width]
+    counts = tuple(map(RelaxedCounts._make, (_COMBINE @ parts).T.tolist()))
     return counts[0] if single else counts
 
 
@@ -380,11 +378,11 @@ def relaxed_tensors(
         for r in runs:
             yhat = predictions[v][r]
             flags = flags_of(yhat)
-            acc.append(relaxed_accuracy(flags).value)
+            acc.append(np.count_nonzero(flags) / len(flags))  # relaxed_accuracy(flags).value
             counts.append(relaxed_counts(y, yhat, flags, range(phases.count)))
     shape = (len(videos), len(runs))
-    stack = np.array(counts, dtype=np.int64).reshape(*shape, phases.count, 4)
-    grid = RelaxedCounts(*np.moveaxis(stack, (3, 2), (0, 1)))  # (phase, video, run)
+    stack = np.fromiter(chain.from_iterable(chain.from_iterable(counts)), np.int64)
+    grid = RelaxedCounts(*np.moveaxis(stack.reshape(*shape, -1, 4), (3, 2), (0, 1)))
     tensors = {
         kind: apply_policy(
             ResultTensor.build(phases, videos, runs, relaxed_cells(kind, grid, truncate)),

@@ -89,6 +89,15 @@ def test_tensor_layout_and_lookup():
     assert not t.cell_at(1, 0, 1).is_defined
 
 
+@pytest.mark.parametrize("code", [-128, -1, 3, 127])
+def test_tensor_rejects_unknown_state_codes(code):
+    state = np.array([[[0], [1], [2]]], dtype=np.int8)
+    ResultTensor((0,), (1, 2, 3), ("r",), np.zeros((1, 3, 1)), state)  # every known code
+    state[0, 1, 0] = code
+    with pytest.raises(ValueError, match="known state"):
+        ResultTensor((0,), (1, 2, 3), ("r",), np.zeros((1, 3, 1)), state)
+
+
 def test_mean_cells_skips_non_defined():
     cells = [MetricCell.defined(0.2), UNDEFINED_CELL, MetricCell.defined(0.4)]
     assert mean_cells(cells).value == pytest.approx(0.3)

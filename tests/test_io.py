@@ -1,8 +1,10 @@
 """Label files, corpus manifests, and report serialization."""
 
+import copy
 import json
 import math
 import os
+import pickle
 import re
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 from reference import oracle_canonical_json
 
+import phaseeval.cli  # noqa: F401  (defines every error class of the package)
 from phaseeval.aggregate import MetricSummary
 from phaseeval.confusion import LengthMismatch
 from phaseeval.aggregate import AveragingOrder, StdMode
@@ -244,6 +247,39 @@ def test_load_manifest_errors_name_the_label_file(tmp_path, content, error, mess
         assert exc.value.line == 2
 
 
+def _error_classes(cls=PhaseEvalError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+def _clones(error):
+    return pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(set(_error_classes()), key=str), ids=lambda c: f"{c.__module__}.{c.__name__}"
+)
+def test_every_error_survives_pickle_and_copy(cls):
+    """So an error raised in a worker process reaches its parent intact."""
+    error = cls("bad", 2) if issubclass(cls, ParseError) else cls("bad")
+    for clone in _clones(error):
+        assert type(clone) is cls
+        assert clone.args == error.args and str(clone) == str(error)
+        assert vars(clone) == vars(error)
+
+
+def test_load_time_parse_error_survives_pickle_and_copy(tmp_path):
+    path = _write_corpus(tmp_path)
+    (tmp_path / "video02" / "r1.txt").write_text("0\nx\n")
+    with pytest.raises(ParseError) as exc:
+        load_manifest(path)
+    assert str(exc.value).startswith(str(tmp_path / "video02" / "r1.txt"))
+    for clone in _clones(exc.value):
+        assert type(clone) is ParseError
+        assert str(clone) == str(exc.value) and clone.line == 2
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -291,6 +327,25 @@ _RUNNERS = [
 def test_corpus_maps_must_name_the_same_videos_with_runs(run, annotations, predictions):
     with pytest.raises(SchemaError):
         run(Corpus(PhaseSet(7), annotations, predictions))
+
+
+@pytest.mark.parametrize("run", _RUNNERS, ids=["evaluate", "graph-relaxed", "bug-compat"])
+def test_hand_built_corpus_with_a_short_prediction_is_a_length_mismatch(run):
+    """A Corpus built without load_manifest is still length-checked, in
+    any pair of the grid."""
+    short = LabelSequence(_Y.labels[:-1])
+    grid = {1: {"a": _Y, "b": _Y}, 2: {"a": _Y, "b": short}}
+    with pytest.raises(LengthMismatch):
+        run(Corpus(PhaseSet(7), {1: _Y, 2: _Y}, grid))
+
+
+@pytest.mark.parametrize("where", ["annotation", "prediction"])
+def test_hand_built_corpus_with_a_label_past_the_phases_is_out_of_range(where):
+    bad = LabelSequence([0] * 4 + [1] * 3 + [7])
+    annotations = {1: _Y, 2: bad if where == "annotation" else _Y}
+    grid = {1: {"a": _Y, "b": _Y}, 2: {"a": _Y, "b": bad if where == "prediction" else _Y}}
+    with pytest.raises(OutOfRangeLabel, match="label 7 at frame 7"):
+        _RUNNERS[0](Corpus(PhaseSet(7), annotations, grid))
 
 
 def test_canonical_json_is_sorted_and_fixed_point():

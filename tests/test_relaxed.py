@@ -1,17 +1,23 @@
 """Boundary-relaxed scoring: acceptance grids, window flags, the
 bit-exact reproduction of the shared legacy script, and its pipeline."""
 
+from functools import partial
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import phaseeval.relaxed
 from phaseeval.aggregate import RaggedRuns
 from phaseeval.cli import run_relaxed
 from phaseeval.pipeline import BugCompatConflict
 from phaseeval.core import (
+    MAX_PHASES,
     LabelSequence,
     OutOfRangeLabel,
     PhaseSet,
+    UnsupportedPhaseCount,
     cholec80_graph,
     extract_segments,
 )
@@ -27,6 +33,7 @@ from phaseeval.relaxed import (
     SegmentShorterThanOmega,
     build_matrices,
     graph_rule,
+    legacy_rule,
     relax_flags,
     relax_flags_legacy,
     relaxed_accuracy,
@@ -287,6 +294,66 @@ def test_counts_stay_small_for_the_largest_label():
     )
     with pytest.raises(ValueError):
         relaxed_counts(y, yhat, flags, range(0, 4, 2))
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [range(0, MAX_PHASES + 1), range(-1, MAX_PHASES), range(0, 2**31), range(-(2**40), 2**40)],
+)
+def test_counts_refuse_a_range_wider_than_max_phases(phases):
+    """Refused before anything is allocated: a wide enough range would wrap
+    the uint32 pair index and ask bincount for 2 * (width + 1)**2 bins."""
+    y = _seq([0, 1, 1])
+    with pytest.raises(UnsupportedPhaseCount, match=f"at most {MAX_PHASES}"):
+        relaxed_counts(y, y, (True, True, True), phases)
+
+
+def test_counts_of_max_phases_at_once_match_each_phase():
+    y, yhat = _seq([0, 255, 255, 3]), _seq([255, 255, 7, 3])
+    flags = (True, True, False, False)
+    assert relaxed_counts(y, yhat, flags, range(MAX_PHASES)) == tuple(
+        relaxed_counts(y, yhat, flags, p) for p in range(MAX_PHASES)
+    )
+
+
+@given(
+    st.lists(segmented, min_size=1, max_size=3),
+    st.integers(1, 3),
+    st.integers(0, 4),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=100)
+def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, data):
+    """The (phase, video, run) counts relaxed_tensors scores are those of
+    relaxed_counts on each pair, and each accuracy is relaxed_accuracy's
+    float bit for bit, under both flag rules."""
+    anns, preds = {}, {}
+    for v, segs in enumerate(videos):
+        y = [p for p, n in segs for _ in range(n)]
+        anns[v] = _seq(y)
+        labels = st.lists(st.integers(0, 8), min_size=len(y), max_size=len(y))
+        preds[v] = {f"r{r}": _seq(data.draw(labels)) for r in range(runs)}
+    rule_of = partial(legacy_rule, omega=omega) if legacy else partial(
+        graph_rule, omega=omega, matrices=GRAPH_MX
+    )
+    scored, seen = phaseeval.relaxed.relaxed_cells, []
+
+    def spy(kind, counts, truncate):
+        seen.append(counts)
+        return scored(kind, counts, truncate)
+
+    with mock.patch.object(phaseeval.relaxed, "relaxed_cells", spy):
+        _, acc = relaxed_tensors(anns, preds, rule_of, PhaseSet(7), legacy)
+    assert len(seen) == 3  # precision, recall and jaccard, all of one stack
+    for v in anns:
+        flags_of = rule_of(anns[v])
+        for ri, r in enumerate(sorted(preds[v])):
+            flags = flags_of(preds[v][r])
+            want = relaxed_counts(anns[v], preds[v][r], flags, range(7))
+            for counts in seen:
+                assert tuple(tuple(f[p, v, ri] for f in counts) for p in range(7)) == want
+            assert acc.values[0, v, ri] == relaxed_accuracy(flags).value
 
 
 def test_relaxed_metric_undefined_on_zero_denominator():
