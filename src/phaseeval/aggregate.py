@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -38,46 +37,21 @@ from .metrics import (
     phase_cells,
     phase_counts,
 )
+from .vocab import AveragingOrder, MetricSummary, RaggedRuns, StdMode
 
 
 class NoDefinedCells(PhaseEvalError):
     """An average over zero defined cells has no value."""
 
 
-class RaggedRuns(PhaseEvalError):
-    """Videos in one manifest or video/run grid must share the same run ids."""
-
-
 class InsufficientPoints(PhaseEvalError):
     """A standard deviation needs at least two points."""
-
-
-class AveragingOrder(Enum):
-    FLAT = "flat"
-    PHASE_FIRST = "phase-first"
-    VIDEO_FIRST = "video-first"
-
-
-class StdMode(Enum):
-    CORRECTED = "corrected"
-    UNCORRECTED = "uncorrected"
 
 
 @dataclass(frozen=True)
 class SummarySpec:
     std_mode: StdMode = StdMode.CORRECTED
     order: AveragingOrder = AveragingOrder.FLAT
-
-
-@dataclass(frozen=True)
-class MetricSummary:
-    """Mean plus per-axis spreads; None marks a statistic with no value
-    (a single-point axis, or no defined cells at all)."""
-
-    mean: float | None
-    sd_videos: float | None
-    sd_phases: float | None
-    sd_runs: float | None
 
 
 class CellView(Sequence):

@@ -9,7 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 evaluation error, 2 usage error.  Flags are
 validated before any file IO.  Reports come from `pipeline`, corpora from
-`synth`; run_evaluate and run_relaxed stay importable from here.
+`synth`; run_evaluate and run_relaxed stay importable from here.  Each
+command imports only the modules it uses, so compare and splits never
+load numpy.
 """
 
 from __future__ import annotations
@@ -18,36 +20,47 @@ import argparse
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .aggregate import AveragingOrder, StdMode
-from .core import MAX_PHASES, UnknownSplit, builtin_split_names, cv_folds, resolve_split
 from .errors import PhaseEvalError
-from .io import REPORT_FORMATS, SchemaError, canonical_json, load_manifest, write_report
-from .metrics import UndefinedPolicy
-from .pipeline import run_evaluate, run_relaxed
-from .protocol import (
-    METRIC_NAMES,
-    ProtocolDescriptor,
-    ingest_ledger,
-    leaderboard_obj,
-    parse_reference,
-    render_leaderboard,
-    seed_ledger,
-)
-from .relaxed import OMEGA_MAX, MatrixMode
-from .synth import generate_corpus
+from .vocab import MAX_PHASES, METRIC_NAMES, OMEGA_MAX, REPORT_FORMATS, SchemaError, UnknownSplit
+from .vocab import AveragingOrder, MatrixMode, StdMode, UndefinedPolicy, decimal
+from .vocab import builtin_split_names, canonical_json, cv_folds, resolve_split
+
+if TYPE_CHECKING:
+    from .protocol import ProtocolDescriptor
+
+
+def run_evaluate(*args, **kwargs):
+    """pipeline.run_evaluate, which loads the report machinery on first call."""
+    from . import pipeline
+
+    return pipeline.run_evaluate(*args, **kwargs)
+
+
+def run_relaxed(*args, **kwargs):
+    """pipeline.run_relaxed, which loads the report machinery on first call."""
+    from . import pipeline
+
+    return pipeline.run_relaxed(*args, **kwargs)
 
 
 # ------------------------------------------------------------ commands
 
 def _emit(text: str, out: str) -> None:
+    """Write text as UTF-8 to the file `out`, or to stdout's bytes for "-"
+    whatever the locale, so both carry the same bytes."""
+    data = text.encode("utf-8")
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()  # text already written goes first
+        sys.stdout.buffer.write(data)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_bytes(data)
 
 
 def cmd_evaluate(args) -> int:
+    from .io import load_manifest, write_report
+
     corpus = load_manifest(args.manifest)
     policy, order = UndefinedPolicy(args.policy), AveragingOrder(args.order)
     report = run_evaluate(corpus, policy, order, StdMode(args.std_mode))
@@ -56,6 +69,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_relaxed(args) -> int:
+    from .io import load_manifest, write_report
+
     corpus = load_manifest(args.manifest)
     report = run_relaxed(
         corpus, args.omega, MatrixMode(args.matrices), args.truncate, bug_compatible=args.bug_compat
@@ -65,16 +80,17 @@ def cmd_relaxed(args) -> int:
 
 
 def cmd_compare(args, reference: ProtocolDescriptor) -> int:
-    if args.ledger:
-        results = ingest_ledger(args.ledger)
-    else:
-        results = seed_ledger()
+    from .protocol import ingest_ledger, leaderboard_obj, render_leaderboard, seed_ledger
+
+    results = ingest_ledger(args.ledger) if args.ledger else seed_ledger()
     board = render_leaderboard(results, reference, sort_metric=args.sort_metric)
     _emit(canonical_json(leaderboard_obj(board)) + "\n", args.out)
     return 0
 
 
 def cmd_synth(args) -> int:
+    from .synth import generate_corpus
+
     manifest = generate_corpus(
         Path(args.out_dir),
         args.phase_count,
@@ -138,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rx = sub.add_parser("relaxed", help="boundary-relaxed metric report")
     rx.add_argument("manifest")
-    rx.add_argument("--omega", type=int, default=10)
+    rx.add_argument("--omega", type=decimal, default=10)
     rx.add_argument(
         "--matrices",
         choices=[m.value for m in MatrixMode],
@@ -166,14 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sy = sub.add_parser("synth", help="generate a synthetic corpus")
     sy.add_argument("--out-dir", required=True)
-    sy.add_argument("--phase-count", type=int, default=7)
-    sy.add_argument("--videos", type=int, default=4)
-    sy.add_argument("--runs", type=int, default=1)
-    sy.add_argument("--min-len", type=int, default=8)
-    sy.add_argument("--max-len", type=int, default=16)
-    sy.add_argument("--boundary-shift", type=int, default=0)
+    sy.add_argument("--phase-count", type=decimal, default=7)
+    sy.add_argument("--videos", type=decimal, default=4)
+    sy.add_argument("--runs", type=decimal, default=1)
+    sy.add_argument("--min-len", type=decimal, default=8)
+    sy.add_argument("--max-len", type=decimal, default=16)
+    sy.add_argument("--boundary-shift", type=decimal, default=0)
     sy.add_argument("--flip-rate", type=float, default=0.0)
-    sy.add_argument("--seed", type=int, default=0)
+    sy.add_argument("--seed", type=decimal, default=0)
 
     sp = sub.add_parser("splits", help="print a registered split")
     sp.add_argument("name", nargs="?")
@@ -193,6 +209,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> ProtocolDescriptor | Non
         if args.bug_compat and args.matrices != MatrixMode.LEGACY.value:
             parser.error("--bug-compat requires --matrices legacy")
     if args.command == "compare":
+        from .protocol import parse_reference
+
         try:
             reference = parse_reference(args.ref)
         except SchemaError as exc:

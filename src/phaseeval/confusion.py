@@ -9,10 +9,7 @@ import numpy as np
 from .aggregate import grid_axes
 from .core import LabelSequence, PhaseSet, validate_sequence
 from .errors import PhaseEvalError
-
-
-class LengthMismatch(PhaseEvalError):
-    """Annotation and prediction must cover the same number of frames."""
+from .vocab import LengthMismatch
 
 
 class DimensionMismatch(PhaseEvalError):

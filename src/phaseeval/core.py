@@ -1,5 +1,6 @@
-"""Core domain types: phase vocabularies, label sequences, segments,
-workflow graphs and the built-in cholecystectomy dataset splits.
+"""Core domain types: phase vocabularies, label sequences, segments and
+workflow graphs.  The built-in cholecystectomy dataset splits live in
+`vocab` and are re-exported here.
 
 Video ids are 1-based (matching the common file naming video01..video80),
 time indices are 0-based frame positions.
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhaseEvalError
+from .vocab import MAX_PHASES, SplitDefinition, UnknownSplit  # noqa: F401  (re-exported)
+from .vocab import builtin_split_names, cv_folds, resolve_split  # noqa: F401
 
 
 class OutOfRangeLabel(PhaseEvalError):
@@ -22,17 +25,8 @@ class EmptySequence(PhaseEvalError):
     """A label sequence must contain at least one frame."""
 
 
-class UnknownSplit(PhaseEvalError):
-    """No built-in split is registered under the requested name."""
-
-
 class UnsupportedPhaseCount(PhaseEvalError):
     """A vocabulary holds 1 to MAX_PHASES phases."""
-
-
-# Counts are phase x phase int64 per (video, run) pair, 512 KiB at this width:
-# far past any surgical workflow, and a bound on what a manifest can allocate.
-MAX_PHASES = 256
 
 
 @dataclass(frozen=True)
@@ -237,73 +231,3 @@ def assumed_workflow(phases: PhaseSet) -> tuple[PhaseSet, WorkflowGraph]:
     if phases.count == 7:
         return cholec80_phases(), cholec80_graph()
     return phases, linear_graph(phases.count)
-
-
-@dataclass(frozen=True)
-class SplitDefinition:
-    """Named partition of video ids into train / validation / test lists."""
-
-    name: str
-    train: tuple[int, ...]
-    validation: tuple[int, ...]
-    test: tuple[int, ...]
-
-    def __post_init__(self):
-        ids = list(self.train) + list(self.validation) + list(self.test)
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"split {self.name!r} reuses a video id")
-
-
-def _ids(first: int, last: int) -> tuple[int, ...]:
-    return tuple(range(first, last + 1))
-
-
-def cv_folds() -> tuple[SplitDefinition, ...]:
-    """The five cross-validation folds of the 48:12:20 protocol.
-
-    Validation blocks are contiguous 12-id windows over videos 1..60
-    (fold k validates on 12k+1 .. 12k+12); videos 61..80 are a fixed
-    test set shared by all folds.
-    """
-    folds = []
-    for k in range(5):
-        val = _ids(12 * k + 1, 12 * k + 12)
-        train = tuple(v for v in _ids(1, 60) if v not in set(val))
-        folds.append(
-            SplitDefinition(f"48:12:20-cv/fold{k}", train, val, _ids(61, 80))
-        )
-    return tuple(folds)
-
-
-_BUILTIN_SPLITS = {
-    "32:8:40": lambda: SplitDefinition(
-        "32:8:40", _ids(1, 32), _ids(33, 40), _ids(41, 80)
-    ),
-    "40:40": lambda: SplitDefinition("40:40", _ids(1, 40), (), _ids(41, 80)),
-    "40:8:32": lambda: SplitDefinition(
-        "40:8:32", _ids(1, 40), _ids(41, 48), _ids(49, 80)
-    ),
-    "40:20:20": lambda: SplitDefinition(
-        "40:20:20", _ids(1, 40), _ids(41, 60), _ids(61, 80)
-    ),
-    "60:20": lambda: SplitDefinition("60:20", _ids(1, 60), (), _ids(61, 80)),
-    "48:12:20-cv": lambda: cv_folds()[0],
-}
-
-
-def builtin_split_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILTIN_SPLITS))
-
-
-def resolve_split(name: str) -> SplitDefinition:
-    """Look up a built-in split by name.
-
-    The cross-validation protocol resolves to its first fold; use
-    cv_folds() for all five.
-    """
-    try:
-        factory = _BUILTIN_SPLITS[name]
-    except KeyError:
-        known = ", ".join(builtin_split_names())
-        raise UnknownSplit(f"unknown split {name!r}; built-ins: {known}") from None
-    return factory()

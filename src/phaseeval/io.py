@@ -17,18 +17,16 @@ import copyreg
 import csv
 import io as _io
 import json
-import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
-from .aggregate import MetricSummary, RaggedRuns
-from .confusion import LengthMismatch
 from .core import LABEL_MAX, MAX_PHASES, LabelSequence, OutOfRangeLabel, PhaseSet, validate_sequence
 from .errors import PhaseEvalError
+from .vocab import REPORT_FORMATS, LengthMismatch, MetricSummary, RaggedRuns, SchemaError
+from .vocab import canonical_json, fmt_float
 
 FORMAT_VERSION = "1"
 
@@ -50,10 +48,6 @@ class EmptyFile(PhaseEvalError):
 
 class MissingFile(PhaseEvalError):
     """A manifest entry points at a file that does not exist."""
-
-
-class SchemaError(PhaseEvalError):
-    """A structured document does not match its expected shape."""
 
 
 _NEWLINE = ord("\n")
@@ -240,63 +234,6 @@ class EvaluationReport:
     phase_names: tuple[str, ...]
 
 
-def _fmt_float(x: float) -> str:
-    return format(x, ".6f")
-
-
-# Quotes a string exactly as json.dumps(s, ensure_ascii=False) does.
-_quote = json.encoder.encode_basestring
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats with six fractional digits,
-    two-space indent."""
-    out: list[str] = []
-    _write(obj, out, "\n")
-    return "".join(out)
-
-
-def _write(obj, out: list[str], pad: str) -> None:
-    """Append obj's canonical form to out; pad is the line break and indent
-    of the line obj starts on."""
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise SchemaError(f"{obj!r} has no JSON form")
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{" + inner
-        for k in sorted(obj, key=str):
-            out += (sep, _quote(str(k)), ": ")
-            _write(obj[k], out, inner)
-            sep = "," + inner
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        sep = "[" + inner
-        for x in obj:
-            out.append(sep)
-            _write(x, out, inner)
-            sep = "," + inner
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 _STATS = tuple(f.name for f in fields(MetricSummary))
 # A phase's summary has no spread across phases.
 _PHASE_STATS = tuple(k for k in _STATS if k != "sd_phases")
@@ -341,7 +278,7 @@ def _csv_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return _fmt_float(v)
+        return fmt_float(v)
     return str(v)
 
 
@@ -351,7 +288,7 @@ def _md_table(head: list[str], stats: tuple[str, ...], rows) -> list[str]:
     lines = ["| " + " | ".join([*head, *stats]) + " |", "|---" * (len(head) + len(stats)) + "|"]
     for cells, s in rows:
         values = (getattr(s, k) for k in stats)
-        shown = ["n/a" if v is None else _fmt_float(v) for v in values]
+        shown = ["n/a" if v is None else fmt_float(v) for v in values]
         lines.append("| " + " | ".join(cells + shown) + " |")
     return lines
 
@@ -375,7 +312,6 @@ def _md_report(report: EvaluationReport) -> str:
 
 
 _WRITERS = {"json": _json_report, "csv": _csv_report, "md": _md_report}
-REPORT_FORMATS = tuple(_WRITERS)
 
 
 def write_report(report: EvaluationReport, fmt: str) -> str:

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, Mapping
 import numpy as np
 
 from .errors import PhaseEvalError
+from .vocab import UndefinedPolicy
 
 if TYPE_CHECKING:
     from .aggregate import ResultTensor
@@ -91,13 +92,6 @@ class MetricCell:
 
 UNDEFINED_CELL = MetricCell(CellState.UNDEFINED)
 EXCLUDED_CELL = MetricCell(CellState.EXCLUDED)
-
-
-class UndefinedPolicy(Enum):
-    EXCLUDE_UNDEFINED = "exclude-undefined"
-    EXCLUDE_MISSING_PHASE = "exclude-missing-phase"
-    ZERO_FILL = "zero-fill"
-    ONE_FILL = "one-fill"
 
 
 def cell_of(value, code) -> MetricCell:

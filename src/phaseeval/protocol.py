@@ -17,7 +17,6 @@ state it.  check_comparable grades each field:
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -25,10 +24,8 @@ from pathlib import Path
 from sys import float_info
 from typing import Iterable, Mapping, NamedTuple
 
-from .aggregate import StdMode
 from .errors import PhaseEvalError
-from .io import SchemaError, canonical_json
-from .metrics import UndefinedPolicy
+from .vocab import METRIC_NAMES, SchemaError, StdMode, UndefinedPolicy, canonical_json, decimal
 
 
 class DuplicateEntry(PhaseEvalError):
@@ -37,25 +34,6 @@ class DuplicateEntry(PhaseEvalError):
 
 class EmptyLedger(PhaseEvalError):
     """A leaderboard needs at least one entry."""
-
-
-METRIC_NAMES = (
-    "accuracy",
-    "precision",
-    "recall",
-    "f1",
-    "f1_upper",
-    "frame_f1",
-    "jaccard",
-    "macro_precision",
-    "macro_recall",
-    "macro_f1",
-    "bold_macro_f1",
-    "relaxed_accuracy",
-    "relaxed_precision",
-    "relaxed_recall",
-    "relaxed_jaccard",
-)
 
 
 HARD = "hard"
@@ -210,16 +188,7 @@ class ReportedResult:
 
 
 _TYPE_NAMES = {str: "a string", bool: "true or false", int: "an integer"}
-_DECIMAL = re.compile("-?[0-9]+")
-
-
-def _decimal(text: str) -> int:
-    if not _DECIMAL.fullmatch(text):
-        raise ValueError(text)
-    return int(text)
-
-
-_FROM_TEXT = {str: str, int: _decimal, bool: {"true": True, "false": False}.__getitem__}
+_FROM_TEXT = {str: str, int: decimal, bool: {"true": True, "false": False}.__getitem__}
 
 
 def _parse_protocol(obj, where: str) -> ProtocolDescriptor:

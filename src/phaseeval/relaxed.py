@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from enum import Enum
 from itertools import chain
 from typing import Callable, Mapping, NamedTuple, Sequence, overload
 
 import numpy as np
 
 from .aggregate import ResultTensor, grid_axes, video_tensor
-from .confusion import LengthMismatch, check_lengths
+from .confusion import check_lengths
 from .core import (
     MAX_PHASES,
     LabelSequence,
@@ -52,6 +51,7 @@ from .metrics import (
     defined_cells,
     ratio_cells,
 )
+from .vocab import OMEGA_MAX, LengthMismatch, MatrixMode
 
 
 RELAXED_KINDS = (PRECISION, RECALL, JACCARD)
@@ -75,11 +75,6 @@ class LegacyGridsUnavailable(PhaseEvalError):
 
 class InvalidGrids(PhaseEvalError):
     """Malformed acceptance grids, or a workflow edge outside them."""
-
-
-class MatrixMode(Enum):
-    GRAPH_DERIVED = "graph"
-    LEGACY = "legacy"
 
 
 @dataclass(frozen=True)
@@ -142,10 +137,6 @@ def build_matrices(
     return RelaxMatrices(
         tuple(tuple(row) for row in start), tuple(tuple(row) for row in end)
     )
-
-
-# Windows are int64 frame counts.
-OMEGA_MAX = int(np.iinfo(np.int64).max)
 
 
 def _check_omega(omega: int) -> None:

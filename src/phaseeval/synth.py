@@ -7,7 +7,7 @@ import random
 from pathlib import Path
 
 from .core import PhaseSet, assumed_workflow, cholec80_graph
-from .io import canonical_json
+from .vocab import canonical_json
 
 
 def _walk_phases(rng: random.Random, graph, phase_count: int) -> list[int]:

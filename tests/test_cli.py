@@ -89,6 +89,18 @@ def test_synth_noise_free_predictions_match_annotations(tmp_path, capsys):
         ["relaxed", "m.json", "--jobs", "4"],
         ["compare", "--ref", "omega=true"],
         ["compare", "--sort-metric", "bogus"],
+        # integer flags take ASCII decimals only, as --ref does
+        ["relaxed", "m.json", "--omega", "\u0663"],  # an Arabic-Indic three
+        ["relaxed", "m.json", "--omega", "1_0"],
+        ["relaxed", "m.json", "--omega", " 4 "],
+        ["relaxed", "m.json", "--omega", "+3"],
+        ["synth", "--out-dir", "x", "--videos", "+3"],
+        ["synth", "--out-dir", "x", "--runs", "1_0"],
+        ["synth", "--out-dir", "x", "--seed", " 4 "],
+        ["synth", "--out-dir", "x", "--phase-count", "\u0663"],
+        ["synth", "--out-dir", "x", "--min-len", "1_0"],
+        ["synth", "--out-dir", "x", "--max-len", "+30"],
+        ["synth", "--out-dir", "x", "--boundary-shift", "\u0663"],
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
@@ -108,6 +120,8 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
         (["omega=-1"], "omega must be non-negative"),
         (["split=a", "split=b"], "'split' given twice"),
         (["runs=unknown", "runs=3"], "'runs' given twice"),
+        (["omega=\u0663"], "takes an integer or unknown"),
+        (["omega=1_0"], "takes an integer or unknown"),
     ],
 )
 def test_bad_reference_exits_2(refs, message, capsys):

@@ -1,10 +1,12 @@
 """Label files, corpus manifests, and report serialization."""
 
 import copy
+import importlib
 import json
 import math
 import os
 import pickle
+import pkgutil
 import re
 
 import numpy as np
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 from reference import oracle_canonical_json
 
-import phaseeval.cli  # noqa: F401  (defines every error class of the package)
+import phaseeval
+from phaseeval import io, vocab
 from phaseeval.aggregate import MetricSummary
 from phaseeval.confusion import LengthMismatch
 from phaseeval.aggregate import AveragingOrder, StdMode
@@ -247,10 +250,21 @@ def test_load_manifest_errors_name_the_label_file(tmp_path, content, error, mess
         assert exc.value.line == 2
 
 
+# The error census below sees only the classes of imported modules.
+for _module in pkgutil.iter_modules(phaseeval.__path__):
+    importlib.import_module(f"phaseeval.{_module.name}")
+
+
 def _error_classes(cls=PhaseEvalError):
     yield cls
     for sub in cls.__subclasses__():
         yield from _error_classes(sub)
+
+
+def test_error_census_covers_every_module():
+    names = {cls.__name__ for cls in _error_classes()}
+    moved = {"SchemaError", "RaggedRuns", "LengthMismatch", "UnknownSplit"}
+    assert moved | {"BugCompatConflict", "ParseError", "DuplicateEntry"} <= names
 
 
 def _clones(error):
@@ -466,3 +480,7 @@ def test_report_csv_and_md_shapes():
     assert "32:8:40" in md
     with pytest.raises(Exception):
         write_report(_report(), "xml")
+
+
+def test_every_report_format_has_a_writer():
+    assert tuple(io._WRITERS) == vocab.REPORT_FORMATS
