@@ -17,6 +17,7 @@ load numpy.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -102,7 +103,8 @@ def cmd_synth(args) -> int:
         args.flip_rate,
         args.seed,
     )
-    print(manifest)
+    sys.stdout.flush()  # the path's bytes, whatever the locale can encode
+    sys.stdout.buffer.write(os.fsencode(manifest) + b"\n")
     return 0
 
 

@@ -2,46 +2,30 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from .aggregate import grid_axes
-from .core import LabelSequence, PhaseSet, validate_sequence
+from .core import LabelSequence, PhaseSet
 from .errors import PhaseEvalError
-from .vocab import LengthMismatch
+from .io import Corpus
+from .vocab import LengthMismatch  # noqa: F401  (re-exported)
 
 
 class DimensionMismatch(PhaseEvalError):
     """Confusion counts being combined must share a phase count."""
 
 
-def check_lengths(annotation: LabelSequence, prediction: LabelSequence) -> None:
-    n, m = len(annotation), len(prediction)
-    if n != m:
-        raise LengthMismatch(f"annotation has {n} frames, prediction has {m}")
-
-
-def confusion_stack(
-    annotations: Mapping[int, LabelSequence],
-    predictions: Mapping[int, Mapping[str, LabelSequence]],
-    phases: PhaseSet,
-) -> tuple[tuple[int, ...], tuple[str, ...], np.ndarray]:
+def confusion_stack(corpus: Corpus) -> tuple[tuple[int, ...], tuple[str, ...], np.ndarray]:
     """Videos, runs and the (video, run, phase, phase) int64 counts of each
-    prediction against its video's annotation, one bincount per pair; each
-    sequence is validated once."""
-    videos, runs = grid_axes(predictions)
-    p = phases.count
+    prediction against its video's annotation, one bincount per pair."""
+    videos, runs, p = corpus.videos, corpus.runs, corpus.phases.count
     counts = np.empty((len(videos), len(runs), p * p), np.int64)
     for v, video in zip(videos, counts):
-        annotation = annotations[v]
-        validate_sequence(annotation, phases)
         # p * p <= 2**16 fits uint16; an int32 base made 25 fps reports re-fault pages
-        base = np.multiply(annotation.labels, p, dtype=np.uint16, casting="unsafe")
+        base = np.multiply(corpus.annotations[v].labels, p, dtype=np.uint16, casting="unsafe")
         for r, pair in zip(runs, video):
-            check_lengths(annotation, predictions[v][r])
-            validate_sequence(predictions[v][r], phases)
-            pair[:] = np.bincount(base + predictions[v][r].labels, minlength=p * p)
+            pair[:] = np.bincount(base + corpus.predictions[v][r].labels, minlength=p * p)
     return videos, runs, counts.reshape(len(videos), len(runs), p, p)
 
 
@@ -51,7 +35,7 @@ def confusion_of(
     """Count frame-wise agreement of one prediction against one annotation:
     counts[p, q] is the number of frames annotated as phase p and predicted
     as q, an exact int64 (phase, phase) array that is read-only."""
-    counts = confusion_stack({0: annotation}, {0: {"": prediction}}, phases)[2][0, 0]
+    counts = confusion_stack(Corpus(phases, {0: annotation}, {0: {"": prediction}}))[2][0, 0]
     counts.flags.writeable = False
     return counts
 

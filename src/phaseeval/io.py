@@ -18,8 +18,10 @@ import csv
 import io as _io
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -118,28 +120,48 @@ def dump_labels(seq: LabelSequence) -> str:
 
 @dataclass(frozen=True)
 class Corpus:
-    """One manifest's worth of loaded, length-checked sequences."""
+    """Sequences to score, valid by construction: the same videos in both
+    maps, each with runs, one run-id set, every label within `phases`, and
+    each prediction as long as its annotation.  Both maps are held as
+    read-only copies, so a built Corpus stays valid and reports trust it."""
 
     phases: PhaseSet
-    annotations: dict[int, LabelSequence]
-    predictions: dict[int, dict[str, LabelSequence]]
+    annotations: Mapping[int, LabelSequence]
+    predictions: Mapping[int, Mapping[str, LabelSequence]]
     split: str | None = None
+    videos: tuple[int, ...] = field(init=False)
+    runs: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        videos = set(self.annotations)
-        if not videos or videos != set(self.predictions) or not all(self.predictions.values()):
+        annotations = dict(self.annotations)
+        predictions = {v: MappingProxyType(dict(runs)) for v, runs in self.predictions.items()}
+        videos = tuple(sorted(annotations))
+        if not videos or set(videos) != predictions.keys() or not all(predictions.values()):
             raise SchemaError(
                 "a corpus needs at least one video, and each video an annotation and runs"
             )
+        runs = tuple(sorted(predictions[videos[0]]))
+        for v in videos:
+            if (got := tuple(sorted(predictions[v]))) != runs:
+                raise RaggedRuns(f"video {v} has runs {list(got)}, expected {list(runs)}")
+            annotation = annotations[v]
+            validate_sequence(annotation, self.phases)
+            for r in runs:
+                pred = predictions[v][r]
+                validate_sequence(pred, self.phases)
+                if len(pred) != len(annotation):
+                    raise LengthMismatch(
+                        f"video {v} run {r}: prediction has {len(pred)} frames, "
+                        f"annotation has {len(annotation)}"
+                    )
+        object.__setattr__(self, "annotations", MappingProxyType(annotations))
+        object.__setattr__(self, "predictions", MappingProxyType(predictions))
+        object.__setattr__(self, "videos", videos)
+        object.__setattr__(self, "runs", runs)
 
-    @property
-    def videos(self) -> tuple[int, ...]:
-        return tuple(sorted(self.annotations))
-
-    @property
-    def runs(self) -> tuple[str, ...]:
-        first = self.videos[0]
-        return tuple(sorted(self.predictions[first]))
+    def __reduce__(self):  # the proxies do not pickle; rebuild through the checks
+        predictions = {v: dict(runs) for v, runs in self.predictions.items()}
+        return type(self), (self.phases, dict(self.annotations), predictions, self.split)
 
 
 def _is_int(value) -> bool:
@@ -150,9 +172,10 @@ def _is_int(value) -> bool:
 def load_manifest(path: str | Path) -> Corpus:
     """Load a manifest and every file it references.
 
-    Validates the JSON shape, run-id agreement across videos, label range
-    against the declared phase count, and that each prediction covers
-    exactly the annotated frames.
+    Checks the JSON shape here, and each label file's parse and label range
+    as it is read, so those errors name the file; the Corpus it builds
+    checks run-id agreement and that each prediction covers exactly the
+    annotated frames.
     """
     p = Path(path)
     if not p.is_file():
@@ -186,7 +209,6 @@ def load_manifest(path: str | Path) -> Corpus:
             raise
     annotations: dict[int, LabelSequence] = {}
     predictions: dict[int, dict[str, LabelSequence]] = {}
-    run_ids: tuple[str, ...] | None = None
     for entry in videos:
         if not isinstance(entry, dict):
             raise SchemaError("each video entry must be an object")
@@ -201,25 +223,12 @@ def load_manifest(path: str | Path) -> Corpus:
             raise SchemaError(
                 f"video {vid} needs an annotation path and a predictions map"
             )
-        entry_runs = tuple(sorted(preds))
-        if run_ids is None:
-            run_ids = entry_runs
-        elif entry_runs != run_ids:
-            raise RaggedRuns(
-                f"video {vid} has runs {list(entry_runs)}, expected {list(run_ids)}"
-            )
-        annotation = annotations[vid] = load(ann_path)
+        annotations[vid] = load(ann_path)
         predictions[vid] = {}
         for run, rel in preds.items():
             if not isinstance(rel, str):
                 raise SchemaError(f"video {vid} run {run!r}: path must be a string")
-            pred = load(rel)
-            if len(pred) != len(annotation):
-                raise LengthMismatch(
-                    f"video {vid} run {run}: prediction has {len(pred)} frames, "
-                    f"annotation has {len(annotation)}"
-                )
-            predictions[vid][run] = pred
+            predictions[vid][run] = load(rel)
     return Corpus(phases, annotations, predictions, split)
 
 

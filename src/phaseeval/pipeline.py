@@ -75,7 +75,7 @@ def run_evaluate(
 ) -> EvaluationReport:
     """Regular (unrelaxed) metric report over a loaded corpus."""
     phases = corpus.phases
-    videos, runs, counts = confusion_stack(corpus.annotations, corpus.predictions, phases)
+    videos, runs, counts = confusion_stack(corpus)
     per_pair = phase_counts(counts)  # (phase, video, run) arrays
     spec = SummarySpec(std_mode=std_mode, order=order)
     summary, per_phase = _summaries({
@@ -147,13 +147,10 @@ def run_relaxed(
     # Both modes pass the grids' phase-count check, though only one uses them.
     matrices = build_matrices(assumed_workflow(phases)[1], matrix_mode, phases.count)
     if bug_compatible:
-        tensors, acc = legacy_pipeline(corpus.annotations, corpus.predictions, omega, phases)
+        tensors, acc = legacy_pipeline(corpus, omega)
         spec = SummarySpec(order=AveragingOrder.VIDEO_FIRST)
     else:
-        tensors, acc = relaxed_tensors(
-            corpus.annotations, corpus.predictions,
-            lambda y: graph_rule(y, omega, matrices), phases, truncate,
-        )
+        tensors, acc = relaxed_tensors(corpus, lambda y: graph_rule(y, omega, matrices), truncate)
         spec = SummarySpec()  # flat order, corrected spread
 
     summary, per_phase = _summaries(tensors, spec, "relaxed_")

@@ -22,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Mapping, NamedTuple, Sequence, overload
+from typing import Callable, NamedTuple, Sequence, overload
 
 import numpy as np
 
-from .aggregate import ResultTensor, grid_axes, video_tensor
-from .confusion import check_lengths
+from .aggregate import ResultTensor, video_tensor
 from .core import (
     MAX_PHASES,
     LabelSequence,
@@ -39,6 +38,7 @@ from .core import (
     validate_sequence,
 )
 from .errors import PhaseEvalError
+from .io import Corpus
 from .metrics import (
     JACCARD,
     PRECISION,
@@ -139,6 +139,12 @@ def build_matrices(
     )
 
 
+def _check_lengths(annotation: LabelSequence, prediction: LabelSequence) -> None:
+    n, m = len(annotation), len(prediction)
+    if n != m:
+        raise LengthMismatch(f"annotation has {n} frames, prediction has {m}")
+
+
 def _check_omega(omega: int) -> None:
     if not 0 <= omega <= OMEGA_MAX:
         raise InvalidOmega(f"omega must be within 0..{OMEGA_MAX}, got {omega}")
@@ -161,7 +167,7 @@ def _rule(annotation: LabelSequence, segments, w, accept, end_on_head: bool) -> 
     row = np.repeat(np.concatenate((phase, phase + len(accept) // 2)), np.tile(w, 2))
 
     def flags(prediction: LabelSequence) -> np.ndarray:
-        check_lengths(annotation, prediction)
+        _check_lengths(annotation, prediction)
         mask = annotation.labels == prediction.labels
         mask[put[accept[row, np.minimum(prediction.labels[read], accept.shape[1] - 1)]]] = True
         return mask
@@ -283,7 +289,7 @@ def relaxed_counts(annotation, prediction, flags, phase):
     predicted) counts, corrected by the frames whose flag differs from
     exact agreement (under a relaxation rule, the forgiven mismatches).
     """
-    check_lengths(annotation, prediction)
+    _check_lengths(annotation, prediction)
     if len(flags) != len(annotation):
         raise LengthMismatch("flags do not cover the sequence")
     single = not isinstance(phase, range)
@@ -351,23 +357,19 @@ def relaxed_accuracy(flags: Sequence[bool]) -> MetricCell:
 
 
 def relaxed_tensors(
-    annotations: Mapping[int, LabelSequence],
-    predictions: Mapping[int, Mapping[str, LabelSequence]],
-    rule_of: Callable[[LabelSequence], Flags],
-    phases: PhaseSet,
-    truncate: bool,
+    corpus: Corpus, rule_of: Callable[[LabelSequence], Flags], truncate: bool
 ) -> tuple[dict[str, ResultTensor], ResultTensor]:
     """Relaxed precision, recall and jaccard tensors, with the phases
     missing from a video's annotation excluded, and the relaxed accuracy
     tensor of every (video, run) pair.  `rule_of(annotation)` gives the
     flag rule bound to an annotation, shared by every run of the video."""
-    videos, runs = grid_axes(predictions)
+    videos, runs, phases = corpus.videos, corpus.runs, corpus.phases
     counts, acc = [], []
     for v in videos:
-        y = annotations[v]
+        y = corpus.annotations[v]
         flags_of = rule_of(y)
         for r in runs:
-            yhat = predictions[v][r]
+            yhat = corpus.predictions[v][r]
             flags = flags_of(yhat)
             acc.append(np.count_nonzero(flags) / len(flags))  # relaxed_accuracy(flags).value
             counts.append(relaxed_counts(y, yhat, flags, range(phases.count)))
@@ -388,14 +390,7 @@ def relaxed_tensors(
 LEGACY_WATERMARK = "legacy-bug-compatible"
 
 
-def legacy_pipeline(
-    annotations: Mapping[int, LabelSequence],
-    predictions: Mapping[int, Mapping[str, LabelSequence]],
-    omega: int,
-    phases: PhaseSet,
-) -> tuple[dict[str, ResultTensor], ResultTensor]:
+def legacy_pipeline(corpus: Corpus, omega: int) -> tuple[dict[str, ResultTensor], ResultTensor]:
     """The relaxed_tensors of the shared script: its bug-compatible flags on
     its own acceptance rules, truncated."""
-    return relaxed_tensors(
-        annotations, predictions, lambda y: legacy_rule(y, omega), phases, truncate=True
-    )
+    return relaxed_tensors(corpus, lambda y: legacy_rule(y, omega), truncate=True)

@@ -1,12 +1,9 @@
 """Confusion-count construction and arithmetic."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import phaseeval.confusion
 from phaseeval.aggregate import stack_confusions
 from phaseeval.confusion import (
     DimensionMismatch,
@@ -15,7 +12,8 @@ from phaseeval.confusion import (
     confusion_stack,
     sum_confusions,
 )
-from phaseeval.core import LabelSequence, PhaseSet, validate_sequence
+from phaseeval.core import LabelSequence, PhaseSet
+from phaseeval.io import Corpus
 from phaseeval.metrics import phase_counts
 
 PHASES5 = PhaseSet(5)
@@ -91,22 +89,12 @@ def test_stack_equals_each_pair_counted_alone(phase_count, videos, runs, data):
         frames = st.lists(labels, min_size=n, max_size=n)
         anns[v] = _seq(data.draw(frames))
         preds[v] = {f"r{r}": _seq(data.draw(frames)) for r in range(runs)}
-    got = confusion_stack(anns, preds, phases)
+    got = confusion_stack(Corpus(phases, anns, preds))
     want = stack_confusions({
         v: {r: confusion_of(anns[v], p, phases) for r, p in preds[v].items()} for v in anns
     })
     assert got[:2] == want[:2]
     assert got[2].dtype == np.int64 and np.array_equal(got[2], want[2])
-
-
-def test_stack_validates_each_sequence_once():
-    y = _seq([0, 1, 2])
-    preds = {v: {r: y for r in ("a", "b", "c")} for v in (1, 2)}
-    with mock.patch.object(
-        phaseeval.confusion, "validate_sequence", wraps=validate_sequence
-    ) as validate:
-        confusion_stack({1: y, 2: y}, preds, PHASES5)
-    assert validate.call_count == 2 + 2 * 3
 
 
 def test_sum_rejects_mixed_sizes():

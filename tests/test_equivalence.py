@@ -21,7 +21,7 @@ from phaseeval.aggregate import (
 )
 from phaseeval.cli import main, run_evaluate, run_relaxed
 from phaseeval.confusion import confusion_of, sum_confusions
-from phaseeval.core import LABEL_MAX, LabelSequence, PhaseSet, cholec80_graph
+from phaseeval.core import LABEL_MAX, LabelSequence, OutOfRangeLabel, PhaseSet, cholec80_graph
 from phaseeval.io import Corpus
 from phaseeval.metrics import F1, METRIC_KINDS, UNDEFINED_CELL, UndefinedPolicy, macro_metric
 from phaseeval.relaxed import (
@@ -240,28 +240,34 @@ LEGACY_MX = build_matrices(cholec80_graph(), MatrixMode.LEGACY, 7)
 def test_relaxed_matches_oracles(data, truncate):
     """run_relaxed under both grids and the bug-compatible path against
     the scanning flag oracles and per-frame counts; the flag functions and
-    relaxed_counts (mask and tuple forms) frame by frame."""
-    omega, annotations, predictions = data
+    relaxed_counts (mask and tuple forms) frame by frame.  The per-pair
+    functions take the drawn predictions, labels past the grids included;
+    a Corpus refuses those, so the reports score them with each label past
+    6 lowered to 6."""
+    omega, annotations, drawn = data
     seq = lambda labels: LabelSequence(tuple(labels))  # noqa: E731
-    corpus = Corpus(
-        PhaseSet(7),
-        {v: seq(y) for v, y in annotations.items()},
-        {v: {r: seq(p) for r, p in runs.items()} for v, runs in predictions.items()},
-    )
+    anns = {v: seq(y) for v, y in annotations.items()}
+
+    def corpus_of(grid):
+        preds = {v: {r: seq(p) for r, p in row.items()} for v, row in grid.items()}
+        return Corpus(PhaseSet(7), anns, preds)
+
+    predictions = {
+        v: {r: [min(x, 6) for x in p] for r, p in row.items()} for v, row in drawn.items()
+    }
+    if predictions != drawn:
+        with pytest.raises(OutOfRangeLabel):
+            corpus_of(drawn)
+    corpus = corpus_of(predictions)
     videos, runs = corpus.videos, corpus.runs
 
     for mode, mx in ((MatrixMode.GRAPH_DERIVED, GRAPH_MX), (MatrixMode.LEGACY, LEGACY_MX)):
         grids = np.asarray(mx.start), np.asarray(mx.end)
-        pairs = [
-            [(annotations[v], predictions[v][r],
-              oracle_relax_flags(annotations[v], predictions[v][r], omega, *grids))
-             for r in runs]
-            for v in videos
-        ]
-        for v, row in zip(videos, pairs):
-            y = corpus.annotations[v]
-            for r, (_, yhat, flags) in zip(runs, row):
-                pred = corpus.predictions[v][r]
+        for v in videos:
+            y = anns[v]
+            for yhat in drawn[v].values():
+                flags = oracle_relax_flags(annotations[v], yhat, omega, *grids)
+                pred = seq(yhat)
                 assert list(relax_flags(y, pred, omega, mx)) == flags
                 mask = graph_rule(y, omega, mx)(pred)
                 wide = range(10)  # phases past the grids too
@@ -272,6 +278,12 @@ def test_relaxed_matches_oracles(data, truncate):
                     assert (c.r_tp, c.union, c.predicted, c.annotated) == (
                         oracle_relaxed_counts(annotations[v], yhat, flags, p)
                     )
+        pairs = [
+            [(annotations[v], predictions[v][r],
+              oracle_relax_flags(annotations[v], predictions[v][r], omega, *grids))
+             for r in runs]
+            for v in videos
+        ]
         report = run_relaxed(corpus, omega, mode, truncate)
         for kind in RELAXED_KINDS:
             grid = _relaxed_grid(kind, pairs, truncate)
@@ -283,7 +295,7 @@ def test_relaxed_matches_oracles(data, truncate):
 
     pairs, short = [], False
     for v in videos:
-        y = corpus.annotations[v]
+        y = anns[v]
         try:
             row = [(annotations[v], predictions[v][r],
                     oracle_legacy_flags(annotations[v], predictions[v][r], omega))
@@ -293,8 +305,9 @@ def test_relaxed_matches_oracles(data, truncate):
             with pytest.raises(SegmentShorterThanOmega):
                 legacy_rule(y, omega)
             continue
-        for r, (_, _, flags) in zip(runs, row):
-            assert list(relax_flags_legacy(y, corpus.predictions[v][r], omega)) == flags
+        for yhat in drawn[v].values():
+            flags = oracle_legacy_flags(annotations[v], yhat, omega)
+            assert list(relax_flags_legacy(y, seq(yhat), omega)) == flags
         pairs.append(row)
     if short:
         with pytest.raises(SegmentShorterThanOmega):

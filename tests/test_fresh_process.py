@@ -129,3 +129,10 @@ def test_stdout_carries_the_out_file_bytes_whatever_the_locale(tmp_path, encodin
     ]:
         shown, written = _stdout_and_file(args, tmp_path, encoding)
         assert shown == written and text.encode("utf-8") in written
+
+
+def test_synth_prints_its_manifest_path_as_bytes_whatever_the_locale(tmp_path):
+    out = tmp_path / "synth-é"
+    args = ["-m", "phaseeval.cli", "synth", "--out-dir", str(out), "--videos", "1"]
+    shown = _python(args, PYTHONIOENCODING="ascii").stdout  # raises unless it exits 0
+    assert shown == os.fsencode(out / "manifest.json") + b"\n"

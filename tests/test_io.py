@@ -8,6 +8,7 @@ import os
 import pickle
 import pkgutil
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st
 from reference import oracle_canonical_json
 
 import phaseeval
-from phaseeval import io, vocab
+from phaseeval import core, io, vocab
 from phaseeval.aggregate import MetricSummary
 from phaseeval.confusion import LengthMismatch
 from phaseeval.aggregate import AveragingOrder, StdMode
@@ -355,11 +356,57 @@ def test_hand_built_corpus_with_a_short_prediction_is_a_length_mismatch(run):
 
 @pytest.mark.parametrize("where", ["annotation", "prediction"])
 def test_hand_built_corpus_with_a_label_past_the_phases_is_out_of_range(where):
+    """For every report, graph relaxed and bug-compat included: their flag
+    rules take labels past the grids, so only the Corpus can refuse them."""
     bad = LabelSequence([0] * 4 + [1] * 3 + [7])
     annotations = {1: _Y, 2: bad if where == "annotation" else _Y}
     grid = {1: {"a": _Y, "b": _Y}, 2: {"a": _Y, "b": bad if where == "prediction" else _Y}}
-    with pytest.raises(OutOfRangeLabel, match="label 7 at frame 7"):
-        _RUNNERS[0](Corpus(PhaseSet(7), annotations, grid))
+    for run in _RUNNERS:
+        with pytest.raises(OutOfRangeLabel, match="label 7 at frame 7"):
+            run(Corpus(PhaseSet(7), annotations, grid))
+
+
+def _corpus_2x3():
+    grid = {v: {r: _Y for r in ("a", "b", "c")} for v in (1, 2)}
+    return Corpus(PhaseSet(7), {1: _Y, 2: _Y}, grid)
+
+
+def test_a_built_corpus_is_read_only():
+    annotations, runs = {1: _Y}, {"a": _Y}
+    corpus = Corpus(PhaseSet(7), annotations, {1: runs})
+    with pytest.raises(TypeError):
+        corpus.annotations[1] = LabelSequence([7] * 8)
+    with pytest.raises(TypeError):
+        corpus.predictions[1]["a"] = LabelSequence([7] * 8)
+    with pytest.raises(TypeError):
+        corpus.predictions[2] = {"a": _Y}
+    annotations[2], runs["b"] = _Y, LabelSequence([7])  # the caller's maps are copied
+    assert corpus.annotations == {1: _Y} and corpus.predictions == {1: {"a": _Y}}
+
+
+def test_a_corpus_validates_each_sequence_once_and_reports_trust_it(monkeypatch):
+    calls, validate = [], core.validate_sequence
+
+    def counting(seq, phases):
+        calls.append(seq)
+        return validate(seq, phases)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("phaseeval.") and hasattr(module, "validate_sequence"):
+            monkeypatch.setattr(module, "validate_sequence", counting)
+    corpus = _corpus_2x3()
+    assert len(calls) == 2 + 2 * 3
+    for run, count in zip(_RUNNERS, (0, 2)):  # graph relaxed: each annotation against the grids
+        calls.clear()
+        run(corpus)
+        assert len(calls) == count
+
+
+def test_corpus_survives_pickle_and_copy():
+    corpus = _corpus_2x3()
+    for clone in (pickle.loads(pickle.dumps(corpus)), copy.copy(corpus), copy.deepcopy(corpus)):
+        assert type(clone) is Corpus and clone == corpus
+        assert (clone.videos, clone.runs) == ((1, 2), ("a", "b", "c"))
 
 
 def test_canonical_json_is_sorted_and_fixed_point():

@@ -200,7 +200,7 @@ def test_relaxed_run_set_mismatch_is_a_typed_error():
     anns, preds, ph = _corpus()
     preds[2] = {"r1": preds[2]["r0"]}
     with pytest.raises(RaggedRuns):
-        relaxed_tensors(anns, preds, lambda y: graph_rule(y, 2, GRAPH_MX), ph, False)
+        Corpus(ph, anns, preds)
 
 
 def test_legacy_rejects_short_segments():
@@ -327,7 +327,8 @@ def test_counts_of_max_phases_at_once_match_each_phase():
 def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, data):
     """The (phase, video, run) counts relaxed_tensors scores are those of
     relaxed_counts on each pair, and each accuracy is relaxed_accuracy's
-    float bit for bit, under both flag rules."""
+    float bit for bit, under both flag rules.  The corpus declares nine
+    phases, so predicted labels 7 and 8 reach past the 7-phase grids."""
     anns, preds = {}, {}
     for v, segs in enumerate(videos):
         y = [p for p, n in segs for _ in range(n)]
@@ -344,15 +345,15 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
         return scored(kind, counts, truncate)
 
     with mock.patch.object(phaseeval.relaxed, "relaxed_cells", spy):
-        _, acc = relaxed_tensors(anns, preds, rule_of, PhaseSet(7), legacy)
+        _, acc = relaxed_tensors(Corpus(PhaseSet(9), anns, preds), rule_of, legacy)
     assert len(seen) == 3  # precision, recall and jaccard, all of one stack
     for v in anns:
         flags_of = rule_of(anns[v])
         for ri, r in enumerate(sorted(preds[v])):
             flags = flags_of(preds[v][r])
-            want = relaxed_counts(anns[v], preds[v][r], flags, range(7))
+            want = relaxed_counts(anns[v], preds[v][r], flags, range(9))
             for counts in seen:
-                assert tuple(tuple(f[p, v, ri] for f in counts) for p in range(7)) == want
+                assert tuple(tuple(f[p, v, ri] for f in counts) for p in range(9)) == want
             assert acc.values[0, v, ri] == relaxed_accuracy(flags).value
 
 
