@@ -128,75 +128,71 @@ def _add_output_flags(p):
     p.add_argument("--out", default="-", help="output path, or - for stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_enum_flag(p, flag: str, default) -> None:
+    """A flag taking the values of default's enum."""
+    p.add_argument(flag, choices=[m.value for m in type(default)], default=default.value)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command is registered, so usage, -h and an unknown command read
+    the same whatever `command` is; only `command`'s arguments are added,
+    or every command's when it is None."""
     parser = argparse.ArgumentParser(
         prog="phaseeval",
         description="Frame-level evaluation toolkit for surgical phase recognition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ev = sub.add_parser("evaluate", help="regular metric report from a manifest")
-    ev.add_argument("manifest")
-    ev.add_argument(
-        "--policy",
-        choices=[p.value for p in UndefinedPolicy],
-        default=UndefinedPolicy.EXCLUDE_MISSING_PHASE.value,
-    )
-    ev.add_argument(
-        "--order",
-        choices=[o.value for o in AveragingOrder],
-        default=AveragingOrder.FLAT.value,
-    )
-    ev.add_argument(
-        "--std-mode",
-        choices=[m.value for m in StdMode],
-        default=StdMode.CORRECTED.value,
-    )
-    _add_output_flags(ev)
+    def add(name: str, help_line: str) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=help_line)
+        return p if command in (None, name) else None
 
-    rx = sub.add_parser("relaxed", help="boundary-relaxed metric report")
-    rx.add_argument("manifest")
-    rx.add_argument("--omega", type=decimal, default=10)
-    rx.add_argument(
-        "--matrices",
-        choices=[m.value for m in MatrixMode],
-        default=MatrixMode.LEGACY.value,
-    )
-    rx.add_argument("--truncate", action="store_true")
-    rx.add_argument(
-        "--bug-compat",
-        action="store_true",
-        help="replicate the legacy script exactly; output is watermarked",
-    )
-    _add_output_flags(rx)
+    if ev := add("evaluate", "regular metric report from a manifest"):
+        ev.add_argument("manifest")
+        _add_enum_flag(ev, "--policy", UndefinedPolicy.EXCLUDE_MISSING_PHASE)
+        _add_enum_flag(ev, "--order", AveragingOrder.FLAT)
+        _add_enum_flag(ev, "--std-mode", StdMode.CORRECTED)
+        _add_output_flags(ev)
 
-    cp = sub.add_parser("compare", help="grade a ledger against a reference protocol")
-    cp.add_argument("--ledger", help="ledger file (defaults to the packaged seed)")
-    cp.add_argument(
-        "--ref",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="reference protocol field, e.g. split=32:8:40 or relaxed=false",
-    )
-    cp.add_argument("--sort-metric", choices=METRIC_NAMES, default="accuracy")
-    cp.add_argument("--out", default="-")
+    if rx := add("relaxed", "boundary-relaxed metric report"):
+        rx.add_argument("manifest")
+        rx.add_argument("--omega", type=decimal, default=10)
+        _add_enum_flag(rx, "--matrices", MatrixMode.LEGACY)
+        rx.add_argument("--truncate", action="store_true")
+        rx.add_argument(
+            "--bug-compat",
+            action="store_true",
+            help="replicate the legacy script exactly; output is watermarked",
+        )
+        _add_output_flags(rx)
 
-    sy = sub.add_parser("synth", help="generate a synthetic corpus")
-    sy.add_argument("--out-dir", required=True)
-    sy.add_argument("--phase-count", type=decimal, default=7)
-    sy.add_argument("--videos", type=decimal, default=4)
-    sy.add_argument("--runs", type=decimal, default=1)
-    sy.add_argument("--min-len", type=decimal, default=8)
-    sy.add_argument("--max-len", type=decimal, default=16)
-    sy.add_argument("--boundary-shift", type=decimal, default=0)
-    sy.add_argument("--flip-rate", type=float, default=0.0)
-    sy.add_argument("--seed", type=decimal, default=0)
+    if cp := add("compare", "grade a ledger against a reference protocol"):
+        cp.add_argument("--ledger", help="ledger file (defaults to the packaged seed)")
+        cp.add_argument(
+            "--ref",
+            action="append",
+            default=[],
+            metavar="KEY=VALUE",
+            help="reference protocol field, e.g. split=32:8:40 or relaxed=false",
+        )
+        cp.add_argument("--sort-metric", choices=METRIC_NAMES, default="accuracy")
+        cp.add_argument("--out", default="-")
 
-    sp = sub.add_parser("splits", help="print a registered split")
-    sp.add_argument("name", nargs="?")
-    sp.add_argument("--list", action="store_true", help="list registered names")
-    sp.add_argument("--out", default="-")
+    if sy := add("synth", "generate a synthetic corpus"):
+        sy.add_argument("--out-dir", required=True)
+        sy.add_argument("--phase-count", type=decimal, default=7)
+        sy.add_argument("--videos", type=decimal, default=4)
+        sy.add_argument("--runs", type=decimal, default=1)
+        sy.add_argument("--min-len", type=decimal, default=8)
+        sy.add_argument("--max-len", type=decimal, default=16)
+        sy.add_argument("--boundary-shift", type=decimal, default=0)
+        sy.add_argument("--flip-rate", type=float, default=0.0)
+        sy.add_argument("--seed", type=decimal, default=0)
+
+    if sp := add("splits", "print a registered split"):
+        sp.add_argument("name", nargs="?")
+        sp.add_argument("--list", action="store_true", help="list registered names")
+        sp.add_argument("--out", default="-")
     return parser
 
 
@@ -236,7 +232,10 @@ def _validate(parser: argparse.ArgumentParser, args) -> ProtocolDescriptor | Non
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # No top-level option takes a value, so the first argument that is not
+    # an option names the command that argparse runs, if it runs one.
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     reference = _validate(parser, args)
     try:

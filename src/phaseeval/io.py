@@ -18,6 +18,7 @@ import csv
 import io as _io
 import json
 import os
+import stat
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
@@ -106,12 +107,28 @@ def parse_labels(text: str | bytes) -> LabelSequence:
 
 
 def load_labels(path: str | Path) -> LabelSequence:
-    """Read one label file: the one Path(path) names, a trailing "/" or "/." dropped."""
+    """Read one label file: the one Path(path) names, a trailing "/" or "/."
+    dropped.  The file is opened once, without blocking, so a FIFO is never
+    waited on, and read to its end whatever its size said; anything but a
+    regular file is MissingFile, and an unreadable one a PermissionError."""
     name = os.fspath(path)
-    if not (os.path.isfile(name) or os.path.isfile(name := str(Path(name)))):
-        raise MissingFile(name)
-    with open(name, "rb", buffering=0) as f:
-        return parse_labels(f.read())
+    try:
+        try:
+            fd = os.open(name, os.O_RDONLY | os.O_NONBLOCK)
+        except (FileNotFoundError, NotADirectoryError):  # "file/" or "file/."
+            fd = os.open(str(Path(name)), os.O_RDONLY | os.O_NONBLOCK)
+    except (FileNotFoundError, NotADirectoryError, ValueError):  # ValueError: a NUL in it
+        raise MissingFile(str(Path(name))) from None
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise MissingFile(str(Path(name)))
+        data = os.read(fd, st.st_size + 1)  # a byte over, to see a grown file
+        while more := os.read(fd, 1):  # on to EOF, also after a short read
+            data += more + os.read(fd, len(data))
+    finally:
+        os.close(fd)
+    return parse_labels(data)
 
 
 def dump_labels(seq: LabelSequence) -> str:
@@ -172,10 +189,12 @@ def _is_int(value) -> bool:
 def load_manifest(path: str | Path) -> Corpus:
     """Load a manifest and every file it references.
 
-    Checks the JSON shape here, and each label file's parse and label range
-    as it is read, so those errors name the file; the Corpus it builds
-    checks run-id agreement and that each prediction covers exactly the
-    annotated frames.
+    Checks the JSON shape here and parses each label file as it is read, so
+    a parse error names its file.  The Corpus it builds holds the one label
+    check, with run-id agreement and that each prediction covers exactly the
+    annotated frames.  Labels are range-checked only once every file is
+    read, so a schema or parse error in any entry wins over a label out of
+    range; a range error names the first bad file in manifest order.
     """
     p = Path(path)
     if not p.is_file():
@@ -197,16 +216,17 @@ def load_manifest(path: str | Path) -> Corpus:
         raise SchemaError("videos must be a non-empty list")
     phases = PhaseSet(phase_count)
     base = os.fspath(p.parent)
+    loaded: list[tuple[str, LabelSequence]] = []  # in manifest order
 
     def load(rel: str) -> LabelSequence:
         path = os.path.join(base, rel)
         try:
             seq = load_labels(path)
-            validate_sequence(seq, phases)
-            return seq
         except (EmptyFile, ParseError, OutOfRangeLabel) as e:
             e.args = (f"{Path(path)}: {e}",)  # name the file, keep the class
             raise
+        loaded.append((path, seq))
+        return seq
     annotations: dict[int, LabelSequence] = {}
     predictions: dict[int, dict[str, LabelSequence]] = {}
     for entry in videos:
@@ -229,7 +249,16 @@ def load_manifest(path: str | Path) -> Corpus:
             if not isinstance(rel, str):
                 raise SchemaError(f"video {vid} run {run!r}: path must be a string")
             predictions[vid][run] = load(rel)
-    return Corpus(phases, annotations, predictions, split)
+    try:
+        return Corpus(phases, annotations, predictions, split)
+    except OutOfRangeLabel:
+        for path, seq in loaded:  # name the first file out of range
+            try:
+                validate_sequence(seq, phases)
+            except OutOfRangeLabel as e:
+                e.args = (f"{Path(path)}: {e}",)
+                raise e from None
+        raise
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from phaseeval import cli
 from phaseeval.cli import main
 from phaseeval.protocol import dump_ledger, seed_ledger
 
@@ -298,6 +299,42 @@ def test_splits_output(capsys):
     assert main(["splits", "48:12:20-cv"]) == 0
     folds = json.loads(capsys.readouterr().out)
     assert isinstance(folds, list) and len(folds) == 5
+
+
+def _outcome(argv, capsys):
+    """main's exit code, stdout and stderr for argv."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([command, "-h"] for command in ("evaluate", "relaxed", "compare", "synth", "splits")),
+        ["-h"],
+        [],
+        ["bogus"],
+        ["-x", "evaluate"],
+        ["relaxed", "--omega", "x"],
+        ["relaxed", "m.json", "--bug-compat"],
+        ["synth"],
+        ["splits"],
+        ["compare", "--ref", "omega=-1"],
+    ],
+    ids=shlex.join,
+)
+def test_parser_for_the_invoked_command_reads_as_the_full_parser(argv, capsys, monkeypatch):
+    """main builds the arguments of the command in argv only; what it prints
+    and returns is what a parser with every command's arguments gives."""
+    lazy = _outcome(argv, capsys)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: full_parser())
+    assert _outcome(argv, capsys) == lazy
+    assert lazy[0] in (0, 2)
 
 
 def test_missing_manifest_exits_1(capsys):

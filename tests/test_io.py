@@ -177,7 +177,7 @@ def test_labels_round_trip(labels):
 
 def test_load_labels_missing(tmp_path):
     """A missing path or one that is not a regular file, reported as pathlib
-    names it.  A FIFO is never opened, since that would wait for a writer."""
+    names it.  A FIFO is never waited on for a writer."""
     with pytest.raises(MissingFile, match=f"^{re.escape(str(tmp_path / 'nope.txt'))}$"):
         load_labels(f"{tmp_path}/./nope.txt/")
     fifo = tmp_path / "fifo.txt"
@@ -185,6 +185,41 @@ def test_load_labels_missing(tmp_path):
     for path in (tmp_path, fifo, f"{fifo}/"):
         with pytest.raises(MissingFile):
             load_labels(path)
+
+
+def test_load_labels_through_symlinks(tmp_path):
+    """A link to a label file loads it; a link to a directory is MissingFile."""
+    (tmp_path / "labels.txt").write_text("0\n3\n")
+    (tmp_path / "to-file").symlink_to(tmp_path / "labels.txt")
+    (tmp_path / "to-dir").symlink_to(tmp_path, target_is_directory=True)
+    assert tuple(load_labels(tmp_path / "to-file")) == (0, 3)
+    with pytest.raises(MissingFile, match=f"^{re.escape(str(tmp_path / 'to-dir'))}$"):
+        load_labels(tmp_path / "to-dir")
+
+
+@pytest.mark.parametrize("stale", [False, True], ids=["as-stat", "grown-after-fstat"])
+def test_load_labels_reads_a_large_file_whole(tmp_path, monkeypatch, stale):
+    """A million frames, also when fstat gave a size the file has outgrown."""
+    path = tmp_path / "long.txt"
+    path.write_bytes(b"1\n" * 999_999 + b"6\n")
+    if stale:
+        fstat = os.fstat
+
+        def stale_fstat(fd):  # st_size, field 6, says 3 bytes
+            return os.stat_result([*fstat(fd)[:6], 3, *fstat(fd)[7:10]])
+        monkeypatch.setattr(os, "fstat", stale_fstat)
+    seq = load_labels(path)
+    assert len(seq) == 1_000_000 and seq[0] == 1 and seq[999_999] == 6
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file whatever its mode")
+def test_load_labels_unreadable_is_a_permission_error(tmp_path):
+    """An OSError, which the CLI reports as exit 1, not a MissingFile."""
+    path = tmp_path / "locked.txt"
+    path.write_text("0\n")
+    path.chmod(0)
+    with pytest.raises(PermissionError):
+        load_labels(path)
 
 
 def _write_corpus(tmp_path, *, lengths=None, runs=("r0", "r1")):
@@ -249,6 +284,59 @@ def test_load_manifest_errors_name_the_label_file(tmp_path, content, error, mess
     assert str(exc.value) == f"{tmp_path / 'video02' / 'r1.txt'}: {message}"
     if error is ParseError:
         assert exc.value.line == 2
+
+
+def _count_validations(monkeypatch) -> list:
+    """Count validate_sequence calls through every loaded module's binding."""
+    calls, validate = [], core.validate_sequence
+
+    def counting(seq, phases):
+        calls.append(seq)
+        return validate(seq, phases)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("phaseeval.") and hasattr(module, "validate_sequence"):
+            monkeypatch.setattr(module, "validate_sequence", counting)
+    return calls
+
+
+def test_load_manifest_checks_each_label_file_once(tmp_path, monkeypatch):
+    """V videos of R runs: V annotations and V*R predictions, each checked once."""
+    path = _write_corpus(tmp_path, lengths={1: 6, 2: 6, 3: 6}, runs=("r0", "r1"))
+    calls = _count_validations(monkeypatch)
+    load_manifest(path)
+    assert len(calls) == 3 + 3 * 2
+
+
+def test_load_manifest_names_the_first_file_out_of_range_in_manifest_order(tmp_path):
+    """Video 2 comes first in the manifest, though the Corpus checks video 1 first."""
+    path = _write_corpus(tmp_path, lengths={2: 6, 1: 6})
+    (tmp_path / "video01" / "annotation.txt").write_text("8\n" * 6)
+    (tmp_path / "video02" / "r1.txt").write_text("0\n" * 5 + "9\n")
+    with pytest.raises(OutOfRangeLabel) as exc:
+        load_manifest(path)
+    assert str(exc.value) == (
+        f"{tmp_path / 'video02' / 'r1.txt'}: label 9 at frame 5 exceeds phase range 0..6"
+    )
+    assert exc.value.__context__ is None or exc.value.__suppress_context__
+
+
+@pytest.mark.parametrize("later", ["parse", "schema"])
+def test_a_later_bad_file_or_entry_wins_over_an_earlier_label_out_of_range(tmp_path, later):
+    """Labels are range-checked once every file is read, so a parse error in
+    a later file, or a schema error in a later entry, is what is raised."""
+    path = _write_corpus(tmp_path)
+    (tmp_path / "video01" / "r0.txt").write_text("9\n" * 6)
+    if later == "parse":
+        (tmp_path / "video02" / "r1.txt").write_text("0\nx\n")
+    else:
+        data = json.loads(path.read_text())
+        data["videos"][1]["predictions"]["r1"] = 7
+        path.write_text(json.dumps(data))
+    with pytest.raises(ParseError if later == "parse" else SchemaError) as exc:
+        load_manifest(path)
+    if later == "parse":
+        assert str(exc.value).startswith(f"{tmp_path / 'video02' / 'r1.txt'}: line 2")
 
 
 # The error census below sees only the classes of imported modules.
@@ -385,15 +473,7 @@ def test_a_built_corpus_is_read_only():
 
 
 def test_a_corpus_validates_each_sequence_once_and_reports_trust_it(monkeypatch):
-    calls, validate = [], core.validate_sequence
-
-    def counting(seq, phases):
-        calls.append(seq)
-        return validate(seq, phases)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("phaseeval.") and hasattr(module, "validate_sequence"):
-            monkeypatch.setattr(module, "validate_sequence", counting)
+    calls = _count_validations(monkeypatch)
     corpus = _corpus_2x3()
     assert len(calls) == 2 + 2 * 3
     for run, count in zip(_RUNNERS, (0, 2)):  # graph relaxed: each annotation against the grids
