@@ -146,11 +146,11 @@ def mean_cells(cells: Iterable[MetricCell]) -> MetricCell:
 
 
 # The axes each averaging order collapses, stage by stage, in a
-# (group, phase, video, run) stack.
+# (group, phase, video, run) stack whose collapsed axes are kept at size 1.
 _STAGES = {
     AveragingOrder.FLAT: ((1, 2, 3),),
-    AveragingOrder.PHASE_FIRST: (1, (1, 2)),
-    AveragingOrder.VIDEO_FIRST: ((2, 3), 1),
+    AveragingOrder.PHASE_FIRST: ((1,), (1, 2, 3)),
+    AveragingOrder.VIDEO_FIRST: ((2, 3), (1, 2, 3)),
 }
 
 
@@ -164,30 +164,102 @@ def _sample_std(points: list[float], mode: StdMode) -> float:
     return math.sqrt(ss / denom)
 
 
+class _Groupings:
+    """The defined-cell means of a (group, phase, video, run) stack of
+    cells, each grouping averaged once however many statistics read it.
+
+    A grouping is kept as arrays of the stack's rank, collapsed axes at
+    size 1, and groupings that differ only in axes of one position are one
+    pass.  The spreads it gives are `std_mode` sample standard deviations."""
+
+    def __init__(self, values: np.ndarray, state: np.ndarray, std_mode: StdMode):
+        self.values, self.state, self.std_mode = values, state, std_mode
+        self.groups, self.phases = values.shape[:2]
+        self._ones = {a for a in (1, 2, 3) if values.shape[a] == 1}
+        self._means: dict[tuple[int, ...], Cells] = {}
+        self._spreads: dict[tuple[tuple[int, ...], int], list[float | None]] = {}
+
+    def means(self, axes) -> tuple[tuple[int, ...], Cells]:
+        """The pass's key and the defined-cell means over `axes`."""
+        key = tuple(sorted(self._ones.union(axes)))
+        if key not in self._means:
+            shape = self.values.shape
+            kept = tuple(1 if a in key else n for a, n in enumerate(shape))
+            cells = mean_defined(self.values, self.state, key)
+            self._means[key] = tuple(a.reshape(kept) for a in cells)
+        return key, self._means[key]
+
+    def spread(self, axis: int, per_phase: bool) -> list[float | None]:
+        """Spread across `axis` of the means that keep it, the group axis
+        and, if `per_phase`, the phase axis: one per position of those."""
+        positions = self.values.shape[axis]
+        if positions == 1:
+            return [None] * (self.groups * self.phases if per_phase else self.groups)
+        others = (a for a in (1, 2, 3) if a != axis and not (per_phase and a == 1))
+        key, (m, k) = self.means(others)
+        if (key, axis) not in self._spreads:
+            lines = (np.moveaxis(a, axis, -1).reshape(-1, positions) for a in (m, k == DEFINED))
+            points = [row[d].tolist() for row, d in zip(*lines)]
+            self._spreads[key, axis] = [
+                _sample_std(p, self.std_mode) if len(p) > 1 else None for p in points
+            ]
+        return self._spreads[key, axis]
+
+    def summaries(self, order: AveragingOrder) -> list[MetricSummary]:
+        """Each group's mean under `order`, and its spread across phases,
+        videos and runs."""
+        if order not in _STAGES:
+            raise ValueError(f"unknown order {order!r}")
+        first, *rest = _STAGES[order]
+        m, k = self.means(first)[1]
+        for axes in rest:
+            m, k = mean_defined(m, k, axes)
+        sds = (self.spread(axis, False) for axis in (2, 1, 3))
+        return list(map(MetricSummary, _defined(m, k), *sds))
+
+    def phase_rows(self) -> list[tuple[MetricSummary, ...]]:
+        """The summaries of each group's phases alone."""
+        n = self.phases
+        rows = list(map(
+            MetricSummary,
+            _defined(*self.means((2, 3))[1]),
+            self.spread(2, True),
+            [None] * (self.groups * n),
+            self.spread(3, True),
+        ))
+        return [tuple(rows[g * n : (g + 1) * n]) for g in range(self.groups)]
+
+
+def _defined(values: np.ndarray, state: np.ndarray) -> list[float | None]:
+    """Each value as a Python float, None where the state is not defined."""
+    return [x if d else None for x, d in zip(values.ravel().tolist(), (state == DEFINED).ravel())]
+
+
+def aggregate(
+    values: np.ndarray, state: np.ndarray, spec: SummarySpec = SummarySpec()
+) -> tuple[list[MetricSummary], list[tuple[MetricSummary, ...]]]:
+    """The summary of each group of a (group, phase, video, run) stack of
+    cells, and the summaries of each of its phases alone.
+
+    A group's mean follows spec.order; a phase's is the mean of its
+    defined cells, as under every order.  A spread across an axis collapses
+    the other axes per position by the defined-cell mean, then takes the
+    sample standard deviation of the positions that retain a value; over
+    fewer than two such positions it is None, as is a mean over no defined
+    cell, and a phase alone has no spread across phases.  The per-phase
+    means give the phases' means, each group's spread across phases and
+    the first stage of VIDEO_FIRST: one pass for all three.
+    """
+    groupings = _Groupings(values, state, spec.std_mode)
+    return groupings.summaries(spec.order), groupings.phase_rows()
+
+
 def summaries(
     values: np.ndarray, state: np.ndarray, spec: SummarySpec = SummarySpec()
 ) -> list[MetricSummary]:
-    """The summary of each group of a (group, phase, video, run) stack of
-    cells: the mean under spec.order, and the spread across each of the
-    phase, video and run axes.  A spread collapses the other two axes per
-    position by the defined-cell mean, then takes the sample standard
-    deviation of the positions that retain a value; over fewer than two
-    such positions it is None, as is a mean over no defined cell."""
-    if spec.order not in _STAGES:
-        raise ValueError(f"unknown order {spec.order!r}")
-    means, kept = values, state
-    for axes in _STAGES[spec.order]:
-        means, kept = mean_defined(means, kept, axes)
-    mean = [m if k == DEFINED else None for m, k in zip(means.tolist(), kept.tolist())]
-    sds = {}
-    for axis in (1, 2, 3):
-        if values.shape[axis] == 1:
-            sds[axis] = [None] * len(values)
-            continue
-        means, kept = mean_defined(values, state, tuple(a for a in (1, 2, 3) if a != axis))
-        points = [row[k].tolist() for row, k in zip(means, kept == DEFINED)]
-        sds[axis] = [_sample_std(p, spec.std_mode) if len(p) > 1 else None for p in points]
-    return [MetricSummary(*row) for row in zip(mean, sds[2], sds[1], sds[3])]
+    """The aggregate summary of each group of a (group, phase, video, run)
+    stack of cells, without its phases."""
+    return _Groupings(values, state, spec.std_mode).summaries(spec.order)
 
 
 def summarize(tensor: ResultTensor, spec: SummarySpec = SummarySpec()) -> MetricSummary:
@@ -199,7 +271,7 @@ def summarize(tensor: ResultTensor, spec: SummarySpec = SummarySpec()) -> Metric
 
 def ordered_mean(tensor: ResultTensor, order: AveragingOrder) -> float:
     """Collapse a tensor to one number under the given averaging order."""
-    mean = summaries(tensor.values[None], tensor.state[None], SummarySpec(order=order))[0].mean
+    mean = summarize(tensor, SummarySpec(order=order)).mean
     if mean is None:
         raise NoDefinedCells("tensor has no defined cells")
     return mean
@@ -209,7 +281,7 @@ def phase_summaries(tensor: ResultTensor, std_mode: StdMode) -> tuple[MetricSumm
     """The summarize of each phase's one-phase tensor, in phase order.  One
     phase has the same mean under every averaging order, and no spread over
     phases."""
-    return tuple(summaries(tensor.values[:, None], tensor.state[:, None], SummarySpec(std_mode)))
+    return _Groupings(tensor.values[None], tensor.state[None], std_mode).phase_rows()[0]
 
 
 def grid_axes(grid: Mapping[int, Mapping[str, object]]) -> tuple[tuple[int, ...], tuple[str, ...]]:

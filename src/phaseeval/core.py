@@ -8,7 +8,7 @@ time indices are 0-based frame positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,11 +79,13 @@ LABEL_MAX = int(np.iinfo(np.int32).max)
 class LabelSequence:
     """Frame-wise phase labels.
 
-    Labels are held as a read-only int32 array; indexing and iteration
-    yield plain Python ints.  Two sequences are equal when their labels are.
+    Labels are held as a read-only int32 copy, and `max_label` is the
+    largest of them; indexing and iteration yield plain Python ints.  Two
+    sequences are equal when their labels are.
     """
 
     labels: np.ndarray
+    max_label: int = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
@@ -95,11 +97,24 @@ class LabelSequence:
             raise OutOfRangeLabel(f"labels must be integers in 0..{LABEL_MAX}")
         if labels.dtype.kind == "i" and labels.min() < 0:  # only signed can be negative
             raise OutOfRangeLabel("labels must be non-negative")
-        if not np.can_cast(labels.dtype, np.int32) and labels.max() > LABEL_MAX:
+        max_label = int(labels.max())
+        if max_label > LABEL_MAX:
             raise OutOfRangeLabel(f"labels must not exceed {LABEL_MAX}")
-        labels = labels.astype(np.int32)
+        self._hold(labels.astype(np.int32), max_label)
+
+    def _hold(self, labels: np.ndarray, max_label: int) -> None:
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "max_label", max_label)
+
+    @classmethod
+    def _of_int32(cls, labels: np.ndarray, max_label: int) -> "LabelSequence":
+        """A sequence that takes `labels`, a flat, non-empty int32 array of
+        non-negative labels that nothing else holds, and its largest label,
+        without the checks or the copy."""
+        seq = object.__new__(cls)
+        seq._hold(labels, max_label)
+        return seq
 
     def __eq__(self, other):
         if not isinstance(other, LabelSequence):
@@ -121,7 +136,7 @@ class LabelSequence:
 
 def validate_sequence(seq: LabelSequence, phases: PhaseSet) -> None:
     """Raise OutOfRangeLabel if any frame label is outside the vocabulary."""
-    if seq.labels.max() >= phases.count:
+    if seq.max_label >= phases.count:
         t = int(np.argmax(seq.labels >= phases.count))
         raise OutOfRangeLabel(
             f"label {seq[t]} at frame {t} exceeds phase range 0..{phases.count - 1}"

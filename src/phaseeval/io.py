@@ -20,9 +20,10 @@ import json
 import os
 import stat
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -68,10 +69,12 @@ def parse_labels(text: str | bytes) -> LabelSequence:
     if not data:
         raise EmptyFile("no frames")
     # One digit a line, the usual layout: each (digit, newline) byte pair, read
-    # as a little-endian uint16, is 0x0A30 plus the digit; any other wraps past 9.
-    labels = np.frombuffer(data + b"\n"[: len(data) % 2], "<u2") - 0x0A30
-    if labels.max() <= 9:
-        return LabelSequence(labels)
+    # as a little-endian uint16, is 0x0A30 plus the digit; any other is
+    # negative or past 9, and read as uint32 every negative is past 9 too.
+    pairs = np.frombuffer(data + b"\n"[: len(data) % 2], "<u2")
+    labels = np.subtract(pairs, 0x0A30, dtype=np.int32)
+    if (max_label := int(labels.view(np.uint32).max())) <= 9:
+        return LabelSequence._of_int32(labels, max_label)
     buf = np.frombuffer(data, dtype=np.uint8)
     digit = buf - np.uint8(_ZERO)  # non-digit bytes wrap to values above 9
     newline = buf == _NEWLINE
@@ -135,12 +138,24 @@ def dump_labels(seq: LabelSequence) -> str:
     return "\n".join(map(str, seq.labels.tolist())) + "\n"
 
 
+class CorpusCounts(NamedTuple):
+    """A corpus's (video, run, phase, phase) int64 confusion stack, and the
+    true-positive, annotated and predicted frame counts of each phase of it,
+    each shaped (phase, video, run)."""
+
+    stack: np.ndarray
+    tp: np.ndarray
+    annotated: np.ndarray
+    predicted: np.ndarray
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Sequences to score, valid by construction: the same videos in both
     maps, each with runs, one run-id set, every label within `phases`, and
     each prediction as long as its annotation.  Both maps are held as
-    read-only copies, so a built Corpus stays valid and reports trust it."""
+    read-only copies, so a built Corpus stays valid and reports trust it,
+    and its evaluate reports share one count of its frames, `counts`."""
 
     phases: PhaseSet
     annotations: Mapping[int, LabelSequence]
@@ -175,6 +190,18 @@ class Corpus:
         object.__setattr__(self, "predictions", MappingProxyType(predictions))
         object.__setattr__(self, "videos", videos)
         object.__setattr__(self, "runs", runs)
+
+    @cached_property
+    def counts(self) -> CorpusCounts:
+        """The confusion counts of every pair, as read-only arrays: counted
+        by `confusion.confusion_stack` on first use, then shared."""
+        from . import confusion, metrics  # confusion imports this module
+
+        stack = confusion.confusion_stack(self)[2]
+        counts = CorpusCounts(stack, *metrics.phase_counts(stack))
+        for a in counts:
+            a.flags.writeable = False
+        return counts
 
     def __reduce__(self):  # the proxies do not pickle; rebuild through the checks
         predictions = {v: dict(runs) for v, runs in self.predictions.items()}

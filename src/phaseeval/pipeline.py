@@ -5,17 +5,18 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 
+import numpy as np
+
 from .aggregate import (
     AveragingOrder,
     MetricSummary,
     ResultTensor,
     StdMode,
     SummarySpec,
-    phase_summaries,
+    aggregate,
     summarize,
     video_tensor,
 )
-from .confusion import confusion_stack
 from .core import assumed_workflow
 from .errors import PhaseEvalError
 from .io import Corpus, EvaluationReport
@@ -57,12 +58,14 @@ def _report(corpus: Corpus, protocol: dict, summary: dict, per_phase: dict) -> E
 
 
 def _summaries(tensors: dict[str, ResultTensor], spec: SummarySpec, prefix: str = ""):
-    """Summary of each named per-phase tensor, and of each of its phases."""
-    summary = {prefix + k: summarize(t, spec) for k, t in tensors.items()}
-    rows = {prefix + k: phase_summaries(t, spec.std_mode) for k, t in tensors.items()}
+    """Summary of each named tensor, and of each of its phases, from one
+    aggregate of their stack; the tensors share their axes."""
+    stack = [np.stack([getattr(t, a) for t in tensors.values()]) for a in ("values", "state")]
+    groups, rows = aggregate(*stack, spec)
+    names = [prefix + k for k in tensors]
     phases = next(iter(tensors.values())).phases
-    per_phase = {p: {k: r[pi] for k, r in rows.items()} for pi, p in enumerate(phases)}
-    return summary, per_phase
+    per_phase = {p: {k: r[pi] for k, r in zip(names, rows)} for pi, p in enumerate(phases)}
+    return dict(zip(names, groups)), per_phase
 
 
 # ----------------------------------------------------------- evaluate
@@ -74,9 +77,8 @@ def run_evaluate(
     std_mode: StdMode,
 ) -> EvaluationReport:
     """Regular (unrelaxed) metric report over a loaded corpus."""
-    phases = corpus.phases
-    videos, runs, counts = confusion_stack(corpus)
-    per_pair = phase_counts(counts)  # (phase, video, run) arrays
+    phases, videos, runs = corpus.phases, corpus.videos, corpus.runs
+    counts, *per_pair = corpus.counts  # per_pair: (phase, video, run) arrays
     spec = SummarySpec(std_mode=std_mode, order=order)
     summary, per_phase = _summaries({
         kind: apply_policy(
@@ -93,8 +95,9 @@ def run_evaluate(
         **{"macro_" + kind: cells for kind, cells in macro.items()},
         "bold_macro_f1": f1_of_means_cells(macro[PRECISION], macro[RECALL]),
     }
-    for name, cells in per_video.items():
-        summary[name] = summarize(video_tensor(videos, runs, cells), spec)
+    summary.update(_summaries({
+        name: video_tensor(videos, runs, cells) for name, cells in per_video.items()
+    }, spec)[0])
 
     mp, mr = summary[PRECISION].mean, summary[RECALL].mean
     if mp is not None and mr is not None:

@@ -256,10 +256,11 @@ class RelaxedCounts(NamedTuple):
 
 
 # Rows r_tp, union, predicted and annotated; columns the diagonals, row sums
-# and column sums of the unchanged and changed squares.  A changed frame on the
-# diagonal is an agreement left unflagged, off it a forgiven mismatch (both sides).
+# and column sums of the unflagged and flagged squares.  A phase's relaxed true
+# positives are the flagged frames annotated or predicted as it, its union all
+# such frames: row plus column less the diagonal, counted in it twice.
 _COMBINE = np.array([
-    [1, -2, 0, 1, 0, 1], [-1, -1, 1, 1, 1, 1], [0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 0]])
+    [0, -1, 0, 1, 0, 1], [-1, -1, 1, 1, 1, 1], [0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 0]])
 
 
 @overload
@@ -285,9 +286,8 @@ def relaxed_counts(annotation, prediction, flags, phase):
     either side.  `flags` is a bool mask or a sequence of bools.
 
     Given a range of phases (e.g. `range(phase_count)`), counts all of
-    them at once and returns one entry per phase: the pair's (annotated,
-    predicted) counts, corrected by the frames whose flag differs from
-    exact agreement (under a relaxation rule, the forgiven mismatches).
+    them at once and returns one entry per phase, from the pair's
+    (annotated, predicted) counts of the unflagged and the flagged frames.
     """
     _check_lengths(annotation, prediction)
     if len(flags) != len(annotation):
@@ -313,12 +313,12 @@ def relaxed_counts(annotation, prediction, flags, phase):
     pair = offsets(annotation.labels)
     pair *= np.uint32(width + 1)
     pair += offsets(prediction.labels)
-    # Frames whose flag differs from exact agreement go to a second
-    # (annotated, predicted) square, so one bincount counts both.
-    changed = np.asarray(flags, dtype=bool) != (annotation.labels == prediction.labels)
-    np.add(pair, np.uint32((width + 1) ** 2), out=pair, where=changed)
-    bins = np.bincount(pair, minlength=2 * (width + 1) ** 2).reshape(2, width + 1, width + 1)
-    parts = np.concatenate((bins.diagonal(0, 1, 2), bins.sum(2), bins.sum(1)))[:, :width]
+    # The flag is the lowest bit of each bin, so one bincount counts the
+    # unflagged and the flagged (annotated, predicted) squares.
+    pair <<= np.uint32(1)
+    pair |= np.asarray(flags, dtype=bool)
+    bins = np.bincount(pair, minlength=2 * (width + 1) ** 2).reshape(width + 1, width + 1, 2)
+    parts = np.concatenate((bins.diagonal(0, 0, 1), bins.sum(1).T, bins.sum(0).T))[:, :width]
     counts = tuple(map(RelaxedCounts._make, (_COMBINE @ parts).T.tolist()))
     return counts[0] if single else counts
 

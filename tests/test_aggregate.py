@@ -13,6 +13,7 @@ from phaseeval.aggregate import (
     ResultTensor,
     StdMode,
     SummarySpec,
+    aggregate,
     mean_cells,
     ordered_mean,
     phase_metric_tensor,
@@ -192,9 +193,56 @@ def test_uncorrected_never_exceeds_corrected(grid):
             assert u < c
 
 
+def _fsum_mean(cells):
+    kept = [x for x in cells if x is not None]
+    return math.fsum(kept) / len(kept) if kept else None
+
+
+def _fsum_sd(means, mode):
+    points = [x for x in means if x is not None]
+    if len(points) < 2:
+        return None
+    m = math.fsum(points) / len(points)
+    ss = math.fsum((x - m) ** 2 for x in points)
+    return math.sqrt(ss / (len(points) - (mode is StdMode.CORRECTED)))
+
+
+def _exact_summaries(grid, spec):
+    """The group summary and phase rows of grid[p][v][r], every mean the
+    fsum of its defined cells over their count, by nested loops."""
+    P, V, R = range(len(grid)), range(len(grid[0])), range(len(grid[0][0]))
+    phase = [_fsum_mean(grid[p][v][r] for v in V for r in R) for p in P]
+    video = [_fsum_mean(grid[p][v][r] for p in P for r in R) for v in V]
+    run = [_fsum_mean(grid[p][v][r] for p in P for v in V) for r in R]
+    mean = {
+        AveragingOrder.FLAT: _fsum_mean(x for plane in grid for row in plane for x in row),
+        AveragingOrder.PHASE_FIRST: _fsum_mean(
+            _fsum_mean(grid[p][v][r] for p in P) for v in V for r in R
+        ),
+        AveragingOrder.VIDEO_FIRST: _fsum_mean(phase),
+    }[spec.order]
+    mode = spec.std_mode
+    summary = MetricSummary(mean, _fsum_sd(video, mode), _fsum_sd(phase, mode), _fsum_sd(run, mode))
+    rows = tuple(
+        MetricSummary(
+            phase[p],
+            _fsum_sd([_fsum_mean(grid[p][v]) for v in V], mode),
+            None,
+            _fsum_sd([_fsum_mean(grid[p][v][r] for v in V) for r in R], mode),
+        )
+        for p in P
+    )
+    return summary, rows
+
+
 @given(stacks)
 @settings(max_examples=150)
+@example([[[[None, None]], [[0.5, 0.25]]]])  # one video; phase 0 has no defined cell
+@example([[[[0.1], [0.7], [None]]], [[[None], [None], [None]]]])  # one run; a group with none
+@example([[[[0.5, 0.75, 0.125]]], [[[0.25, None, 1.0]]]])  # one phase and one video
 def test_summaries_of_a_stack_equal_each_tensor_summarized(grids):
+    """One aggregate of a stack gives each tensor's summarize and
+    phase_summaries, and each mean is the fsum of its cells over their count."""
     for missing in (EXCLUDED_CELL, UNDEFINED_CELL):
         tensors = [_tensor_from_grid(g, missing) for g in grids]
         values = np.stack([t.values for t in tensors])
@@ -202,9 +250,12 @@ def test_summaries_of_a_stack_equal_each_tensor_summarized(grids):
         for mode in StdMode:
             for order in AveragingOrder:
                 spec = SummarySpec(mode, order)
-                got = summaries(values, state, spec)
-                assert got == [summarize(t, spec) for t in tensors]
-                for s in got:
+                groups, rows = aggregate(values, state, spec)
+                assert summaries(values, state, spec) == groups
+                assert groups == [summarize(t, spec) for t in tensors]
+                assert rows == [phase_summaries(t, mode) for t in tensors]
+                assert list(zip(groups, rows)) == [_exact_summaries(g, spec) for g in grids]
+                for s in groups:
                     for axis, positions in zip(("phases", "videos", "runs"), values.shape[1:]):
                         if positions == 1:
                             assert getattr(s, "sd_" + axis) is None

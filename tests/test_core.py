@@ -97,6 +97,7 @@ def test_label_sequence_dtype_matrix(dtype):
         seq = LabelSequence(source)
         assert seq.labels.dtype == np.int32 and not seq.labels.flags.writeable
         assert seq.labels.tolist() == [int(v) for v in values]
+        assert seq.max_label == max(int(v) for v in values)
         assert seq.labels.base is not source and not np.shares_memory(seq.labels, source)
 
 

@@ -66,8 +66,9 @@ def test_parse_labels_without_trailing_newline():
 )
 def test_parse_labels_one_digit_layout_and_its_edges(text, want):
     if isinstance(want, tuple):
-        assert tuple(parse_labels(text)) == want
-        assert parse_labels(text).labels.dtype == "int32"
+        seq = parse_labels(text)
+        assert tuple(seq) == want and seq.max_label == max(want)
+        assert seq.labels.dtype == "int32" and not seq.labels.flags.writeable
         return
     with pytest.raises(ParseError) as exc:
         parse_labels(text)
@@ -135,8 +136,8 @@ def _assert_parses_as_oracle(data: bytes, text: str | bytes) -> None:
             parse_labels(text)
     else:
         seq = parse_labels(text)
-        assert seq.labels.dtype == np.int32
-        assert list(seq) == want
+        assert seq.labels.dtype == np.int32 and not seq.labels.flags.writeable
+        assert list(seq) == want and seq.max_label == max(want)
 
 
 @given(label_text, st.booleans())

@@ -256,18 +256,21 @@ def test_relaxed_tp_dominates_strict_tp(pair):
 LABEL_MAX = 2**31 - 1
 
 
-@given(st.data(), st.integers(1, 12))
+@given(st.data(), st.integers(1, 12), st.integers(-3, 3))
 @settings(max_examples=200)
-def test_counts_by_phase_match_oracle(data, phase_count):
-    """Every phase at once, including phases absent from both sequences
-    and predicted labels past the grid, up to the largest int32 label."""
-    y = data.draw(st.lists(st.integers(0, phase_count - 1), min_size=1, max_size=60))
+def test_counts_by_phase_match_oracle(data, phase_count, start):
+    """Every phase of a range at once, which need not start at 0, including
+    phases absent from both sequences and labels on either side of the
+    range, up to the largest int32 label; any flag mask, agreeing frames
+    left unflagged included, which no flag rule gives."""
+    label = st.integers(0, phase_count + 3) | st.just(LABEL_MAX)
+    y = data.draw(st.lists(label, min_size=1, max_size=60))
     n = len(y)
-    predicted = st.integers(0, phase_count + 3) | st.just(LABEL_MAX)
-    yhat = data.draw(st.lists(predicted, min_size=n, max_size=n))
+    yhat = data.draw(st.lists(label, min_size=n, max_size=n))
     flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    phases = range(phase_count + 2)
+    phases = range(start, start + phase_count + 2)
     got = relaxed_counts(_seq(y), _seq(yhat), tuple(flags), phases)
+    assert got == relaxed_counts(_seq(y), _seq(yhat), np.array(flags), phases)
     assert len(got) == len(phases)
     for p, c in zip(phases, got):
         want = oracle_relaxed_counts(y, yhat, flags, p)
