@@ -138,13 +138,6 @@ class ResultTensor:
         return cell_of(self.values[pi, vi, ri], self.state[pi, vi, ri])
 
 
-def mean_cells(cells: Iterable[MetricCell]) -> MetricCell:
-    """Mean over defined cells; undefined cells are skipped like excluded
-    ones, so resolve policies before averaging.  Excluded when nothing
-    defined remains."""
-    return cell_of(*mean_defined(*cell_arrays(cells), 0))
-
-
 # The axes each averaging order collapses, stage by stage, in a
 # (group, phase, video, run) stack whose collapsed axes are kept at size 1.
 _STAGES = {
@@ -254,19 +247,12 @@ def aggregate(
     return groupings.summaries(spec.order), groupings.phase_rows()
 
 
-def summaries(
-    values: np.ndarray, state: np.ndarray, spec: SummarySpec = SummarySpec()
-) -> list[MetricSummary]:
-    """The aggregate summary of each group of a (group, phase, video, run)
-    stack of cells, without its phases."""
-    return _Groupings(values, state, spec.std_mode).summaries(spec.order)
-
-
 def summarize(tensor: ResultTensor, spec: SummarySpec = SummarySpec()) -> MetricSummary:
     """Mean under the requested averaging order plus spreads across all
     three axes.  A spread over fewer than two retained positions is None; with a
     single run, sd_runs is always None."""
-    return summaries(tensor.values[None], tensor.state[None], spec)[0]
+    groupings = _Groupings(tensor.values[None], tensor.state[None], spec.std_mode)
+    return groupings.summaries(spec.order)[0]
 
 
 def ordered_mean(tensor: ResultTensor, order: AveragingOrder) -> float:
@@ -277,33 +263,20 @@ def ordered_mean(tensor: ResultTensor, order: AveragingOrder) -> float:
     return mean
 
 
-def phase_summaries(tensor: ResultTensor, std_mode: StdMode) -> tuple[MetricSummary, ...]:
-    """The summarize of each phase's one-phase tensor, in phase order.  One
-    phase has the same mean under every averaging order, and no spread over
-    phases."""
-    return _Groupings(tensor.values[None], tensor.state[None], std_mode).phase_rows()[0]
-
-
-def grid_axes(grid: Mapping[int, Mapping[str, object]]) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """Sorted video ids and run ids of a video/run grid."""
-    videos = tuple(sorted(grid))
-    if not videos:
-        raise ValueError("need at least one video")
-    runs = tuple(sorted(grid[videos[0]]))
-    for v in videos:
-        if tuple(sorted(grid[v])) != runs:
-            raise RaggedRuns(f"video {v} has a different run set")
-    if not runs:
-        raise ValueError("need at least one run")
-    return videos, runs
-
-
 def stack_confusions(
     matrices: Mapping[int, Mapping[str, np.ndarray]],
 ) -> tuple[tuple[int, ...], tuple[str, ...], np.ndarray]:
-    """Videos, runs and the (video, run, phase, phase) count stack of a
-    video/run grid of confusion matrices."""
-    videos, runs = grid_axes(matrices)
+    """Sorted video ids, sorted run ids and the (video, run, phase, phase)
+    count stack of a video/run grid of confusion matrices."""
+    videos = tuple(sorted(matrices))
+    if not videos:
+        raise ValueError("need at least one video")
+    runs = tuple(sorted(matrices[videos[0]]))
+    for v in videos:
+        if tuple(sorted(matrices[v])) != runs:
+            raise RaggedRuns(f"video {v} has a different run set")
+    if not runs:
+        raise ValueError("need at least one run")
     counts = np.array([[matrices[v][r] for r in runs] for v in videos])
     return videos, runs, counts
 

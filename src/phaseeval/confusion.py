@@ -16,9 +16,10 @@ class DimensionMismatch(PhaseEvalError):
     """Confusion counts being combined must share a phase count."""
 
 
-def confusion_stack(corpus: Corpus) -> tuple[tuple[int, ...], tuple[str, ...], np.ndarray]:
-    """Videos, runs and the (video, run, phase, phase) int64 counts of each
-    prediction against its video's annotation, one bincount per pair."""
+def confusion_stack(corpus: Corpus) -> np.ndarray:
+    """The (video, run, phase, phase) int64 counts of each prediction
+    against its video's annotation, in the corpus's video and run order,
+    one bincount per pair."""
     videos, runs, p = corpus.videos, corpus.runs, corpus.phases.count
     counts = np.empty((len(videos), len(runs), p * p), np.int64)
     for v, video in zip(videos, counts):
@@ -26,7 +27,7 @@ def confusion_stack(corpus: Corpus) -> tuple[tuple[int, ...], tuple[str, ...], n
         base = np.multiply(corpus.annotations[v].labels, p, dtype=np.uint16, casting="unsafe")
         for r, pair in zip(runs, video):
             pair[:] = np.bincount(base + corpus.predictions[v][r].labels, minlength=p * p)
-    return videos, runs, counts.reshape(len(videos), len(runs), p, p)
+    return counts.reshape(len(videos), len(runs), p, p)
 
 
 def confusion_of(
@@ -35,7 +36,7 @@ def confusion_of(
     """Count frame-wise agreement of one prediction against one annotation:
     counts[p, q] is the number of frames annotated as phase p and predicted
     as q, an exact int64 (phase, phase) array that is read-only."""
-    counts = confusion_stack(Corpus(phases, {0: annotation}, {0: {"": prediction}}))[2][0, 0]
+    counts = confusion_stack(Corpus(phases, {0: annotation}, {0: {"": prediction}}))[0, 0]
     counts.flags.writeable = False
     return counts
 

@@ -196,14 +196,8 @@ class WorkflowGraph:
                 raise ValueError("phase ids must be non-negative")
         object.__setattr__(self, "edges", edges)
 
-    def has_edge(self, src: int, dst: int) -> bool:
-        return (src, dst) in self.edges
-
     def successors(self, phase: int) -> tuple[int, ...]:
         return tuple(sorted(b for a, b in self.edges if a == phase))
-
-    def predecessors(self, phase: int) -> tuple[int, ...]:
-        return tuple(sorted(a for a, b in self.edges if b == phase))
 
 
 def cholec80_graph() -> WorkflowGraph:

@@ -135,6 +135,8 @@ def load_labels(path: str | Path) -> LabelSequence:
 
 
 def dump_labels(seq: LabelSequence) -> str:
+    """The label-file text of `seq`: one label a line, each line ending in
+    a newline."""
     return "\n".join(map(str, seq.labels.tolist())) + "\n"
 
 
@@ -197,7 +199,7 @@ class Corpus:
         by `confusion.confusion_stack` on first use, then shared."""
         from . import confusion, metrics  # confusion imports this module
 
-        stack = confusion.confusion_stack(self)[2]
+        stack = confusion.confusion_stack(self)
         counts = CorpusCounts(stack, *metrics.phase_counts(stack))
         for a in counts:
             a.flags.writeable = False
@@ -236,8 +238,8 @@ def load_manifest(path: str | Path) -> Corpus:
     if not _is_int(phase_count) or not 1 <= phase_count <= MAX_PHASES:
         raise SchemaError(f"phase_count must be an integer within 1..{MAX_PHASES}")
     split = doc.get("split")
-    if split is not None and not isinstance(split, str):
-        raise SchemaError("split must be a string if present")
+    if split is not None and not (isinstance(split, str) and split):
+        raise SchemaError("split must be a non-empty string if present")
     videos = doc.get("videos")
     if not isinstance(videos, list) or not videos:
         raise SchemaError("videos must be a non-empty list")

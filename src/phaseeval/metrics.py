@@ -210,14 +210,6 @@ def resolve(values, state, policy: UndefinedPolicy, present) -> Cells:
     return np.where(drop, math.nan, values), np.where(drop, EXCLUDED, state)
 
 
-def resolve_cell(
-    cell: MetricCell, policy: UndefinedPolicy, phase_annotated: bool
-) -> MetricCell:
-    """Apply an undefined-value policy to a single cell."""
-    values, state = resolve(*cell_arrays([cell]), policy, phase_annotated)
-    return cell_of(values[0], state[0])
-
-
 def apply_policy(
     tensor: "ResultTensor",
     policy: UndefinedPolicy,
@@ -267,13 +259,6 @@ def f1_of_means_cells(precision: Cells, recall: Cells) -> Cells:
     """
     both = (precision[1] == DEFINED) & (recall[1] == DEFINED)
     return harmonic(precision[0], recall[0]), np.where(both, DEFINED, EXCLUDED).astype(np.int8)
-
-
-def macro_f1_of_means(counts: np.ndarray, policy: UndefinedPolicy) -> MetricCell:
-    """The f1_of_means_cells entry of one confusion matrix."""
-    per_phase = phase_counts(counts)
-    means = (macro_cells(kind, *per_phase, policy) for kind in (PRECISION, RECALL))
-    return cell_of(*f1_of_means_cells(*means))
 
 
 def f1_upper(mean_precision: float, mean_recall: float) -> float:

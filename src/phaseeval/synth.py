@@ -6,7 +6,8 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from .core import PhaseSet, assumed_workflow, cholec80_graph
+from .core import LabelSequence, PhaseSet, assumed_workflow, cholec80_graph
+from .io import dump_labels
 from .vocab import canonical_json
 
 
@@ -72,9 +73,7 @@ def generate_corpus(
             boundaries.append(acc)
         vdir = out_dir / f"video{vid:02d}"
         vdir.mkdir(exist_ok=True)
-        (vdir / "annotation.txt").write_text(
-            "".join(f"{x}\n" for x in labels), encoding="utf-8"
-        )
+        (vdir / "annotation.txt").write_text(dump_labels(LabelSequence(labels)), encoding="utf-8")
         entry = {
             "id": vid,
             "annotation": f"video{vid:02d}/annotation.txt",
@@ -86,9 +85,7 @@ def generate_corpus(
                 labels, boundaries, phase_order, rng,
                 boundary_shift, flip_rate, phase_count,
             )
-            (vdir / f"{run}.txt").write_text(
-                "".join(f"{x}\n" for x in pred), encoding="utf-8"
-            )
+            (vdir / f"{run}.txt").write_text(dump_labels(LabelSequence(pred)), encoding="utf-8")
             entry["predictions"][run] = f"video{vid:02d}/{run}.txt"
         manifest_videos.append(entry)
     manifest = {"phase_count": phase_count, "videos": manifest_videos}

@@ -14,13 +14,10 @@ from phaseeval.aggregate import (
     StdMode,
     SummarySpec,
     aggregate,
-    mean_cells,
     ordered_mean,
     phase_metric_tensor,
-    phase_summaries,
     RaggedRuns,
     stack_confusions,
-    summaries,
     summarize,
     video_tensor,
 )
@@ -33,7 +30,10 @@ from phaseeval.metrics import (
     MetricCell,
     UndefinedPolicy,
     accuracy_cells,
+    cell_arrays,
+    cell_of,
     macro_cells,
+    mean_defined,
     phase_counts,
 )
 from reference import (
@@ -99,10 +99,12 @@ def test_tensor_rejects_unknown_state_codes(code):
         ResultTensor((0,), (1, 2, 3), ("r",), np.zeros((1, 3, 1)), state)
 
 
-def test_mean_cells_skips_non_defined():
-    cells = [MetricCell.defined(0.2), UNDEFINED_CELL, MetricCell.defined(0.4)]
-    assert mean_cells(cells).value == pytest.approx(0.3)
-    assert not mean_cells([EXCLUDED_CELL]).is_defined
+def test_mean_defined_skips_non_defined():
+    values, state = cell_arrays(
+        [MetricCell.defined(0.2), UNDEFINED_CELL, MetricCell.defined(0.4), EXCLUDED_CELL]
+    )
+    assert cell_of(*mean_defined(values, state, 0)).value == pytest.approx(0.3)
+    assert not cell_of(*mean_defined(values[3:], state[3:], 0)).is_defined
 
 
 @given(grids)
@@ -241,8 +243,9 @@ def _exact_summaries(grid, spec):
 @example([[[[0.1], [0.7], [None]]], [[[None], [None], [None]]]])  # one run; a group with none
 @example([[[[0.5, 0.75, 0.125]]], [[[0.25, None, 1.0]]]])  # one phase and one video
 def test_summaries_of_a_stack_equal_each_tensor_summarized(grids):
-    """One aggregate of a stack gives each tensor's summarize and
-    phase_summaries, and each mean is the fsum of its cells over their count."""
+    """One aggregate of a stack gives each tensor's summarize and the phase
+    rows of its aggregate alone, and each mean is the fsum of its cells over
+    their count."""
     for missing in (EXCLUDED_CELL, UNDEFINED_CELL):
         tensors = [_tensor_from_grid(g, missing) for g in grids]
         values = np.stack([t.values for t in tensors])
@@ -251,9 +254,10 @@ def test_summaries_of_a_stack_equal_each_tensor_summarized(grids):
             for order in AveragingOrder:
                 spec = SummarySpec(mode, order)
                 groups, rows = aggregate(values, state, spec)
-                assert summaries(values, state, spec) == groups
                 assert groups == [summarize(t, spec) for t in tensors]
-                assert rows == [phase_summaries(t, mode) for t in tensors]
+                assert rows == [
+                    aggregate(t.values[None], t.state[None], spec)[1][0] for t in tensors
+                ]
                 assert list(zip(groups, rows)) == [_exact_summaries(g, spec) for g in grids]
                 for s in groups:
                     for axis, positions in zip(("phases", "videos", "runs"), values.shape[1:]):
@@ -265,11 +269,11 @@ def test_summaries_of_a_stack_equal_each_tensor_summarized(grids):
 @settings(max_examples=200)
 @example([[[None, None]], [[0.5, 0.25]]])  # one video; phase 0 has no defined cell
 @example([[[0.1], [0.7], [None]], [[None], [None], [None]]])  # one run
-def test_phase_summaries_equal_each_phase_summarized_alone(grid):
+def test_phase_rows_equal_each_phase_summarized_alone(grid):
     for missing in (EXCLUDED_CELL, UNDEFINED_CELL):
         t = _tensor_from_grid(grid, missing)
         for mode in StdMode:
-            rows = phase_summaries(t, mode)
+            rows = aggregate(t.values[None], t.state[None], SummarySpec(mode))[1][0]
             assert len(rows) == len(t.phases)
             for pi, row in enumerate(rows):
                 at = slice(pi, pi + 1)

@@ -89,12 +89,13 @@ def test_stack_equals_each_pair_counted_alone(phase_count, videos, runs, data):
         frames = st.lists(labels, min_size=n, max_size=n)
         anns[v] = _seq(data.draw(frames))
         preds[v] = {f"r{r}": _seq(data.draw(frames)) for r in range(runs)}
-    got = confusion_stack(Corpus(phases, anns, preds))
+    corpus = Corpus(phases, anns, preds)
+    got = confusion_stack(corpus)
     want = stack_confusions({
         v: {r: confusion_of(anns[v], p, phases) for r, p in preds[v].items()} for v in anns
     })
-    assert got[:2] == want[:2]
-    assert got[2].dtype == np.int64 and np.array_equal(got[2], want[2])
+    assert (corpus.videos, corpus.runs) == want[:2]
+    assert got.dtype == np.int64 and np.array_equal(got, want[2])
 
 
 def test_sum_rejects_mixed_sizes():

@@ -40,6 +40,7 @@ from phaseeval.io import (
 from phaseeval.metrics import UndefinedPolicy
 from phaseeval.pipeline import run_evaluate, run_relaxed
 from phaseeval.relaxed import MatrixMode
+from phaseeval.synth import generate_corpus
 
 
 def test_parse_labels_plain():
@@ -174,6 +175,19 @@ def test_parse_labels_empty():
 def test_labels_round_trip(labels):
     seq = LabelSequence(tuple(labels))
     assert tuple(parse_labels(dump_labels(seq))) == tuple(labels)
+
+
+@pytest.mark.parametrize("phase_count", [7, 12])  # 12: every phase, so two-digit labels
+def test_synth_writes_its_label_files_through_dump_labels(tmp_path, phase_count):
+    """Each label file synth writes is the dump_labels text of the sequence
+    parsed back from it: one label a line, each line ending in a newline."""
+    generate_corpus(tmp_path, phase_count, 3, 2, 4, 9, 1, 0.2, 3)
+    files = sorted(tmp_path.glob("video*/*.txt"))
+    assert len(files) == 3 * (1 + 2)
+    for path in files:
+        data = path.read_bytes()
+        assert re.fullmatch(rb"([0-9]+\n)+", data)
+        assert data == dump_labels(load_labels(path)).encode("ascii")
 
 
 def test_load_labels_missing(tmp_path):
@@ -395,6 +409,8 @@ def test_load_time_parse_error_survives_pickle_and_copy(tmp_path):
         lambda d: d["videos"][0].pop("annotation"),
         lambda d: d.update(phase_count=True),  # bools are not ints
         lambda d: d["videos"][0].update(id=True),
+        lambda d: d.update(split=5),
+        lambda d: d.update(split=""),  # a stated split names one; leave it out if unknown
     ],
 )
 def test_load_manifest_schema_errors(tmp_path, mutate):

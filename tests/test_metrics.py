@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from phaseeval.confusion import confusion_of
 from phaseeval.core import LabelSequence, PhaseSet
 from phaseeval.metrics import (
+    EXCLUDED_CELL,
     F1,
     JACCARD,
     METRIC_KINDS,
@@ -16,12 +17,16 @@ from phaseeval.metrics import (
     MetricCell,
     UndefinedPolicy,
     accuracy,
+    cell_arrays,
+    cell_of,
+    f1_of_means_cells,
     f1_upper,
     harmonic,
-    macro_f1_of_means,
+    macro_cells,
     macro_metric,
+    phase_counts,
     phase_metric,
-    resolve_cell,
+    resolve,
 )
 from reference import UNDEFINED, oracle_accuracy, oracle_macro, oracle_metric
 
@@ -109,18 +114,24 @@ def test_absence_pattern():
     assert p1[JACCARD].value == 0.0
 
 
-def test_resolve_cell_policies():
+def test_resolve_policies():
     und = MetricCell(CellState.UNDEFINED)
     half = MetricCell.defined(0.5)
+    cells = cell_arrays([und, half])
+
+    def resolved(policy, present):
+        return [cell_of(*cell) for cell in zip(*resolve(*cells, policy, present))]
+
     P = UndefinedPolicy
-    assert resolve_cell(und, P.EXCLUDE_UNDEFINED, True).state is CellState.EXCLUDED
-    assert resolve_cell(und, P.ZERO_FILL, True).value == 0.0
-    assert resolve_cell(und, P.ONE_FILL, True).value == 1.0
-    assert resolve_cell(half, P.EXCLUDE_UNDEFINED, True) == half
-    # absent phase: even a defined zero is dropped, and residual
+    assert resolved(P.EXCLUDE_UNDEFINED, True) == [EXCLUDED_CELL, half]
+    assert resolved(P.ZERO_FILL, True) == [MetricCell.defined(0.0), half]
+    assert resolved(P.ONE_FILL, True) == [MetricCell.defined(1.0), half]
+    # absent phase: even a defined value is dropped, and residual
     # undefined entries never reach the fill rules
-    assert resolve_cell(half, P.EXCLUDE_MISSING_PHASE, False).state is CellState.EXCLUDED
-    assert resolve_cell(und, P.EXCLUDE_MISSING_PHASE, True).state is CellState.EXCLUDED
+    assert resolved(P.EXCLUDE_MISSING_PHASE, False) == [EXCLUDED_CELL, EXCLUDED_CELL]
+    assert resolved(P.EXCLUDE_MISSING_PHASE, True) == [EXCLUDED_CELL, half]
+    assert resolved(P.EXCLUDE_MISSING_PHASE, [True, False]) == [EXCLUDED_CELL, EXCLUDED_CELL]
+    assert resolved(P.ZERO_FILL, [True, False]) == [MetricCell.defined(0.0), half]
 
 
 @given(st.tuples(labels, labels), st.sampled_from(list(UndefinedPolicy)))
@@ -158,11 +169,14 @@ def test_harmonic():
     assert harmonic(0.2, 0.8) == pytest.approx(0.32)
 
 
-def test_macro_f1_of_means():
-    m = _matrix([0, 0, 1, 1], [0, 1, 1, 0])
+def test_f1_of_means_cells():
+    per_phase = phase_counts(_matrix([0, 0, 1, 1], [0, 1, 1, 0]))
+    means = [
+        macro_cells(kind, *per_phase, UndefinedPolicy.EXCLUDE_UNDEFINED)
+        for kind in (PRECISION, RECALL)
+    ]
     # macro precision = macro recall = 0.5 -> harmonic 0.5
-    out = macro_f1_of_means(m, UndefinedPolicy.EXCLUDE_UNDEFINED)
-    assert out.value == pytest.approx(0.5)
+    assert cell_of(*f1_of_means_cells(*means)).value == pytest.approx(0.5)
 
 
 def test_f1_upper():

@@ -71,7 +71,7 @@ def test_every_golden_comes_from_one_loaded_corpus(golden_corpus, counted):
 def test_cached_counts_are_read_only_and_shared(golden_corpus, counted):
     counts = golden_corpus.counts
     assert golden_corpus.counts is counts
-    stack = confusion.confusion_stack(golden_corpus)[2]
+    stack = confusion.confusion_stack(golden_corpus)
     assert np.array_equal(counts.stack, stack)
     assert [a.shape for a in counts[1:]] == [(7, 3, 2)] * 3
     for a in counts:
