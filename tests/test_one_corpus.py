@@ -2,6 +2,7 @@
 and every report of it, in any order, is the committed one."""
 
 import dataclasses
+import hashlib
 import itertools
 import pickle
 from pathlib import Path
@@ -11,13 +12,17 @@ import pytest
 
 from phaseeval import confusion
 from phaseeval.aggregate import AveragingOrder, StdMode
+from phaseeval.core import segment_bounds
 from phaseeval.io import load_manifest, write_report
 from phaseeval.metrics import UndefinedPolicy
 from phaseeval.pipeline import run_evaluate, run_relaxed
 from phaseeval.relaxed import MatrixMode
 from phaseeval.synth import generate_corpus
+from phaseeval.vocab import REPORT_FORMATS
 
 REPORTS = Path(__file__).parent / "data" / "reports"
+# The sha256 of every report of the larger corpus, as `sha256sum` prints them.
+PINS = REPORTS / "larger-corpus.sha256"
 
 # The library call behind each golden's stem; the CLI's defaults filled in.
 CALLS = {
@@ -55,7 +60,7 @@ def golden_corpus(tmp_path):
 
 
 def test_every_golden_comes_from_one_loaded_corpus(golden_corpus, counted):
-    goldens = sorted(REPORTS.iterdir())
+    goldens = sorted(g for g in REPORTS.iterdir() if g.suffix != ".sha256")
     assert {g.stem for g in goldens} == CALLS.keys()
     evaluate = [g for g in goldens if g.stem.startswith("evaluate")]
     relaxed = [g for g in goldens if not g.stem.startswith("evaluate")]
@@ -94,3 +99,52 @@ def test_a_copied_corpus_counts_again(golden_corpus, counted, copy):
     assert other.counts is not counts
     assert all(np.array_equal(a, b) for a, b in zip(other.counts, counts))
     assert [id(c) for c in counted] == [id(golden_corpus), id(other)]
+
+
+# Every evaluate protocol, and every relaxed one at omega 0, 1 and 3, whose
+# windows overlap on the segments shorter than 6 frames.
+LARGER_CALLS = {
+    **{
+        f"evaluate-{policy.value}-{order.value}-{std.value}": (run_evaluate, policy, order, std)
+        for policy in UndefinedPolicy
+        for order in AveragingOrder
+        for std in StdMode
+    },
+    **{
+        f"relaxed-omega{omega}-{mode.value}{'-truncate' * truncate}": (
+            run_relaxed, omega, mode, truncate)
+        for omega in (0, 1, 3)
+        for mode in MatrixMode
+        for truncate in (False, True)
+    },
+    **{
+        f"relaxed-omega{omega}-bug-compat": (run_relaxed, omega, MatrixMode.LEGACY, True, True)
+        for omega in (0, 1, 3)
+    },
+}
+
+
+def larger_corpus(tmp_path):
+    """12 videos of 5 to 9 segments, each of 3 to 30 frames, and 3 runs."""
+    return load_manifest(generate_corpus(tmp_path / "larger", 7, 12, 3, 3, 30, 1, 0.1, 18))
+
+
+def larger_digests(corpus) -> dict[str, str]:
+    """The sha256 of each report of LARGER_CALLS in each format, by file name."""
+    digests = {}
+    for stem, (run, *args) in LARGER_CALLS.items():
+        report = run(corpus, *args)
+        for fmt in REPORT_FORMATS:
+            text = write_report(report, fmt).encode("utf-8")
+            digests[f"{stem}.{fmt}"] = hashlib.sha256(text).hexdigest()
+    return digests
+
+
+def test_a_larger_corpus_gives_the_pinned_bytes_of_every_report(tmp_path):
+    corpus = larger_corpus(tmp_path)
+    bounds = [segment_bounds(corpus.annotations[v]) for v in corpus.videos]
+    lengths = np.concatenate([last - first + 1 for _, first, last in bounds])
+    assert lengths.min() >= 3 and (lengths < 6).any() and (lengths >= 6).any()
+    assert len({len(phase) for phase, _, _ in bounds}) > 1  # segment counts differ
+    pins = dict(line.split("  ")[::-1] for line in PINS.read_text("ascii").splitlines())
+    assert larger_digests(corpus) == pins
