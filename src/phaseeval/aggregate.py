@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .metrics import (
     phase_cells,
     phase_counts,
 )
-from .vocab import AveragingOrder, MetricSummary, RaggedRuns, StdMode
+from .vocab import SUMMARY_STATS, AveragingOrder, MetricSummary, RaggedRuns, StdMode
 
 
 class NoDefinedCells(PhaseEvalError):
@@ -145,6 +145,8 @@ _STAGES = {
     AveragingOrder.PHASE_FIRST: ((1,), (1, 2, 3)),
     AveragingOrder.VIDEO_FIRST: ((2, 3), (1, 2, 3)),
 }
+# Each spread of a summary and the stack axis it runs across.
+_ACROSS = (("sd_videos", 2), ("sd_phases", 1), ("sd_runs", 3))
 
 
 def _sample_std(points: list[float], mode: StdMode) -> float:
@@ -157,13 +159,15 @@ def _sample_std(points: list[float], mode: StdMode) -> float:
     return math.sqrt(ss / denom)
 
 
-class _Groupings:
+class Groupings:
     """The defined-cell means of a (group, phase, video, run) stack of
     cells, each grouping averaged once however many statistics read it.
 
     A grouping is kept as arrays of the stack's rank, collapsed axes at
     size 1, and groupings that differ only in axes of one position are one
-    pass.  The spreads it gives are `std_mode` sample standard deviations."""
+    pass.  The spreads it gives are `std_mode` sample standard deviations,
+    and a summary holds only the statistics asked of it: the others are
+    None, and nothing is averaged for them."""
 
     def __init__(self, values: np.ndarray, state: np.ndarray, std_mode: StdMode):
         self.values, self.state, self.std_mode = values, state, std_mode
@@ -198,28 +202,32 @@ class _Groupings:
             ]
         return self._spreads[key, axis]
 
-    def summaries(self, order: AveragingOrder) -> list[MetricSummary]:
-        """Each group's mean under `order`, and its spread across phases,
-        videos and runs."""
+    def summaries(
+        self, order: AveragingOrder, stats: Collection[str] = SUMMARY_STATS
+    ) -> list[MetricSummary]:
+        """Each group's `stats` of its mean under `order`, and its spreads
+        across phases, videos and runs."""
         if order not in _STAGES:
             raise ValueError(f"unknown order {order!r}")
-        first, *rest = _STAGES[order]
-        m, k = self.means(first)[1]
-        for axes in rest:
-            m, k = mean_defined(m, k, axes)
-        sds = (self.spread(axis, False) for axis in (2, 1, 3))
-        return list(map(MetricSummary, _defined(m, k), *sds))
+        mean = none = [None] * self.groups
+        if "mean" in stats:
+            first, *rest = _STAGES[order]
+            m, k = self.means(first)[1]
+            for axes in rest:
+                m, k = mean_defined(m, k, axes)
+            mean = _defined(m, k)
+        sds = (self.spread(axis, False) if s in stats else none for s, axis in _ACROSS)
+        return list(map(MetricSummary, mean, *sds))
 
-    def phase_rows(self) -> list[tuple[MetricSummary, ...]]:
-        """The summaries of each group's phases alone."""
+    def phase_rows(self, stats: Collection[str] = SUMMARY_STATS) -> list[tuple[MetricSummary, ...]]:
+        """The `stats` of each group's phases alone, which have no spread
+        across phases."""
         n = self.phases
-        rows = list(map(
-            MetricSummary,
-            _defined(*self.means((2, 3))[1]),
-            self.spread(2, True),
-            [None] * (self.groups * n),
-            self.spread(3, True),
-        ))
+        mean = none = [None] * (self.groups * n)
+        if "mean" in stats:
+            mean = _defined(*self.means((2, 3))[1])
+        sds = (self.spread(axis, True) if s in stats and axis != 1 else none for s, axis in _ACROSS)
+        rows = list(map(MetricSummary, mean, *sds))
         return [tuple(rows[g * n : (g + 1) * n]) for g in range(self.groups)]
 
 
@@ -243,7 +251,7 @@ def aggregate(
     means give the phases' means, each group's spread across phases and
     the first stage of VIDEO_FIRST: one pass for all three.
     """
-    groupings = _Groupings(values, state, spec.std_mode)
+    groupings = Groupings(values, state, spec.std_mode)
     return groupings.summaries(spec.order), groupings.phase_rows()
 
 
@@ -251,7 +259,7 @@ def summarize(tensor: ResultTensor, spec: SummarySpec = SummarySpec()) -> Metric
     """Mean under the requested averaging order plus spreads across all
     three axes.  A spread over fewer than two retained positions is None; with a
     single run, sd_runs is always None."""
-    groupings = _Groupings(tensor.values[None], tensor.state[None], spec.std_mode)
+    groupings = Groupings(tensor.values[None], tensor.state[None], spec.std_mode)
     return groupings.summaries(spec.order)[0]
 
 

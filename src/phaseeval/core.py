@@ -164,7 +164,7 @@ def segment_bounds(seq: LabelSequence) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Phase, first frame and last frame (inclusive) of each maximal
     constant-phase run, as arrays in frame order."""
     labels = seq.labels
-    cuts = np.flatnonzero(np.diff(labels)) + 1
+    cuts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
     starts = np.concatenate(([0], cuts))
     ends = np.concatenate((cuts - 1, [len(labels) - 1]))
     return labels[starts], starts, ends

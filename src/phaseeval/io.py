@@ -19,7 +19,7 @@ import io as _io
 import json
 import os
 import stat
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -29,8 +29,8 @@ import numpy as np
 
 from .core import LABEL_MAX, MAX_PHASES, LabelSequence, OutOfRangeLabel, PhaseSet, validate_sequence
 from .errors import PhaseEvalError
-from .vocab import REPORT_FORMATS, LengthMismatch, MetricSummary, RaggedRuns, SchemaError
-from .vocab import canonical_json, fmt_float
+from .vocab import REPORT_FORMATS, SUMMARY_STATS, LengthMismatch, MetricSummary, RaggedRuns
+from .vocab import SchemaError, canonical_json, fmt_float
 
 FORMAT_VERSION = "1"
 
@@ -154,10 +154,11 @@ class CorpusCounts(NamedTuple):
 @dataclass(frozen=True)
 class Corpus:
     """Sequences to score, valid by construction: the same videos in both
-    maps, each with runs, one run-id set, every label within `phases`, and
-    each prediction as long as its annotation.  Both maps are held as
-    read-only copies, so a built Corpus stays valid and reports trust it,
-    and its evaluate reports share one count of its frames, `counts`."""
+    maps, each with runs, one run-id set, every label within `phases`, each
+    prediction as long as its annotation, and a split that is None or a
+    non-empty name.  Both maps are held as read-only copies, so a built
+    Corpus stays valid and reports trust it, and its evaluate reports share
+    one count of its frames, `counts`."""
 
     phases: PhaseSet
     annotations: Mapping[int, LabelSequence]
@@ -167,6 +168,8 @@ class Corpus:
     runs: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
+        if self.split is not None and not (isinstance(self.split, str) and self.split):
+            raise SchemaError("split must be a non-empty string if present")
         annotations = dict(self.annotations)
         predictions = {v: MappingProxyType(dict(runs)) for v, runs in self.predictions.items()}
         videos = tuple(sorted(annotations))
@@ -220,10 +223,11 @@ def load_manifest(path: str | Path) -> Corpus:
 
     Checks the JSON shape here and parses each label file as it is read, so
     a parse error names its file.  The Corpus it builds holds the one label
-    check, with run-id agreement and that each prediction covers exactly the
-    annotated frames.  Labels are range-checked only once every file is
-    read, so a schema or parse error in any entry wins over a label out of
-    range; a range error names the first bad file in manifest order.
+    check and the split's, with run-id agreement and that each prediction
+    covers exactly the annotated frames.  Labels are range-checked only
+    once every file is read, so a schema or parse error in any entry wins
+    over a label out of range; a range error names the first bad file in
+    manifest order.
     """
     p = Path(path)
     if not p.is_file():
@@ -237,9 +241,6 @@ def load_manifest(path: str | Path) -> Corpus:
     phase_count = doc.get("phase_count")
     if not _is_int(phase_count) or not 1 <= phase_count <= MAX_PHASES:
         raise SchemaError(f"phase_count must be an integer within 1..{MAX_PHASES}")
-    split = doc.get("split")
-    if split is not None and not (isinstance(split, str) and split):
-        raise SchemaError("split must be a non-empty string if present")
     videos = doc.get("videos")
     if not isinstance(videos, list) or not videos:
         raise SchemaError("videos must be a non-empty list")
@@ -279,7 +280,7 @@ def load_manifest(path: str | Path) -> Corpus:
                 raise SchemaError(f"video {vid} run {run!r}: path must be a string")
             predictions[vid][run] = load(rel)
     try:
-        return Corpus(phases, annotations, predictions, split)
+        return Corpus(phases, annotations, predictions, doc.get("split"))
     except OutOfRangeLabel:
         for path, seq in loaded:  # name the first file out of range
             try:
@@ -301,13 +302,12 @@ class EvaluationReport:
     phase_names: tuple[str, ...]
 
 
-_STATS = tuple(f.name for f in fields(MetricSummary))
 # A phase's summary has no spread across phases.
-_PHASE_STATS = tuple(k for k in _STATS if k != "sd_phases")
+_PHASE_STATS = tuple(k for k in SUMMARY_STATS if k != "sd_phases")
 
 
 def _summary_obj(s: MetricSummary) -> dict:
-    return {k: getattr(s, k) for k in _STATS}
+    return {k: getattr(s, k) for k in SUMMARY_STATS}
 
 
 def _json_report(report: EvaluationReport) -> str:
@@ -334,7 +334,7 @@ def _csv_report(report: EvaluationReport) -> str:
     sections += [("per_phase", p, report.per_phase[p]) for p in sorted(report.per_phase)]
     for section, phase, rows in sections:
         for name in sorted(rows):
-            for stat in _STATS:
+            for stat in SUMMARY_STATS:
                 w.writerow([section, phase, name, stat, _csv_value(getattr(rows[name], stat))])
     return buf.getvalue()
 
@@ -369,7 +369,7 @@ def _md_report(report: EvaluationReport) -> str:
     lines.append(f"Protocol: {proto}")
     lines.append("")
     summary, per_phase = report.summary, report.per_phase
-    lines += _md_table(["metric"], _STATS, [([k], s) for k, s in sorted(summary.items())])
+    lines += _md_table(["metric"], SUMMARY_STATS, [([k], s) for k, s in sorted(summary.items())])
     lines += ["", "## Per phase", ""]
     named = [(report.phase_names[p], per_phase[p]) for p in sorted(per_phase)]
     rows = [([name, k], s) for name, row in named for k, s in sorted(row.items())]

@@ -3,17 +3,15 @@ loaded corpus, each with the protocol block that produced it."""
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
-
 import numpy as np
 
 from .aggregate import (
     AveragingOrder,
+    Groupings,
     MetricSummary,
     ResultTensor,
     StdMode,
     SummarySpec,
-    aggregate,
     summarize,
     video_tensor,
 )
@@ -37,14 +35,14 @@ from .metrics import (
 )
 from .relaxed import (
     LEGACY_WATERMARK,
-    RELAXED_KINDS,
     RELAXED_POLICY,
     MatrixMode,
     build_matrices,
-    graph_rule,
+    graph_rules,
     legacy_pipeline,
     relaxed_tensors,
 )
+from .vocab import SUMMARY_STATS
 
 
 class BugCompatConflict(PhaseEvalError):
@@ -57,11 +55,19 @@ def _report(corpus: Corpus, protocol: dict, summary: dict, per_phase: dict) -> E
     return EvaluationReport(protocol, summary, per_phase, tuple(map(named.name_of, named)))
 
 
-def _summaries(tensors: dict[str, ResultTensor], spec: SummarySpec, prefix: str = ""):
-    """Summary of each named tensor, and of each of its phases, from one
-    aggregate of their stack; the tensors share their axes."""
+def _summaries(
+    tensors: dict[str, ResultTensor],
+    spec: SummarySpec,
+    prefix: str = "",
+    stats=SUMMARY_STATS,
+    phase_stats=SUMMARY_STATS,
+):
+    """Summary of each named tensor, and of each of its phases, from the
+    groupings of their stack; the tensors share their axes.  Only `stats`
+    of a tensor and `phase_stats` of a phase are computed, the others None."""
     stack = [np.stack([getattr(t, a) for t in tensors.values()]) for a in ("values", "state")]
-    groups, rows = aggregate(*stack, spec)
+    groupings = Groupings(*stack, spec.std_mode)
+    groups, rows = groupings.summaries(spec.order, stats), groupings.phase_rows(phase_stats)
     names = [prefix + k for k in tensors]
     phases = next(iter(tensors.values())).phases
     per_phase = {p: {k: r[pi] for k, r in zip(names, rows)} for pi, p in enumerate(phases)}
@@ -121,17 +127,9 @@ def run_evaluate(
 
 # ------------------------------------------------------------- relaxed
 
-# The statistics the shared script prints of each row of its report; a
-# bug-compatible report leaves the others out.
-_SCRIPT_PRINTS = {
-    "relaxed_accuracy": ("mean", "sd_videos"),
-    **{"relaxed_" + kind: ("mean", "sd_phases") for kind in RELAXED_KINDS},
-    "per_phase": ("mean",),
-}
-
-
-def _printed(s: MetricSummary, row: str) -> MetricSummary:
-    return replace(s, **{f.name: None for f in fields(s) if f.name not in _SCRIPT_PRINTS[row]})
+# The statistics the shared script prints of each relaxed score, of relaxed
+# accuracy and of each phase; a bug-compatible report computes only these.
+_SCRIPT_PRINTS = (("mean", "sd_phases"), ("mean", "sd_videos"), ("mean",))
 
 
 def run_relaxed(
@@ -153,11 +151,14 @@ def run_relaxed(
         tensors, acc = legacy_pipeline(corpus, omega)
         spec = SummarySpec(order=AveragingOrder.VIDEO_FIRST)
     else:
-        tensors, acc = relaxed_tensors(corpus, lambda y: graph_rule(y, omega, matrices), truncate)
+        tensors, acc = relaxed_tensors(
+            corpus, lambda ys: graph_rules(ys, omega, matrices), truncate
+        )
         spec = SummarySpec()  # flat order, corrected spread
 
-    summary, per_phase = _summaries(tensors, spec, "relaxed_")
-    summary["relaxed_accuracy"] = summarize(acc, spec)
+    scores, accuracy, phase = _SCRIPT_PRINTS if bug_compatible else (SUMMARY_STATS,) * 3
+    summary, per_phase = _summaries(tensors, spec, "relaxed_", scores, phase)
+    summary.update(_summaries({"relaxed_accuracy": acc}, spec, "", accuracy, ())[0])
     protocol = {
         "relaxed": True,
         "omega": omega,
@@ -169,9 +170,4 @@ def run_relaxed(
     }
     if bug_compatible:
         protocol.update(bug_compatible=True, watermark=LEGACY_WATERMARK)
-        summary = {k: _printed(s, k) for k, s in summary.items()}
-        per_phase = {
-            p: {k: _printed(s, "per_phase") for k, s in row.items()}
-            for p, row in per_phase.items()
-        }
     return _report(corpus, protocol, summary, per_phase)

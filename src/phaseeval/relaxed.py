@@ -153,35 +153,68 @@ def _check_omega(omega: int) -> None:
 Flags = Callable[[LabelSequence], np.ndarray]
 
 
-def _rule(annotation: LabelSequence, segments, w, accept, end_on_head: bool) -> Flags:
-    """A flag rule bound to one annotation: prediction -> bool mask, exact
-    agreement set True where `accept` forgives.  Its start rows (first half,
-    by phase) read the first w[i] frames of segment i, end rows the last
-    w[i]; with `end_on_head` the end verdict lands on the start frame at the
-    same offset (the legacy defect).  The all-False last column of `accept`
-    takes every predicted label past the table."""
+def _segments(annotations: Sequence[LabelSequence]):
+    """The phase, first and last frame of every segment of `annotations`,
+    concatenated in their order, and how many segments each one has."""
+    bounds = [segment_bounds(y) for y in annotations]
+    return tuple(map(np.concatenate, zip(*bounds))), [len(phase) for phase, _, _ in bounds]
+
+
+def _rules(annotations, segments, counts, w, accept, end_on_head: bool) -> list[Flags]:
+    """The flag rule of each of `annotations`, from the _segments of them
+    and each segment's window width w: prediction -> bool mask, exact
+    agreement set True where `accept` forgives.  A segment's start window,
+    its first w frames, reads the start rows of `accept` (first half, by
+    phase), its end window, its last w frames, the end rows; with
+    `end_on_head` the end verdict lands on the start frame at the same
+    offset (the legacy defect).  The all-False last column of `accept` takes
+    every predicted label past the table."""
     phase, first, last = segments
-    offset = np.arange(w.sum()) - np.repeat(np.cumsum(w) - w, w)  # within each window
-    head, tail = np.repeat(first, w) + offset, np.repeat(last - w + 1, w) + offset
-    put, read = np.concatenate((head, head if end_on_head else tail)), np.concatenate((head, tail))
-    row = np.repeat(np.concatenate((phase, phase + len(accept) // 2)), np.tile(w, 2))
+    tail = last - w + 1
+    # The frame each window's verdicts start landing on, the frame it starts
+    # reading at, and its row of `accept`: both windows of each segment in
+    # segment order, so the frames of one annotation's windows are one slice.
+    put = first if end_on_head else tail
+    table = np.array(((first, put), (first, tail), (phase, phase + len(accept) // 2)))
+    width = np.repeat(w, 2)
+    ends = np.cumsum(width)
+    frames = np.repeat(table.transpose(0, 2, 1).reshape(3, -1), width, axis=1)
+    frames[:2] += np.arange(ends[-1]) - np.repeat(ends - width, width)  # within each window
+    cuts = ends[2 * np.cumsum(counts)[:-1] - 1]  # each later annotation's first frame
+    return [_flags(y, *part, accept) for y, part in zip(annotations, np.split(frames, cuts, 1))]
+
+
+def _flags(annotation: LabelSequence, put, read, row, accept) -> Flags:
+    top = accept.shape[1] - 1
 
     def flags(prediction: LabelSequence) -> np.ndarray:
         _check_lengths(annotation, prediction)
         mask = annotation.labels == prediction.labels
-        mask[put[accept[row, np.minimum(prediction.labels[read], accept.shape[1] - 1)]]] = True
+        mask[put[accept[row, np.minimum(prediction.labels[read], top)]]] = True
         return mask
 
     return flags
 
 
+def graph_rules(
+    annotations: Sequence[LabelSequence], omega: int, matrices: RelaxMatrices
+) -> list[Flags]:
+    """The graph_rule of each of `annotations`, with the windows of all of
+    them found in one pass."""
+    _check_omega(omega)
+    phases = PhaseSet(matrices.phase_count)
+    for y in annotations:
+        validate_sequence(y, phases)  # a row for every phase
+    segments, counts = _segments(annotations)
+    _, first, last = segments
+    w = np.minimum(omega, last - first + 1)
+    return _rules(annotations, segments, counts, w, matrices.accept, False)
+
+
 def graph_rule(annotation: LabelSequence, omega: int, matrices: RelaxMatrices) -> Flags:
     """relax_flags for the predictions of one annotation, whose windows (the
     first and last min(omega, length) frames of each segment) are found once."""
-    _check_omega(omega)
-    validate_sequence(annotation, PhaseSet(matrices.phase_count))  # a row for every phase
-    segments = phase, first, last = segment_bounds(annotation)
-    return _rule(annotation, segments, np.minimum(omega, last - first + 1), matrices.accept, False)
+    return graph_rules((annotation,), omega, matrices)[0]
 
 
 # The rule groups of relax_flags_legacy over predicted labels 0..9, by
@@ -193,12 +226,13 @@ _LEGACY_ACCEPT = np.concatenate((
 ))
 
 
-def legacy_rule(annotation: LabelSequence, omega: int) -> Flags:
-    """relax_flags_legacy for the predictions of one annotation: the first
-    omega frames of each segment of phases 0..6, forgiven by the start rule
-    in place or by the end rule at the same offset in its last omega frames."""
+def legacy_rules(annotations: Sequence[LabelSequence], omega: int) -> list[Flags]:
+    """The legacy_rule of each of `annotations`, with the windows of all of
+    them found in one pass; the first segment shorter than omega, in their
+    order, is refused."""
     _check_omega(omega)
-    segments = phase, first, last = segment_bounds(annotation)
+    segments, counts = _segments(annotations)
+    phase, first, last = segments
     w = np.where(phase <= 6, omega, 0)
     short = np.flatnonzero(last - first + 1 < w)
     if len(short):
@@ -207,7 +241,14 @@ def legacy_rule(annotation: LabelSequence, omega: int) -> Flags:
             f"segment of phase {phase[i]} has {last[i] - first[i] + 1} frames, "
             f"shorter than omega={omega}"
         )
-    return _rule(annotation, segments, w, _LEGACY_ACCEPT, True)
+    return _rules(annotations, segments, counts, w, _LEGACY_ACCEPT, True)
+
+
+def legacy_rule(annotation: LabelSequence, omega: int) -> Flags:
+    """relax_flags_legacy for the predictions of one annotation: the first
+    omega frames of each segment of phases 0..6, forgiven by the start rule
+    in place or by the end rule at the same offset in its last omega frames."""
+    return legacy_rules((annotation,), omega)[0]
 
 
 def relax_flags(
@@ -300,22 +341,27 @@ def relaxed_counts(annotation, prediction, flags, phase):
     if width > MAX_PHASES:
         raise UnsupportedPhaseCount(f"cannot count {width} phases at once, at most {MAX_PHASES}")
 
-    # Each label's offset into `phases` in uint32: labels (0..2**31-1) below
-    # the range wrap to huge values, so every label outside it lands in the
-    # one bin past the end; the bins follow the phases, never the labels.
-    # A start outside +-2**31 holds no label; clamping keeps the wrap exact.
-    start = np.uint32(min(max(phases.start, -(2**31)), 2**31) % 2**32)
-
-    def offsets(labels):
-        off = np.subtract(labels.view(np.uint32), start)
-        return np.minimum(off, np.uint32(width), out=off)
-
-    pair = offsets(annotation.labels)
-    pair *= np.uint32(width + 1)
-    pair += offsets(prediction.labels)
-    # The flag is the lowest bit of each bin, so one bincount counts the
-    # unflagged and the flagged (annotated, predicted) squares.
-    pair <<= np.uint32(1)
+    # Each pair's bin: the annotated and the predicted label's offsets into
+    # `phases`, then the flag as the lowest bit, so one bincount counts the
+    # unflagged and the flagged (annotated, predicted) squares.  The index
+    # is the narrowest unsigned type that holds all 2 * (width + 1)**2 bins.
+    index = np.uint16 if 2 * (width + 1) ** 2 <= 2**16 else np.uint32
+    if phases.start == 0 and max(annotation.max_label, prediction.max_label) < width:
+        a, b = annotation.labels, prediction.labels  # each label is its own offset
+    else:
+        # Offsets in uint32: labels (0..2**31-1) below the range wrap to huge
+        # values, so every label outside it lands in the one bin past the end;
+        # the bins follow the phases, never the labels.  A start outside
+        # +-2**31 holds no label; clamping keeps the wrap exact.
+        start = np.uint32(min(max(phases.start, -(2**31)), 2**31) % 2**32)
+        a, b = (
+            np.minimum(np.subtract(labels.view(np.uint32), start), np.uint32(width))
+            for labels in (annotation.labels, prediction.labels)
+        )
+    pair = a.astype(index)
+    pair *= index(width + 1)
+    np.add(pair, b, out=pair, casting="unsafe")
+    pair <<= index(1)
     pair |= np.asarray(flags, dtype=bool)
     bins = np.bincount(pair, minlength=2 * (width + 1) ** 2).reshape(width + 1, width + 1, 2)
     parts = np.concatenate((bins.diagonal(0, 0, 1), bins.sum(1).T, bins.sum(0).T))[:, :width]
@@ -357,17 +403,19 @@ def relaxed_accuracy(flags: Sequence[bool]) -> MetricCell:
 
 
 def relaxed_tensors(
-    corpus: Corpus, rule_of: Callable[[LabelSequence], Flags], truncate: bool
+    corpus: Corpus,
+    rules_of: Callable[[Sequence[LabelSequence]], Sequence[Flags]],
+    truncate: bool,
 ) -> tuple[dict[str, ResultTensor], ResultTensor]:
     """Relaxed precision, recall and jaccard tensors, with the phases
     missing from a video's annotation excluded, and the relaxed accuracy
-    tensor of every (video, run) pair.  `rule_of(annotation)` gives the
-    flag rule bound to an annotation, shared by every run of the video."""
+    tensor of every (video, run) pair.  `rules_of(annotations)` gives the
+    flag rule of each annotation in video order, shared by every run of
+    its video."""
     videos, runs, phases = corpus.videos, corpus.runs, corpus.phases
+    annotations = [corpus.annotations[v] for v in videos]
     counts, acc = [], []
-    for v in videos:
-        y = corpus.annotations[v]
-        flags_of = rule_of(y)
+    for v, y, flags_of in zip(videos, annotations, rules_of(annotations)):
         for r in runs:
             yhat = corpus.predictions[v][r]
             flags = flags_of(yhat)
@@ -393,4 +441,4 @@ LEGACY_WATERMARK = "legacy-bug-compatible"
 def legacy_pipeline(corpus: Corpus, omega: int) -> tuple[dict[str, ResultTensor], ResultTensor]:
     """The relaxed_tensors of the shared script: its bug-compatible flags on
     its own acceptance rules, truncated."""
-    return relaxed_tensors(corpus, lambda y: legacy_rule(y, omega), truncate=True)
+    return relaxed_tensors(corpus, lambda ys: legacy_rules(ys, omega), truncate=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import PhaseEvalError
@@ -103,6 +103,10 @@ class MetricSummary:
     sd_videos: float | None
     sd_phases: float | None
     sd_runs: float | None
+
+
+# A summary's statistics, in field order.
+SUMMARY_STATS = tuple(f.name for f in fields(MetricSummary))
 
 
 def fmt_float(x: float) -> str:

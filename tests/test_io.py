@@ -255,6 +255,21 @@ def _write_corpus(tmp_path, *, lengths=None, runs=("r0", "r1")):
     return path
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to count descriptors in")
+def test_loading_leaves_no_descriptor_open(tmp_path):
+    """load_labels reads through a raw os.open descriptor, which no
+    ResourceWarning reports if it leaks: count them, on success and on a
+    label file that does not parse."""
+    path = _write_corpus(tmp_path)
+    before = len(os.listdir("/dev/fd"))
+    for _ in range(3):
+        load_manifest(path)
+    (tmp_path / "video02" / "r1.txt").write_text("0\nx\n")
+    with pytest.raises(ParseError):
+        load_manifest(path)
+    assert len(os.listdir("/dev/fd")) == before
+
+
 def test_load_manifest_round_trip(tmp_path):
     corpus = load_manifest(_write_corpus(tmp_path))
     assert isinstance(corpus, Corpus)
@@ -447,6 +462,15 @@ _RUNNERS = [
 def test_corpus_maps_must_name_the_same_videos_with_runs(run, annotations, predictions):
     with pytest.raises(SchemaError):
         run(Corpus(PhaseSet(7), annotations, predictions))
+
+
+@pytest.mark.parametrize("split", ["", 5])
+def test_hand_built_corpus_with_an_empty_or_non_string_split_is_refused(split):
+    """The Corpus owns the split check, so no report says "unknown" for a
+    stated split."""
+    with pytest.raises(SchemaError, match="split must be a non-empty string if present"):
+        Corpus(PhaseSet(7), {1: _Y}, {1: {"r": _Y}}, split)
+    assert Corpus(PhaseSet(7), {1: _Y}, {1: {"r": _Y}}, "test").split == "test"
 
 
 @pytest.mark.parametrize("run", _RUNNERS, ids=["evaluate", "graph-relaxed", "bug-compat"])

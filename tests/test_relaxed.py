@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import phaseeval.aggregate
 import phaseeval.relaxed
 from phaseeval.aggregate import RaggedRuns
 from phaseeval.cli import run_relaxed
@@ -33,7 +34,9 @@ from phaseeval.relaxed import (
     SegmentShorterThanOmega,
     build_matrices,
     graph_rule,
+    graph_rules,
     legacy_rule,
+    legacy_rules,
     relax_flags,
     relax_flags_legacy,
     relaxed_accuracy,
@@ -208,6 +211,23 @@ def test_legacy_rejects_short_segments():
         relax_flags_legacy(_seq([0, 0, 1, 0, 0]), _seq([0] * 5), 2)
 
 
+def test_a_report_names_the_first_short_segment_in_video_order():
+    """The windows of every annotation are found in one pass; the segment
+    it refuses is still the first short one of the first video that has
+    one, whatever order the corpus was built in."""
+    ok = _seq([0] * 3 + [1] * 4)
+    first = _seq([0] * 3 + [4] * 2 + [5] * 3)  # video 2: phase 4 has 2 frames
+    later = _seq([0] * 3 + [1] * 1 + [2] * 4)  # video 3: phase 1 has 1 frame
+    anns = {3: later, 2: first, 1: ok}
+    corpus = Corpus(PhaseSet(7), anns, {v: {"r": y} for v, y in anns.items()})
+    with pytest.raises(SegmentShorterThanOmega) as exc:
+        run_relaxed(corpus, 3, MatrixMode.LEGACY, True, bug_compatible=True)
+    assert str(exc.value) == "segment of phase 4 has 2 frames, shorter than omega=3"
+    with pytest.raises(SegmentShorterThanOmega) as alone:
+        relax_flags_legacy(first, first, 3)
+    assert str(alone.value) == str(exc.value)
+
+
 def test_legacy_ignores_out_of_range_phases():
     y = [7, 7, 7, 7]
     yhat = [7, 8, 6, 7]
@@ -319,6 +339,29 @@ def test_counts_of_max_phases_at_once_match_each_phase():
     )
 
 
+@pytest.mark.parametrize("width", [180, 181, MAX_PHASES])
+@pytest.mark.parametrize(
+    "start, past",
+    [(0, 0), (0, 2), (2, 0), (-1, 1)],
+    ids=["labels-as-offsets", "labels-past-the-range", "range-from-2", "range-from-minus-1"],
+)
+def test_counts_around_the_two_byte_index_match_oracle(width, start, past):
+    """180 phases are the most whose 2 * (width + 1)**2 bins a uint16 pair
+    index holds.  Labels run from 0 to `past` beyond the range's last phase,
+    and the last frames pair the largest label with itself, flagged, which
+    fills the top bin: labels within a range from 0 are their own offsets,
+    any other label takes the offset past the end."""
+    rng = np.random.default_rng(width)
+    top = start + width - 1 + past  # the largest label
+    y = np.append(rng.integers(0, top + 1, 300), [top, top, 0])
+    yhat = np.append(rng.integers(0, top + 1, 300), [top, 0, top])
+    flags = np.append(rng.random(300) < 0.5, [True, True, False])
+    phases = range(start, start + width)
+    got = relaxed_counts(_seq(y), _seq(yhat), flags, phases)
+    y, yhat, flags = y.tolist(), yhat.tolist(), flags.tolist()
+    assert [tuple(c) for c in got] == [oracle_relaxed_counts(y, yhat, flags, p) for p in phases]
+
+
 @given(
     st.lists(segmented, min_size=1, max_size=3),
     st.integers(1, 3),
@@ -338,8 +381,14 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
         anns[v] = _seq(y)
         labels = st.lists(st.integers(0, 8), min_size=len(y), max_size=len(y))
         preds[v] = {f"r{r}": _seq(data.draw(labels)) for r in range(runs)}
-    rule_of = partial(legacy_rule, omega=omega) if legacy else partial(
-        graph_rule, omega=omega, matrices=GRAPH_MX
+    # the corpus's rules, found in one pass, against each annotation's own
+    rules_of, rule_of = (
+        (partial(legacy_rules, omega=omega), partial(legacy_rule, omega=omega))
+        if legacy
+        else (
+            partial(graph_rules, omega=omega, matrices=GRAPH_MX),
+            partial(graph_rule, omega=omega, matrices=GRAPH_MX),
+        )
     )
     scored, seen = phaseeval.relaxed.relaxed_cells, []
 
@@ -348,7 +397,7 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
         return scored(kind, counts, truncate)
 
     with mock.patch.object(phaseeval.relaxed, "relaxed_cells", spy):
-        _, acc = relaxed_tensors(Corpus(PhaseSet(9), anns, preds), rule_of, legacy)
+        _, acc = relaxed_tensors(Corpus(PhaseSet(9), anns, preds), rules_of, legacy)
     assert len(seen) == 3  # precision, recall and jaccard, all of one stack
     for v in anns:
         flags_of = rule_of(anns[v])
@@ -358,6 +407,41 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
             for counts in seen:
                 assert tuple(tuple(f[p, v, ri] for f in counts) for p in range(9)) == want
             assert acc.values[0, v, ri] == relaxed_accuracy(flags).value
+
+
+# Videos of 1, 3 and 7 segments, some of them 2 or 3 frames long, each
+# starting on a phase whose start window forgives a neighbour.
+_VIDEOS = {
+    1: [(3, 8)],
+    2: [(2, 5), (3, 2), (4, 6)],
+    3: [(1, 3), (2, 4), (3, 2), (4, 7), (5, 3), (6, 2), (5, 5)],
+}
+
+
+@pytest.mark.parametrize("omega", [0, 2], ids=["omega-0", "overlapping-windows"])
+@pytest.mark.parametrize("bug_compatible", [False, True], ids=["graph", "bug-compat"])
+def test_a_reports_flags_are_each_pairs_own(omega, bug_compatible):
+    """The flags a report counts, with every annotation's windows found in
+    one pass, are relax_flags (or relax_flags_legacy) of each pair alone."""
+    rng = np.random.default_rng(omega)
+    anns = {v: _seq([p for p, n in segs for _ in range(n)]) for v, segs in _VIDEOS.items()}
+    preds = {v: {r: _seq(rng.integers(0, 7, len(y))) for r in "ab"} for v, y in anns.items()}
+    seen = []
+
+    def spy(y, yhat, flags, phases):
+        seen.append((y, yhat, tuple(flags.tolist())))
+        return relaxed_counts(y, yhat, flags, phases)
+
+    mode = MatrixMode.LEGACY if bug_compatible else MatrixMode.GRAPH_DERIVED
+    with mock.patch.object(phaseeval.relaxed, "relaxed_counts", spy):
+        run_relaxed(Corpus(PhaseSet(7), anns, preds), omega, mode, bug_compatible, bug_compatible)
+    pairs = [(anns[v], preds[v][r]) for v in anns for r in "ab"]
+    assert [(y, yhat) for y, yhat, _ in seen] == pairs
+    for (y, yhat), (_, _, flags) in zip(pairs, seen):
+        if bug_compatible:
+            assert flags == relax_flags_legacy(y, yhat, omega)
+        else:
+            assert flags == relax_flags(y, yhat, omega, GRAPH_MX)
 
 
 def test_relaxed_metric_undefined_on_zero_denominator():
@@ -422,6 +506,36 @@ def test_legacy_pipeline_report():
 
     assert accuracy.sd_videos == pytest.approx(statistics.stdev([a1, a2]))
     assert accuracy.sd_phases is accuracy.sd_runs is None
+
+
+def test_bug_compat_computes_only_the_spreads_it_prints(monkeypatch):
+    """One sample standard deviation for each spread the script prints over
+    two or more points: sd_phases of each relaxed score and sd_videos of
+    relaxed accuracy.  Every statistic it does not print is None."""
+    anns, preds, ph = _corpus()
+    points = []
+
+    def counting(p, mode):
+        points.append(len(p))
+        return sample_std(p, mode)
+
+    sample_std = phaseeval.aggregate._sample_std
+    monkeypatch.setattr(phaseeval.aggregate, "_sample_std", counting)
+    rep = run_relaxed(Corpus(ph, anns, preds), 2, MatrixMode.LEGACY, True, bug_compatible=True)
+    printed = {
+        **{"relaxed_" + kind: ("mean", "sd_phases") for kind in (PRECISION, RECALL, JACCARD)},
+        "relaxed_accuracy": ("mean", "sd_videos"),
+    }
+    rows = [(printed[k], s) for k, s in rep.summary.items()]
+    rows += [(("mean",), s) for row in rep.per_phase.values() for s in row.values()]
+    spreads = 0
+    for stats, s in rows:
+        for name, value in vars(s).items():
+            assert name in stats or value is None
+            spreads += name != "mean" and value is not None
+    assert sorted(rep.summary) == sorted(printed)
+    assert spreads == len(points) == 4
+    assert min(points) >= 2
 
 
 def test_legacy_pipeline_guards_config():
