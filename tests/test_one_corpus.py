@@ -124,15 +124,19 @@ LARGER_CALLS = {
 }
 
 
+def read_pins(path: Path) -> dict[str, str]:
+    return dict(line.split("  ")[::-1] for line in path.read_text("ascii").splitlines())
+
+
 def larger_corpus(tmp_path):
     """12 videos of 5 to 9 segments, each of 3 to 30 frames, and 3 runs."""
     return load_manifest(generate_corpus(tmp_path / "larger", 7, 12, 3, 3, 30, 1, 0.1, 18))
 
 
-def larger_digests(corpus) -> dict[str, str]:
-    """The sha256 of each report of LARGER_CALLS in each format, by file name."""
+def larger_digests(corpus, calls=LARGER_CALLS) -> dict[str, str]:
+    """The sha256 of each report of `calls` in each format, by file name."""
     digests = {}
-    for stem, (run, *args) in LARGER_CALLS.items():
+    for stem, (run, *args) in calls.items():
         report = run(corpus, *args)
         for fmt in REPORT_FORMATS:
             text = write_report(report, fmt).encode("utf-8")
@@ -146,5 +150,34 @@ def test_a_larger_corpus_gives_the_pinned_bytes_of_every_report(tmp_path):
     lengths = np.concatenate([last - first + 1 for _, first, last in bounds])
     assert lengths.min() >= 3 and (lengths < 6).any() and (lengths >= 6).any()
     assert len({len(phase) for phase, _, _ in bounds}) > 1  # segment counts differ
-    pins = dict(line.split("  ")[::-1] for line in PINS.read_text("ascii").splitlines())
-    assert larger_digests(corpus) == pins
+    assert larger_digests(corpus) == read_pins(PINS)
+
+
+# Every evaluate protocol and every graph relaxed one: the legacy grids exist
+# only for seven phases.
+WIDE_CALLS = {k: v for k, v in LARGER_CALLS.items() if "legacy" not in k and "bug" not in k}
+
+
+def wide_corpus(tmp_path, phase_count):
+    """3 videos that walk every phase in order, in segments of 3 to 8 frames,
+    and 2 runs with shifted boundaries and flipped frames."""
+    out = tmp_path / f"wide{phase_count}"
+    return load_manifest(generate_corpus(out, phase_count, 3, 2, 3, 8, 1, 0.3, phase_count))
+
+
+@pytest.mark.parametrize("phase_count", [200, 256])
+def test_a_wide_corpus_gives_the_pinned_bytes_of_every_report(tmp_path, phase_count):
+    """Labels of several digits, and phases past 128 on both sides of each
+    pair, in every evaluate and graph relaxed report."""
+    corpus = wide_corpus(tmp_path, phase_count)
+    for v in corpus.videos:
+        assert corpus.annotations[v].max_label == phase_count - 1
+        assert all(p.max_label > 128 for p in corpus.predictions[v].values())
+    flipped = [
+        (p.labels != corpus.annotations[v].labels).sum()
+        for v in corpus.videos for p in corpus.predictions[v].values()
+    ]
+    assert min(flipped) > 0
+    pins = read_pins(REPORTS / f"wide-{phase_count}-phases.sha256")
+    assert len(pins) == len(WIDE_CALLS) * len(REPORT_FORMATS)
+    assert larger_digests(corpus, WIDE_CALLS) == pins
