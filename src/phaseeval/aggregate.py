@@ -163,10 +163,18 @@ class Groupings:
     """The defined-cell means of a (group, phase, video, run) stack of
     cells, each grouping averaged once however many statistics read it.
 
+    A group's mean follows an averaging order; a phase's is the mean of
+    its defined cells, as under every order.  A spread across an axis
+    collapses the other axes per position by the defined-cell mean, then
+    takes the `std_mode` sample standard deviation of the positions that
+    retain a value; over fewer than two such positions it is None, as is a
+    mean over no defined cell.  The per-phase means give the phases'
+    means, each group's spread across phases and the first stage of
+    VIDEO_FIRST: one pass for all three.
+
     A grouping is kept as arrays of the stack's rank, collapsed axes at
     size 1, and groupings that differ only in axes of one position are one
-    pass.  The spreads it gives are `std_mode` sample standard deviations,
-    and a summary holds only the statistics asked of it: the others are
+    pass.  A summary holds only the statistics asked of it: the others are
     None, and nothing is averaged for them."""
 
     def __init__(self, values: np.ndarray, state: np.ndarray, std_mode: StdMode):
@@ -234,25 +242,6 @@ class Groupings:
 def _defined(values: np.ndarray, state: np.ndarray) -> list[float | None]:
     """Each value as a Python float, None where the state is not defined."""
     return [x if d else None for x, d in zip(values.ravel().tolist(), (state == DEFINED).ravel())]
-
-
-def aggregate(
-    values: np.ndarray, state: np.ndarray, spec: SummarySpec = SummarySpec()
-) -> tuple[list[MetricSummary], list[tuple[MetricSummary, ...]]]:
-    """The summary of each group of a (group, phase, video, run) stack of
-    cells, and the summaries of each of its phases alone.
-
-    A group's mean follows spec.order; a phase's is the mean of its
-    defined cells, as under every order.  A spread across an axis collapses
-    the other axes per position by the defined-cell mean, then takes the
-    sample standard deviation of the positions that retain a value; over
-    fewer than two such positions it is None, as is a mean over no defined
-    cell, and a phase alone has no spread across phases.  The per-phase
-    means give the phases' means, each group's spread across phases and
-    the first stage of VIDEO_FIRST: one pass for all three.
-    """
-    groupings = Groupings(values, state, spec.std_mode)
-    return groupings.summaries(spec.order), groupings.phase_rows()
 
 
 def summarize(tensor: ResultTensor, spec: SummarySpec = SummarySpec()) -> MetricSummary:

@@ -23,10 +23,12 @@ def confusion_stack(corpus: Corpus) -> np.ndarray:
     videos, runs, p = corpus.videos, corpus.runs, corpus.phases.count
     counts = np.empty((len(videos), len(runs), p * p), np.int64)
     for v, video in zip(videos, counts):
-        # p * p <= 2**16 fits uint16; an int32 base made 25 fps reports re-fault pages
-        base = np.multiply(corpus.annotations[v].labels, p, dtype=np.uint16, casting="unsafe")
+        # A corpus's labels are uint8 and p * p <= 2**16 bins fit a uint16 index;
+        # a wider one made 25 fps reports re-fault pages.
+        base = np.multiply(corpus.annotations[v].labels, p, dtype=np.uint16)
         for r, pair in zip(runs, video):
-            pair[:] = np.bincount(base + corpus.predictions[v][r].labels, minlength=p * p)
+            index = np.add(base, corpus.predictions[v][r].labels, dtype=np.uint16)
+            pair[:] = np.bincount(index, minlength=p * p)
     return counts.reshape(len(videos), len(runs), p, p)
 
 

@@ -69,12 +69,12 @@ def parse_labels(text: str | bytes) -> LabelSequence:
     if not data:
         raise EmptyFile("no frames")
     # One digit a line, the usual layout: each (digit, newline) byte pair, read
-    # as a little-endian uint16, is 0x0A30 plus the digit; any other is
-    # negative or past 9, and read as uint32 every negative is past 9 too.
+    # as a little-endian uint16, is 0x0A30 plus the digit; in uint16 any other
+    # pair wraps or runs past 9.  The digits then fit the uint8 labels.
     pairs = np.frombuffer(data + b"\n"[: len(data) % 2], "<u2")
-    labels = np.subtract(pairs, 0x0A30, dtype=np.int32)
-    if (max_label := int(labels.view(np.uint32).max())) <= 9:
-        return LabelSequence._of_int32(labels, max_label)
+    digits = np.subtract(pairs, 0x0A30, dtype=np.uint16)
+    if (max_label := int(digits.max())) <= 9:
+        return LabelSequence._adopt(digits.astype(np.uint8), max_label)
     buf = np.frombuffer(data, dtype=np.uint8)
     digit = buf - np.uint8(_ZERO)  # non-digit bytes wrap to values above 9
     newline = buf == _NEWLINE

@@ -175,7 +175,8 @@ def _rules(annotations, segments, counts, w, accept, end_on_head: bool) -> list[
     # reading at, and its row of `accept`: both windows of each segment in
     # segment order, so the frames of one annotation's windows are one slice.
     put = first if end_on_head else tail
-    table = np.array(((first, put), (first, tail), (phase, phase + len(accept) // 2)))
+    row = np.add(phase, len(accept) // 2, dtype=np.intp)  # uint8 phases would wrap
+    table = np.array(((first, put), (first, tail), (phase, row)))
     width = np.repeat(w, 2)
     ends = np.cumsum(width)
     frames = np.repeat(table.transpose(0, 2, 1).reshape(3, -1), width, axis=1)
@@ -190,7 +191,8 @@ def _flags(annotation: LabelSequence, put, read, row, accept) -> Flags:
     def flags(prediction: LabelSequence) -> np.ndarray:
         _check_lengths(annotation, prediction)
         mask = annotation.labels == prediction.labels
-        mask[put[accept[row, np.minimum(prediction.labels[read], top)]]] = True
+        column = np.minimum(prediction.labels[read], top, dtype=np.intp)  # top reaches 256
+        mask[put[accept[row, column]]] = True
         return mask
 
     return flags
@@ -349,13 +351,16 @@ def relaxed_counts(annotation, prediction, flags, phase):
     if phases.start == 0 and max(annotation.max_label, prediction.max_label) < width:
         a, b = annotation.labels, prediction.labels  # each label is its own offset
     else:
-        # Offsets in uint32: labels (0..2**31-1) below the range wrap to huge
-        # values, so every label outside it lands in the one bin past the end;
-        # the bins follow the phases, never the labels.  A start outside
-        # +-2**31 holds no label; clamping keeps the wrap exact.
+        # Offsets in uint32: labels (uint8 below 256, else int32, both within
+        # 0..2**31-1) below the range wrap to huge values, so every label
+        # outside it lands in the one bin past the end; the bins follow the
+        # phases, never the labels.  A start outside +-2**31 holds no label;
+        # clamping keeps the wrap exact.
         start = np.uint32(min(max(phases.start, -(2**31)), 2**31) % 2**32)
         a, b = (
-            np.minimum(np.subtract(labels.view(np.uint32), start), np.uint32(width))
+            np.minimum(
+                np.subtract(labels, start, dtype=np.uint32, casting="unsafe"), np.uint32(width)
+            )
             for labels in (annotation.labels, prediction.labels)
         )
     pair = a.astype(index)

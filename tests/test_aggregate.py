@@ -8,12 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from phaseeval.aggregate import (
     AveragingOrder,
+    Groupings,
     MetricSummary,
     NoDefinedCells,
     ResultTensor,
     StdMode,
     SummarySpec,
-    aggregate,
     ordered_mean,
     phase_metric_tensor,
     RaggedRuns,
@@ -243,8 +243,8 @@ def _exact_summaries(grid, spec):
 @example([[[[0.1], [0.7], [None]]], [[[None], [None], [None]]]])  # one run; a group with none
 @example([[[[0.5, 0.75, 0.125]]], [[[0.25, None, 1.0]]]])  # one phase and one video
 def test_summaries_of_a_stack_equal_each_tensor_summarized(grids):
-    """One aggregate of a stack gives each tensor's summarize and the phase
-    rows of its aggregate alone, and each mean is the fsum of its cells over
+    """The Groupings of a stack give each tensor's summarize and the phase
+    rows of its Groupings alone, and each mean is the fsum of its cells over
     their count."""
     for missing in (EXCLUDED_CELL, UNDEFINED_CELL):
         tensors = [_tensor_from_grid(g, missing) for g in grids]
@@ -253,10 +253,12 @@ def test_summaries_of_a_stack_equal_each_tensor_summarized(grids):
         for mode in StdMode:
             for order in AveragingOrder:
                 spec = SummarySpec(mode, order)
-                groups, rows = aggregate(values, state, spec)
+                groupings = Groupings(values, state, mode)
+                groups, rows = groupings.summaries(order), groupings.phase_rows()
                 assert groups == [summarize(t, spec) for t in tensors]
                 assert rows == [
-                    aggregate(t.values[None], t.state[None], spec)[1][0] for t in tensors
+                    Groupings(t.values[None], t.state[None], mode).phase_rows()[0]
+                    for t in tensors
                 ]
                 assert list(zip(groups, rows)) == [_exact_summaries(g, spec) for g in grids]
                 for s in groups:
@@ -273,7 +275,7 @@ def test_phase_rows_equal_each_phase_summarized_alone(grid):
     for missing in (EXCLUDED_CELL, UNDEFINED_CELL):
         t = _tensor_from_grid(grid, missing)
         for mode in StdMode:
-            rows = aggregate(t.values[None], t.state[None], SummarySpec(mode))[1][0]
+            rows = Groupings(t.values[None], t.state[None], mode).phase_rows()[0]
             assert len(rows) == len(t.phases)
             for pi, row in enumerate(rows):
                 at = slice(pi, pi + 1)

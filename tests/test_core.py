@@ -21,6 +21,7 @@ from phaseeval.core import (
     cholec80_phases,
     cv_folds,
     extract_segments,
+    label_dtype,
     resolve_split,
     validate_sequence,
 )
@@ -53,9 +54,9 @@ def test_label_sequence_validation():
         LabelSequence((0, -1, 2))
 
 
-def test_label_array_is_read_only_int32():
+def test_label_array_is_read_only_in_its_label_dtype():
     seq = LabelSequence([0, 0, 1, 2])
-    assert seq.labels.dtype == np.int32
+    assert seq.labels.dtype == np.uint8
     with pytest.raises(ValueError):
         seq.labels[0] = 5
     source = np.array([3, 1], dtype=np.int64)
@@ -71,12 +72,30 @@ def test_label_sequence_hashes_by_value():
     assert hash(a) == hash(b) and len({a, b, LabelSequence((0, 2))}) == 2
 
 
+@pytest.mark.parametrize("top,dtype", [(255, np.uint8), (256, np.int32), (LABEL_MAX, np.int32)])
+def test_labels_below_256_take_one_byte(top, dtype):
+    for values in ([0, top], [top], [top, 7, 0]):
+        seq = LabelSequence(np.array(values, dtype=np.int64))
+        assert seq.labels.dtype == label_dtype(top) == dtype
+        assert seq.labels.tolist() == values and seq.max_label == top
+
+
+def test_equal_labels_from_any_input_are_equal_and_hash_alike():
+    sources = [[0, 1, 1], np.array([0, 1, 1], np.int64), np.array([0, 1, 1], np.uint8),
+               np.array([False, True, True])]
+    seqs = [LabelSequence(x) for x in sources]
+    assert all(s == seqs[0] and hash(s) == hash(seqs[0]) for s in seqs)
+    assert {s.labels.dtype for s in seqs} == {np.dtype(np.uint8)}
+    assert len(set(seqs)) == 1
+
+
 @pytest.mark.parametrize(
     "dtype", [bool, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
 )
 def test_label_sequence_dtype_matrix(dtype):
     """Each integer dtype: values up to its own or int32's bound are taken as
-    a read-only int32 copy, and one step past either bound is refused."""
+    a read-only copy in the label dtype of the largest, and one step past
+    either bound is refused."""
     lo, hi = (0, 1) if dtype is bool else (int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
     top = min(hi, LABEL_MAX)
     cases = [([0, 1, top], None), ([top, 0], None)]
@@ -95,7 +114,8 @@ def test_label_sequence_dtype_matrix(dtype):
                 LabelSequence(source)
             continue
         seq = LabelSequence(source)
-        assert seq.labels.dtype == np.int32 and not seq.labels.flags.writeable
+        assert seq.labels.dtype == label_dtype(max(values)) and not seq.labels.flags.writeable
+        assert seq.labels.dtype == (np.uint8 if max(values) < 256 else np.int32)
         assert seq.labels.tolist() == [int(v) for v in values]
         assert seq.max_label == max(int(v) for v in values)
         assert seq.labels.base is not source and not np.shares_memory(seq.labels, source)

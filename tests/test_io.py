@@ -20,7 +20,7 @@ from phaseeval import core, io, vocab
 from phaseeval.aggregate import MetricSummary
 from phaseeval.confusion import LengthMismatch
 from phaseeval.aggregate import AveragingOrder, StdMode
-from phaseeval.core import LABEL_MAX, LabelSequence, OutOfRangeLabel, PhaseSet
+from phaseeval.core import LABEL_MAX, LabelSequence, OutOfRangeLabel, PhaseSet, label_dtype
 from phaseeval.errors import PhaseEvalError
 from phaseeval.io import (
     Corpus,
@@ -69,7 +69,7 @@ def test_parse_labels_one_digit_layout_and_its_edges(text, want):
     if isinstance(want, tuple):
         seq = parse_labels(text)
         assert tuple(seq) == want and seq.max_label == max(want)
-        assert seq.labels.dtype == "int32" and not seq.labels.flags.writeable
+        assert seq.labels.dtype == np.uint8 and not seq.labels.flags.writeable
         return
     with pytest.raises(ParseError) as exc:
         parse_labels(text)
@@ -90,6 +90,21 @@ def test_parse_labels_rejects_junk(text, line):
     with pytest.raises(ParseError) as exc:
         parse_labels(text)
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "short,padded,dtype",
+    [
+        ("7\n", "07\n", np.uint8),
+        ("3\n255", "3\n0255", np.uint8),
+        ("256\n1\n", "0256\n1\n", np.int32),
+    ],
+)
+def test_leading_zeros_parse_to_an_equal_sequence_of_one_dtype(short, padded, dtype):
+    """One digit a line and the wider layout hold the same labels alike."""
+    a, b = parse_labels(short), parse_labels(padded)
+    assert a == b and hash(a) == hash(b)
+    assert a.labels.dtype == b.labels.dtype == dtype
 
 
 def test_parse_labels_rejects_labels_wider_than_int32():
@@ -137,7 +152,7 @@ def _assert_parses_as_oracle(data: bytes, text: str | bytes) -> None:
             parse_labels(text)
     else:
         seq = parse_labels(text)
-        assert seq.labels.dtype == np.int32 and not seq.labels.flags.writeable
+        assert seq.labels.dtype == label_dtype(max(want)) and not seq.labels.flags.writeable
         assert list(seq) == want and seq.max_label == max(want)
 
 

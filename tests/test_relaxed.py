@@ -362,6 +362,22 @@ def test_counts_around_the_two_byte_index_match_oracle(width, start, past):
     assert [tuple(c) for c in got] == [oracle_relaxed_counts(y, yhat, flags, p) for p in phases]
 
 
+@pytest.mark.parametrize("start", [-1, 2, LABEL_MAX])
+def test_counts_of_one_byte_labels_match_oracle(start):
+    """Labels held in one byte, 0 to 255, offset in uint32 into ranges that
+    start below them, among them and past every one of them."""
+    rng = np.random.default_rng(start % 1000)
+    y = np.append(rng.integers(0, 256, 300), [255, 0, 255])
+    yhat = np.append(rng.integers(0, 256, 300), [255, 255, 0])
+    flags = np.append(rng.random(300) < 0.5, [True, False, True])
+    a, b = _seq(y), _seq(yhat)
+    assert a.labels.dtype == b.labels.dtype == np.uint8
+    phases = range(start, start + MAX_PHASES)
+    got = relaxed_counts(a, b, flags, phases)
+    y, yhat, flags = y.tolist(), yhat.tolist(), flags.tolist()
+    assert [tuple(c) for c in got] == [oracle_relaxed_counts(y, yhat, flags, p) for p in phases]
+
+
 @given(
     st.lists(segmented, min_size=1, max_size=3),
     st.integers(1, 3),
