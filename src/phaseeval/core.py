@@ -73,24 +73,18 @@ def cholec80_phases() -> PhaseSet:
 
 
 LABEL_MAX = int(np.iinfo(np.int32).max)
-_BYTE_MAX = int(np.iinfo(np.uint8).max)
-
-
-def label_dtype(max_label: int) -> type[np.integer]:
-    """The dtype of labels whose largest is `max_label`: uint8 when it is
-    below 256, as every label of a PhaseSet is, else int32.  Arithmetic on
-    labels names its dtype, since NumPy 1 and 2 promote uint8 differently."""
-    return np.uint8 if max_label <= _BYTE_MAX else np.int32
 
 
 @dataclass(frozen=True, eq=False)
 class LabelSequence:
     """Frame-wise phase labels.
 
-    Labels are held as a read-only copy in the `label_dtype` of the
-    largest of them, `max_label`: one byte a label below 256, else int32.
-    Indexing and iteration yield plain Python ints.  Two sequences are
-    equal when their labels are, and equal labels share a dtype.
+    Labels are held as a read-only copy, and `max_label` is the largest of
+    them: uint8 when it is below 256, as every label of a PhaseSet is, else
+    int32.  Arithmetic on labels names its dtype, since NumPy 1 and 2
+    promote uint8 differently.  Indexing and iteration yield plain Python
+    ints.  Two sequences are equal when their labels are, and equal labels
+    share a dtype.
     """
 
     labels: np.ndarray
@@ -109,7 +103,7 @@ class LabelSequence:
         max_label = int(labels.max())
         if max_label > LABEL_MAX:
             raise OutOfRangeLabel(f"labels must not exceed {LABEL_MAX}")
-        self._hold(labels.astype(label_dtype(max_label)), max_label)
+        self._hold(labels.astype(np.uint8 if max_label < 256 else np.int32), max_label)
 
     def _hold(self, labels: np.ndarray, max_label: int) -> None:
         labels.flags.writeable = False
@@ -119,8 +113,8 @@ class LabelSequence:
     @classmethod
     def _adopt(cls, labels: np.ndarray, max_label: int) -> "LabelSequence":
         """A sequence that takes `labels`, a flat, non-empty array of
-        non-negative labels in the label_dtype of `max_label`, its largest,
-        that nothing else holds, without the checks or the copy."""
+        non-negative labels in the dtype their largest, `max_label`, gives
+        them, that nothing else holds, without the checks or the copy."""
         seq = object.__new__(cls)
         seq._hold(labels, max_label)
         return seq

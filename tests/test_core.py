@@ -21,7 +21,6 @@ from phaseeval.core import (
     cholec80_phases,
     cv_folds,
     extract_segments,
-    label_dtype,
     resolve_split,
     validate_sequence,
 )
@@ -76,7 +75,7 @@ def test_label_sequence_hashes_by_value():
 def test_labels_below_256_take_one_byte(top, dtype):
     for values in ([0, top], [top], [top, 7, 0]):
         seq = LabelSequence(np.array(values, dtype=np.int64))
-        assert seq.labels.dtype == label_dtype(top) == dtype
+        assert seq.labels.dtype == dtype
         assert seq.labels.tolist() == values and seq.max_label == top
 
 
@@ -114,8 +113,8 @@ def test_label_sequence_dtype_matrix(dtype):
                 LabelSequence(source)
             continue
         seq = LabelSequence(source)
-        assert seq.labels.dtype == label_dtype(max(values)) and not seq.labels.flags.writeable
         assert seq.labels.dtype == (np.uint8 if max(values) < 256 else np.int32)
+        assert not seq.labels.flags.writeable
         assert seq.labels.tolist() == [int(v) for v in values]
         assert seq.max_label == max(int(v) for v in values)
         assert seq.labels.base is not source and not np.shares_memory(seq.labels, source)
