@@ -79,12 +79,12 @@ LABEL_MAX = int(np.iinfo(np.int32).max)
 class LabelSequence:
     """Frame-wise phase labels.
 
-    Labels are held as a read-only copy, and `max_label` is the largest of
-    them: uint8 when it is below 256, as every label of a PhaseSet is, else
-    int32.  Arithmetic on labels names its dtype, since NumPy 1 and 2
-    promote uint8 differently.  Indexing and iteration yield plain Python
-    ints.  Two sequences are equal when their labels are, and equal labels
-    share a dtype.
+    Labels are held as a read-only copy: uint8 when the largest of them,
+    `max_label`, is below 256, as every label of a PhaseSet is, else int32.
+    Arithmetic on labels names its dtype, since NumPy 1 and 2 promote uint8
+    differently.  Indexing and iteration yield plain Python ints.  Two
+    sequences are equal when their labels are, and equal labels share a
+    dtype.
     """
 
     labels: np.ndarray
@@ -113,8 +113,9 @@ class LabelSequence:
     @classmethod
     def _adopt(cls, labels: np.ndarray, max_label: int) -> "LabelSequence":
         """A sequence that takes `labels`, a flat, non-empty array of
-        non-negative labels in the dtype their largest, `max_label`, gives
-        them, that nothing else holds, without the checks or the copy."""
+        non-negative labels in the dtype the constructor would give them,
+        that nothing else holds, and its largest label, without the checks
+        or the copy."""
         seq = object.__new__(cls)
         seq._hold(labels, max_label)
         return seq

