@@ -19,17 +19,31 @@ class DimensionMismatch(PhaseEvalError):
 def confusion_stack(corpus: Corpus) -> np.ndarray:
     """The (video, run, phase, phase) int64 counts of each prediction
     against its video's annotation, in the corpus's video and run order,
-    one bincount per pair."""
+    one bincount per pair.
+
+    Frame t of a video is counted in lane t mod `lanes`, a p * p square of
+    its own, and the lanes are summed once per corpus: most frames fall in
+    the same bin as the frame before, and with one square each such
+    increment waits for the previous store to the same counter. `lanes`
+    is the largest of 4, 2 and 1 whose lanes * p * p bins fit the uint16
+    index (4 up to 128 phases, 2 up to 181, then 1)."""
     videos, runs, p = corpus.videos, corpus.runs, corpus.phases.count
-    counts = np.empty((len(videos), len(runs), p * p), np.int64)
+    square = p * p
+    lanes = next(k for k in (4, 2, 1) if k * square <= 1 << 16)
+    longest = max(len(a) for a in corpus.annotations.values())
+    offsets = np.tile(
+        np.array([k * square for k in range(lanes)], np.uint16), -(-longest // lanes)
+    )
+    counts = np.empty((len(videos), len(runs), lanes * square), np.int64)
     for v, video in zip(videos, counts):
-        # A corpus's labels are uint8 and p * p <= 2**16 bins fit a uint16 index;
-        # a wider one made 25 fps reports re-fault pages.
+        # A corpus's labels are uint8 and the largest index, lanes * p * p - 1,
+        # fits uint16; a wider index made 25 fps reports re-fault pages.
         base = np.multiply(corpus.annotations[v].labels, p, dtype=np.uint16)
+        base += offsets[: len(base)]
         for r, pair in zip(runs, video):
             index = np.add(base, corpus.predictions[v][r].labels, dtype=np.uint16)
-            pair[:] = np.bincount(index, minlength=p * p)
-    return counts.reshape(len(videos), len(runs), p, p)
+            pair[:] = np.bincount(index, minlength=lanes * square)
+    return counts.reshape(len(videos), len(runs), lanes, p, p).sum(axis=2)
 
 
 def confusion_of(

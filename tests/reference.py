@@ -40,6 +40,15 @@ def oracle_metric(kind, y, yhat, p):
     raise ValueError(kind)
 
 
+def oracle_confusion(y, yhat, phase_count):
+    """counts[p][q], the frames annotated p and predicted q, one frame at a
+    time."""
+    counts = [[0] * phase_count for _ in range(phase_count)]
+    for a, b in zip(y, yhat):
+        counts[a][b] += 1
+    return counts
+
+
 def oracle_accuracy(y, yhat):
     return sum(1 for a, b in zip(y, yhat) if a == b) / len(y)
 

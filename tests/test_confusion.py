@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phaseeval.aggregate import stack_confusions
 from phaseeval.confusion import (
     DimensionMismatch,
     LengthMismatch,
@@ -15,6 +14,7 @@ from phaseeval.confusion import (
 from phaseeval.core import LabelSequence, PhaseSet
 from phaseeval.io import Corpus
 from phaseeval.metrics import phase_counts
+from reference import oracle_confusion
 
 PHASES5 = PhaseSet(5)
 
@@ -77,25 +77,45 @@ def test_sum_matches_concatenation(pairs):
     )
 
 
-@given(st.integers(1, 8) | st.just(256), st.integers(1, 3), st.integers(1, 3), st.data())
-@settings(max_examples=100)
+def _frames(labels, n):
+    """n labels drawn one by one, or as a few runs of one label each, the
+    last run filling what is left."""
+    runs = st.lists(st.tuples(labels, st.integers(1, n)), min_size=1, max_size=4)
+    return st.lists(labels, min_size=n, max_size=n) | runs.map(
+        lambda rs: ([x for label, k in rs for x in [label] * k] + [rs[-1][0]] * n)[:n]
+    )
+
+
+@given(
+    st.integers(1, 8) | st.sampled_from([128, 129, 181, 182, 256]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
 def test_stack_equals_each_pair_counted_alone(phase_count, videos, runs, data):
-    """Up to the widest vocabulary, whose largest pair index is 2**16 - 1."""
+    """Each side of a change in the lane count (128/129 and 181/182 phases)
+    and the widest vocabulary, whose largest pair index is 2**16 - 1; every
+    video length mod 4, and long runs of one bin."""
     phases = PhaseSet(phase_count)
     labels = st.integers(0, phase_count - 1) | st.just(phase_count - 1)
     anns, preds = {}, {}
     for v in range(videos):
-        n = data.draw(st.integers(1, 40))
-        frames = st.lists(labels, min_size=n, max_size=n)
-        anns[v] = _seq(data.draw(frames))
-        preds[v] = {f"r{r}": _seq(data.draw(frames)) for r in range(runs)}
-    corpus = Corpus(phases, anns, preds)
+        n = data.draw(st.integers(1, 80))
+        anns[v] = data.draw(_frames(labels, n))
+        preds[v] = {f"r{r}": data.draw(_frames(labels, n)) for r in range(runs)}
+    corpus = Corpus(
+        phases,
+        {v: _seq(y) for v, y in anns.items()},
+        {v: {r: _seq(p) for r, p in preds[v].items()} for v in preds},
+    )
     got = confusion_stack(corpus)
-    want = stack_confusions({
-        v: {r: confusion_of(anns[v], p, phases) for r, p in preds[v].items()} for v in anns
-    })
-    assert (corpus.videos, corpus.runs) == want[:2]
-    assert got.dtype == np.int64 and np.array_equal(got, want[2])
+    want = [
+        [oracle_confusion(anns[v], preds[v][r], phase_count) for r in sorted(preds[v])]
+        for v in sorted(anns)
+    ]
+    assert corpus.videos == tuple(sorted(anns))
+    assert got.dtype == np.int64 and np.array_equal(got, np.array(want, np.int64))
 
 
 def test_sum_rejects_mixed_sizes():
