@@ -159,10 +159,6 @@ class Segment:
         if self.end < self.start:
             raise ValueError("segment end precedes start")
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
 
 def segment_bounds(seq: LabelSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phase, first frame and last frame (inclusive) of each maximal

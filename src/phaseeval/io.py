@@ -30,7 +30,7 @@ import numpy as np
 from .core import LABEL_MAX, MAX_PHASES, LabelSequence, OutOfRangeLabel, PhaseSet, validate_sequence
 from .errors import PhaseEvalError
 from .vocab import REPORT_FORMATS, SUMMARY_STATS, LengthMismatch, MetricSummary, RaggedRuns
-from .vocab import SchemaError, canonical_json, fmt_float
+from .vocab import SchemaError, canonical_json, fmt_float, unique_keys
 
 FORMAT_VERSION = "1"
 
@@ -233,7 +233,7 @@ def load_manifest(path: str | Path) -> Corpus:
     if not p.is_file():
         raise MissingFile(str(p))
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise SchemaError(f"manifest is not valid JSON: {e}") from None
     if not isinstance(doc, dict):

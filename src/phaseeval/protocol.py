@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import PhaseEvalError
 from .vocab import METRIC_NAMES, SchemaError, StdMode, UndefinedPolicy, canonical_json, decimal
+from .vocab import unique_keys
 
 
 class DuplicateEntry(PhaseEvalError):
@@ -252,7 +253,7 @@ def _metrics_obj(r: ReportedResult) -> dict:
 def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
     """Parse a ledger document (str, or bytes in a JSON encoding): a list of records."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise SchemaError(f"ledger is not valid JSON: {e}") from None
     if not isinstance(doc, list):

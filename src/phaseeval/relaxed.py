@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Callable, NamedTuple, Sequence, overload
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -201,8 +200,8 @@ def _flags(annotation: LabelSequence, put, read, row, accept) -> Flags:
 def graph_rules(
     annotations: Sequence[LabelSequence], omega: int, matrices: RelaxMatrices
 ) -> list[Flags]:
-    """The graph_rule of each of `annotations`, with the windows of all of
-    them found in one pass."""
+    """The relax_flags rule of each of `annotations`, with the windows of
+    all of them found in one pass."""
     _check_omega(omega)
     phases = PhaseSet(matrices.phase_count)
     for y in annotations:
@@ -211,12 +210,6 @@ def graph_rules(
     _, first, last = segments
     w = np.minimum(omega, last - first + 1)
     return _rules(annotations, segments, counts, w, matrices.accept, False)
-
-
-def graph_rule(annotation: LabelSequence, omega: int, matrices: RelaxMatrices) -> Flags:
-    """relax_flags for the predictions of one annotation, whose windows (the
-    first and last min(omega, length) frames of each segment) are found once."""
-    return graph_rules((annotation,), omega, matrices)[0]
 
 
 # The rule groups of relax_flags_legacy over predicted labels 0..9, by
@@ -229,9 +222,9 @@ _LEGACY_ACCEPT = np.concatenate((
 
 
 def legacy_rules(annotations: Sequence[LabelSequence], omega: int) -> list[Flags]:
-    """The legacy_rule of each of `annotations`, with the windows of all of
-    them found in one pass; the first segment shorter than omega, in their
-    order, is refused."""
+    """The relax_flags_legacy rule of each of `annotations`, with the
+    windows of all of them found in one pass; the first segment shorter
+    than omega, in their order, is refused."""
     _check_omega(omega)
     segments, counts = _segments(annotations)
     phase, first, last = segments
@@ -244,13 +237,6 @@ def legacy_rules(annotations: Sequence[LabelSequence], omega: int) -> list[Flags
             f"shorter than omega={omega}"
         )
     return _rules(annotations, segments, counts, w, _LEGACY_ACCEPT, True)
-
-
-def legacy_rule(annotation: LabelSequence, omega: int) -> Flags:
-    """relax_flags_legacy for the predictions of one annotation: the first
-    omega frames of each segment of phases 0..6, forgiven by the start rule
-    in place or by the end rule at the same offset in its last omega frames."""
-    return legacy_rules((annotation,), omega)[0]
 
 
 def relax_flags(
@@ -266,7 +252,7 @@ def relax_flags(
     accepts the predicted phase, or symmetrically in the last omega frames
     via the end grid.  Windows clamp to the segment and may overlap.
     """
-    return tuple(graph_rule(annotation, omega, matrices)(prediction).tolist())
+    return tuple(graph_rules((annotation,), omega, matrices)[0](prediction).tolist())
 
 
 def relax_flags_legacy(
@@ -285,12 +271,12 @@ def relax_flags_legacy(
     accept d in {-1,-2} / d in {1,2}.  Phases beyond 6 are left untouched,
     as the script never visits them.
     """
-    return tuple(legacy_rule(annotation, omega)(prediction).tolist())
+    return tuple(legacy_rules((annotation,), omega)[0](prediction).tolist())
 
 
 class RelaxedCounts(NamedTuple):
-    """Exact frame counts behind the relaxed scores of one phase (or
-    arrays of them, one entry per phase, video and run)."""
+    """Exact frame counts behind the relaxed scores of one phase, as ints,
+    or of several phases (and videos and runs), as arrays of one shape."""
 
     r_tp: int
     union: int
@@ -306,72 +292,49 @@ _COMBINE = np.array([
     [0, -1, 0, 1, 0, 1], [-1, -1, 1, 1, 1, 1], [0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 0]])
 
 
-@overload
 def relaxed_counts(
     annotation: LabelSequence,
     prediction: LabelSequence,
     flags: Sequence[bool],
-    phase: int,
-) -> RelaxedCounts: ...
-
-
-@overload
-def relaxed_counts(
-    annotation: LabelSequence,
-    prediction: LabelSequence,
-    flags: Sequence[bool],
-    phase: range,
-) -> tuple[RelaxedCounts, ...]: ...
-
-
-def relaxed_counts(annotation, prediction, flags, phase):
+    phase: int | range,
+) -> RelaxedCounts:
     """Count relaxed true positives among frames involving `phase` on
-    either side.  `flags` is a bool mask or a sequence of bools.
+    either side, as ints.  `flags` is a bool mask or a sequence of bools.
 
-    Given a range of phases (e.g. `range(phase_count)`), counts all of
-    them at once and returns one entry per phase, from the pair's
-    (annotated, predicted) counts of the unflagged and the flagged frames.
+    Given `range(n)`, counts phases 0..n-1 at once, each field an (n,)
+    int64 array, from the pair's (annotated, predicted) counts of the
+    unflagged and the flagged frames.
     """
     _check_lengths(annotation, prediction)
+    flags = np.asarray(flags, dtype=bool)
     if len(flags) != len(annotation):
         raise LengthMismatch("flags do not cover the sequence")
-    single = not isinstance(phase, range)
-    phases = range(phase, phase + 1) if single else phase
-    if phases.step != 1:
-        raise ValueError("phases must be a contiguous range")
-    width = max(phases.stop - phases.start, 0)
+    if not isinstance(phase, range):
+        a, b = annotation.labels == phase, prediction.labels == phase
+        return RelaxedCounts(*(int(np.count_nonzero(m)) for m in ((a | b) & flags, a | b, b, a)))
+    if phase.start != 0 or phase.step != 1:
+        raise ValueError(f"phases must be a range from 0 in steps of 1, got {phase}")
+    width = len(phase)
     if width > MAX_PHASES:
         raise UnsupportedPhaseCount(f"cannot count {width} phases at once, at most {MAX_PHASES}")
 
-    # Each pair's bin: the annotated and the predicted label's offsets into
-    # `phases`, then the flag as the lowest bit, so one bincount counts the
-    # unflagged and the flagged (annotated, predicted) squares.  The index
-    # is the narrowest unsigned type that holds all 2 * (width + 1)**2 bins.
+    # Each pair's bin: the annotated and the predicted label, then the flag
+    # as the lowest bit, so one bincount counts the unflagged and the flagged
+    # (annotated, predicted) squares.  Labels at or past `width` share the
+    # bin after the range.  The index is the narrowest unsigned type that
+    # holds all 2 * (width + 1)**2 bins.
     index = np.uint16 if 2 * (width + 1) ** 2 <= 2**16 else np.uint32
-    if phases.start == 0 and max(annotation.max_label, prediction.max_label) < width:
-        a, b = annotation.labels, prediction.labels  # each label is its own offset
-    else:
-        # Offsets in uint32: labels (uint8 below 256, else int32, both within
-        # 0..2**31-1) below the range wrap to huge values, so every label
-        # outside it lands in the one bin past the end; the bins follow the
-        # phases, never the labels.  A start outside +-2**31 holds no label;
-        # clamping keeps the wrap exact.
-        start = np.uint32(min(max(phases.start, -(2**31)), 2**31) % 2**32)
-        a, b = (
-            np.minimum(
-                np.subtract(labels, start, dtype=np.uint32, casting="unsafe"), np.uint32(width)
-            )
-            for labels in (annotation.labels, prediction.labels)
-        )
+    a, b = annotation.labels, prediction.labels
+    if max(annotation.max_label, prediction.max_label) >= width:  # so width fits their dtype
+        a, b = (np.minimum(labels, labels.dtype.type(width)) for labels in (a, b))
     pair = a.astype(index)
     pair *= index(width + 1)
     np.add(pair, b, out=pair, casting="unsafe")
     pair <<= index(1)
-    pair |= np.asarray(flags, dtype=bool)
+    pair |= flags
     bins = np.bincount(pair, minlength=2 * (width + 1) ** 2).reshape(width + 1, width + 1, 2)
     parts = np.concatenate((bins.diagonal(0, 0, 1), bins.sum(1).T, bins.sum(0).T))[:, :width]
-    counts = tuple(map(RelaxedCounts._make, (_COMBINE @ parts).T.tolist()))
-    return counts[0] if single else counts
+    return RelaxedCounts(*_COMBINE @ parts)
 
 
 def relaxed_cells(kind: str, counts: RelaxedCounts, truncate: bool) -> Cells:
@@ -427,8 +390,7 @@ def relaxed_tensors(
             acc.append(np.count_nonzero(flags) / len(flags))  # relaxed_accuracy(flags).value
             counts.append(relaxed_counts(y, yhat, flags, range(phases.count)))
     shape = (len(videos), len(runs))
-    stack = np.fromiter(chain.from_iterable(chain.from_iterable(counts)), np.int64)
-    grid = RelaxedCounts(*np.moveaxis(stack.reshape(*shape, -1, 4), (3, 2), (0, 1)))
+    grid = RelaxedCounts(*np.stack(counts, axis=-1).reshape(4, phases.count, *shape))
     tensors = {
         kind: apply_policy(
             ResultTensor.build(phases, videos, runs, relaxed_cells(kind, grid, truncate)),

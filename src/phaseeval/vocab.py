@@ -82,6 +82,17 @@ class SchemaError(PhaseEvalError):
     """A structured document does not match its expected shape."""
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict, as json.loads' object_pairs_hook:
+    a repeated key is refused, where json.loads would keep its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise SchemaError(f"key {repeated!r} appears twice in one object")
+    return doc
+
+
 class RaggedRuns(PhaseEvalError):
     """Videos in one manifest or video/run grid must share the same run ids."""
 

@@ -162,7 +162,7 @@ def test_segments_partition_and_round_trip(labels):
     for a, b in zip(segs, segs[1:]):
         assert b.start == a.end + 1
         assert b.phase != a.phase  # maximality
-    rebuilt = [s.phase for s in segs for _ in range(s.length)]
+    rebuilt = [s.phase for s in segs for _ in range(s.start, s.end + 1)]
     assert rebuilt == labels
 
 

@@ -1,5 +1,7 @@
-"""Every name a package module imports is used.  No linter runs in CI, so
-this is the check that keeps deletions from leaving imports behind.
+"""Every name a package module imports is used, and every function, class
+and method it defines is read somewhere in the package.  No linter runs in
+CI, so these are the checks that keep deletions from leaving imports, and
+code with no caller, behind.
 
 A name counts as used when the module reads it anywhere, names it in
 `__all__` or reads it in a string annotation; an import statement with
@@ -88,3 +90,100 @@ def test_no_package_module_imports_a_name_it_never_uses():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert not found, "imported but never used:\n" + "\n".join(found)
+
+
+# The functions, classes and methods that no package module reads, each kept
+# for a reader outside the package.
+KEPT = {
+    "aggregate.ResultTensor.cell_at": "acceptance import",
+    "aggregate.ResultTensor.cells": "bench/tracing.py UNITS counts a built tensor's cells",
+    "aggregate.ordered_mean": "acceptance import",
+    "aggregate.phase_metric_tensor": "acceptance import",
+    "confusion.confusion_of": "acceptance import",
+    "confusion.sum_confusions": "acceptance import",
+    "core.extract_segments": "bench hook",
+    "metrics.MetricCell.is_defined": "read on acceptance-imported cells by the acceptance tests",
+    "metrics.macro_metric": "acceptance import and bench hook",
+    "metrics.phase_metric": "acceptance import and bench hook",
+    "protocol.dump_ledger": "the ledger writer that ROADMAP item 1 gives a caller",
+    "relaxed.relax_flags": "acceptance import and bench hook",
+    "relaxed.relax_flags_legacy": "acceptance import and bench hook",
+    "relaxed.relaxed_accuracy": "acceptance import",
+    "relaxed.relaxed_metric": "acceptance import",
+}
+
+
+def _defined(tree: ast.Module):
+    """(name, is_method) of each top-level function and class of a module,
+    and of each method of its classes other than the dunders Python calls."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef | ast.ClassDef):
+            yield node.name, False
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                    yield f"{node.name}.{member.name}", True
+
+
+def unread_names(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each function, class or method defined in
+    `sources` (module -> text) that none of them reads.  A top-level name is
+    read when any source uses it (see _used) or loads it as an attribute; a
+    method, when any source loads its name as an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    used, attributes = set(), set()
+    for tree in trees.values():
+        used |= _used(tree)
+        attributes |= {
+            n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        }
+    unread = []
+    for module, tree in trees.items():
+        for name, method in _defined(tree):
+            last = name.rpartition(".")[2]
+            if last not in attributes and (method or last not in used):
+                unread.append(f"{module}.{name}")
+    return sorted(unread)
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+
+
+def test_the_check_finds_an_unread_name():
+    sources = {
+        "a": """
+class C:
+    def __init__(self): pass
+    def read(self): pass
+    def unread(self): pass
+    @property
+    def used(self): pass
+def used(): pass
+def planted(): pass
+def _quoted(): pass
+""",
+        "b": """
+from .a import C, used
+def f(c: "_quoted"):
+    return used(), C().read
+""",
+    }
+    # C.used shares its name with a function that is read, but a method is
+    # read only as an attribute
+    assert unread_names(sources) == ["a.C.unread", "a.C.used", "a.planted", "b.f"]
+
+
+def test_the_check_finds_a_function_planted_in_the_package():
+    sources = _package_sources()
+    sources["relaxed"] += "\n\ndef planted_and_never_called():\n    pass\n"
+    assert unread_names(sources) == sorted([*KEPT, "relaxed.planted_and_never_called"])
+
+
+def test_every_package_function_class_and_method_is_read():
+    unread = unread_names(_package_sources())
+    missing = sorted(set(unread) - set(KEPT))
+    assert not missing, "defined but never read in src/:\n" + "\n".join(missing)
+    assert unread == sorted(KEPT), "KEPT names something a module now reads"

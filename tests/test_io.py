@@ -19,6 +19,7 @@ import phaseeval
 from phaseeval import core, io, vocab
 from phaseeval.aggregate import MetricSummary
 from phaseeval.confusion import LengthMismatch
+from phaseeval.cli import main
 from phaseeval.aggregate import AveragingOrder, StdMode
 from phaseeval.core import LABEL_MAX, LabelSequence, OutOfRangeLabel, PhaseSet
 from phaseeval.errors import PhaseEvalError
@@ -451,6 +452,30 @@ def test_load_manifest_schema_errors(tmp_path, mutate):
     path.write_text(json.dumps(data))
     with pytest.raises(SchemaError):
         load_manifest(path)
+
+
+
+@pytest.mark.parametrize("command", [["evaluate"], ["relaxed", "--omega", "1"]])
+@pytest.mark.parametrize(
+    "key, member, repeated",
+    [
+        ("phase_count", '"phase_count": 7', '"phase_count": 2, "phase_count": 7'),
+        ("r0", '"r0": "video01/r0.txt"', '"r0": "video01/r0.txt", "r0": "video01/r1.txt"'),
+        ("id", '"id": 2', '"id": 3, "id": 2'),
+    ],
+    ids=["top-level", "prediction-run", "video-entry"],
+)
+def test_a_repeated_manifest_key_is_refused(tmp_path, capsys, command, key, member, repeated):
+    """json.loads keeps a repeated key's last value; a manifest with one
+    would score other phases or drop a run without a word."""
+    path = _write_corpus(tmp_path)
+    text = path.read_text()
+    assert text.count(member) == 1
+    path.write_text(text.replace(member, repeated))
+    with pytest.raises(SchemaError, match=f"^key '{key}' appears twice in one object$"):
+        load_manifest(path)
+    assert main([command[0], str(path), *command[1:]]) == 1
+    assert f"key '{key}' appears twice" in capsys.readouterr().err
 
 
 _Y = LabelSequence([0] * 4 + [1] * 4)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phaseeval.aggregate import AveragingOrder, StdMode
+from phaseeval.cli import main
 from phaseeval import protocol
 from phaseeval.io import SchemaError, load_manifest
 from phaseeval.metrics import UndefinedPolicy
@@ -257,6 +258,32 @@ def test_ledger_rejects_duplicates():
     text = dump_ledger([_result(), _result()])
     with pytest.raises(DuplicateEntry):
         parse_ledger(text)
+
+
+
+@pytest.mark.parametrize(
+    "key, member, repeated",
+    [
+        ("mean", '"mean": 0.9', '"mean": 0.9, "mean": 0.1'),
+        ("method", '"method": "m"', '"method": "m", "method": "n"'),
+        ("omega", '"omega": 10', '"omega": 10, "omega": 0'),
+        ("accuracy", '"accuracy": {', '"accuracy": {"mean": 0.5}, "accuracy": {'),
+    ],
+)
+def test_a_repeated_ledger_key_is_refused(tmp_path, capsys, key, member, repeated):
+    """json.loads keeps a repeated key's last value; a ledger with one would
+    rank a method by the wrong number without a word."""
+    record = {"method": "m", "source": "s", "protocol": {"omega": 10},
+              "metrics": {"accuracy": {"mean": 0.9}}}
+    text = json.dumps([record])
+    assert text.count(member) == 1
+    text = text.replace(member, repeated)
+    with pytest.raises(SchemaError, match=f"^key '{key}' appears twice in one object$"):
+        parse_ledger(text)
+    path = tmp_path / "ledger.json"
+    path.write_text(text)
+    assert main(["compare", "--ledger", str(path)]) == 1
+    assert f"key '{key}' appears twice" in capsys.readouterr().err
 
 
 def test_seed_ledger_loads():

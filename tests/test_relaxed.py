@@ -31,11 +31,10 @@ from phaseeval.relaxed import (
     LegacyGridsUnavailable,
     MatrixMode,
     RelaxMatrices,
+    RelaxedCounts,
     SegmentShorterThanOmega,
     build_matrices,
-    graph_rule,
     graph_rules,
-    legacy_rule,
     legacy_rules,
     relax_flags,
     relax_flags_legacy,
@@ -276,52 +275,67 @@ def test_relaxed_tp_dominates_strict_tp(pair):
 LABEL_MAX = 2**31 - 1
 
 
-@given(st.data(), st.integers(1, 12), st.integers(-3, 3))
+def _assert_oracle_counts(a, b, flags, phases):
+    """The int counts of each of `phases` are the oracle's, whether the
+    flags come as a tuple or as a mask."""
+    y, yhat, flags = a.labels.tolist(), b.labels.tolist(), list(flags)
+    for p in phases:
+        c = relaxed_counts(a, b, tuple(flags), p)
+        assert c == oracle_relaxed_counts(y, yhat, flags, p)
+        assert all(type(v) is int for v in c)
+        assert c == relaxed_counts(a, b, np.array(flags, dtype=bool), p)
+
+
+def _assert_range_is_each_phase(a, b, flags, width):
+    """The range form's arrays are the int form of each phase."""
+    got = relaxed_counts(a, b, flags, range(width))
+    assert isinstance(got, RelaxedCounts)
+    assert all(f.shape == (width,) and f.dtype == np.int64 for f in got)
+    want = [relaxed_counts(a, b, flags, p) for p in range(width)]
+    assert [tuple(int(f[p]) for f in got) for p in range(width)] == want
+
+
+@given(st.data(), st.integers(1, 12), st.booleans())
 @settings(max_examples=200)
-def test_counts_by_phase_match_oracle(data, phase_count, start):
-    """Every phase of a range at once, which need not start at 0, including
-    phases absent from both sequences and labels on either side of the
-    range, up to the largest int32 label; any flag mask, agreeing frames
-    left unflagged included, which no flag rule gives."""
-    label = st.integers(0, phase_count + 3) | st.just(LABEL_MAX)
+def test_counts_by_phase_match_oracle(data, phase_count, wide):
+    """Phases -3..phase_count+3 and the largest int32 label one at a time,
+    absent phases included, in one-byte or (`wide`) int32 labels, and
+    range(phase_count) at once over labels on either side of its end; any
+    flag mask, agreeing frames left unflagged included, which no flag rule
+    gives."""
+    label = st.integers(0, phase_count + 3) | st.just(LABEL_MAX if wide else 255)
     y = data.draw(st.lists(label, min_size=1, max_size=60))
     n = len(y)
     yhat = data.draw(st.lists(label, min_size=n, max_size=n))
     flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    phases = range(start, start + phase_count + 2)
-    got = relaxed_counts(_seq(y), _seq(yhat), tuple(flags), phases)
-    assert got == relaxed_counts(_seq(y), _seq(yhat), np.array(flags), phases)
-    assert len(got) == len(phases)
-    for p, c in zip(phases, got):
-        want = oracle_relaxed_counts(y, yhat, flags, p)
-        got_p = (c.r_tp, c.union, c.predicted, c.annotated)
-        assert got_p == want
-        assert all(type(v) is int for v in got_p)
-        assert c == relaxed_counts(_seq(y), _seq(yhat), tuple(flags), p)
+    a, b = _seq(y), _seq(yhat)
+    assert wide or a.labels.dtype == b.labels.dtype == np.uint8  # else either may be int32
+    _assert_oracle_counts(a, b, flags, [*range(-3, phase_count + 4), 255, LABEL_MAX])
+    _assert_range_is_each_phase(a, b, tuple(flags), phase_count)
+    _assert_range_is_each_phase(a, b, np.array(flags), phase_count)
 
 
 def test_counts_stay_small_for_the_largest_label():
     y, yhat = _seq([0, 1, 1]), _seq([0, LABEL_MAX, 1])
     flags = (True, True, False)
-    assert relaxed_counts(y, yhat, flags, range(2)) == (
-        relaxed_counts(y, yhat, flags, 0),
-        relaxed_counts(y, yhat, flags, 1),
-    )
+    _assert_range_is_each_phase(y, yhat, flags, 2)
     top = relaxed_counts(y, yhat, flags, LABEL_MAX)
-    assert (top.r_tp, top.union, top.predicted, top.annotated) == (1, 1, 1, 0)
+    assert top == (1, 1, 1, 0)
     assert relaxed_counts(y, y, flags, LABEL_MAX).union == 0
     assert relaxed_counts(y, yhat, flags, -1).union == 0
-    assert relaxed_counts(y, yhat, flags, range(LABEL_MAX, LABEL_MAX + 2)) == (
-        top,
-        relaxed_counts(y, yhat, flags, LABEL_MAX + 1),
-    )
-    with pytest.raises(ValueError):
-        relaxed_counts(y, yhat, flags, range(0, 4, 2))
+    assert relaxed_counts(y, yhat, flags, LABEL_MAX + 1).union == 0
+    assert relaxed_counts(y, yhat, flags, 2**40).union == 0
+
+
+@pytest.mark.parametrize("phases", [range(-1, 3), range(2, 5), range(0, 4, 2), range(-1, 0)])
+def test_counts_take_only_a_range_from_0_in_steps_of_1(phases):
+    y = _seq([0, 1, 1])
+    with pytest.raises(ValueError, match="range from 0 in steps of 1"):
+        relaxed_counts(y, y, (True, True, True), phases)
 
 
 @pytest.mark.parametrize(
-    "phases",
-    [range(0, MAX_PHASES + 1), range(-1, MAX_PHASES), range(0, 2**31), range(-(2**40), 2**40)],
+    "phases", [range(MAX_PHASES + 1), range(0, 2**16), range(0, 2**31), range(0, 2**40)]
 )
 def test_counts_refuse_a_range_wider_than_max_phases(phases):
     """Refused before anything is allocated: a wide enough range would wrap
@@ -333,10 +347,7 @@ def test_counts_refuse_a_range_wider_than_max_phases(phases):
 
 def test_counts_of_max_phases_at_once_match_each_phase():
     y, yhat = _seq([0, 255, 255, 3]), _seq([255, 255, 7, 3])
-    flags = (True, True, False, False)
-    assert relaxed_counts(y, yhat, flags, range(MAX_PHASES)) == tuple(
-        relaxed_counts(y, yhat, flags, p) for p in range(MAX_PHASES)
-    )
+    _assert_range_is_each_phase(y, yhat, (True, True, False, False), MAX_PHASES)
 
 
 @pytest.mark.parametrize("width", [180, 181, MAX_PHASES])
@@ -347,35 +358,36 @@ def test_counts_of_max_phases_at_once_match_each_phase():
 )
 def test_counts_around_the_two_byte_index_match_oracle(width, start, past):
     """180 phases are the most whose 2 * (width + 1)**2 bins a uint16 pair
-    index holds.  Labels run from 0 to `past` beyond the range's last phase,
-    and the last frames pair the largest label with itself, flagged, which
-    fills the top bin: labels within a range from 0 are their own offsets,
-    any other label takes the offset past the end."""
+    index holds.  Labels run from 0 to `past` beyond the last of the phases
+    start..start+width-1, and the last frames pair the largest label with
+    itself, flagged, which fills the top bin when it is `width` or past it:
+    range(width) counts all of them at once, and each of start..start+width-1
+    alone counts as the oracle does."""
     rng = np.random.default_rng(width)
     top = start + width - 1 + past  # the largest label
     y = np.append(rng.integers(0, top + 1, 300), [top, top, 0])
     yhat = np.append(rng.integers(0, top + 1, 300), [top, 0, top])
     flags = np.append(rng.random(300) < 0.5, [True, True, False])
-    phases = range(start, start + width)
-    got = relaxed_counts(_seq(y), _seq(yhat), flags, phases)
-    y, yhat, flags = y.tolist(), yhat.tolist(), flags.tolist()
-    assert [tuple(c) for c in got] == [oracle_relaxed_counts(y, yhat, flags, p) for p in phases]
+    a, b = _seq(y), _seq(yhat)
+    _assert_range_is_each_phase(a, b, flags, width)
+    _assert_oracle_counts(a, b, flags, range(start, start + width))
 
 
 @pytest.mark.parametrize("start", [-1, 2, LABEL_MAX])
 def test_counts_of_one_byte_labels_match_oracle(start):
-    """Labels held in one byte, 0 to 255, offset in uint32 into ranges that
-    start below them, among them and past every one of them."""
+    """Labels held in one byte, 0 to 255, counted one phase at a time from
+    below them, among them and past every one of them, and at once in
+    ranges from 0 that end among them, where the labels at or past the end
+    share the bin after it in their own dtype, and past them."""
     rng = np.random.default_rng(start % 1000)
     y = np.append(rng.integers(0, 256, 300), [255, 0, 255])
     yhat = np.append(rng.integers(0, 256, 300), [255, 255, 0])
     flags = np.append(rng.random(300) < 0.5, [True, False, True])
     a, b = _seq(y), _seq(yhat)
     assert a.labels.dtype == b.labels.dtype == np.uint8
-    phases = range(start, start + MAX_PHASES)
-    got = relaxed_counts(a, b, flags, phases)
-    y, yhat, flags = y.tolist(), yhat.tolist(), flags.tolist()
-    assert [tuple(c) for c in got] == [oracle_relaxed_counts(y, yhat, flags, p) for p in phases]
+    _assert_oracle_counts(a, b, flags, range(start, start + MAX_PHASES))
+    for width in (1, 128, 255, MAX_PHASES):
+        _assert_range_is_each_phase(a, b, flags, width)
 
 
 @given(
@@ -398,13 +410,10 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
         labels = st.lists(st.integers(0, 8), min_size=len(y), max_size=len(y))
         preds[v] = {f"r{r}": _seq(data.draw(labels)) for r in range(runs)}
     # the corpus's rules, found in one pass, against each annotation's own
-    rules_of, rule_of = (
-        (partial(legacy_rules, omega=omega), partial(legacy_rule, omega=omega))
+    rules_of = (
+        partial(legacy_rules, omega=omega)
         if legacy
-        else (
-            partial(graph_rules, omega=omega, matrices=GRAPH_MX),
-            partial(graph_rule, omega=omega, matrices=GRAPH_MX),
-        )
+        else partial(graph_rules, omega=omega, matrices=GRAPH_MX)
     )
     scored, seen = phaseeval.relaxed.relaxed_cells, []
 
@@ -416,12 +425,12 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
         _, acc = relaxed_tensors(Corpus(PhaseSet(9), anns, preds), rules_of, legacy)
     assert len(seen) == 3  # precision, recall and jaccard, all of one stack
     for v in anns:
-        flags_of = rule_of(anns[v])
+        (flags_of,) = rules_of((anns[v],))
         for ri, r in enumerate(sorted(preds[v])):
             flags = flags_of(preds[v][r])
             want = relaxed_counts(anns[v], preds[v][r], flags, range(9))
             for counts in seen:
-                assert tuple(tuple(f[p, v, ri] for f in counts) for p in range(9)) == want
+                assert all(np.array_equal(f[:, v, ri], w) for f, w in zip(counts, want))
             assert acc.values[0, v, ri] == relaxed_accuracy(flags).value
 
 
