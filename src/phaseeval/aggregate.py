@@ -1,9 +1,9 @@
 """Aggregation of metric cells over phases, videos and runs.
 
-A ResultTensor holds one tri-state cell per (phase, video, run), as a
-value array and a state array.  Because
-excluded cells drop out of each averaging stage separately, the order of
-collapsing matters; AveragingOrder makes the choice explicit:
+Reports hand Groupings one tri-state cell per (phase, video, run), as a
+value array and a state array; a ResultTensor is the library's view of
+them.  Excluded cells drop out of each averaging stage separately, so the
+order of collapsing matters; AveragingOrder makes the choice explicit:
 
 * FLAT: one mean over every defined cell.
 * PHASE_FIRST: mean over phases within each (video, run), then mean of
@@ -67,6 +67,17 @@ class CellView(Sequence):
         return cell_of(self._values[i], self._state[i])
 
 
+def check_cells(values: np.ndarray, state: np.ndarray) -> None:
+    """Raise ValueError unless `values` and `state` are cells: arrays of one
+    shape, every state a known code and every defined value finite and >= 0."""
+    if values.shape != state.shape:
+        raise ValueError(f"got {values.shape} values and {state.shape} states")
+    kept = values[state == DEFINED]
+    known = state.min() >= 0 and state.max() < len(STATES)
+    if not (known and ((kept >= 0) & (kept < math.inf)).all()):
+        raise ValueError("cells need a known state, and finite values >= 0 if defined")
+
+
 @dataclass(frozen=True, eq=False)
 class ResultTensor:
     """Cells laid out phase-major, then video, then run.
@@ -92,17 +103,10 @@ class ResultTensor:
         shape = (len(self.phases), len(self.videos), len(self.runs))
         values = np.array(self.values, dtype=np.float64)
         state = np.array(self.state, dtype=np.int8)
-        if values.shape != shape or state.shape != shape:
-            raise ValueError(
-                f"expected {shape} cells, got {values.shape} values "
-                f"and {state.shape} states"
-            )
-        defined = state == DEFINED
-        kept = values[defined]
-        known = state.min() >= 0 and state.max() < len(STATES)
-        if not (known and ((kept >= 0) & (kept < math.inf)).all()):
-            raise ValueError("cells need a known state, and finite values >= 0 if defined")
-        values[~defined] = math.nan
+        if values.shape != shape:
+            raise ValueError(f"expected {shape} cells, got {values.shape} values")
+        check_cells(values, state)
+        values[state != DEFINED] = math.nan
         for a in (values, state):
             a.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -178,6 +182,7 @@ class Groupings:
     None, and nothing is averaged for them."""
 
     def __init__(self, values: np.ndarray, state: np.ndarray, std_mode: StdMode):
+        check_cells(values, state)
         self.values, self.state, self.std_mode = values, state, std_mode
         self.groups, self.phases = values.shape[:2]
         self._ones = {a for a in (1, 2, 3) if values.shape[a] == 1}
@@ -276,13 +281,6 @@ def stack_confusions(
         raise ValueError("need at least one run")
     counts = np.array([[matrices[v][r] for r in runs] for v in videos])
     return videos, runs, counts
-
-
-def video_tensor(videos: Iterable[int], runs: Iterable[str], cells: Cells) -> ResultTensor:
-    """Single-phase-axis tensor of a video-level metric (accuracy, macro
-    means) from cells shaped (video, run)."""
-    values, state = cells
-    return ResultTensor.build((None,), videos, runs, (values[None], state[None]))
 
 
 def phase_metric_tensor(

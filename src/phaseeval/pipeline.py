@@ -5,16 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .aggregate import (
-    AveragingOrder,
-    Groupings,
-    MetricSummary,
-    ResultTensor,
-    StdMode,
-    SummarySpec,
-    summarize,
-    video_tensor,
-)
+from .aggregate import AveragingOrder, Groupings, MetricSummary, StdMode, SummarySpec
 from .core import assumed_workflow
 from .errors import PhaseEvalError
 from .io import Corpus, EvaluationReport
@@ -23,21 +14,23 @@ from .metrics import (
     METRIC_KINDS,
     PRECISION,
     RECALL,
+    Cells,
     DegenerateMeans,
     UndefinedPolicy,
     accuracy_cells,
-    apply_policy,
     f1_of_means_cells,
     f1_upper,
     macro_cells,
     phase_cells,
     phase_counts,
+    resolve,
 )
 from .relaxed import (
     LEGACY_WATERMARK,
     RELAXED_POLICY,
     MatrixMode,
     build_matrices,
+    check_omega,
     graph_rules,
     legacy_pipeline,
     relaxed_tensors,
@@ -56,21 +49,19 @@ def _report(corpus: Corpus, protocol: dict, summary: dict, per_phase: dict) -> E
 
 
 def _summaries(
-    tensors: dict[str, ResultTensor],
+    cells: dict[str, Cells],
     spec: SummarySpec,
     prefix: str = "",
     stats=SUMMARY_STATS,
     phase_stats=SUMMARY_STATS,
 ):
-    """Summary of each named tensor, and of each of its phases, from the
-    groupings of their stack; the tensors share their axes.  Only `stats`
-    of a tensor and `phase_stats` of a phase are computed, the others None."""
-    stack = [np.stack([getattr(t, a) for t in tensors.values()]) for a in ("values", "state")]
-    groupings = Groupings(*stack, spec.std_mode)
+    """Summary of each named metric's (phase, video, run) cells, all of one
+    shape, and of each of its phases, from the groupings of their stack.
+    Only `stats` of a metric and `phase_stats` of a phase are computed."""
+    groupings = Groupings(*map(np.stack, zip(*cells.values())), spec.std_mode)
     groups, rows = groupings.summaries(spec.order, stats), groupings.phase_rows(phase_stats)
-    names = [prefix + k for k in tensors]
-    phases = next(iter(tensors.values())).phases
-    per_phase = {p: {k: r[pi] for k, r in zip(names, rows)} for pi, p in enumerate(phases)}
+    names = [prefix + k for k in cells]
+    per_phase = {p: {k: r[p] for k, r in zip(names, rows)} for p in range(groupings.phases)}
     return dict(zip(names, groups)), per_phase
 
 
@@ -83,15 +74,10 @@ def run_evaluate(
     std_mode: StdMode,
 ) -> EvaluationReport:
     """Regular (unrelaxed) metric report over a loaded corpus."""
-    phases, videos, runs = corpus.phases, corpus.videos, corpus.runs
     counts, *per_pair = corpus.counts  # per_pair: (phase, video, run) arrays
     spec = SummarySpec(std_mode=std_mode, order=order)
     summary, per_phase = _summaries({
-        kind: apply_policy(
-            ResultTensor.build(phases, videos, runs, phase_cells(kind, *per_pair)),
-            policy,
-            per_pair[1] > 0,
-        )
+        kind: resolve(*phase_cells(kind, *per_pair), policy, per_pair[1] > 0)
         for kind in METRIC_KINDS
     }, spec)
 
@@ -102,8 +88,8 @@ def run_evaluate(
         "bold_macro_f1": f1_of_means_cells(macro[PRECISION], macro[RECALL]),
     }
     summary.update(_summaries({
-        name: video_tensor(videos, runs, cells) for name, cells in per_video.items()
-    }, spec)[0])
+        name: (values[None], state[None]) for name, (values, state) in per_video.items()
+    }, spec, phase_stats=())[0])
 
     mp, mr = summary[PRECISION].mean, summary[RECALL].mean
     if mp is not None and mr is not None:
@@ -114,8 +100,8 @@ def run_evaluate(
 
     # macro f1 of each run's matrix pooled over videos, as one video
     frame, frame_state = macro_cells(F1, *phase_counts(counts.sum(axis=0)), policy)
-    pooled = video_tensor((0,), runs, (frame[None], frame_state[None]))
-    summary["frame_f1"] = summarize(pooled, spec)
+    pooled = {"frame_f1": (frame[None, None], frame_state[None, None])}
+    summary.update(_summaries(pooled, spec, phase_stats=())[0])
     protocol = {
         "relaxed": False,
         "policy": policy.value,
@@ -147,17 +133,16 @@ def run_relaxed(
         raise BugCompatConflict("bug-compatible mode needs the legacy grids and truncation")
     # Both modes pass the grids' phase-count check, though only one uses them.
     matrices = build_matrices(assumed_workflow(phases)[1], matrix_mode, phases.count)
+    omega = check_omega(omega)  # the int the report records
     if bug_compatible:
-        tensors, acc = legacy_pipeline(corpus, omega)
+        cells, acc = legacy_pipeline(corpus, omega)
         spec = SummarySpec(order=AveragingOrder.VIDEO_FIRST)
     else:
-        tensors, acc = relaxed_tensors(
-            corpus, lambda ys: graph_rules(ys, omega, matrices), truncate
-        )
+        cells, acc = relaxed_tensors(corpus, lambda ys: graph_rules(ys, omega, matrices), truncate)
         spec = SummarySpec()  # flat order, corrected spread
 
     scores, accuracy, phase = _SCRIPT_PRINTS if bug_compatible else (SUMMARY_STATS,) * 3
-    summary, per_phase = _summaries(tensors, spec, "relaxed_", scores, phase)
+    summary, per_phase = _summaries(cells, spec, "relaxed_", scores, phase)
     summary.update(_summaries({"relaxed_accuracy": acc}, spec, "", accuracy, ())[0])
     protocol = {
         "relaxed": True,

@@ -25,7 +25,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .aggregate import ResultTensor, video_tensor
 from .core import (
     MAX_PHASES,
     LabelSequence,
@@ -45,10 +44,10 @@ from .metrics import (
     Cells,
     MetricCell,
     UndefinedPolicy,
-    apply_policy,
     cell_of,
     defined_cells,
     ratio_cells,
+    resolve,
 )
 from .vocab import OMEGA_MAX, LengthMismatch, MatrixMode
 
@@ -64,7 +63,7 @@ class SegmentShorterThanOmega(PhaseEvalError):
 
 
 class InvalidOmega(PhaseEvalError):
-    """The relaxation window omega must be a frame count within 0..OMEGA_MAX."""
+    """The relaxation window omega must be an int, not a bool, within 0..OMEGA_MAX."""
 
 
 class LegacyGridsUnavailable(PhaseEvalError):
@@ -144,9 +143,14 @@ def _check_lengths(annotation: LabelSequence, prediction: LabelSequence) -> None
         raise LengthMismatch(f"annotation has {n} frames, prediction has {m}")
 
 
-def _check_omega(omega: int) -> None:
+def check_omega(omega: int) -> int:
+    """`omega` as a Python int, if it is an integer within 0..OMEGA_MAX; a
+    bool, a float or any other non-integer is refused."""
+    if isinstance(omega, bool) or not isinstance(omega, (int, np.integer)):
+        raise InvalidOmega(f"omega must be an integer frame count, got {omega!r}")
     if not 0 <= omega <= OMEGA_MAX:
         raise InvalidOmega(f"omega must be within 0..{OMEGA_MAX}, got {omega}")
+    return int(omega)
 
 
 Flags = Callable[[LabelSequence], np.ndarray]
@@ -202,7 +206,7 @@ def graph_rules(
 ) -> list[Flags]:
     """The relax_flags rule of each of `annotations`, with the windows of
     all of them found in one pass."""
-    _check_omega(omega)
+    omega = check_omega(omega)
     phases = PhaseSet(matrices.phase_count)
     for y in annotations:
         validate_sequence(y, phases)  # a row for every phase
@@ -225,7 +229,7 @@ def legacy_rules(annotations: Sequence[LabelSequence], omega: int) -> list[Flags
     """The relax_flags_legacy rule of each of `annotations`, with the
     windows of all of them found in one pass; the first segment shorter
     than omega, in their order, is refused."""
-    _check_omega(omega)
+    omega = check_omega(omega)
     segments, counts = _segments(annotations)
     phase, first, last = segments
     w = np.where(phase <= 6, omega, 0)
@@ -374,12 +378,12 @@ def relaxed_tensors(
     corpus: Corpus,
     rules_of: Callable[[Sequence[LabelSequence]], Sequence[Flags]],
     truncate: bool,
-) -> tuple[dict[str, ResultTensor], ResultTensor]:
-    """Relaxed precision, recall and jaccard tensors, with the phases
-    missing from a video's annotation excluded, and the relaxed accuracy
-    tensor of every (video, run) pair.  `rules_of(annotations)` gives the
-    flag rule of each annotation in video order, shared by every run of
-    its video."""
+) -> tuple[dict[str, Cells], Cells]:
+    """Relaxed precision, recall and jaccard (phase, video, run) cells, with
+    the phases missing from a video's annotation excluded, and the relaxed
+    accuracy (1, video, run) cells of every pair.  `rules_of(annotations)`
+    gives the flag rule of each annotation in video order, shared by every
+    run of its video."""
     videos, runs, phases = corpus.videos, corpus.runs, corpus.phases
     annotations = [corpus.annotations[v] for v in videos]
     counts, acc = [], []
@@ -391,21 +395,17 @@ def relaxed_tensors(
             counts.append(relaxed_counts(y, yhat, flags, range(phases.count)))
     shape = (len(videos), len(runs))
     grid = RelaxedCounts(*np.stack(counts, axis=-1).reshape(4, phases.count, *shape))
-    tensors = {
-        kind: apply_policy(
-            ResultTensor.build(phases, videos, runs, relaxed_cells(kind, grid, truncate)),
-            RELAXED_POLICY,
-            grid.annotated > 0,
-        )
+    cells = {
+        kind: resolve(*relaxed_cells(kind, grid, truncate), RELAXED_POLICY, grid.annotated > 0)
         for kind in RELAXED_KINDS
     }
-    return tensors, video_tensor(videos, runs, defined_cells(np.array(acc).reshape(shape)))
+    return cells, defined_cells(np.array(acc).reshape(1, *shape))
 
 
 LEGACY_WATERMARK = "legacy-bug-compatible"
 
 
-def legacy_pipeline(corpus: Corpus, omega: int) -> tuple[dict[str, ResultTensor], ResultTensor]:
+def legacy_pipeline(corpus: Corpus, omega: int) -> tuple[dict[str, Cells], Cells]:
     """The relaxed_tensors of the shared script: its bug-compatible flags on
     its own acceptance rules, truncated."""
     return relaxed_tensors(corpus, lambda ys: legacy_rules(ys, omega), truncate=True)

@@ -19,7 +19,6 @@ from phaseeval.aggregate import (
     RaggedRuns,
     stack_confusions,
     summarize,
-    video_tensor,
 )
 from phaseeval.confusion import confusion_of
 from phaseeval.core import LabelSequence, PhaseSet
@@ -97,6 +96,17 @@ def test_tensor_rejects_unknown_state_codes(code):
     state[0, 1, 0] = code
     with pytest.raises(ValueError, match="known state"):
         ResultTensor((0,), (1, 2, 3), ("r",), np.zeros((1, 3, 1)), state)
+
+
+@pytest.mark.parametrize("code, value", [(3, 0.5), (0, -0.5), (0, math.inf)])
+def test_groupings_refuse_cells_a_tensor_refuses(code, value):
+    """An unknown state code, and a defined value below 0 or not finite,
+    raise from Groupings as from a tensor: check_cells guards both."""
+    values, state = np.full((2, 1, 2, 1), 0.5), np.zeros((2, 1, 2, 1), np.int8)
+    Groupings(values, state, StdMode.CORRECTED)
+    values[1, 0, 1, 0], state[1, 0, 1, 0] = value, code
+    with pytest.raises(ValueError, match="known state"):
+        Groupings(values, state, StdMode.CORRECTED)
 
 
 def test_mean_defined_skips_non_defined():
@@ -330,16 +340,14 @@ def test_stack_confusions_rejects_a_different_run_set():
 
 def test_accuracy_and_macro_tensors():
     videos, runs, counts = stack_confusions(_matrices())
-    acc = video_tensor(videos, runs, accuracy_cells(counts))
+    values, state = accuracy_cells(counts)
+    acc = ResultTensor.build((None,), videos, runs, (values[None], state[None]))
     assert acc.phases == (None,)
     assert acc.cell_at(0, 0, 0).value == pytest.approx(0.8)
     assert acc.cell_at(0, 1, 0).value == pytest.approx(2 / 3)
-    mac = video_tensor(
-        videos,
-        runs,
-        macro_cells(
-            PRECISION, *phase_counts(counts), UndefinedPolicy.EXCLUDE_MISSING_PHASE
-        ),
+    values, state = macro_cells(
+        PRECISION, *phase_counts(counts), UndefinedPolicy.EXCLUDE_MISSING_PHASE
     )
+    mac = ResultTensor.build((None,), videos, runs, (values[None], state[None]))
     # video 2: phase 2 dropped as unannotated, phases 0 and 1 kept
     assert mac.cell_at(0, 1, 0).value == pytest.approx((1.0 + 1.0) / 2)

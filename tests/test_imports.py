@@ -5,13 +5,19 @@ code with no caller, behind.
 
 A name counts as used when the module reads it anywhere, names it in
 `__all__` or reads it in a string annotation; an import statement with
-`# noqa: F401` on any of its lines (a re-export) is exempt.
+`# noqa: F401` on any of its lines (a re-export) is exempt.  A name that
+no module reads is kept only with a reason, and the two reasons that can
+be read off the sources are checked: an acceptance import must be imported
+by the acceptance tests, a bench hook listed in the bench's HOOKS.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "phaseeval"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "phaseeval"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def _annotations(tree: ast.Module):
@@ -103,6 +109,7 @@ KEPT = {
     "confusion.sum_confusions": "acceptance import",
     "core.extract_segments": "bench hook",
     "metrics.MetricCell.is_defined": "read on acceptance-imported cells by the acceptance tests",
+    "metrics.apply_policy": "acceptance import and bench hook",
     "metrics.macro_metric": "acceptance import and bench hook",
     "metrics.phase_metric": "acceptance import and bench hook",
     "protocol.dump_ledger": "the ledger writer that ROADMAP item 1 gives a caller",
@@ -187,3 +194,57 @@ def test_every_package_function_class_and_method_is_read():
     missing = sorted(set(unread) - set(KEPT))
     assert not missing, "defined but never read in src/:\n" + "\n".join(missing)
     assert unread == sorted(KEPT), "KEPT names something a module now reads"
+
+
+def acceptance_imports() -> set[str]:
+    """`module.name` of each name the acceptance tests import from the
+    package, and `module.name.attr` for each attribute name they read, as on
+    an imported class."""
+    tree = ast.parse(ACCEPTANCE.read_text(encoding="utf-8"))
+    imported = {
+        f"{node.module.removeprefix('phaseeval.')}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("phaseeval.")
+        for alias in node.names
+    }
+    attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return imported | {f"{name}.{attr}" for name in imported for attr in attributes}
+
+
+def bench_hooks() -> set[str]:
+    """`module.attribute` of each hook that the bench's HOOKS lists, read
+    from the source of bench/tracing.py without importing it."""
+    (hooks,) = (
+        node.value
+        for node in ast.parse(TRACING.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["HOOKS"]
+    )
+    return {".".join(pair) for pair in ast.literal_eval(hooks)}
+
+
+def false_reasons(kept: dict[str, str]) -> list[str]:
+    """Each `kept` entry whose reason names an acceptance import that the
+    acceptance tests do not import, or a bench hook that HOOKS does not list."""
+    claims = (("acceptance import", acceptance_imports()), ("bench hook", bench_hooks()))
+    return sorted(
+        f"{name}: false claim of {claim}"
+        for name, reason in kept.items()
+        for claim, names in claims
+        if claim in reason and name not in names
+    )
+
+
+def test_the_check_finds_a_false_reason():
+    planted = {
+        **KEPT,
+        "aggregate.ordered_mean": "acceptance import and bench hook",
+        "relaxed.graph_rules": "acceptance import",
+    }
+    assert false_reasons(planted) == [
+        "aggregate.ordered_mean: false claim of bench hook",
+        "relaxed.graph_rules: false claim of acceptance import",
+    ]
+
+
+def test_every_kept_reason_holds():
+    assert not false_reasons(KEPT)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from phaseeval import confusion
-from phaseeval.aggregate import AveragingOrder, StdMode
+from phaseeval.aggregate import AveragingOrder, ResultTensor, StdMode
 from phaseeval.core import segment_bounds
 from phaseeval.io import load_manifest, write_report
 from phaseeval.metrics import UndefinedPolicy
@@ -71,6 +71,20 @@ def test_every_golden_comes_from_one_loaded_corpus(golden_corpus, counted):
         text = write_report(report, golden.suffix.lstrip("."))
         assert text.encode("utf-8") == golden.read_bytes(), golden.name
     assert len(counted) == 1 and counted[0] is golden_corpus
+
+
+def test_reports_build_no_tensor(golden_corpus, monkeypatch):
+    """Reports hand cell arrays to Groupings: a ResultTensor is the
+    library's view of cells, and no report builds one."""
+
+    def refuse(tensor):
+        raise AssertionError("a report built a ResultTensor")
+
+    monkeypatch.setattr(ResultTensor, "__post_init__", refuse)
+    for stem in ("evaluate-zero-fill-video-first", "relaxed-graph", "relaxed-bug-compat"):
+        run, *args = CALLS[stem]
+        text = write_report(run(golden_corpus, *args), "json")
+        assert text.encode("utf-8") == (REPORTS / f"{stem}.json").read_bytes(), stem
 
 
 def test_cached_counts_are_read_only_and_shared(golden_corpus, counted):

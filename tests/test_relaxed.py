@@ -22,8 +22,8 @@ from phaseeval.core import (
     cholec80_graph,
     extract_segments,
 )
-from phaseeval.io import Corpus
-from phaseeval.metrics import CellState, JACCARD, PRECISION, RECALL
+from phaseeval.io import Corpus, write_report
+from phaseeval.metrics import DEFINED, CellState, JACCARD, PRECISION, RECALL
 from phaseeval.relaxed import (
     LEGACY_WATERMARK,
     InvalidGrids,
@@ -191,6 +191,36 @@ def test_negative_omega_is_a_typed_error():
                 call()
     # the largest omega clamps every window to its segment
     assert relax_flags(y, yhat, 2**63 - 1, GRAPH_MX) == relax_flags(y, yhat, 3, GRAPH_MX)
+
+
+@pytest.mark.parametrize(
+    "omega", [True, False, np.bool_(True), 2.0, 1.5, np.float64(2), "2", None, np.int64(2)]
+)
+def test_omega_is_an_integer_not_a_bool(omega):
+    """Every relaxed entry point refuses a bool, a float (whole or not) or
+    a string as omega; a numpy integer scores, and a report records it, as
+    the equal int, byte for byte."""
+    y, yhat = _seq([0, 0, 0, 1, 1, 1]), _seq([0, 0, 1, 1, 0, 1])
+    anns, preds, ph = _corpus()
+    corpus = Corpus(ph, anns, preds)
+    calls = [
+        lambda w: relax_flags(y, yhat, w, GRAPH_MX),
+        lambda w: relax_flags_legacy(y, yhat, w),
+        *(
+            lambda w, mode=mode: write_report(run_relaxed(corpus, w, *mode), "json")
+            for mode in (
+                (MatrixMode.GRAPH_DERIVED, False),
+                (MatrixMode.LEGACY, True),
+                (MatrixMode.LEGACY, True, True),
+            )
+        ),
+    ]
+    for call in calls:
+        if isinstance(omega, np.integer):
+            assert call(omega) == call(2)
+        else:
+            with pytest.raises(InvalidOmega):
+                call(omega)
 
 
 def test_annotated_phase_outside_grids_is_a_typed_error():
@@ -422,8 +452,9 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
         return scored(kind, counts, truncate)
 
     with mock.patch.object(phaseeval.relaxed, "relaxed_cells", spy):
-        _, acc = relaxed_tensors(Corpus(PhaseSet(9), anns, preds), rules_of, legacy)
+        _, (acc, acc_state) = relaxed_tensors(Corpus(PhaseSet(9), anns, preds), rules_of, legacy)
     assert len(seen) == 3  # precision, recall and jaccard, all of one stack
+    assert acc.shape == acc_state.shape == (1, len(anns), runs) and (acc_state == DEFINED).all()
     for v in anns:
         (flags_of,) = rules_of((anns[v],))
         for ri, r in enumerate(sorted(preds[v])):
@@ -431,7 +462,7 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
             want = relaxed_counts(anns[v], preds[v][r], flags, range(9))
             for counts in seen:
                 assert all(np.array_equal(f[:, v, ri], w) for f, w in zip(counts, want))
-            assert acc.values[0, v, ri] == relaxed_accuracy(flags).value
+            assert acc[0, v, ri] == relaxed_accuracy(flags).value
 
 
 # Videos of 1, 3 and 7 segments, some of them 2 or 3 frames long, each
