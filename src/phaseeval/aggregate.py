@@ -36,6 +36,7 @@ from .metrics import (
     mean_defined,
     phase_cells,
     phase_counts,
+    row_fsum,
 )
 from .vocab import SUMMARY_STATS, AveragingOrder, MetricSummary, RaggedRuns, StdMode
 
@@ -153,14 +154,25 @@ _STAGES = {
 _ACROSS = (("sd_videos", 2), ("sd_phases", 1), ("sd_runs", 3))
 
 
+def _spreads(points: np.ndarray, kept: np.ndarray, mode: StdMode) -> tuple[np.ndarray, ...]:
+    """The `mode` sample standard deviation of the kept entries of each row
+    of `points`, meaningless where a row keeps fewer than two, and how many
+    each row keeps.  Both sums are exactly rounded; each square is d * d."""
+    k = kept.sum(axis=1)
+    x = np.where(kept, points, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(kept, x - (row_fsum(x) / k)[:, None], 0.0)
+        return np.sqrt(row_fsum(d * d) / (k - (mode is StdMode.CORRECTED))), k
+
+
 def _sample_std(points: list[float], mode: StdMode) -> float:
+    """The `mode` sample standard deviation of `points`, as _spreads gives
+    it for a row."""
     k = len(points)
     if k < 2:
         raise InsufficientPoints(f"need at least 2 points, got {k}")
-    m = math.fsum(points) / k
-    ss = math.fsum((x - m) ** 2 for x in points)
-    denom = k - 1 if mode is StdMode.CORRECTED else k
-    return math.sqrt(ss / denom)
+    row = np.array([points], dtype=np.float64)
+    return _spreads(row, np.ones(row.shape, dtype=bool), mode)[0].item()
 
 
 class Groupings:
@@ -209,9 +221,9 @@ class Groupings:
         key, (m, k) = self.means(others)
         if (key, axis) not in self._spreads:
             lines = (np.moveaxis(a, axis, -1).reshape(-1, positions) for a in (m, k == DEFINED))
-            points = [row[d].tolist() for row, d in zip(*lines)]
+            sd, kept = _spreads(*lines, self.std_mode)
             self._spreads[key, axis] = [
-                _sample_std(p, self.std_mode) if len(p) > 1 else None for p in points
+                x if n > 1 else None for x, n in zip(sd.tolist(), kept.tolist())
             ]
         return self._spreads[key, axis]
 

@@ -128,13 +128,79 @@ def ratio_cells(num: np.ndarray, den: np.ndarray) -> Cells:
     return values, np.where(undefined, UNDEFINED, DEFINED).astype(np.int8)
 
 
+# Below this many rows, row_fsum sums row by row with math.fsum: numpy's
+# fixed cost per call outweighs the array path on a few short rows.
+_ARRAY_ROWS = 96
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
+
+
+def _two_sum_tree(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise sums of the terms of x, shaped (term, row) and overwritten:
+    each row's rounded total, and the (term - 1, row) rounding errors of
+    its additions by TwoSum, which sum with the total to the exact one."""
+    m = len(x)
+    errors = np.empty((m - 1, x.shape[1]))
+    done = 0
+    while m > 1:
+        h = m // 2
+        a, b = x[:h], x[m - h : m]  # an odd count leaves x[h] in place
+        s = a + b
+        bb = s - a
+        e = errors[done : done + h]
+        np.subtract(s, bb, out=e)
+        np.subtract(a, e, out=e)
+        np.subtract(b, bb, out=bb)
+        e += bb  # (a - (s - bb)) + (b - bb) = a + b - s, exactly
+        a[...] = s
+        done, m = done + h, m - h
+    return x[0], errors
+
+
+def row_fsum(a: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a 2-D float64 array, bit for bit.
+
+    A row of one or two terms takes a single IEEE addition, which is
+    exactly rounded.  Longer rows, given at least _ARRAY_ROWS of them, are
+    summed as arrays (Ogita, Rump and Oishi, "Accurate Sum and Dot
+    Product", 2005): a TwoSum tree gives each row's rounded total and its
+    error terms, and a second tree over the error terms gives their
+    rounded total and second-level errors.  Where those are all zero the
+    row's exact total is the sum of two doubles, and one IEEE addition
+    rounds it as fsum does.  Any other row keeps that addition only when
+    a rigorous bound on what it leaves out stays below half the gap to
+    either neighbouring double; the rest are summed by math.fsum.
+    """
+    rows, n = a.shape
+    if n <= 2:
+        return a.sum(axis=1)
+    if rows < _ARRAY_ROWS:
+        return np.fromiter(map(math.fsum, a.tolist()), np.float64, rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows go to fsum
+        total, errors = _two_sum_tree(a.T.copy())
+        error, residue = _two_sum_tree(errors)
+        sums = total + error
+        doubt = np.flatnonzero(residue.any(axis=0) | ~np.isfinite(sums))
+        if len(doubt):
+            s, e, c = total[doubt], error[doubt], sums[doubt]
+            back = c - s
+            off = (s - (c - back)) + (e - back)  # s + e - c, exactly
+            # The computed sum of the n - 2 or fewer |residues|, scaled past
+            # its rounding error, bounds the sum of the residues; each gap
+            # next to |c| is at least spacing(|c|) / 2.
+            bound = np.abs(residue[:, doubt]).sum(axis=0) * (1 + 2 * n * _EPS) + _TINY
+            certified = np.abs(off) + bound < np.spacing(np.abs(c)) / 4
+            for i in doubt[~certified].tolist():
+                sums[i] = math.fsum(a[i].tolist())
+    return sums
+
+
 def mean_defined(values: np.ndarray, state: np.ndarray, axis) -> Cells:
     """Mean of the defined entries over `axis` (a non-negative int or a
     tuple of them), excluded where a position has none.
 
-    Each group's sum is math.fsum, exactly rounded, so every mean is
-    fsum(group) / len(group) whatever the layout; a group of one or two
-    entries takes a single IEEE addition, which is exactly rounded too.
+    Each group's sum is row_fsum, exactly rounded, so every mean is
+    fsum(group) / len(group) whatever the layout.
     """
     axes = (axis,) if isinstance(axis, int) else axis
     keep = [a for a in range(values.ndim) if a not in axes]
@@ -142,11 +208,7 @@ def mean_defined(values: np.ndarray, state: np.ndarray, axis) -> Cells:
     order = keep + list(axes)
     defined = (state == DEFINED).transpose(order).reshape(*shape, -1)
     masked = np.where(defined, values.transpose(order).reshape(defined.shape), 0.0)
-    if masked.shape[-1] <= 2:
-        sums = masked.sum(axis=-1)
-    else:
-        rows = masked.reshape(-1, masked.shape[-1]).tolist()
-        sums = np.fromiter(map(math.fsum, rows), np.float64, len(rows)).reshape(shape)
+    sums = row_fsum(masked.reshape(math.prod(shape), masked.shape[-1])).reshape(shape)
     n = defined.sum(axis=-1)
     with np.errstate(invalid="ignore"):
         return sums / n, np.where(n > 0, DEFINED, EXCLUDED).astype(np.int8)

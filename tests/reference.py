@@ -217,8 +217,13 @@ def oracle_std(grid, axis, corrected):
     if k < 2:
         return UNDEFINED
     m = sum(points) / k
-    ss = sum((x - m) ** 2 for x in points)
+    ss = sum((x - m) * (x - m) for x in points)
     return math.sqrt(ss / (k - 1 if corrected else k))
+
+
+def oracle_row_fsum(rows):
+    """math.fsum of each row of a 2-D array, one row at a time."""
+    return [math.fsum(row) for row in rows.tolist()]
 
 
 def oracle_canonical_json(obj, indent=0):

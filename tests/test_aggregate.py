@@ -215,7 +215,7 @@ def _fsum_sd(means, mode):
     if len(points) < 2:
         return None
     m = math.fsum(points) / len(points)
-    ss = math.fsum((x - m) ** 2 for x in points)
+    ss = math.fsum((x - m) * (x - m) for x in points)
     return math.sqrt(ss / (len(points) - (mode is StdMode.CORRECTED)))
 
 
@@ -252,6 +252,7 @@ def _exact_summaries(grid, spec):
 @example([[[[None, None]], [[0.5, 0.25]]]])  # one video; phase 0 has no defined cell
 @example([[[[0.1], [0.7], [None]]], [[[None], [None], [None]]]])  # one run; a group with none
 @example([[[[0.5, 0.75, 0.125]]], [[[0.25, None, 1.0]]]])  # one phase and one video
+@example([[[[None, None, 0.0], [None, 0.84375, 0.06706871837377548]]]])  # d ** 2 != d * d
 def test_summaries_of_a_stack_equal_each_tensor_summarized(grids):
     """The Groupings of a stack give each tensor's summarize and the phase
     rows of its Groupings alone, and each mean is the fsum of its cells over

@@ -6,19 +6,34 @@ the metrics as the code.  These catch another kind of bug: a cell that
 lands at the wrong (video, run), or a sum whose rounding depends on the
 order of its terms.  They guard every rewrite of how frames are counted
 (ROADMAP items 2 and 12) and how cells are summed (item 14).
+
+The corpora here give every sum fewer rows than metrics.row_fsum's cutoff,
+so the module lowers the cutoff to one row: every sum of three or more
+terms takes the array path, which pairs terms in its own order.
 """
 
 import itertools
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import examples
+from phaseeval import metrics
 from phaseeval.aggregate import AveragingOrder, StdMode
-from phaseeval.core import LabelSequence, PhaseSet
+from phaseeval.core import LabelSequence, PhaseSet, assumed_workflow
 from phaseeval.errors import PhaseEvalError
 from phaseeval.io import Corpus
 from phaseeval.metrics import UndefinedPolicy
 from phaseeval.pipeline import run_evaluate, run_relaxed
-from phaseeval.relaxed import MatrixMode, SegmentShorterThanOmega
+from phaseeval.relaxed import (
+    MatrixMode,
+    SegmentShorterThanOmega,
+    build_matrices,
+    graph_rules,
+    legacy_rules,
+)
 
 PHASES = PhaseSet(7)  # the legacy grids exist for seven phases only
 
@@ -56,6 +71,12 @@ def corpora(draw):
     return dict(enumerate(videos)), predictions
 
 
+@pytest.fixture(autouse=True, scope="module")
+def _array_sums():
+    with mock.patch.object(metrics, "_ARRAY_ROWS", 1):
+        yield
+
+
 def _corpus(annotations, predictions) -> Corpus:
     return Corpus(
         PHASES,
@@ -89,7 +110,7 @@ def _means(outcome):
 
 
 @given(corpora(), st.integers(0, 3), st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_renaming_and_reordering_ids_changes_no_float(corpus, omega, data):
     """New video and run ids, in another sort order, and both maps listed in
     another order, leave every mean and spread bit-identical: exactly
@@ -122,7 +143,7 @@ def test_renaming_and_reordering_ids_changes_no_float(corpus, omega, data):
 
 
 @given(corpora(), st.integers(0, 3))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_a_copy_of_every_run_changes_no_mean(corpus, omega):
     """Every cell counted twice leaves every mean bit-identical, however
     the spreads move."""
@@ -137,7 +158,7 @@ def test_a_copy_of_every_run_changes_no_mean(corpus, omega):
 
 
 @given(st.lists(annotations, min_size=1, max_size=4), st.integers(1, 3), st.integers(0, 3))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_a_perfect_prediction_scores_one(videos, runs, omega):
     """A prediction equal to its annotation scores 1.0 on every defined
     mean, per phase too.  Zero fill is left out: it defines the undefined
@@ -153,3 +174,56 @@ def test_a_perfect_prediction_scores_one(videos, runs, omega):
             continue  # bug-compatible mode refuses a segment shorter than omega
         for row in outcome:
             assert {m for m in row.values() if m is not None} <= {1.0}, (call, row)
+
+
+@given(corpora(), st.permutations(range(PHASES.count)))
+@settings(max_examples=examples(40), deadline=None)
+def test_relabelling_phases_permutes_the_phase_rows(corpus, relabel):
+    """Phase p renamed relabel[p] in every annotation and prediction moves
+    phase p's row to relabel[p] and leaves every summary float
+    bit-identical, under every evaluate protocol."""
+    annotations, predictions = corpus
+    relabelled = _corpus(
+        {v: [relabel[p] for p in y] for v, y in annotations.items()},
+        {
+            v: {r: [relabel[p] for p in yhat] for r, yhat in runs.items()}
+            for v, runs in predictions.items()
+        },
+    )
+    original = _corpus(annotations, predictions)
+    for call in EVALUATE:
+        want, got = _outcome(call, original, 0), _outcome(call, relabelled, 0)
+        if isinstance(want, type):
+            assert got == want, call
+            continue
+        (summary, per_phase), (new_summary, new_per_phase) = want, got
+        assert new_summary == summary, call
+        assert new_per_phase == {relabel[p]: row for p, row in per_phase.items()}, call
+
+
+@given(corpora(), st.integers(0, 3))
+@settings(max_examples=examples(40), deadline=None)
+def test_relaxed_accuracy_is_never_below_accuracy(corpus, omega):
+    """The graph, legacy-grid and bug-compatible rules flag every frame whose
+    prediction equals its annotation, so relaxed accuracy is never below
+    accuracy: per pair, and as the mean of each report."""
+    corpus = _corpus(*corpus)
+    annotations = [corpus.annotations[v] for v in corpus.videos]
+    graph = assumed_workflow(PHASES)[1]
+    rules = [
+        graph_rules(annotations, omega, build_matrices(graph, mode, PHASES.count))
+        for mode in (MatrixMode.GRAPH_DERIVED, MatrixMode.LEGACY)
+    ]
+    try:
+        rules.append(legacy_rules(annotations, omega))
+    except SegmentShorterThanOmega:
+        pass  # the bug-compatible rule refuses a segment shorter than omega
+    for flags_of in rules:
+        for v, y, flags in zip(corpus.videos, annotations, flags_of):
+            for yhat in corpus.predictions[v].values():
+                assert np.all(flags(yhat)[y.labels == yhat.labels])
+    summary, _ = _outcome(EVALUATE[0], corpus, omega)
+    for call in RELAXED:
+        outcome = _outcome(call, corpus, omega)
+        if outcome is not SegmentShorterThanOmega:
+            assert outcome[0]["relaxed_accuracy"].mean >= summary["accuracy"].mean, call

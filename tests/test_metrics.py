@@ -1,11 +1,13 @@
 """Per-phase ratios, the undefined/excluded states, and macro means."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phaseeval.confusion import confusion_of
 from phaseeval.core import LabelSequence, PhaseSet
 from phaseeval.metrics import (
+    _ARRAY_ROWS,
     EXCLUDED_CELL,
     F1,
     JACCARD,
@@ -27,8 +29,10 @@ from phaseeval.metrics import (
     phase_counts,
     phase_metric,
     resolve,
+    row_fsum,
 )
-from reference import UNDEFINED, oracle_accuracy, oracle_macro, oracle_metric
+from conftest import examples
+from reference import UNDEFINED, oracle_accuracy, oracle_macro, oracle_metric, oracle_row_fsum
 
 PHASES = PhaseSet(4)
 labels = st.lists(st.integers(0, 3), min_size=1, max_size=50)
@@ -201,3 +205,38 @@ def test_f1_upper_bounds_harmonic_means(p, r):
     assert f1_upper(p, r) <= (p + r) / 2 + 1e-12
     if abs(p - r) > 1e-6:
         assert f1_upper(p, r) < (p + r) / 2
+
+
+@st.composite
+def sum_rows(draw):
+    """Rows on both sides of row_fsum's cutoff, of a width in 1..100, each
+    kind of them drawn from a seeded generator: ratios of small counts as
+    cells take (with exact zeros); 1.0 among values in (0.5, 1), whose
+    totals land on rounding midpoints; or terms of mixed sign across 80
+    binades at any scale, half of them near-negations of the others."""
+    rows = draw(st.integers(1, 2 * _ARRAY_ROWS))
+    width = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 32, 35, 64, 100]))
+    kind = draw(st.sampled_from(["cells", "midpoints", "cancelling"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (rows, width)
+    if kind == "cells":
+        den = rng.integers(1, 60, shape)
+        return rng.integers(0, den + 1) / den
+    if kind == "midpoints":
+        return np.where(rng.random(shape) < 0.4, 1.0, 0.5 + rng.random(shape) / 2)
+    scale = rng.integers(-990, 990, (rows, 1)) - rng.integers(0, 80, shape)
+    a = rng.standard_normal(shape) * np.exp2(scale)
+    a[:, 1::2] = -a[:, : width - 1 : 2] * (1 + rng.standard_normal((rows, width // 2)) * 1e-15)
+    return a + 0.0  # no -0.0: cells never are
+
+
+@given(sum_rows())
+@settings(max_examples=examples(200), deadline=None)
+# The trees round [1, 2**-53, 2**-106] to 1.0, below the midpoint that its
+# total lies just above: only the fsum fallback gives fsum's 1 + 2**-52.
+# [1, 2**-60, 2**-120] is certified by the error bound.
+@example(np.array([[1.0, 2.0**-53, 2.0**-106], [1.0, 2.0**-60, 2.0**-120]] * _ARRAY_ROWS))
+def test_row_fsum_is_fsum_of_every_row(rows):
+    assert list(map(float.hex, row_fsum(rows).tolist())) == list(
+        map(float.hex, oracle_row_fsum(rows))
+    )

@@ -571,12 +571,12 @@ def test_bug_compat_computes_only_the_spreads_it_prints(monkeypatch):
     anns, preds, ph = _corpus()
     points = []
 
-    def counting(p, mode):
-        points.append(len(p))
-        return sample_std(p, mode)
+    def counting(lines, kept, mode):
+        points.extend(kept.sum(axis=1).tolist())  # one spread a row
+        return spreads_of(lines, kept, mode)
 
-    sample_std = phaseeval.aggregate._sample_std
-    monkeypatch.setattr(phaseeval.aggregate, "_sample_std", counting)
+    spreads_of = phaseeval.aggregate._spreads
+    monkeypatch.setattr(phaseeval.aggregate, "_spreads", counting)
     rep = run_relaxed(Corpus(ph, anns, preds), 2, MatrixMode.LEGACY, True, bug_compatible=True)
     printed = {
         **{"relaxed_" + kind: ("mean", "sd_phases") for kind in (PRECISION, RECALL, JACCARD)},
