@@ -131,8 +131,6 @@ def ratio_cells(num: np.ndarray, den: np.ndarray) -> Cells:
 # Below this many rows, row_fsum sums row by row with math.fsum: numpy's
 # fixed cost per call outweighs the array path on a few short rows.
 _ARRAY_ROWS = 96
-_EPS = np.finfo(np.float64).eps
-_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 def _two_sum_tree(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,9 +165,7 @@ def row_fsum(a: np.ndarray) -> np.ndarray:
     error terms, and a second tree over the error terms gives their
     rounded total and second-level errors.  Where those are all zero the
     row's exact total is the sum of two doubles, and one IEEE addition
-    rounds it as fsum does.  Any other row keeps that addition only when
-    a rigorous bound on what it leaves out stays below half the gap to
-    either neighbouring double; the rest are summed by math.fsum.
+    rounds it as fsum does.  Any other row is summed by math.fsum.
     """
     rows, n = a.shape
     if n <= 2:
@@ -181,17 +177,8 @@ def row_fsum(a: np.ndarray) -> np.ndarray:
         error, residue = _two_sum_tree(errors)
         sums = total + error
         doubt = np.flatnonzero(residue.any(axis=0) | ~np.isfinite(sums))
-        if len(doubt):
-            s, e, c = total[doubt], error[doubt], sums[doubt]
-            back = c - s
-            off = (s - (c - back)) + (e - back)  # s + e - c, exactly
-            # The computed sum of the n - 2 or fewer |residues|, scaled past
-            # its rounding error, bounds the sum of the residues; each gap
-            # next to |c| is at least spacing(|c|) / 2.
-            bound = np.abs(residue[:, doubt]).sum(axis=0) * (1 + 2 * n * _EPS) + _TINY
-            certified = np.abs(off) + bound < np.spacing(np.abs(c)) / 4
-            for i in doubt[~certified].tolist():
-                sums[i] = math.fsum(a[i].tolist())
+    for i in doubt.tolist():
+        sums[i] = math.fsum(a[i].tolist())
     return sums
 
 

@@ -234,8 +234,7 @@ def sum_rows(draw):
 @settings(max_examples=examples(200), deadline=None)
 # The trees round [1, 2**-53, 2**-106] to 1.0, below the midpoint that its
 # total lies just above: only the fsum fallback gives fsum's 1 + 2**-52.
-# [1, 2**-60, 2**-120] is certified by the error bound.
-@example(np.array([[1.0, 2.0**-53, 2.0**-106], [1.0, 2.0**-60, 2.0**-120]] * _ARRAY_ROWS))
+@example(np.array([[1.0, 2.0**-53, 2.0**-106]] * _ARRAY_ROWS))
 def test_row_fsum_is_fsum_of_every_row(rows):
     assert list(map(float.hex, row_fsum(rows).tolist())) == list(
         map(float.hex, oracle_row_fsum(rows))
