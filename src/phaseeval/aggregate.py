@@ -19,7 +19,6 @@ Bessel's k-1 correction; UNCORRECTED divides by k.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Mapping
 
@@ -55,19 +54,6 @@ class SummarySpec:
     order: AveragingOrder = AveragingOrder.FLAT
 
 
-class CellView(Sequence):
-    """A tensor's cells in layout order, each made when it is read."""
-
-    def __init__(self, values: np.ndarray, state: np.ndarray):
-        self._values, self._state = values.ravel(), state.ravel()
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(self, i: int) -> MetricCell:
-        return cell_of(self._values[i], self._state[i])
-
-
 def check_cells(values: np.ndarray, state: np.ndarray) -> None:
     """Raise ValueError unless `values` and `state` are cells: arrays of one
     shape, every state a known code and every defined value finite and >= 0."""
@@ -85,8 +71,8 @@ class ResultTensor:
 
     `values` (float64) and `state` (int8 codes metrics.DEFINED, UNDEFINED
     and EXCLUDED) are read-only arrays shaped (phase, video, run); the
-    value of every cell that is not defined is NaN.  `cells` and
-    `cell_at` are MetricCell views of them.
+    value of every cell that is not defined is NaN.  `cells`, in layout
+    order, and `cell_at` give them as MetricCells.
 
     The phase axis is (None,) for video-level metrics such as accuracy,
     where no per-phase decomposition exists.
@@ -136,8 +122,8 @@ class ResultTensor:
         return cls(phases, videos, runs, *cells)
 
     @property
-    def cells(self) -> CellView:
-        return CellView(self.values, self.state)
+    def cells(self) -> tuple[MetricCell, ...]:
+        return tuple(map(cell_of, self.values.ravel(), self.state.ravel()))
 
     def cell_at(self, pi: int, vi: int, ri: int) -> MetricCell:
         return cell_of(self.values[pi, vi, ri], self.state[pi, vi, ri])

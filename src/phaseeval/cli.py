@@ -81,11 +81,11 @@ def cmd_relaxed(args) -> int:
 
 
 def cmd_compare(args, reference: ProtocolDescriptor) -> int:
-    from .protocol import ingest_ledger, leaderboard_obj, render_leaderboard, seed_ledger
+    from .protocol import ingest_ledger, render_leaderboard, seed_ledger
 
     results = ingest_ledger(args.ledger) if args.ledger else seed_ledger()
     board = render_leaderboard(results, reference, sort_metric=args.sort_metric)
-    _emit(canonical_json(leaderboard_obj(board)) + "\n", args.out)
+    _emit(canonical_json(board) + "\n", args.out)
     return 0
 
 

@@ -21,6 +21,7 @@ from .metrics import (
     f1_of_means_cells,
     f1_upper,
     macro_cells,
+    mean_defined,
     phase_cells,
     phase_counts,
     resolve,
@@ -76,15 +77,17 @@ def run_evaluate(
     """Regular (unrelaxed) metric report over a loaded corpus."""
     counts, *per_pair = corpus.counts  # per_pair: (phase, video, run) arrays
     spec = SummarySpec(std_mode=std_mode, order=order)
-    summary, per_phase = _summaries({
+    cells = {
         kind: resolve(*phase_cells(kind, *per_pair), policy, per_pair[1] > 0)
         for kind in METRIC_KINDS
-    }, spec)
+    }
+    summary, per_phase = _summaries(cells, spec)
 
-    macro = {kind: macro_cells(kind, *per_pair, policy) for kind in (PRECISION, RECALL, F1)}
+    # each kind's macro_cells, from its cells resolved above
+    macro = {kind: mean_defined(*cells[kind], 0) for kind in (PRECISION, RECALL, F1)}
     per_video = {
         "accuracy": accuracy_cells(counts),
-        **{"macro_" + kind: cells for kind, cells in macro.items()},
+        **{"macro_" + kind: c for kind, c in macro.items()},
         "bold_macro_f1": f1_of_means_cells(macro[PRECISION], macro[RECALL]),
     }
     summary.update(_summaries({

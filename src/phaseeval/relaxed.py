@@ -7,9 +7,9 @@ segment annotated q, end[q][qhat] in the last omega frames.  Windows are
 clamped to segment bounds and may overlap on short segments.
 
 Two matrix modes exist: GRAPH_DERIVED takes every transition of the
-workflow graph; LEGACY reproduces the grids hardwired in the widely
-shared evaluation script, which omit four graph transitions
-(start 4<-5, start 5<-6, end 5->4, end 6->5).
+workflow graph; LEGACY takes the rule table of the widely shared
+evaluation script restricted to the seven phases, which omits four graph
+transitions (start 4<-5, start 5<-6, end 5->4, end 6->5).
 
 relax_flags implements the intended window semantics.  relax_flags_legacy
 reproduces the original script's control flow bit-exactly, including its
@@ -104,8 +104,14 @@ class RelaxMatrices:
         return accept
 
 
-_LEGACY_DROPPED_START = ((4, 5), (5, 6))
-_LEGACY_DROPPED_END = ((5, 4), (6, 5))
+# The rule groups of relax_flags_legacy over predicted labels 0..9, by
+# d = predicted - annotated: start rows by phase, then end rows.  Its first
+# seven columns are the LEGACY grids.
+_D = np.arange(10) - np.arange(7)[:, None]
+_LEGACY_ACCEPT = np.concatenate((
+    (_D == -1) | ((_D == -2) & (np.arange(7) >= 5)[:, None]),
+    (_D == 1) | ((_D == 2) & (np.arange(7) >= 3)[:, None]),
+))
 
 
 def build_matrices(
@@ -128,10 +134,7 @@ def build_matrices(
                 f"legacy acceptance grids exist only for the 7-phase "
                 f"cholecystectomy graph, not a {phase_count}-phase workflow"
             )
-        for q, qhat in _LEGACY_DROPPED_START:
-            start[q][qhat] = 0
-        for q, qhat in _LEGACY_DROPPED_END:
-            end[q][qhat] = 0
+        start, end = _LEGACY_ACCEPT[:, :7].astype(int).reshape(2, 7, 7).tolist()
     return RelaxMatrices(
         tuple(tuple(row) for row in start), tuple(tuple(row) for row in end)
     )
@@ -214,15 +217,6 @@ def graph_rules(
     _, first, last = segments
     w = np.minimum(omega, last - first + 1)
     return _rules(annotations, segments, counts, w, matrices.accept, False)
-
-
-# The rule groups of relax_flags_legacy over predicted labels 0..9, by
-# d = predicted - annotated: start rows by phase, then end rows.
-_D = np.arange(10) - np.arange(7)[:, None]
-_LEGACY_ACCEPT = np.concatenate((
-    (_D == -1) | ((_D == -2) & (np.arange(7) >= 5)[:, None]),
-    (_D == 1) | ((_D == 2) & (np.arange(7) >= 3)[:, None]),
-))
 
 
 def legacy_rules(annotations: Sequence[LabelSequence], omega: int) -> list[Flags]:

@@ -123,6 +123,7 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
         (["runs=unknown", "runs=3"], "'runs' given twice"),
         (["omega=\u0663"], "takes an integer or unknown"),
         (["omega=1_0"], "takes an integer or unknown"),
+        (["split="], "reference: split_name must not be empty"),
     ],
 )
 def test_bad_reference_exits_2(refs, message, capsys):
@@ -428,6 +429,8 @@ def test_bug_compat_on_a_5_phase_corpus_exits_1(tmp_path, capsys):
         ),
         ("splits-list.json", ["splits", "--list"]),
         ("splits-32-8-40.json", ["splits", "32:8:40"]),
+        # the packaged seed and its dump read as a ledger file rank alike
+        ("compare-default.json", ["compare", "--ledger", str(GOLDEN_CLI / "seed-ledger.json")]),
     ],
 )
 def test_cli_output_matches_golden_bytes(golden, argv, capsys):

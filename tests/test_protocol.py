@@ -19,8 +19,6 @@ from phaseeval.protocol import (
     UNKNOWN,
     DuplicateEntry,
     EmptyLedger,
-    Leaderboard,
-    LeaderboardGroup,
     PROTOCOL_FIELDS,
     MetricValue,
     ProtocolDescriptor,
@@ -28,7 +26,6 @@ from phaseeval.protocol import (
     Verdict,
     check_comparable,
     dump_ledger,
-    leaderboard_obj,
     parse_ledger,
     parse_reference,
     render_leaderboard,
@@ -246,10 +243,45 @@ def test_ledger_protocol_value_errors_name_their_record(field, value):
         parse_ledger(json.dumps([ok, bad]))
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"provenence": "typo"}, r"^record 1: unknown record key 'provenence'$"),
+        ({"notes": None}, r"^record 1: unknown record key 'notes'$"),
+        (
+            {"metrics": {"accuracy": {"mean": 0.5, "sd": 0.01}}},
+            r"^record 1: metric 'accuracy' has unknown key 'sd'$",
+        ),
+    ],
+)
+def test_ledger_unknown_keys_are_refused(record, message, tmp_path, capsys):
+    ok = {"method": "m", "source": "s", "metrics": {"accuracy": {"mean": 0.9}}}
+    text = json.dumps([ok, {**ok, "method": "n", **record}])
+    with pytest.raises(SchemaError, match=message):
+        parse_ledger(text)
+    path = tmp_path / "ledger.json"
+    path.write_text(text)
+    assert main(["compare", "--ledger", str(path)]) == 1
+    assert "unknown" in capsys.readouterr().err
+
+
+def test_an_empty_split_is_refused(tmp_path, capsys):
+    with pytest.raises(SchemaError, match="^split_name must not be empty$"):
+        ProtocolDescriptor(split_name="")
+    ok = {"method": "m", "source": "s", "metrics": {"accuracy": {"mean": 0.9}}}
+    text = json.dumps([ok, {**ok, "method": "n", "protocol": {"split": ""}}])
+    with pytest.raises(SchemaError, match="^record 1: split_name must not be empty$"):
+        parse_ledger(text)
+    path = tmp_path / "ledger.json"
+    path.write_text(text)
+    assert main(["compare", "--ledger", str(path)]) == 1
+    assert "record 1: split_name must not be empty" in capsys.readouterr().err
+
+
 def test_reference_parses_like_a_ledger_protocol():
     ref = parse_reference(["split=60:20", "relaxed=true", "omega=10", "runs=unknown"])
     assert ref == ProtocolDescriptor(split_name="60:20", relaxed=True, omega=10)
-    for pair in ("relaxed=yes", "omega=ten", "runs=2.5", "policy=drop-them", "x=1"):
+    for pair in ("relaxed=yes", "omega=ten", "runs=2.5", "policy=drop-them", "x=1", "split="):
         with pytest.raises(SchemaError):
             parse_reference([pair])
 
@@ -310,20 +342,24 @@ def test_leaderboard_grouping_and_order():
         "delta", "w", ProtocolDescriptor(**{**FULL.__dict__, "split_name": "60:20"}), 0.99
     )
     board = render_leaderboard([same, same2, soft, hard], FULL)
-    assert board.groups[0].verdict is Verdict.COMPARABLE
+    groups = board["groups"]
+    assert groups[0]["verdict"] == Verdict.COMPARABLE.value
     # soft finding stays comparable but lands in its own bucket,
     # after the clean one
-    assert board.groups[1].verdict is Verdict.COMPARABLE
-    assert board.groups[1].findings
-    assert board.groups[-1].verdict is Verdict.INCOMPARABLE
+    assert groups[1]["verdict"] == Verdict.COMPARABLE.value
+    assert groups[1]["findings"]
+    assert groups[-1]["verdict"] == Verdict.INCOMPARABLE.value
     # within a bucket: by the sort metric, descending
-    assert [e.method for e in board.groups[0].entries] == ["beta", "alpha"]
-    obj = leaderboard_obj(board)
-    assert obj["sort_metric"] == "accuracy"
-    assert obj["groups"][0]["entries"][0]["method"] == "beta"
+    assert [e["method"] for e in groups[0]["entries"]] == ["beta", "alpha"]
+    assert board["sort_metric"] == "accuracy"
 
     with pytest.raises(EmptyLedger):
         render_leaderboard([], FULL)
+
+
+def _entry(r: ReportedResult) -> dict:
+    metrics = {k: {"mean": v.mean, "spread": v.spread} for k, v in sorted(r.metrics.items())}
+    return {"method": r.method, "source": r.source, "metrics": metrics}
 
 
 def test_leaderboard_grades_each_distinct_protocol_once(monkeypatch):
@@ -334,11 +370,30 @@ def test_leaderboard_grades_each_distinct_protocol_once(monkeypatch):
 
     def group(protocol, *best_first):  # graded on its own, as each entry once was
         report = check_comparable(FULL, protocol)
-        return LeaderboardGroup(report.verdict, report.findings, tuple(results[i] for i in best_first))
+        return {
+            "verdict": report.verdict.value,
+            "findings": [
+                {"rule": f.rule, "severity": f.severity, "field": f.field, "detail": f.detail}
+                for f in report.findings
+            ],
+            "entries": [_entry(results[i]) for i in best_first],
+        }
 
-    expected = Leaderboard(
-        FULL, "accuracy", (group(FULL, 4, 2, 0), group(unknown, 5), group(relaxed, 3, 1))
-    )
+    expected = {
+        "reference": {
+            "split": "32:8:40",
+            "relaxed": False,
+            "omega": "unknown",
+            "policy": "exclude-missing-phase",
+            "f1_variant": "harmonic-of-overall-means",
+            "std_source": "phases",
+            "std_mode": "corrected",
+            "runs": 5,
+            "trained_on_validation": False,
+        },
+        "sort_metric": "accuracy",
+        "groups": [group(FULL, 4, 2, 0), group(unknown, 5), group(relaxed, 3, 1)],
+    }
     graded = []
 
     def counting(reference, candidate):
