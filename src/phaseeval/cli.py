@@ -24,7 +24,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import PhaseEvalError
-from .vocab import MAX_PHASES, METRIC_NAMES, OMEGA_MAX, REPORT_FORMATS, SchemaError, UnknownSplit
+from .vocab import MAX_PHASES  # noqa: F401  (re-exported)
+from .vocab import METRIC_NAMES, OMEGA_MAX, REPORT_FORMATS, SchemaError, UnknownSplit
 from .vocab import AveragingOrder, MatrixMode, StdMode, UndefinedPolicy, decimal
 from .vocab import builtin_split_names, canonical_json, cv_folds, resolve_split
 
@@ -110,14 +111,12 @@ def cmd_synth(args) -> int:
 
 def cmd_splits(args) -> int:
     if args.list:
-        _emit(canonical_json(list(builtin_split_names())) + "\n", args.out)
-        return 0
-    if args.name == "48:12:20-cv":
-        folds = cv_folds()
+        obj = list(builtin_split_names())
+    elif args.name == "48:12:20-cv":
+        obj = [asdict(f) for f in cv_folds()]
     else:
-        folds = [resolve_split(args.name)]
-    obj = [asdict(f) for f in folds]
-    _emit(canonical_json(obj[0] if len(obj) == 1 else obj) + "\n", args.out)
+        obj = asdict(resolve_split(args.name))
+    _emit(canonical_json(obj) + "\n", args.out)
     return 0
 
 
@@ -190,8 +189,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sy.add_argument("--seed", type=decimal, default=0)
 
     if sp := add("splits", "print a registered split"):
-        sp.add_argument("name", nargs="?")
-        sp.add_argument("--list", action="store_true", help="list registered names")
+        which = sp.add_mutually_exclusive_group(required=True)
+        which.add_argument("name", nargs="?")
+        which.add_argument("--list", action="store_true", help="list registered names")
         sp.add_argument("--out", default="-")
     return parser
 
@@ -214,20 +214,15 @@ def _validate(parser: argparse.ArgumentParser, args) -> ProtocolDescriptor | Non
         except SchemaError as exc:
             parser.error(str(exc))
     if args.command == "synth":
-        if not 2 <= args.phase_count <= MAX_PHASES:
-            parser.error(f"--phase-count must be within 2..{MAX_PHASES}")
-        if args.videos < 1 or args.runs < 1:
-            parser.error("--videos and --runs must be >= 1")
-        if not 0.0 <= args.flip_rate <= 1.0:
-            parser.error("--flip-rate must be within [0, 1]")
-        if args.boundary_shift < 0:
-            parser.error("--boundary-shift must be >= 0")
-        if args.max_len < args.min_len:
-            parser.error("--max-len must be >= --min-len")
-        if args.min_len < 2 * args.boundary_shift + 1:
-            parser.error("--min-len must be at least 2*shift+1")
-    if args.command == "splits" and not args.list and args.name is None:
-        parser.error("a split name (or --list) is required")
+        from .synth import InvalidSynthSettings, check_settings
+
+        try:
+            check_settings(
+                args.phase_count, args.videos, args.runs, args.min_len, args.max_len,
+                args.boundary_shift, args.flip_rate,
+            )
+        except InvalidSynthSettings as exc:
+            parser.error(str(exc))
     return reference
 
 

@@ -134,14 +134,14 @@ def run_relaxed(
     phases = corpus.phases
     if bug_compatible and (matrix_mode is not MatrixMode.LEGACY or not truncate):
         raise BugCompatConflict("bug-compatible mode needs the legacy grids and truncation")
-    # Both modes pass the grids' phase-count check, though only one uses them.
-    matrices = build_matrices(assumed_workflow(phases)[1], matrix_mode, phases.count)
+    # Both modes pass the table's phase-count check, though only one uses it.
+    accept = build_matrices(assumed_workflow(phases)[1], matrix_mode, phases.count)
     omega = check_omega(omega)  # the int the report records
     if bug_compatible:
         cells, acc = legacy_pipeline(corpus, omega)
         spec = SummarySpec(order=AveragingOrder.VIDEO_FIRST)
     else:
-        cells, acc = relaxed_tensors(corpus, lambda ys: graph_rules(ys, omega, matrices), truncate)
+        cells, acc = relaxed_tensors(corpus, lambda ys: graph_rules(ys, omega, accept), truncate)
         spec = SummarySpec()  # flat order, corrected spread
 
     scores, accuracy, phase = _SCRIPT_PRINTS if bug_compatible else (SUMMARY_STATS,) * 3

@@ -1,10 +1,10 @@
 """Relaxed-boundary metric variants.
 
 Near an annotated segment boundary, a prediction of a workflow-adjacent
-phase counts as correct.  Acceptance is encoded as two 0/1 matrices:
-start[q][qhat] accepts prediction qhat in the first omega frames of a
-segment annotated q, end[q][qhat] in the last omega frames.  Windows are
-clamped to segment bounds and may overlap on short segments.
+phase counts as correct.  For p phases, a (2p, p + 1) bool table accepts
+prediction qhat in the first omega frames of a segment annotated q at
+[q, qhat], in its last omega frames at [p + q, qhat]; windows are clamped
+to segment bounds and may overlap on short segments.
 
 Two matrix modes exist: GRAPH_DERIVED takes every transition of the
 workflow graph; LEGACY takes the rule table of the widely shared
@@ -19,8 +19,6 @@ is applied to the *first* omega positions of each segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -72,41 +70,12 @@ class LegacyGridsUnavailable(PhaseEvalError):
 
 
 class InvalidGrids(PhaseEvalError):
-    """Malformed acceptance grids, or a workflow edge outside them."""
-
-
-@dataclass(frozen=True)
-class RelaxMatrices:
-    """Start- and end-window acceptance grids, indexed [annotated][predicted]."""
-
-    start: tuple[tuple[int, ...], ...]
-    end: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.start)
-        for grid in (self.start, self.end):
-            if len(grid) != n or any(len(row) != n for row in grid):
-                raise InvalidGrids("acceptance grids must be square and equal-sized")
-            for q in range(n):
-                if grid[q][q]:
-                    raise InvalidGrids("a phase cannot relax into itself")
-
-    @property
-    def phase_count(self) -> int:
-        return len(self.start)
-
-    @cached_property
-    def accept(self) -> np.ndarray:
-        """Read-only bool table of both grids: start rows, then end rows,
-        with an all-False last column for predicted labels past the grids."""
-        accept = np.pad(np.concatenate((self.start, self.end)), ((0, 0), (0, 1))) > 0
-        accept.flags.writeable = False
-        return accept
+    """A workflow edge outside the acceptance table, or a malformed table."""
 
 
 # The rule groups of relax_flags_legacy over predicted labels 0..9, by
 # d = predicted - annotated: start rows by phase, then end rows.  Its first
-# seven columns are the LEGACY grids.
+# seven columns are the LEGACY table's.
 _D = np.arange(10) - np.arange(7)[:, None]
 _LEGACY_ACCEPT = np.concatenate((
     (_D == -1) | ((_D == -2) & (np.arange(7) >= 5)[:, None]),
@@ -114,30 +83,27 @@ _LEGACY_ACCEPT = np.concatenate((
 ))
 
 
-def build_matrices(
-    graph: WorkflowGraph, mode: MatrixMode, phase_count: int
-) -> RelaxMatrices:
-    """Acceptance grids from a workflow graph.
+def build_matrices(graph: WorkflowGraph, mode: MatrixMode, phase_count: int) -> np.ndarray:
+    """The read-only acceptance table of a workflow graph: start row b and
+    end row phase_count + a accept each edge a -> b, and the all-False last
+    column every predicted label past the phases.
 
     LEGACY is only defined for the seven-phase cholecystectomy graph.
     """
-    start = [[0] * phase_count for _ in range(phase_count)]
-    end = [[0] * phase_count for _ in range(phase_count)]
+    accept = np.zeros((2 * phase_count, phase_count + 1), dtype=bool)
     for a, b in graph.edges:
         if a >= phase_count or b >= phase_count:
             raise InvalidGrids("graph edge outside the phase range")
-        start[b][a] = 1
-        end[a][b] = 1
+        accept[b, a] = accept[phase_count + a, b] = True
     if mode is MatrixMode.LEGACY:
         if phase_count != 7 or graph.edges != cholec80_graph().edges:
             raise LegacyGridsUnavailable(
                 f"legacy acceptance grids exist only for the 7-phase "
                 f"cholecystectomy graph, not a {phase_count}-phase workflow"
             )
-        start, end = _LEGACY_ACCEPT[:, :7].astype(int).reshape(2, 7, 7).tolist()
-    return RelaxMatrices(
-        tuple(tuple(row) for row in start), tuple(tuple(row) for row in end)
-    )
+        accept[:, :7] = _LEGACY_ACCEPT[:, :7]
+    accept.flags.writeable = False
+    return accept
 
 
 def _check_lengths(annotation: LabelSequence, prediction: LabelSequence) -> None:
@@ -205,18 +171,22 @@ def _flags(annotation: LabelSequence, put, read, row, accept) -> Flags:
 
 
 def graph_rules(
-    annotations: Sequence[LabelSequence], omega: int, matrices: RelaxMatrices
+    annotations: Sequence[LabelSequence], omega: int, accept: np.ndarray
 ) -> list[Flags]:
-    """The relax_flags rule of each of `annotations`, with the windows of
-    all of them found in one pass."""
+    """The relax_flags rule of each of `annotations` on the acceptance
+    table `accept`, with the windows of all of them found in one pass."""
     omega = check_omega(omega)
-    phases = PhaseSet(matrices.phase_count)
+    accept = np.asarray(accept)
+    p = len(accept) // 2 if accept.ndim == 2 else 0
+    if p < 1 or accept.shape != (2 * p, p + 1) or accept.dtype != bool:
+        raise InvalidGrids(f"not a (2p, p + 1) bool table: {accept.dtype} {accept.shape}")
+    phases = PhaseSet(p)
     for y in annotations:
         validate_sequence(y, phases)  # a row for every phase
     segments, counts = _segments(annotations)
     _, first, last = segments
     w = np.minimum(omega, last - first + 1)
-    return _rules(annotations, segments, counts, w, matrices.accept, False)
+    return _rules(annotations, segments, counts, w, accept, False)
 
 
 def legacy_rules(annotations: Sequence[LabelSequence], omega: int) -> list[Flags]:
@@ -241,16 +211,16 @@ def relax_flags(
     annotation: LabelSequence,
     prediction: LabelSequence,
     omega: int,
-    matrices: RelaxMatrices,
+    accept: np.ndarray,
 ) -> tuple[bool, ...]:
     """Per-frame correctness with the intended window semantics.
 
     A frame is correct when prediction equals annotation, or when it lies
-    in the first omega frames of its annotated segment and the start grid
-    accepts the predicted phase, or symmetrically in the last omega frames
-    via the end grid.  Windows clamp to the segment and may overlap.
+    in the first omega frames of its annotated segment and the start rows
+    of `accept` take the predicted phase, or symmetrically in the last
+    omega frames via the end rows.  Windows clamp to the segment and may overlap.
     """
-    return tuple(graph_rules((annotation,), omega, matrices)[0](prediction).tolist())
+    return tuple(graph_rules((annotation,), omega, accept)[0](prediction).tolist())
 
 
 def relax_flags_legacy(

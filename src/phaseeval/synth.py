@@ -4,11 +4,33 @@ prediction runs that shift its boundaries and flip frames."""
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from pathlib import Path
 
-from .core import LabelSequence, PhaseSet, assumed_workflow, cholec80_graph
+from .core import MAX_PHASES, LabelSequence, PhaseSet, assumed_workflow, cholec80_graph
+from .errors import PhaseEvalError
 from .io import dump_labels
 from .vocab import canonical_json
+
+
+class InvalidSynthSettings(PhaseEvalError):
+    """A setting generate_corpus cannot write a loadable corpus from."""
+
+
+def check_settings(phase_count, videos, runs, min_len, max_len, boundary_shift, flip_rate) -> None:
+    """Refuse the first setting that generate_corpus cannot honour, in the
+    order of its arguments; the messages name the synth command's flags."""
+    for bad, message in (
+        (not 2 <= phase_count <= MAX_PHASES, f"--phase-count must be within 2..{MAX_PHASES}"),
+        (videos < 1 or runs < 1, "--videos and --runs must be >= 1"),
+        (not 0.0 <= flip_rate <= 1.0, "--flip-rate must be within [0, 1]"),
+        (boundary_shift < 0, "--boundary-shift must be >= 0"),
+        (max_len < min_len, "--max-len must be >= --min-len"),
+        # a boundary shifted past a whole segment breaks its run's length
+        (min_len < 2 * boundary_shift + 1, "--min-len must be at least 2*shift+1"),
+    ):
+        if bad:
+            raise InvalidSynthSettings(message)
 
 
 def _walk_phases(rng: random.Random, graph, phase_count: int) -> list[int]:
@@ -27,21 +49,15 @@ def _perturb(labels, boundaries, phase_order, rng, shift, flip_rate, phase_count
     boundary) to a random other phase at rate flip_rate."""
     total = len(labels)
     moved = [b + rng.randint(-shift, shift) for b in boundaries] if shift else list(boundaries)
-    pred = []
-    cuts = moved + [total]
-    start = 0
-    for phase, cut in zip(phase_order, cuts):
-        pred.extend([phase] * (cut - start))
-        start = cut
+    cuts = zip(phase_order, [0, *moved], [*moved, total])
+    pred = [phase for phase, start, cut in cuts for _ in range(start, cut)]
     edges = [0] + list(boundaries) + [total - 1]
     if flip_rate > 0:
         for t in range(total):
             near = any(abs(t - b) <= shift for b in edges) or any(
                 abs(t - (b - 1)) <= shift for b in boundaries
             )
-            if near:
-                continue
-            if rng.random() < flip_rate:
+            if not near and rng.random() < flip_rate:
                 pred[t] = rng.choice([q for q in range(phase_count) if q != labels[t]])
     return pred
 
@@ -57,7 +73,9 @@ def generate_corpus(
     flip_rate: float,
     seed: int,
 ) -> Path:
-    """Write a synthetic corpus and return the manifest path."""
+    """Write a synthetic corpus and return the manifest path; settings that
+    check_settings refuses write nothing."""
+    check_settings(phase_count, videos, runs, min_len, max_len, boundary_shift, flip_rate)
     rng = random.Random(seed)
     _, graph = assumed_workflow(PhaseSet(phase_count))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -66,11 +84,7 @@ def generate_corpus(
         phase_order = _walk_phases(rng, graph, phase_count)
         lengths = [rng.randint(min_len, max_len) for _ in phase_order]
         labels = [p for p, n in zip(phase_order, lengths) for _ in range(n)]
-        boundaries = []
-        acc = 0
-        for n in lengths[:-1]:
-            acc += n
-            boundaries.append(acc)
+        boundaries = list(accumulate(lengths[:-1]))
         vdir = out_dir / f"video{vid:02d}"
         vdir.mkdir(exist_ok=True)
         (vdir / "annotation.txt").write_text(dump_labels(LabelSequence(labels)), encoding="utf-8")

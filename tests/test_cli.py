@@ -9,7 +9,9 @@ import pytest
 
 from phaseeval import cli
 from phaseeval.cli import main
+from phaseeval.errors import PhaseEvalError
 from phaseeval.protocol import dump_ledger, seed_ledger
+from phaseeval.synth import InvalidSynthSettings, generate_corpus
 
 README = Path(__file__).parents[1] / "README.md"
 GOLDEN_CLI = Path(__file__).parent / "data" / "cli"
@@ -102,6 +104,10 @@ def test_synth_noise_free_predictions_match_annotations(tmp_path, capsys):
         ["synth", "--out-dir", "x", "--min-len", "1_0"],
         ["synth", "--out-dir", "x", "--max-len", "+30"],
         ["synth", "--out-dir", "x", "--boundary-shift", "\u0663"],
+        ["splits", "40:40", "--list"],
+        ["relaxed", "m.json", "--truncate", "--bug-compat", "--matrices", "graph"],
+        ["synth", "--out-dir", "x", "--boundary-shift", "-1"],
+        ["synth", "--out-dir", "x", "--max-len", "4", "--min-len", "8"],
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
@@ -343,6 +349,12 @@ def test_missing_manifest_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_compare_missing_ledger_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["compare", "--ledger", str(missing)]) == 1
+    assert capsys.readouterr().err == f"error: no such ledger file: {missing}\n"
+
+
 @pytest.mark.parametrize("phase_count", [1, 5])
 def test_relaxed_legacy_grids_on_non_7_phase_corpus_exit_1(tmp_path, capsys, phase_count):
     y = [min(p, phase_count - 1) for p in (0, 0, 1, 1, 4)]
@@ -397,6 +409,32 @@ def test_synth_phase_count_past_the_maximum_exits_2(tmp_path, capsys):
     assert "--phase-count must be within 2..256" in err
     assert "Traceback" not in err
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ((1, 1, 1, 8, 16, 0, 0.0), "--phase-count must be within 2..256"),
+        ((257, 1, 1, 8, 16, 0, 0.0), "--phase-count must be within 2..256"),
+        ((7, 0, 1, 8, 16, 0, 0.0), "--videos and --runs must be >= 1"),
+        ((7, 1, 0, 8, 16, 0, 0.0), "--videos and --runs must be >= 1"),
+        ((7, 1, 1, 8, 16, 0, 2.0), "--flip-rate must be within [0, 1]"),
+        ((7, 1, 1, 8, 16, 0, float("nan")), "--flip-rate must be within [0, 1]"),
+        ((7, 1, 1, 8, 16, -1, 0.0), "--boundary-shift must be >= 0"),
+        ((7, 2, 1, 8, 4, 0, 0.0), "--max-len must be >= --min-len"),
+        ((7, 1, 1, 2, 2, 5, 0.0), "--min-len must be at least 2*shift+1"),
+    ],
+    ids=["1-phase", "257-phases", "no-videos", "no-runs", "flip-rate-2", "flip-rate-nan",
+         "negative-shift", "max-below-min", "min-below-2-shift-plus-1"],
+)
+def test_synth_refuses_each_bad_setting_before_writing(tmp_path, settings, message):
+    """The library refuses what the CLI does, with the same message, and
+    writes nothing: not even the output directory."""
+    out = tmp_path / "c"
+    with pytest.raises(InvalidSynthSettings, match=f"^{re.escape(message)}$"):
+        generate_corpus(out, *settings, 0)
+    assert issubclass(InvalidSynthSettings, PhaseEvalError)
+    assert not out.exists()
 
 
 def test_bug_compat_on_a_5_phase_corpus_exits_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Protocol descriptors, the comparability checker, and result ledgers."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -252,6 +253,9 @@ def test_ledger_protocol_value_errors_name_their_record(field, value):
             {"metrics": {"accuracy": {"mean": 0.5, "sd": 0.01}}},
             r"^record 1: metric 'accuracy' has unknown key 'sd'$",
         ),
+        ({"metrics": {"acc": {"mean": 0.5}}}, r"^record 1: unknown metric name 'acc'$"),
+        ({"metrics": {"accuracy": {"spread": 0.1}}}, r"^record 1: metric 'accuracy' needs a mean$"),
+        ({"provenance": 5}, r"^record 1: provenance must be a string$"),
     ],
 )
 def test_ledger_unknown_keys_are_refused(record, message, tmp_path, capsys):
@@ -262,7 +266,7 @@ def test_ledger_unknown_keys_are_refused(record, message, tmp_path, capsys):
     path = tmp_path / "ledger.json"
     path.write_text(text)
     assert main(["compare", "--ledger", str(path)]) == 1
-    assert "unknown" in capsys.readouterr().err
+    assert re.match(message, capsys.readouterr().err.removeprefix("error: "))
 
 
 def test_an_empty_split_is_refused(tmp_path, capsys):

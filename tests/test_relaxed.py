@@ -13,6 +13,7 @@ import phaseeval.relaxed
 from phaseeval.aggregate import RaggedRuns
 from phaseeval.cli import run_relaxed
 from phaseeval.pipeline import BugCompatConflict
+from phaseeval.confusion import LengthMismatch
 from phaseeval.core import (
     MAX_PHASES,
     LabelSequence,
@@ -30,7 +31,6 @@ from phaseeval.relaxed import (
     InvalidOmega,
     LegacyGridsUnavailable,
     MatrixMode,
-    RelaxMatrices,
     RelaxedCounts,
     SegmentShorterThanOmega,
     build_matrices,
@@ -43,6 +43,7 @@ from phaseeval.relaxed import (
     relaxed_metric,
     relaxed_tensors,
 )
+from conftest import examples
 from reference import oracle_legacy_flags, oracle_relax_flags, oracle_relaxed_counts
 
 GRAPH = cholec80_graph()
@@ -60,13 +61,17 @@ def test_graph_derived_matrices():
     for a, b in GRAPH.edges:
         start[b][a] = 1
         end[a][b] = 1
-    assert np.array_equal(GRAPH_MX.start, start)
-    assert np.array_equal(GRAPH_MX.end, end)
+    for table in (GRAPH_MX, LEGACY_MX):
+        assert table.shape == (14, 8) and table.dtype == bool
+        assert not table.flags.writeable
+        assert not table[:, 7].any()  # labels past the grids are never accepted
+    assert np.array_equal(GRAPH_MX[:7, :7], start)
+    assert np.array_equal(GRAPH_MX[7:, :7], end)
 
 
 def test_legacy_matrices_drop_exactly_four_entries():
-    diff_start = np.asarray(GRAPH_MX.start) - np.asarray(LEGACY_MX.start)
-    diff_end = np.asarray(GRAPH_MX.end) - np.asarray(LEGACY_MX.end)
+    diff_start = GRAPH_MX[:7, :7].astype(int) - LEGACY_MX[:7, :7]
+    diff_end = GRAPH_MX[7:, :7].astype(int) - LEGACY_MX[7:, :7]
     assert diff_start.min() == 0 and diff_end.min() == 0  # legacy is a subset
     assert {tuple(ij) for ij in np.argwhere(diff_start)} == {(4, 5), (5, 6)}
     assert {tuple(ij) for ij in np.argwhere(diff_end)} == {(5, 4), (6, 5)}
@@ -83,37 +88,41 @@ def test_legacy_matrices_need_the_standard_workflow():
         )
 
 
-def test_matrices_reject_diagonal():
-    bad = np.zeros((7, 7), dtype=np.int64)
-    bad[2, 2] = 1
-    with pytest.raises(InvalidGrids):
-        RelaxMatrices(bad, np.zeros((7, 7), dtype=np.int64))
-
-
 def test_malformed_grids_are_a_typed_error():
+    """A graph edge outside the table, and any array that is not a
+    (2p, p + 1) bool table, such as one square grid, an int table or a
+    table of no phases."""
     from phaseeval.core import WorkflowGraph
 
-    with pytest.raises(InvalidGrids, match="square"):
-        RelaxMatrices(((0, 1), (1, 0)), ((0,),))
     with pytest.raises(InvalidGrids, match="edge outside"):
         build_matrices(WorkflowGraph(frozenset({(0, 9)})), MatrixMode.GRAPH_DERIVED, 7)
+    y = _seq([0, 0, 1])
+    for bad in (
+        np.zeros((7, 7), dtype=bool),
+        GRAPH_MX.astype(int),
+        GRAPH_MX[:, :7],
+        GRAPH_MX.ravel(),
+        np.zeros((0, 1), dtype=bool),
+        True,
+    ):
+        with pytest.raises(InvalidGrids, match="bool table"):
+            graph_rules((y,), 1, bad)
+        with pytest.raises(InvalidGrids, match="bool table"):
+            relax_flags(y, y, 1, bad)
 
 
 labels7 = st.lists(st.integers(0, 6), min_size=1, max_size=80)
 
 
 @given(st.tuples(labels7, labels7), st.sampled_from([GRAPH_MX, LEGACY_MX]))
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 def test_flags_match_scanning_oracle(pair, mx):
     a, b = pair
     n = min(len(a), len(b))
     y, yhat = a[:n], b[:n]
     for omega in (0, 1, 3, 10):
         got = relax_flags(_seq(y), _seq(yhat), omega, mx)
-        want = oracle_relax_flags(
-            y, yhat, omega, np.asarray(mx.start), np.asarray(mx.end)
-        )
-        assert list(got) == want
+        assert list(got) == oracle_relax_flags(y, yhat, omega, mx[:7, :7], mx[7:, :7])
 
 
 @given(st.tuples(labels7, labels7))
@@ -226,6 +235,17 @@ def test_omega_is_an_integer_not_a_bool(omega):
 def test_annotated_phase_outside_grids_is_a_typed_error():
     with pytest.raises(OutOfRangeLabel, match="label 7 at frame 1"):
         relax_flags(_seq([0, 7, 8]), _seq([0, 0, 0]), 0, GRAPH_MX)
+
+
+def test_a_pair_or_flags_of_unequal_length_is_a_typed_error():
+    y, short = _seq([0, 0, 1]), _seq([0, 0])
+    for flag_rule in (partial(relax_flags, accept=GRAPH_MX), relax_flags_legacy):
+        with pytest.raises(LengthMismatch, match="^annotation has 3 frames, prediction has 2$"):
+            flag_rule(y, short, 1)
+    for flags in ([True, True], np.ones(2, dtype=bool)):
+        for phase in (0, range(2)):
+            with pytest.raises(LengthMismatch, match="^flags do not cover the sequence$"):
+                relaxed_counts(y, y, flags, phase)
 
 
 def test_relaxed_run_set_mismatch_is_a_typed_error():
@@ -443,7 +463,7 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
     rules_of = (
         partial(legacy_rules, omega=omega)
         if legacy
-        else partial(graph_rules, omega=omega, matrices=GRAPH_MX)
+        else partial(graph_rules, omega=omega, accept=GRAPH_MX)
     )
     scored, seen = phaseeval.relaxed.relaxed_cells, []
 
