@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import PhaseEvalError
-from .vocab import MAX_PHASES  # noqa: F401  (re-exported)
-from .vocab import METRIC_NAMES, OMEGA_MAX, REPORT_FORMATS, SchemaError, UnknownSplit
+from .vocab import MAX_PHASES, OMEGA_MAX  # noqa: F401  (re-exported)
+from .vocab import METRIC_NAMES, REPORT_FORMATS, SchemaError, UnknownSplit
 from .vocab import AveragingOrder, MatrixMode, StdMode, UndefinedPolicy, decimal
 from .vocab import builtin_split_names, canonical_json, cv_folds, resolve_split
 
@@ -200,12 +200,14 @@ def _validate(parser: argparse.ArgumentParser, args) -> ProtocolDescriptor | Non
     """Flag validation before any file IO; usage problems exit 2."""
     reference = None
     if args.command == "relaxed":
-        if not 0 <= args.omega <= OMEGA_MAX:
-            parser.error(f"--omega must be within 0..{OMEGA_MAX}")
-        if args.bug_compat and not args.truncate:
-            parser.error("--bug-compat requires --truncate")
-        if args.bug_compat and args.matrices != MatrixMode.LEGACY.value:
-            parser.error("--bug-compat requires --matrices legacy")
+        from .pipeline import BugCompatConflict, check_bug_compat
+        from .relaxed import InvalidOmega, check_omega
+
+        try:
+            check_omega(args.omega)
+            check_bug_compat(MatrixMode(args.matrices), args.truncate, args.bug_compat)
+        except (InvalidOmega, BugCompatConflict) as exc:
+            parser.error(str(exc))
     if args.command == "compare":
         from .protocol import parse_reference
 

@@ -128,55 +128,45 @@ def ratio_cells(num: np.ndarray, den: np.ndarray) -> Cells:
     return values, np.where(undefined, UNDEFINED, DEFINED).astype(np.int8)
 
 
-# Below this many rows, row_fsum sums row by row with math.fsum: numpy's
-# fixed cost per call outweighs the array path on a few short rows.
-_ARRAY_ROWS = 96
-
-
-def _two_sum_tree(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise sums of the terms of x, shaped (term, row) and overwritten:
-    each row's rounded total, and the (term - 1, row) rounding errors of
-    its additions by TwoSum, which sum with the total to the exact one."""
-    m = len(x)
-    errors = np.empty((m - 1, x.shape[1]))
-    done = 0
-    while m > 1:
-        h = m // 2
-        a, b = x[:h], x[m - h : m]  # an odd count leaves x[h] in place
-        s = a + b
-        bb = s - a
-        e = errors[done : done + h]
-        np.subtract(s, bb, out=e)
-        np.subtract(a, e, out=e)
-        np.subtract(b, bb, out=bb)
-        e += bb  # (a - (s - bb)) + (b - bb) = a + b - s, exactly
-        a[...] = s
-        done, m = done + h, m - h
-    return x[0], errors
+# Below this many terms (rows times terms a row), row_fsum sums row by row
+# with math.fsum: numpy's fixed cost per call outweighs the array path.
+_ARRAY_TERMS = 600
 
 
 def row_fsum(a: np.ndarray) -> np.ndarray:
     """math.fsum of each row of a 2-D float64 array, bit for bit.
 
     A row of one or two terms takes a single IEEE addition, which is
-    exactly rounded.  Longer rows, given at least _ARRAY_ROWS of them, are
-    summed as arrays (Ogita, Rump and Oishi, "Accurate Sum and Dot
-    Product", 2005): a TwoSum tree gives each row's rounded total and its
-    error terms, and a second tree over the error terms gives their
-    rounded total and second-level errors.  Where those are all zero the
-    row's exact total is the sum of two doubles, and one IEEE addition
-    rounds it as fsum does.  Any other row is summed by math.fsum.
+    exactly rounded.  Calls of at least _ARRAY_TERMS terms split rows
+    exactly on a grid (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", 2008): n integers of magnitude at most 2**b,
+    b = 53 - (n - 1).bit_length(), sum exactly in any order.  Where a row's
+    largest magnitude lies in [2**(e-1), 2**e), (sigma + x) - sigma with
+    sigma = 1.5 * 2**(e-b+52) rounds x to a multiple of sigma's ulp
+    2**(e-b), leaving an exact remainder, which a second level splits on a
+    grid 2**-b finer.  Where a row's last remainders are all zero, one IEEE
+    addition of the two levels' exact totals rounds it as fsum does.  Any
+    other row is summed by math.fsum.
     """
     rows, n = a.shape
     if n <= 2:
         return a.sum(axis=1)
-    if rows < _ARRAY_ROWS:
+    if rows * n < _ARRAY_TERMS:
         return np.fromiter(map(math.fsum, a.tolist()), np.float64, rows)
+    b = 53 - (n - 1).bit_length()
+    # Reductions run along the longer axis, laid out contiguously.
+    x, axis = (a.copy(), 1) if n >= rows else (a.T.copy(), 0)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows go to fsum
-        total, errors = _two_sum_tree(a.T.copy())
-        error, residue = _two_sum_tree(errors)
-        sums = total + error
-        doubt = np.flatnonzero(residue.any(axis=0) | ~np.isfinite(sums))
+        top = np.abs(x).max(axis=axis, keepdims=True)
+        sigma = np.ldexp(1.5, np.frexp(top)[1] + (52 - b))
+        sums = 0.0
+        for _ in range(2):
+            part = sigma + x
+            part -= sigma
+            x -= part
+            sums = sums + part.sum(axis=axis)
+            sigma *= 2.0**-b
+        doubt = np.flatnonzero(x.any(axis=axis) | ~np.isfinite(sums))
     for i in doubt.tolist():
         sums[i] = math.fsum(a[i].tolist())
     return sums

@@ -43,6 +43,12 @@ class BugCompatConflict(PhaseEvalError):
     """Bug-compatible mode runs only on the legacy grids, truncated."""
 
 
+def check_bug_compat(matrix_mode: MatrixMode, truncate: bool, bug_compatible: bool) -> None:
+    """Refuse bug-compatible mode off the truncated legacy grids."""
+    if bug_compatible and (matrix_mode is not MatrixMode.LEGACY or not truncate):
+        raise BugCompatConflict("bug-compatible mode needs the legacy grids and truncation")
+
+
 def _report(corpus: Corpus, protocol: dict, summary: dict, per_phase: dict) -> EvaluationReport:
     protocol = {"split": corpus.split or "unknown", **protocol, "runs": len(corpus.runs)}
     named, _ = assumed_workflow(corpus.phases)
@@ -132,8 +138,7 @@ def run_relaxed(
     script: its flag rule on the legacy grids, truncated, averaged over
     videos and runs before phases, and only the statistics it prints."""
     phases = corpus.phases
-    if bug_compatible and (matrix_mode is not MatrixMode.LEGACY or not truncate):
-        raise BugCompatConflict("bug-compatible mode needs the legacy grids and truncation")
+    check_bug_compat(matrix_mode, truncate, bug_compatible)
     # Both modes pass the table's phase-count check, though only one uses it.
     accept = build_matrices(assumed_workflow(phases)[1], matrix_mode, phases.count)
     omega = check_omega(omega)  # the int the report records

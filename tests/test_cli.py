@@ -412,6 +412,25 @@ def test_synth_phase_count_past_the_maximum_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--omega", "-1"], "omega must be within 0..9223372036854775807, got -1"),
+        (["--bug-compat"], "bug-compatible mode needs the legacy grids and truncation"),
+        (["--truncate", "--bug-compat", "--matrices", "graph"],
+         "bug-compatible mode needs the legacy grids and truncation"),
+    ],
+)
+def test_relaxed_usage_errors_carry_the_library_message(flags, message, tmp_path, monkeypatch, capsys):
+    """The relaxed rules have one owner each in the library; the CLI maps
+    their errors to exit 2 before it reads the (missing) manifest."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["relaxed", "m.json", *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "settings, message",
     [
         ((1, 1, 1, 8, 16, 0, 0.0), "--phase-count must be within 2..256"),

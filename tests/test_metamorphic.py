@@ -7,9 +7,10 @@ lands at the wrong (video, run), or a sum whose rounding depends on the
 order of its terms.  They guard every rewrite of how frames are counted
 (ROADMAP items 2 and 12) and how cells are summed (item 14).
 
-The corpora here give every sum fewer rows than metrics.row_fsum's cutoff,
-so the module lowers the cutoff to one row: every sum of three or more
-terms takes the array path, which pairs terms in its own order.
+The corpora here give every sum fewer terms than metrics.row_fsum's cutoff,
+so the module lowers the cutoff to one term: every sum of three or more
+terms takes the array path, which splits terms on a grid and sums the
+parts in its own order.
 """
 
 import itertools
@@ -73,7 +74,7 @@ def corpora(draw):
 
 @pytest.fixture(autouse=True, scope="module")
 def _array_sums():
-    with mock.patch.object(metrics, "_ARRAY_ROWS", 1):
+    with mock.patch.object(metrics, "_ARRAY_TERMS", 1):
         yield
 
 

@@ -1,13 +1,17 @@
 """Per-phase ratios, the undefined/excluded states, and macro means."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from phaseeval import metrics
 from phaseeval.confusion import confusion_of
 from phaseeval.core import LabelSequence, PhaseSet
 from phaseeval.metrics import (
-    _ARRAY_ROWS,
+    _ARRAY_TERMS,
     EXCLUDED_CELL,
     F1,
     JACCARD,
@@ -209,13 +213,18 @@ def test_f1_upper_bounds_harmonic_means(p, r):
 
 @st.composite
 def sum_rows(draw):
-    """Rows on both sides of row_fsum's cutoff, of a width in 1..100, each
+    """Calls on both sides of row_fsum's cutoff, of the widths reports make
+    (up to 3,500 terms a row, 500 and more in 1 to 8 rows) and of the
+    widths where the grid's bit budget b steps (2**k and 2**k + 1), each
     kind of them drawn from a seeded generator: ratios of small counts as
     cells take (with exact zeros); 1.0 among values in (0.5, 1), whose
     totals land on rounding midpoints; or terms of mixed sign across 80
     binades at any scale, half of them near-negations of the others."""
-    rows = draw(st.integers(1, 2 * _ARRAY_ROWS))
-    width = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 32, 35, 64, 100]))
+    width = draw(st.sampled_from(
+        [1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 32, 33, 35, 64, 100, 256, 257, 500, 1400,
+         2048, 2049, 3500]
+    ))
+    rows = draw(st.integers(1, max(8, 2 * _ARRAY_TERMS // width)))
     kind = draw(st.sampled_from(["cells", "midpoints", "cancelling"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (rows, width)
@@ -230,12 +239,52 @@ def sum_rows(draw):
     return a + 0.0  # no -0.0: cells never are
 
 
+def _wide_row_past_two_levels():
+    """One row of 3,500 terms: 1.0, 2**-90 and thirds.  Its two levels keep
+    2b = 82 binades below 1.0, so 2**-90 is left over."""
+    row = np.full((1, 3500), 1 / 3)
+    row[0, :2] = 1.0, 2.0**-90
+    return row
+
+
+def _cells(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    den = rng.integers(1, 60, shape)
+    return rng.integers(0, den + 1) / den
+
+
 @given(sum_rows())
 @settings(max_examples=examples(200), deadline=None)
-# The trees round [1, 2**-53, 2**-106] to 1.0, below the midpoint that its
-# total lies just above: only the fsum fallback gives fsum's 1 + 2**-52.
-@example(np.array([[1.0, 2.0**-53, 2.0**-106]] * _ARRAY_ROWS))
+# Rows the array path cannot sum on its own: its two levels keep 2b = 102
+# binades below 1.0, which leaves 2**-106 over; without it the total is
+# the midpoint 1 + 2**-53, which rounds to 1.0, not to fsum's 1 + 2**-52.
+@example(np.array([[1.0, 2.0**-53, 2.0**-106]] * _ARRAY_TERMS))
+@example(_wide_row_past_two_levels())
+# Near the top of the range the grid's sigma overflows.
+@example(np.array([[2.0**1023, 2.0**1022, -(2.0**1023)]] * _ARRAY_TERMS))
+# A largest term that is subnormal, and three largest subnormals, whose
+# total is a normal number that needs rounding.
+@example(np.array([[2.0**-1060, 3 * 2.0**-1074, -(2.0**-1073)]] * _ARRAY_TERMS))
+@example(np.array([[2.0**-1022 - 2.0**-1074] * 3] * _ARRAY_TERMS))
+# A tall block of cells, as a report's per-video rows are.
+@example(_cells((2800, 5)))
 def test_row_fsum_is_fsum_of_every_row(rows):
     assert list(map(float.hex, row_fsum(rows).tolist())) == list(
         map(float.hex, oracle_row_fsum(rows))
     )
+
+
+@given(st.integers(3, 3500), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=examples(50), deadline=None)
+def test_row_fsum_sums_cells_without_fsum(width, extra_rows, seed):
+    """Cell-like ratios (denominators below 2**20) never fall back to
+    math.fsum above the cutoff: their nonzero terms lie within 21 binades
+    of a row's largest, and the two levels keep 2b - 53 >= 25 binades
+    below it exact for up to 2**14 terms a row."""
+    rng = np.random.default_rng(seed)
+    den = rng.integers(1, 2**20, (-(-_ARRAY_TERMS // width) + extra_rows, width))
+    cells = rng.integers(0, den + 1) / den
+    with mock.patch.object(metrics.math, "fsum", wraps=math.fsum) as fsum:
+        sums = row_fsum(cells)
+    fsum.assert_not_called()
+    assert list(map(float.hex, sums.tolist())) == list(map(float.hex, oracle_row_fsum(cells)))
