@@ -154,7 +154,8 @@ def row_fsum(a: np.ndarray) -> np.ndarray:
     if rows * n < _ARRAY_TERMS:
         return np.fromiter(map(math.fsum, a.tolist()), np.float64, rows)
     b = 53 - (n - 1).bit_length()
-    # Reductions run along the longer axis, laid out contiguously.
+    # numpy reduces many times slower along a short axis: reduce along the
+    # longer one, laid out contiguously.
     x, axis = (a.copy(), 1) if n >= rows else (a.T.copy(), 0)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows go to fsum
         top = np.abs(x).max(axis=axis, keepdims=True)
