@@ -218,13 +218,24 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_MANIFEST_KEYS = ("phase_count", "videos", "split")
+_VIDEO_KEYS = ("id", "annotation", "predictions")
+
+
+def _known_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"{where}: unknown key {key!r}")
+
+
 def load_manifest(path: str | Path) -> Corpus:
     """Load a manifest and every file it references.
 
-    Checks the JSON shape here and parses each label file as it is read, so
-    a parse error names its file.  The Corpus it builds holds the one label
-    check and the split's, with run-id agreement and that each prediction
-    covers exactly the annotated frames.  Labels are range-checked only
+    Checks the JSON shape here, refusing any key but _MANIFEST_KEYS at the
+    top level and _VIDEO_KEYS in a video entry, and parses each label file
+    as it is read, so a parse error names its file.  The Corpus it builds
+    holds the one label check and the split's, with run-id agreement and
+    that each prediction covers exactly the annotated frames.  Labels are range-checked only
     once every file is read, so a schema or parse error in any entry wins
     over a label out of range; a range error names the first bad file in
     manifest order.
@@ -238,6 +249,7 @@ def load_manifest(path: str | Path) -> Corpus:
         raise SchemaError(f"manifest is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise SchemaError("manifest must be a JSON object")
+    _known_keys(doc, _MANIFEST_KEYS, "manifest")
     phase_count = doc.get("phase_count")
     if not _is_int(phase_count) or not 1 <= phase_count <= MAX_PHASES:
         raise SchemaError(f"phase_count must be an integer within 1..{MAX_PHASES}")
@@ -259,9 +271,10 @@ def load_manifest(path: str | Path) -> Corpus:
         return seq
     annotations: dict[int, LabelSequence] = {}
     predictions: dict[int, dict[str, LabelSequence]] = {}
-    for entry in videos:
+    for i, entry in enumerate(videos):
         if not isinstance(entry, dict):
             raise SchemaError("each video entry must be an object")
+        _known_keys(entry, _VIDEO_KEYS, f"video entry {i}")
         vid = entry.get("id")
         if not _is_int(vid):
             raise SchemaError("video id must be an integer")

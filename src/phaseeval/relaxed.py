@@ -159,12 +159,16 @@ def _rules(annotations, segments, counts, w, accept, end_on_head: bool) -> list[
 
 def _flags(annotation: LabelSequence, put, read, row, accept) -> Flags:
     top = accept.shape[1] - 1
+    table = accept.ravel()
+    start = row * (top + 1)  # each window frame's row of `accept`, in `table`
 
     def flags(prediction: LabelSequence) -> np.ndarray:
         _check_lengths(annotation, prediction)
         mask = annotation.labels == prediction.labels
-        column = np.minimum(prediction.labels[read], top, dtype=np.intp)  # top reaches 256
-        mask[put[accept[row, column]]] = True
+        column = prediction.labels[read]
+        if prediction.max_label > top:  # then top fits the labels' dtype
+            column = np.minimum(column, column.dtype.type(top))
+        mask[put[table[start + column]]] = True
         return mask
 
     return flags
@@ -252,12 +256,13 @@ class RelaxedCounts(NamedTuple):
     annotated: int
 
 
-# Rows r_tp, union, predicted and annotated; columns the diagonals, row sums
-# and column sums of the unflagged and flagged squares.  A phase's relaxed true
-# positives are the flagged frames annotated or predicted as it, its union all
-# such frames: row plus column less the diagonal, counted in it twice.
-_COMBINE = np.array([
-    [0, -1, 0, 1, 0, 1], [-1, -1, 1, 1, 1, 1], [0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 0]])
+# Pairs of at least this many frames count in four lanes: one bincount
+# stalls on runs of one bin, while on shorter pairs the lanes' two extra
+# numpy calls cost as much as they save (the table in CHANGES.md).
+_LANE_FRAMES = 4096
+# Times the size of a square, added to a uint64 view of uint16 bins: frame k
+# of each aligned group of four moves k squares up.
+_LANE_STEPS = 0x0003_0002_0001_0000
 
 
 def relaxed_counts(
@@ -271,7 +276,9 @@ def relaxed_counts(
 
     Given `range(n)`, counts phases 0..n-1 at once, each field an (n,)
     int64 array, from the pair's (annotated, predicted) counts of the
-    unflagged and the flagged frames.
+    unflagged and the flagged frames.  A pair of at least _LANE_FRAMES
+    frames counts them in four lanes when their 4 * 2 * (n + 1)**2 bins fit
+    a uint16 index, that is for n up to 89.
     """
     _check_lengths(annotation, prediction)
     flags = np.asarray(flags, dtype=bool)
@@ -291,7 +298,9 @@ def relaxed_counts(
     # (annotated, predicted) squares.  Labels at or past `width` share the
     # bin after the range.  The index is the narrowest unsigned type that
     # holds all 2 * (width + 1)**2 bins.
-    index = np.uint16 if 2 * (width + 1) ** 2 <= 2**16 else np.uint32
+    square = 2 * (width + 1) ** 2
+    lanes = 4 if len(flags) >= _LANE_FRAMES and 4 * square <= 1 << 16 else 1
+    index = np.uint16 if square <= 1 << 16 else np.uint32
     a, b = annotation.labels, prediction.labels
     if max(annotation.max_label, prediction.max_label) >= width:  # so width fits their dtype
         a, b = (np.minimum(labels, labels.dtype.type(width)) for labels in (a, b))
@@ -300,9 +309,28 @@ def relaxed_counts(
     np.add(pair, b, out=pair, casting="unsafe")
     pair <<= index(1)
     pair |= flags
-    bins = np.bincount(pair, minlength=2 * (width + 1) ** 2).reshape(width + 1, width + 1, 2)
-    parts = np.concatenate((bins.diagonal(0, 0, 1), bins.sum(1).T, bins.sum(0).T))[:, :width]
-    return RelaxedCounts(*_COMBINE @ parts)
+    if lanes == 4:
+        # Each frame of an aligned group of four counts in a square of its
+        # own, summed below: most frames fall in the bin of the frame before,
+        # and in one square each increment waits for the store before it.
+        # 4 * square bins fit 16 bits, so no carry crosses a field; byte order
+        # only permutes the lanes, and the last len % 4 frames stay in lane 0.
+        groups = pair[: len(pair) // 4 * 4].view(np.uint64)
+        groups += np.uint64(_LANE_STEPS * square)
+    bins = np.bincount(pair, minlength=lanes * square)
+    if lanes == 4:
+        bins = np.add.reduce(bins.reshape(4, square), 0)
+    bins = bins.reshape(width + 1, width + 1, 2)
+    # By label and flag: the frames annotated, predicted, and either (their
+    # sum less the diagonal, counted in both).  A phase's relaxed true
+    # positives are the flagged frames of either, its union all of them.
+    sums = np.empty((3, width + 1, 2), np.int64)
+    either, predicted, annotated = sums
+    np.add.reduce(bins, 1, out=annotated)
+    np.add.reduce(bins, 0, out=predicted)
+    np.add(annotated, predicted, out=either)
+    either -= bins.reshape(-1, 2)[:: width + 2]
+    return RelaxedCounts(either[:width, 1], *np.add.reduce(sums[:, :width], 2))
 
 
 def relaxed_cells(kind: str, counts: RelaxedCounts, truncate: bool) -> Cells:
@@ -350,20 +378,21 @@ def relaxed_tensors(
     run of its video."""
     videos, runs, phases = corpus.videos, corpus.runs, corpus.phases
     annotations = [corpus.annotations[v] for v in videos]
-    counts, acc = [], []
-    for v, y, flags_of in zip(videos, annotations, rules_of(annotations)):
-        for r in runs:
+    shape = (len(videos), len(runs))
+    counts = np.empty((4, phases.count, *shape), np.int64)
+    acc = np.empty((1, *shape))
+    for i, (v, y, flags_of) in enumerate(zip(videos, annotations, rules_of(annotations))):
+        for j, r in enumerate(runs):
             yhat = corpus.predictions[v][r]
             flags = flags_of(yhat)
-            acc.append(np.count_nonzero(flags) / len(flags))  # relaxed_accuracy(flags).value
-            counts.append(relaxed_counts(y, yhat, flags, range(phases.count)))
-    shape = (len(videos), len(runs))
-    grid = RelaxedCounts(*np.stack(counts, axis=-1).reshape(4, phases.count, *shape))
+            acc[0, i, j] = np.count_nonzero(flags) / len(flags)  # relaxed_accuracy(flags).value
+            counts[:, :, i, j] = relaxed_counts(y, yhat, flags, range(phases.count))
+    grid = RelaxedCounts(*counts)
     cells = {
         kind: resolve(*relaxed_cells(kind, grid, truncate), RELAXED_POLICY, grid.annotated > 0)
         for kind in RELAXED_KINDS
     }
-    return cells, defined_cells(np.array(acc).reshape(1, *shape))
+    return cells, defined_cells(acc)
 
 
 LEGACY_WATERMARK = "legacy-bug-compatible"

@@ -349,6 +349,17 @@ def test_missing_manifest_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["evaluate"], ["relaxed", "--omega", "1"]])
+def test_unknown_manifest_key_exits_1(tmp_path, capsys, argv):
+    """A misspelt split is refused, not reported as `split: unknown`."""
+    y = [0, 0, 1]
+    path = _write_corpus(tmp_path, {1: (y, {"r0": y})})
+    path.write_text(path.read_text().replace('"phase_count"', '"splt": "32:8:40", "phase_count"'))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: manifest: unknown key 'splt'\n" and captured.out == ""
+
+
 def test_compare_missing_ledger_exits_1(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["compare", "--ledger", str(missing)]) == 1

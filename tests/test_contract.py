@@ -35,17 +35,25 @@ paths = field(st.sampled_from([*FILES, "d", "missing", "", "manifest.json"]))
 label_files = st.binary(max_size=24) | st.lists(
     st.integers(0, 8) | st.sampled_from([300, 2**31, 10**12]), min_size=1, max_size=4
 ).map(lambda xs: "".join(f"{x}\n" for x in xs).encode())
-entries = st.fixed_dictionaries(
+
+
+def stray(objects, key):
+    """`objects`, or one time in five the same object with `key`, which a
+    manifest does not take there, added."""
+    return st.tuples(objects, st.integers(0, 4)).map(lambda o: {**o[0], key: 0} if o[1] == 3 else o[0])
+
+
+entries = stray(st.fixed_dictionaries(
     {
         "id": field(st.integers(1, 3)),
         "annotation": paths,
         "predictions": field(st.dictionaries(st.sampled_from(["r0", "r1"]), paths, min_size=1, max_size=2)),
     }
-)
-manifests = field(st.fixed_dictionaries(
+), "ids")
+manifests = field(stray(st.fixed_dictionaries(
     {"phase_count": field(st.integers(1, 8)), "videos": field(st.lists(field(entries), min_size=1, max_size=3))},
     optional={"split": field(st.text(max_size=4))},
-))
+), "splt"))
 
 
 @given(

@@ -454,6 +454,27 @@ def test_load_manifest_schema_errors(tmp_path, mutate):
         load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d.update(splt="32:8:40"), "manifest: unknown key 'splt'"),
+        (lambda d: d.update(a=1, b=2), "manifest: unknown key 'a'"),  # the first, in file order
+        (lambda d: d.update(phase_cont=7), "manifest: unknown key 'phase_cont'"),
+        (lambda d: d["videos"][1].update(runs={}), "video entry 1: unknown key 'runs'"),
+        (lambda d: d["videos"][0].update(Id=1), "video entry 0: unknown key 'Id'"),
+    ],
+)
+def test_load_manifest_refuses_unknown_keys(tmp_path, mutate, message):
+    """A misspelt key would be dropped without a word: a misspelt split
+    would make every report say `unknown`."""
+    path = _write_corpus(tmp_path)
+    data = json.loads(path.read_text())
+    mutate(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        load_manifest(path)
+
+
 
 @pytest.mark.parametrize("command", [["evaluate"], ["relaxed", "--omega", "1"]])
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from phaseeval.core import (
 from phaseeval.io import Corpus, write_report
 from phaseeval.metrics import DEFINED, CellState, JACCARD, PRECISION, RECALL
 from phaseeval.relaxed import (
+    _LANE_FRAMES,
     LEGACY_WATERMARK,
     InvalidGrids,
     InvalidOmega,
@@ -172,6 +173,28 @@ def test_legacy_flags_match_transcription_oracle(segs, data):
     for omega in (0, 2, 4):
         got = relax_flags_legacy(_seq(y), _seq(yhat), omega)
         assert list(got) == oracle_legacy_flags(y, yhat, omega)
+
+
+@pytest.mark.parametrize("top", [6, 7, 8, 9, 10, 255, 256, 2**31 - 1])
+@given(segmented, st.data())
+@settings(max_examples=examples(25))
+def test_flags_match_scanning_oracle_past_the_last_column(top, segs, data):
+    """A flag rule clamps a prediction's labels to its table's last column
+    only when the largest of them passes it: predictions whose largest
+    label is below, at and past the last column of the 7-phase grids (7),
+    of the 10-column legacy table (9), and the largest label a file may
+    hold, flag as the scanning oracles do."""
+    y = [p for p, n in segs for _ in range(n)]
+    near = st.sampled_from([q for q in (top - 2, top - 1, top) if q >= 0])
+    yhat = data.draw(st.lists(st.integers(0, 6) | near, min_size=len(y), max_size=len(y)))
+    yhat[data.draw(st.integers(0, len(y) - 1))] = top
+    a, b = _seq(y), _seq(yhat)
+    assert b.max_label == top
+    for omega in (0, 2, 4):
+        for mx in (GRAPH_MX, LEGACY_MX):
+            want = oracle_relax_flags(y, yhat, omega, mx[:7, :7], mx[7:, :7])
+            assert list(relax_flags(a, b, omega, mx)) == want
+        assert list(relax_flags_legacy(a, b, omega)) == oracle_legacy_flags(y, yhat, omega)
 
 
 def test_legacy_bug_visible_on_short_phase3_segment():
@@ -346,7 +369,7 @@ def _assert_range_is_each_phase(a, b, flags, width):
 
 
 @given(st.data(), st.integers(1, 12), st.booleans())
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 def test_counts_by_phase_match_oracle(data, phase_count, wide):
     """Phases -3..phase_count+3 and the largest int32 label one at a time,
     absent phases included, in one-byte or (`wide`) int32 labels, and
@@ -438,6 +461,32 @@ def test_counts_of_one_byte_labels_match_oracle(start):
     _assert_oracle_counts(a, b, flags, range(start, start + MAX_PHASES))
     for width in (1, 128, 255, MAX_PHASES):
         _assert_range_is_each_phase(a, b, flags, width)
+
+
+
+def _runs(data, values, n):
+    """n frames in at most eight runs of one value each, up to 1,500 long."""
+    runs = data.draw(st.lists(st.tuples(values, st.integers(1, 1500)), min_size=1, max_size=8))
+    frames = np.repeat(*map(np.array, zip(*runs)))
+    return np.resize(frames, n)  # repeated from the start to n frames
+
+
+@pytest.mark.parametrize("n", range(_LANE_FRAMES - 1, _LANE_FRAMES + 5))
+@pytest.mark.parametrize("width", [89, 90])
+@given(st.data())
+@settings(max_examples=examples(3), deadline=None)
+def test_long_pairs_count_in_lanes_as_each_phase(width, n, data):
+    """Pairs from one frame short of _LANE_FRAMES to four past it, every
+    length mod 4, made of long runs of one bin: 89 phases count them in
+    four lanes (4 * 2 * 90**2 bins fit 16 bits), 90 in one square (4 * 2 *
+    91**2 do not).  Labels reach the width and pass it, and flags come in
+    runs of their own, so agreeing frames are left unflagged too."""
+    labels = st.integers(0, width + 2) | st.sampled_from([0, width - 1, width])
+    a, b = (_seq(_runs(data, labels, n)) for _ in range(2))
+    flags = _runs(data, st.booleans(), n).astype(bool)
+    _assert_range_is_each_phase(a, b, flags, width)
+    seen = np.union1d(a.labels, b.labels).tolist()
+    _assert_oracle_counts(a, b, flags, sorted({0, width - 1, *seen}))
 
 
 @given(
