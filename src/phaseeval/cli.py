@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import PhaseEvalError
-from .vocab import MAX_PHASES, OMEGA_MAX  # noqa: F401  (re-exported)
-from .vocab import METRIC_NAMES, REPORT_FORMATS, SchemaError, UnknownSplit
+from .vocab import MAX_PHASES, OMEGA_MAX, SchemaError, UnknownSplit  # noqa: F401  (re-exported)
+from .vocab import METRIC_NAMES, REPORT_FORMATS
 from .vocab import AveragingOrder, MatrixMode, StdMode, UndefinedPolicy, decimal
 from .vocab import builtin_split_names, canonical_json, cv_folds, resolve_split
 
@@ -155,7 +155,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if rx := add("relaxed", "boundary-relaxed metric report"):
         rx.add_argument("manifest")
-        rx.add_argument("--omega", type=decimal, default=10)
+        rx.add_argument("--omega", type=decimal, default=10, help="relaxation window in frames")
         _add_enum_flag(rx, "--matrices", MatrixMode.LEGACY)
         rx.add_argument("--truncate", action="store_true")
         rx.add_argument(
@@ -197,35 +197,28 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> ProtocolDescriptor | None:
-    """Flag validation before any file IO; usage problems exit 2."""
-    reference = None
-    if args.command == "relaxed":
-        from .pipeline import BugCompatConflict, check_bug_compat
-        from .relaxed import InvalidOmega, check_omega
-
-        try:
+    """Flag validation before any file IO: each rule's owner raises a
+    PhaseEvalError, which exits 2.  Returns compare's reference protocol."""
+    try:
+        if args.command == "relaxed":
+            from .pipeline import check_bug_compat
+            from .relaxed import check_omega
             check_omega(args.omega)
             check_bug_compat(MatrixMode(args.matrices), args.truncate, args.bug_compat)
-        except (InvalidOmega, BugCompatConflict) as exc:
-            parser.error(str(exc))
-    if args.command == "compare":
-        from .protocol import parse_reference
-
-        try:
-            reference = parse_reference(args.ref)
-        except SchemaError as exc:
-            parser.error(str(exc))
-    if args.command == "synth":
-        from .synth import InvalidSynthSettings, check_settings
-
-        try:
+        if args.command == "compare":
+            from .protocol import parse_reference
+            return parse_reference(args.ref)
+        if args.command == "synth":
+            from .synth import check_settings
             check_settings(
                 args.phase_count, args.videos, args.runs, args.min_len, args.max_len,
                 args.boundary_shift, args.flip_rate,
             )
-        except InvalidSynthSettings as exc:
-            parser.error(str(exc))
-    return reference
+        if args.command == "splits" and args.name:
+            resolve_split(args.name)
+    except PhaseEvalError as exc:
+        parser.error(str(exc))
+    return None
 
 
 def main(argv=None) -> int:
@@ -245,10 +238,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(args)
         if args.command == "splits":
-            try:
-                return cmd_splits(args)
-            except UnknownSplit as exc:
-                parser.error(str(exc))
+            return cmd_splits(args)
         raise AssertionError(args.command)
     except (PhaseEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,9 +16,7 @@ from __future__ import annotations
 import copyreg
 import csv
 import io as _io
-import json
 import os
-import stat
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -29,8 +27,9 @@ import numpy as np
 
 from .core import LABEL_MAX, MAX_PHASES, LabelSequence, OutOfRangeLabel, PhaseSet, validate_sequence
 from .errors import PhaseEvalError
+from .vocab import MissingFile  # noqa: F401  (re-exported)
 from .vocab import REPORT_FORMATS, SUMMARY_STATS, LengthMismatch, MetricSummary, RaggedRuns
-from .vocab import SchemaError, canonical_json, fmt_float, unique_keys
+from .vocab import SchemaError, canonical_json, fmt_float, known_keys, parse_json, read_file
 
 FORMAT_VERSION = "1"
 
@@ -48,10 +47,6 @@ class ParseError(PhaseEvalError):
 
 class EmptyFile(PhaseEvalError):
     """A label file with no frames."""
-
-
-class MissingFile(PhaseEvalError):
-    """A manifest entry points at a file that does not exist."""
 
 
 _NEWLINE = ord("\n")
@@ -110,28 +105,8 @@ def parse_labels(text: str | bytes) -> LabelSequence:
 
 
 def load_labels(path: str | Path) -> LabelSequence:
-    """Read one label file: the one Path(path) names, a trailing "/" or "/."
-    dropped.  The file is opened once, without blocking, so a FIFO is never
-    waited on, and read to its end whatever its size said; anything but a
-    regular file is MissingFile, and an unreadable one a PermissionError."""
-    name = os.fspath(path)
-    try:
-        try:
-            fd = os.open(name, os.O_RDONLY | os.O_NONBLOCK)
-        except (FileNotFoundError, NotADirectoryError):  # "file/" or "file/."
-            fd = os.open(str(Path(name)), os.O_RDONLY | os.O_NONBLOCK)
-    except (FileNotFoundError, NotADirectoryError, ValueError):  # ValueError: a NUL in it
-        raise MissingFile(str(Path(name))) from None
-    try:
-        st = os.fstat(fd)
-        if not stat.S_ISREG(st.st_mode):
-            raise MissingFile(str(Path(name)))
-        data = os.read(fd, st.st_size + 1)  # a byte over, to see a grown file
-        while more := os.read(fd, 1):  # on to EOF, also after a short read
-            data += more + os.read(fd, len(data))
-    finally:
-        os.close(fd)
-    return parse_labels(data)
+    """Read and parse one label file, through vocab.read_file."""
+    return parse_labels(read_file(path))
 
 
 def dump_labels(seq: LabelSequence) -> str:
@@ -222,14 +197,9 @@ _MANIFEST_KEYS = ("phase_count", "videos", "split")
 _VIDEO_KEYS = ("id", "annotation", "predictions")
 
 
-def _known_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
-    for key in obj:
-        if key not in keys:
-            raise SchemaError(f"{where}: unknown key {key!r}")
-
-
 def load_manifest(path: str | Path) -> Corpus:
-    """Load a manifest and every file it references.
+    """Load a manifest and every file it references, each read by
+    vocab.read_file and the manifest decoded by vocab.parse_json.
 
     Checks the JSON shape here, refusing any key but _MANIFEST_KEYS at the
     top level and _VIDEO_KEYS in a video entry, and parses each label file
@@ -240,16 +210,10 @@ def load_manifest(path: str | Path) -> Corpus:
     over a label out of range; a range error names the first bad file in
     manifest order.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise MissingFile(str(p))
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
-    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
-        raise SchemaError(f"manifest is not valid JSON: {e}") from None
+    doc = parse_json(read_file(path), "manifest")
     if not isinstance(doc, dict):
         raise SchemaError("manifest must be a JSON object")
-    _known_keys(doc, _MANIFEST_KEYS, "manifest")
+    known_keys(doc, _MANIFEST_KEYS, "manifest: unknown key")
     phase_count = doc.get("phase_count")
     if not _is_int(phase_count) or not 1 <= phase_count <= MAX_PHASES:
         raise SchemaError(f"phase_count must be an integer within 1..{MAX_PHASES}")
@@ -257,7 +221,7 @@ def load_manifest(path: str | Path) -> Corpus:
     if not isinstance(videos, list) or not videos:
         raise SchemaError("videos must be a non-empty list")
     phases = PhaseSet(phase_count)
-    base = os.fspath(p.parent)
+    base = os.fspath(Path(path).parent)
     loaded: list[tuple[str, LabelSequence]] = []  # in manifest order
 
     def load(rel: str) -> LabelSequence:
@@ -274,7 +238,7 @@ def load_manifest(path: str | Path) -> Corpus:
     for i, entry in enumerate(videos):
         if not isinstance(entry, dict):
             raise SchemaError("each video entry must be an object")
-        _known_keys(entry, _VIDEO_KEYS, f"video entry {i}")
+        known_keys(entry, _VIDEO_KEYS, f"video entry {i}: unknown key")
         vid = entry.get("id")
         if not _is_int(vid):
             raise SchemaError("video id must be an integer")

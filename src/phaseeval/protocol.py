@@ -16,7 +16,6 @@ state it.  check_comparable grades each field:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -26,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import PhaseEvalError
 from .vocab import METRIC_NAMES, SchemaError, StdMode, UndefinedPolicy, canonical_json, decimal
-from .vocab import unique_keys
+from .vocab import known_keys, parse_json, read_file
 
 
 class DuplicateEntry(PhaseEvalError):
@@ -197,10 +196,9 @@ _FROM_TEXT = {str: str, int: decimal, bool: {"true": True, "false": False}.__get
 def _parse_protocol(obj, where: str) -> ProtocolDescriptor:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: protocol must be an object")
+    known_keys(obj, PROTOCOL_FIELDS, f"{where}: unknown protocol field")
     kwargs = {}
     for key, value in obj.items():
-        if key not in PROTOCOL_FIELDS:
-            raise SchemaError(f"{where}: unknown protocol field {key!r}")
         if value == "unknown" or value is None:
             continue
         field = PROTOCOL_FIELDS[key]
@@ -257,10 +255,7 @@ _RECORD_KEYS = ("method", "source", "protocol", "metrics", "provenance")
 
 def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
     """Parse a ledger document (str, or bytes in a JSON encoding): a list of records."""
-    try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
-    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
-        raise SchemaError(f"ledger is not valid JSON: {e}") from None
+    doc = parse_json(text, "ledger")
     if not isinstance(doc, list):
         raise SchemaError("ledger must be a JSON list of records")
     results = []
@@ -269,9 +264,7 @@ def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
         where = f"record {i}"
         if not isinstance(rec, dict):
             raise SchemaError(f"{where}: must be an object")
-        for key in rec:
-            if key not in _RECORD_KEYS:
-                raise SchemaError(f"{where}: unknown record key {key!r}")
+        known_keys(rec, _RECORD_KEYS, f"{where}: unknown record key")
         method = rec.get("method")
         source = rec.get("source")
         if not isinstance(method, str) or not isinstance(source, str):
@@ -290,9 +283,7 @@ def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
                 raise SchemaError(f"{where}: unknown metric name {name!r}")
             if not isinstance(mv, dict) or "mean" not in mv:
                 raise SchemaError(f"{where}: metric {name!r} needs a mean")
-            for key in mv:
-                if key not in ("mean", "spread"):
-                    raise SchemaError(f"{where}: metric {name!r} has unknown key {key!r}")
+            known_keys(mv, ("mean", "spread"), f"{where}: metric {name!r} has unknown key")
             mean, spread = mv["mean"], mv.get("spread")
             for field, x in (("mean", mean), ("spread", 0 if spread is None else spread)):
                 # json.loads gives exact types, so a bool is neither; NaN fails the range
@@ -310,10 +301,8 @@ def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
 
 
 def ingest_ledger(path: str | Path) -> tuple[ReportedResult, ...]:
-    p = Path(path)
-    if not p.is_file():
-        raise SchemaError(f"no such ledger file: {p}")
-    return parse_ledger(p.read_bytes())
+    """Read a ledger file by vocab.read_file and parse it."""
+    return parse_ledger(read_file(path))
 
 
 def dump_ledger(results: Iterable[ReportedResult]) -> str:
@@ -335,10 +324,8 @@ def dump_ledger(results: Iterable[ReportedResult]) -> str:
 def seed_ledger() -> tuple[ReportedResult, ...]:
     """Bundled ledger of published cholecystectomy phase-recognition
     results, transcribed as reported (not re-verified)."""
-    text = (
-        resources.files("phaseeval").joinpath("data/seed_ledger.json").read_text("utf-8")
-    )
-    return parse_ledger(text)
+    seed = resources.files("phaseeval") / "data" / "seed_ledger.json"
+    return parse_ledger(seed.read_bytes())
 
 
 def render_leaderboard(

@@ -17,9 +17,18 @@ class InvalidSynthSettings(PhaseEvalError):
     """A setting generate_corpus cannot write a loadable corpus from."""
 
 
+# Frames a corpus may hold, at most videos x (runs + 1) x segments x max_len.
+# Writing takes about 75 bytes of memory a frame of one video, so settings past
+# 2**24 (186 hours at 25 fps) are refused before anything is written.
+MAX_FRAMES = 2**24
+_WALK_STEPS = (4, 8)  # the 7-phase walk's steps after phase 0
+
+
 def check_settings(phase_count, videos, runs, min_len, max_len, boundary_shift, flip_rate) -> None:
     """Refuse the first setting that generate_corpus cannot honour, in the
-    order of its arguments; the messages name the synth command's flags."""
+    order of its arguments, then MAX_FRAMES; the messages name synth's flags."""
+    segments = 1 + _WALK_STEPS[1] if phase_count == 7 else phase_count
+    frames = videos * (runs + 1) * segments * max_len
     for bad, message in (
         (not 2 <= phase_count <= MAX_PHASES, f"--phase-count must be within 2..{MAX_PHASES}"),
         (videos < 1 or runs < 1, "--videos and --runs must be >= 1"),
@@ -28,6 +37,7 @@ def check_settings(phase_count, videos, runs, min_len, max_len, boundary_shift, 
         (max_len < min_len, "--max-len must be >= --min-len"),
         # a boundary shifted past a whole segment breaks its run's length
         (min_len < 2 * boundary_shift + 1, "--min-len must be at least 2*shift+1"),
+        (frames > MAX_FRAMES, f"--videos/--runs/--max-len give {frames} frames, over {MAX_FRAMES}"),
     ):
         if bad:
             raise InvalidSynthSettings(message)
@@ -37,7 +47,7 @@ def _walk_phases(rng: random.Random, graph, phase_count: int) -> list[int]:
     """A random walk on the cholecystectomy workflow, else every phase in order."""
     if graph == cholec80_graph():
         phases = [0]
-        for _ in range(rng.randint(4, 8)):
+        for _ in range(rng.randint(*_WALK_STEPS)):
             phases.append(rng.choice(graph.successors(phases[-1])))
         return phases
     return list(range(phase_count))

@@ -1,18 +1,21 @@
 """The package's vocabulary, with no numpy: the enums that name a report's
 choices, the report's summary record and canonical JSON writer, the
-registered dataset splits, and the constants and errors the array modules
-and the protocol side share.  Loading a corpus, comparing protocols and
-listing splits need nothing else; the modules that once defined these
-names re-export them.
+registered dataset splits, the one reader of the files a user hands in,
+and the constants and errors the array modules and the protocol side
+share.  Loading a corpus, comparing protocols and listing splits need
+nothing else; the modules that once defined these names re-export them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import stat
 from dataclasses import dataclass, fields
 from enum import Enum
+from pathlib import Path
 
 from .errors import PhaseEvalError
 
@@ -82,6 +85,35 @@ class SchemaError(PhaseEvalError):
     """A structured document does not match its expected shape."""
 
 
+class MissingFile(PhaseEvalError):
+    """A label file, manifest or ledger path that names no regular file."""
+
+
+def read_file(path: str | os.PathLike) -> bytes:
+    """The bytes of the label file, manifest or ledger Path(path) names.  It is
+    opened once, without blocking, so a FIFO is never waited on, and read to its
+    end whatever its size said; anything but a regular file (a missing path, a
+    directory, a FIFO) is MissingFile, and an unreadable one a PermissionError."""
+    name = os.fspath(path)
+    try:
+        try:
+            fd = os.open(name, os.O_RDONLY | os.O_NONBLOCK)
+        except (FileNotFoundError, NotADirectoryError):  # "file/" or "file/."
+            fd = os.open(str(Path(name)), os.O_RDONLY | os.O_NONBLOCK)
+    except (FileNotFoundError, NotADirectoryError, ValueError):  # ValueError: a NUL in it
+        raise MissingFile(str(Path(name))) from None
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise MissingFile(str(Path(name)))
+        data = os.read(fd, st.st_size + 1)  # a byte over, to see a grown file
+        while more := os.read(fd, 1):  # on to EOF, also after a short read
+            data += more + os.read(fd, len(data))
+    finally:
+        os.close(fd)
+    return data
+
+
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object's members as a dict, as json.loads' object_pairs_hook:
     a repeated key is refused, where json.loads would keep its last value."""
@@ -91,6 +123,22 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         repeated = next(key for key in keys if keys.count(key) > 1)
         raise SchemaError(f"key {repeated!r} appears twice in one object")
     return doc
+
+
+def parse_json(data: str | bytes, what: str):
+    """A JSON document from str, or bytes in UTF-8 (a BOM ignored), UTF-16 or UTF-32,
+    with no repeated key; anything else is SchemaError("<what> is not valid JSON")."""
+    try:
+        return json.loads(data, object_pairs_hook=unique_keys)
+    except (ValueError, RecursionError) as e:  # not decodable, not JSON, or nested too deep
+        raise SchemaError(f"{what} is not valid JSON: {e}") from None
+
+
+def known_keys(obj: dict, keys, message: str) -> None:
+    """Refuse the first key of obj not in keys: SchemaError(f"{message} {key!r}")."""
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"{message} {key!r}")
 
 
 class RaggedRuns(PhaseEvalError):

@@ -11,7 +11,7 @@ from phaseeval import cli
 from phaseeval.cli import main
 from phaseeval.errors import PhaseEvalError
 from phaseeval.protocol import dump_ledger, seed_ledger
-from phaseeval.synth import InvalidSynthSettings, generate_corpus
+from phaseeval.synth import MAX_FRAMES, InvalidSynthSettings, check_settings, generate_corpus
 
 README = Path(__file__).parents[1] / "README.md"
 GOLDEN_CLI = Path(__file__).parent / "data" / "cli"
@@ -108,13 +108,18 @@ def test_synth_noise_free_predictions_match_annotations(tmp_path, capsys):
         ["relaxed", "m.json", "--truncate", "--bug-compat", "--matrices", "graph"],
         ["synth", "--out-dir", "x", "--boundary-shift", "-1"],
         ["synth", "--out-dir", "x", "--max-len", "4", "--min-len", "8"],
+        ["synth", "--out-dir", "x", "--videos", "1", "--min-len", "200000000",
+         "--max-len", "200000000"],
+        ["splits", "nope", "--out", "F"],
     ],
 )
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
+    """Each is refused before any file IO: nothing is written."""
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -363,7 +368,7 @@ def test_unknown_manifest_key_exits_1(tmp_path, capsys, argv):
 def test_compare_missing_ledger_exits_1(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["compare", "--ledger", str(missing)]) == 1
-    assert capsys.readouterr().err == f"error: no such ledger file: {missing}\n"
+    assert capsys.readouterr().err == f"error: {missing}\n"
 
 
 @pytest.mark.parametrize("phase_count", [1, 5])
@@ -453,9 +458,11 @@ def test_relaxed_usage_errors_carry_the_library_message(flags, message, tmp_path
         ((7, 1, 1, 8, 16, -1, 0.0), "--boundary-shift must be >= 0"),
         ((7, 2, 1, 8, 4, 0, 0.0), "--max-len must be >= --min-len"),
         ((7, 1, 1, 2, 2, 5, 0.0), "--min-len must be at least 2*shift+1"),
+        ((7, 1, 1, 2 * 10**8, 2 * 10**8, 0, 0.0),
+         "--videos/--runs/--max-len give 3600000000 frames, over 16777216"),
     ],
     ids=["1-phase", "257-phases", "no-videos", "no-runs", "flip-rate-2", "flip-rate-nan",
-         "negative-shift", "max-below-min", "min-below-2-shift-plus-1"],
+         "negative-shift", "max-below-min", "min-below-2-shift-plus-1", "too-many-frames"],
 )
 def test_synth_refuses_each_bad_setting_before_writing(tmp_path, settings, message):
     """The library refuses what the CLI does, with the same message, and
@@ -465,6 +472,19 @@ def test_synth_refuses_each_bad_setting_before_writing(tmp_path, settings, messa
         generate_corpus(out, *settings, 0)
     assert issubclass(InvalidSynthSettings, PhaseEvalError)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "phase_count, videos, runs, max_len",
+    [(7, 1, 1, MAX_FRAMES // 18), (2, 1, 1, MAX_FRAMES // 4), (8, 2, 3, MAX_FRAMES // 64)],
+)
+def test_synth_bounds_the_frames_a_corpus_could_hold(phase_count, videos, runs, max_len):
+    """videos x (runs + 1) x segments x max_len, where the 7-phase walk has
+    up to 9 segments and any other count one a phase: up to MAX_FRAMES is
+    allowed, and one more --max-len is refused.  Nothing is generated."""
+    check_settings(phase_count, videos, runs, 1, max_len, 0, 0.0)
+    with pytest.raises(InvalidSynthSettings, match="frames, over"):
+        check_settings(phase_count, videos, runs, 1, max_len + 1, 0, 0.0)
 
 
 def test_bug_compat_on_a_5_phase_corpus_exits_1(tmp_path, capsys):

@@ -4,15 +4,18 @@ anything else.  Generated names stay short, since a path the OS refuses raises
 OSError, which the CLI reports as exit 1 on its own."""
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import examples
 from phaseeval.errors import PhaseEvalError
-from phaseeval.io import SchemaError, load_manifest
-from phaseeval.protocol import METRIC_NAMES, PROTOCOL_FIELDS, ingest_ledger, parse_ledger
+from phaseeval.io import MissingFile, SchemaError, load_manifest
+from phaseeval.protocol import METRIC_NAMES, PROTOCOL_FIELDS, dump_ledger, ingest_ledger
+from phaseeval.protocol import parse_ledger, seed_ledger
 
 # Any JSON value, with the ints that typed fields must tell from bools and
 # floats, and the huge ones a count must not be trusted with.
@@ -60,7 +63,7 @@ manifests = field(stray(st.fixed_dictionaries(
     st.dictionaries(st.sampled_from(FILES), label_files, max_size=4),
     manifests.map(lambda doc: json.dumps(doc).encode()) | st.binary(max_size=30),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_load_manifest_returns_or_raises_a_typed_error(files, manifest):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -100,7 +103,7 @@ records = st.fixed_dictionaries(
     | st.text(max_size=30)
     | st.binary(max_size=30)
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_parse_ledger_returns_or_raises_a_typed_error(text):
     try:
         parse_ledger(text)
@@ -109,10 +112,27 @@ def test_parse_ledger_returns_or_raises_a_typed_error(text):
 
 
 def test_undecodable_or_deeply_nested_documents_are_schema_errors(tmp_path):
+    """A manifest and a ledger are read and decoded alike: the same path or
+    bytes get the same error class from both, and the same encodings load."""
+    (tmp_path / "a").write_text("0\n")
+    (tmp_path / "dir").mkdir()
+    os.mkfifo(tmp_path / "fifo")
+    for name in ("missing.json", "dir", "fifo", "a/x"):
+        for load in (load_manifest, ingest_ledger):
+            with pytest.raises(MissingFile):
+                load(tmp_path / name)
     path = tmp_path / "doc.json"
-    for data in (b"[\x80]", b"[" * 100_000):
+    for data in (b"[\x80]", b"[" * 100_000, b'{"a": 1, "a": 1}'):
         path.write_bytes(data)
         with pytest.raises(SchemaError):
             load_manifest(path)
         with pytest.raises(SchemaError):
             ingest_ledger(path)
+    manifest = json.dumps(
+        {"phase_count": 1, "videos": [{"id": 1, "annotation": "a", "predictions": {"r0": "a"}}]}
+    )
+    for encoding in ("utf-8-sig", "utf-16", "utf-16-le", "utf-32"):
+        path.write_bytes(manifest.encode(encoding))
+        assert load_manifest(path).videos == (1,)
+        path.write_bytes(dump_ledger(seed_ledger()).encode(encoding))
+        assert ingest_ledger(path) == seed_ledger()

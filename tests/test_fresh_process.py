@@ -85,7 +85,8 @@ _OLD_PATHS = {
     "metrics": ("UndefinedPolicy",),
     "relaxed": ("MatrixMode", "OMEGA_MAX"),
     "confusion": ("LengthMismatch",),
-    "io": ("SchemaError", "RaggedRuns", "LengthMismatch", "canonical_json", "REPORT_FORMATS"),
+    "io": ("SchemaError", "RaggedRuns", "LengthMismatch", "canonical_json", "REPORT_FORMATS",
+           "MissingFile"),
     "core": ("MAX_PHASES", "UnknownSplit", "SplitDefinition", "resolve_split", "cv_folds",
              "builtin_split_names"),
     "protocol": ("METRIC_NAMES", "SchemaError", "canonical_json", "UndefinedPolicy", "StdMode"),

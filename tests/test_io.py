@@ -399,7 +399,7 @@ def _error_classes(cls=PhaseEvalError):
 
 def test_error_census_covers_every_module():
     names = {cls.__name__ for cls in _error_classes()}
-    moved = {"SchemaError", "RaggedRuns", "LengthMismatch", "UnknownSplit"}
+    moved = {"SchemaError", "RaggedRuns", "LengthMismatch", "UnknownSplit", "MissingFile"}
     assert moved | {"BugCompatConflict", "ParseError", "DuplicateEntry"} <= names
 
 
