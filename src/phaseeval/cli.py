@@ -135,7 +135,8 @@ def _add_enum_flag(p, flag: str, default) -> None:
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """Every command is registered, so usage, -h and an unknown command read
     the same whatever `command` is; only `command`'s arguments are added,
-    or every command's when it is None."""
+    or every command's when it is None.  Only the parser of the command
+    that runs ever parses, so no other gets its own -h."""
     parser = argparse.ArgumentParser(
         prog="phaseeval",
         description="Frame-level evaluation toolkit for surgical phase recognition.",
@@ -143,8 +144,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_line: str) -> argparse.ArgumentParser | None:
-        p = sub.add_parser(name, help=help_line)
-        return p if command in (None, name) else None
+        built = command in (None, name)
+        p = sub.add_parser(name, help=help_line, add_help=built)
+        return p if built else None
 
     if ev := add("evaluate", "regular metric report from a manifest"):
         ev.add_argument("manifest")

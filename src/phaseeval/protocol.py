@@ -165,6 +165,9 @@ def check_comparable(a: ProtocolDescriptor, b: ProtocolDescriptor) -> Comparabil
     return ComparabilityReport(verdict, tuple(findings))
 
 
+_METRICS = frozenset(METRIC_NAMES)
+
+
 @dataclass(frozen=True)
 class MetricValue:
     mean: float
@@ -184,7 +187,7 @@ class ReportedResult:
 
     def __post_init__(self):
         for name in self.metrics:
-            if name not in METRIC_NAMES:
+            if name not in _METRICS:
                 raise ValueError(f"unknown metric name {name!r}")
         object.__setattr__(self, "metrics", dict(self.metrics))
 
@@ -250,7 +253,15 @@ def _metrics_obj(r: ReportedResult) -> dict:
     }
 
 
-_RECORD_KEYS = ("method", "source", "protocol", "metrics", "provenance")
+_RECORD_KEYS = frozenset(("method", "source", "protocol", "metrics", "provenance"))
+_METRIC_KEYS = frozenset(("mean", "spread"))
+_NUMBERS, _MAX = (int, float), float_info.max
+
+
+def _amount(x) -> bool:
+    """Whether x is a finite, non-negative number: json.loads gives exact
+    types, so a bool is not one, and NaN fails the range."""
+    return type(x) in _NUMBERS and 0 <= x <= _MAX
 
 
 def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
@@ -260,11 +271,15 @@ def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
         raise SchemaError("ledger must be a JSON list of records")
     results = []
     seen = set()
+    # Each distinct protocol object is parsed once.  Its members with their
+    # exact types key it, since 1, 1.0 and True are equal and hash alike.
+    protocols: dict[tuple, ProtocolDescriptor] = {}
     for i, rec in enumerate(doc):
         where = f"record {i}"
         if not isinstance(rec, dict):
             raise SchemaError(f"{where}: must be an object")
-        known_keys(rec, _RECORD_KEYS, f"{where}: unknown record key")
+        if not rec.keys() <= _RECORD_KEYS:
+            known_keys(rec, _RECORD_KEYS, f"{where}: unknown record key")
         method = rec.get("method")
         source = rec.get("source")
         if not isinstance(method, str) or not isinstance(source, str):
@@ -273,25 +288,34 @@ def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
         if key in seen:
             raise DuplicateEntry(f"{where}: duplicate entry {method!r} / {source!r}")
         seen.add(key)
-        protocol = _parse_protocol(rec.get("protocol", {}), where)
+        obj = rec.get("protocol", {})
+        try:
+            memo = (tuple(obj.items()), tuple(map(type, obj.values())))
+            protocol = protocols.get(memo)
+        except (AttributeError, TypeError):  # not an object, or a list or object member
+            memo = protocol = None
+        if protocol is None:
+            protocol = _parse_protocol(obj, where)
+            if memo is not None:
+                protocols[memo] = protocol
         metrics_obj = rec.get("metrics")
         if not isinstance(metrics_obj, dict) or not metrics_obj:
             raise SchemaError(f"{where}: metrics must be a non-empty object")
         metrics = {}
         for name, mv in metrics_obj.items():
-            if name not in METRIC_NAMES:
+            if name not in _METRICS:
                 raise SchemaError(f"{where}: unknown metric name {name!r}")
             if not isinstance(mv, dict) or "mean" not in mv:
                 raise SchemaError(f"{where}: metric {name!r} needs a mean")
-            known_keys(mv, ("mean", "spread"), f"{where}: metric {name!r} has unknown key")
+            if not mv.keys() <= _METRIC_KEYS:
+                known_keys(mv, _METRIC_KEYS, f"{where}: metric {name!r} has unknown key")
             mean, spread = mv["mean"], mv.get("spread")
-            for field, x in (("mean", mean), ("spread", 0 if spread is None else spread)):
-                # json.loads gives exact types, so a bool is neither; NaN fails the range
-                if type(x) not in (int, float) or not 0 <= x <= float_info.max:
-                    raise SchemaError(
-                        f"{where}: metric {name!r} {field} must be a finite and "
-                        f"non-negative number, got {x!r}"
-                    )
+            if not _amount(mean) or not (spread is None or _amount(spread)):
+                field, x = ("mean", mean) if not _amount(mean) else ("spread", spread)
+                raise SchemaError(
+                    f"{where}: metric {name!r} {field} must be a finite and "
+                    f"non-negative number, got {x!r}"
+                )
             metrics[name] = MetricValue(float(mean), None if spread is None else float(spread))
         provenance = rec.get("provenance")
         if provenance is not None and not isinstance(provenance, str):
@@ -346,13 +370,17 @@ def render_leaderboard(
         raise EmptyLedger("no entries to rank")
     if sort_metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric name {sort_metric!r}")
-    # Descriptors are frozen, so each distinct protocol is graded once.
-    reports = {p: check_comparable(reference, p) for p in {r.protocol for r in results}}
+    # Descriptors are frozen, so each distinct protocol is graded and keyed
+    # once, and then names its bucket.
     buckets: dict[tuple, tuple[ComparabilityReport, list[ReportedResult]]] = {}
+    bucket_of: dict[ProtocolDescriptor, tuple[ComparabilityReport, list[ReportedResult]]] = {}
     for r in results:
-        report = reports[r.protocol]
-        key = tuple((f.rule, f.severity, f.field) for f in report.findings)
-        buckets.setdefault(key, (report, []))[1].append(r)
+        bucket = bucket_of.get(r.protocol)
+        if bucket is None:
+            report = check_comparable(reference, r.protocol)
+            key = tuple((f.rule, f.severity, f.field) for f in report.findings)
+            bucket = bucket_of[r.protocol] = buckets.setdefault(key, (report, []))
+        bucket[1].append(r)
     ranked = sorted(
         buckets.values(),
         key=lambda b: (

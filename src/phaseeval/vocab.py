@@ -127,11 +127,35 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def parse_json(data: str | bytes, what: str):
     """A JSON document from str, or bytes in UTF-8 (a BOM ignored), UTF-16 or UTF-32,
-    with no repeated key; anything else is SchemaError("<what> is not valid JSON")."""
+    with no repeated key and no lone surrogate in a string, which no output could
+    encode; anything else is SchemaError("<what> is not valid JSON")."""
     try:
-        return json.loads(data, object_pairs_hook=unique_keys)
+        if not isinstance(data, str):  # decoded as json.loads decodes, to see the text
+            data = data.decode(json.detect_encoding(data), "surrogatepass")
+        doc = json.loads(data, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as e:  # not decodable, not JSON, or nested too deep
         raise SchemaError(f"{what} is not valid JSON: {e}") from None
+    # A surrogate is in the text itself or spelt by a \u escape, so an ASCII
+    # text with no backslash, such as the seed ledger, needs no walk; the
+    # one-character search is the fast one.
+    if not data.isascii() or ("\\" in data and "\\u" in data):
+        todo = [doc]
+        while todo:
+            x = todo.pop()
+            if type(x) is dict:
+                todo += x
+                todo += x.values()
+            elif type(x) is list:
+                todo += x
+            elif type(x) is str and not x.isascii():
+                try:
+                    x.encode("utf-8")  # fails on a surrogate, and only on one
+                except UnicodeEncodeError as e:
+                    raise SchemaError(
+                        f"{what} is not valid JSON: a string holds the lone surrogate "
+                        f"{x[e.start]!r}"
+                    ) from None
+    return doc
 
 
 def known_keys(obj: dict, keys, message: str) -> None:
@@ -176,53 +200,90 @@ def fmt_float(x: float) -> str:
 _quote = json.encoder.encode_basestring
 
 
+def _number(x: float) -> str:
+    if not math.isfinite(x):
+        raise SchemaError(f"{x!r} has no JSON form")
+    return fmt_float(x)
+
+
+# Each JSON scalar type's form, by exact type; a subclass of int, float or
+# str takes its base's form.
+_SCALARS = {
+    type(None): lambda _: "null",
+    bool: lambda b: "true" if b else "false",
+    int: str,
+    float: _number,
+    str: _quote,
+}
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats with six fractional digits,
     two-space indent."""
     out: list[str] = []
-    _write(obj, out, "\n")
+    _write(obj, out, "\n", {})
     return "".join(out)
 
 
-def _write(obj, out: list[str], pad: str) -> None:
+def _write(obj, out: list[str], pad: str, names: dict[str, str]) -> None:
     """Append obj's canonical form to out; pad is the line break and indent
-    of the line obj starts on."""
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise SchemaError(f"{obj!r} has no JSON form")
-        out.append(fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
+    of the line obj starts on, and names holds the document's quoted str
+    keys, each with its ": "."""
+    kind = type(obj)
+    form = _SCALARS.get(kind)
+    if form is not None:
+        out.append(form(obj))
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{" + inner
-        for k in sorted(obj, key=str):
-            out += (sep, _quote(str(k)), ": ")
-            _write(obj[k], out, inner)
-            sep = "," + inner
-        out.append(pad + "}")
+        _write_dict(obj, out, pad, names)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
         inner = pad + "  "
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for x in obj:
             out.append(sep)
-            _write(x, out, inner)
-            sep = "," + inner
+            _write(x, out, inner, names)
+            sep = comma
         out.append(pad + "]")
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        base = next((b for b in (int, float, str) if isinstance(obj, b)), None)
+        if base is None:
+            raise TypeError(f"cannot serialize {kind.__name__}")
+        out.append(_SCALARS[base](obj))
+
+
+def _write_dict(obj: dict, out: list[str], pad: str, names: dict[str, str]) -> None:
+    """_write of a dict, whose str, finite float, None and dict members it
+    writes without a call to _write."""
+    if not obj:
+        out.append("{}")
+        return
+    inner = pad + "  "
+    sep, comma = "{" + inner, "," + inner
+    for k in sorted(obj, key=str):
+        if type(k) is str:
+            name = names.get(k)
+            if name is None:
+                name = names[k] = _quote(k) + ": "
+        else:
+            name = _quote(str(k)) + ": "
+        v = obj[k]
+        kind = type(v)
+        if kind is str:
+            out += (sep, name, _quote(v))
+        elif kind is float and v - v == 0:  # finite
+            out += (sep, name, format(v, ".6f"))  # fmt_float, without its call
+        elif v is None:
+            out += (sep, name, "null")
+        elif kind is dict:
+            out += (sep, name)
+            _write_dict(v, out, inner, names)
+        else:
+            out += (sep, name)
+            _write(v, out, inner, names)
+        sep = comma
+    out.append(pad + "}")
 
 
 @dataclass(frozen=True)

@@ -371,6 +371,25 @@ def test_compare_missing_ledger_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {missing}\n"
 
 
+def test_a_lone_surrogate_in_a_manifest_or_ledger_exits_1(tmp_path, capsys):
+    """No output could encode it, so it is refused with the document, before
+    any report is written."""
+    y = [0, 0, 1]
+    manifest = _write_corpus(tmp_path, {1: (y, {"r0": y})}, split="\ud800")
+    ledger = tmp_path / "ledger.json"
+    record = {"method": "\udc80", "source": "s", "metrics": {"accuracy": {"mean": 0.9}}}
+    ledger.write_text(json.dumps([record]))
+    for argv, what in (
+        (["evaluate", str(manifest)], "manifest"),
+        (["compare", "--ledger", str(ledger)], "ledger"),
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {what} is not valid JSON: ")
+        assert "lone surrogate" in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("phase_count", [1, 5])
 def test_relaxed_legacy_grids_on_non_7_phase_corpus_exit_1(tmp_path, capsys, phase_count):
     y = [min(p, phase_count - 1) for p in (0, 0, 1, 1, 4)]

@@ -128,9 +128,34 @@ def test_undecodable_or_deeply_nested_documents_are_schema_errors(tmp_path):
             load_manifest(path)
         with pytest.raises(SchemaError):
             ingest_ledger(path)
-    manifest = json.dumps(
-        {"phase_count": 1, "videos": [{"id": 1, "annotation": "a", "predictions": {"r0": "a"}}]}
-    )
+    video = {"id": 1, "annotation": "a", "predictions": {"r0": "a"}}
+    record = {"method": "m", "source": "s", "metrics": {"accuracy": {"mean": 0.9}}}
+
+    def manifest_with(split):
+        return json.dumps({"phase_count": 1, "split": split, "videos": [video]})
+
+    def ledger_with(method):
+        return json.dumps([{**record, "method": method}])
+
+    # A lone surrogate, escaped or passed through by the decoding, has no
+    # UTF-8 form, so no report or leaderboard could carry it.
+    for data in (
+        manifest_with("\ud800").encode(),
+        ledger_with("\udc80").encode(),
+        manifest_with("x").replace('"x"', '"\ud800"').encode("utf-8", "surrogatepass"),
+        ledger_with("x").replace('"x"', '"\udfff"').encode("utf-16", "surrogatepass"),
+    ):
+        path.write_bytes(data)
+        for load in (load_manifest, ingest_ledger):
+            with pytest.raises(SchemaError, match="lone surrogate"):
+                load(path)
+    # An escaped surrogate pair spells one character, which loads.
+    assert json.dumps("\U0001f600") == '"\\ud83d\\ude00"'
+    path.write_text(manifest_with("\U0001f600"))
+    assert load_manifest(path).split == "\U0001f600"
+    path.write_text(ledger_with("\U0001f600"))
+    assert ingest_ledger(path)[0].method == "\U0001f600"
+    manifest = json.dumps({"phase_count": 1, "videos": [video]})
     for encoding in ("utf-8-sig", "utf-16", "utf-16-le", "utf-32"):
         path.write_bytes(manifest.encode(encoding))
         assert load_manifest(path).videos == (1,)

@@ -12,7 +12,8 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from conftest import examples
+from hypothesis import given, settings, strategies as st
 from reference import oracle_canonical_json
 
 import phaseeval
@@ -627,13 +628,34 @@ def test_canonical_json_parses_and_is_deterministic(obj):
     json.loads(out)
 
 
+# Subclasses of the scalar types, which the writer cannot dispatch on by
+# their exact type.
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_canonical_json_refuses_non_finite_floats(x):
-    with pytest.raises(SchemaError):
-        canonical_json({"mean": x})
-    for deep in ({"a": [{"b": x}]}, [(0, {"b": np.float64(x)})]):  # three containers deep
+    """The package's SchemaError, where the test oracle raises ValueError."""
+    for obj in (
+        x,
+        {"mean": x},
+        [x],
+        {"a": [{"b": _Float(x)}]},
+        [(0, {"b": np.float64(x)})],  # three containers deep
+    ):
         with pytest.raises(SchemaError):
-            canonical_json(deep)
+            canonical_json(obj)
+        with pytest.raises(ValueError):
+            oracle_canonical_json(obj)
 
 
 @pytest.mark.parametrize("value", [{1, 2}, b"raw", {"a": [frozenset()]}, [1, b""]])
@@ -647,13 +669,18 @@ _AWKWARD = st.sampled_from(
     ['"', "\\", "\u2028", "\u2029", "\ud800", "\udfff", "\x00", "\x1f", "\x7f", "\n", "é", "𝄞"]
 )
 _TEXT = st.text(st.one_of(st.characters(), _AWKWARD), max_size=12)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _LEAVES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    _FINITE,
+    st.just(-0.0),
+    _FINITE.map(np.float64),
     _TEXT,
+    _TEXT.map(_Str),
+    st.integers().map(_Int),
+    _FINITE.map(_Float),
 )
 
 
@@ -663,11 +690,16 @@ _LEAVES = st.one_of(
         lambda inner: st.one_of(
             st.lists(inner, max_size=4),
             st.lists(inner, max_size=4).map(tuple),
-            st.dictionaries(st.one_of(_TEXT, st.integers(-5, 5)), inner, max_size=4),
+            st.dictionaries(
+                st.one_of(_TEXT, _TEXT.map(_Str), st.integers(-5, 5), st.booleans()),
+                inner,
+                max_size=4,
+            ),
         ),
         max_leaves=20,
     )
 )
+@settings(max_examples=examples(100))
 def test_canonical_json_matches_the_recursive_oracle(obj):
     assert canonical_json(obj) == oracle_canonical_json(obj)
 

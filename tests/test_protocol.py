@@ -5,8 +5,9 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import examples
 from phaseeval.aggregate import AveragingOrder, StdMode
 from phaseeval.cli import main
 from phaseeval import protocol
@@ -242,6 +243,97 @@ def test_ledger_protocol_value_errors_name_their_record(field, value):
     bad = {**ok, "method": "n", "protocol": {field: value}}
     with pytest.raises(SchemaError, match=rf"^record 1: {field} must be"):
         parse_ledger(json.dumps([ok, bad]))
+
+
+def _ledger(*protocols) -> str:
+    """A ledger of one record per protocol object, record i by method m{i}."""
+    return json.dumps([
+        {"method": f"m{i}", "source": "s", "protocol": p, "metrics": {"accuracy": {"mean": 0.5}}}
+        for i, p in enumerate(protocols)
+    ])
+
+
+def _outcome_alone(protocols):
+    """Each record parsed in a ledger of its own: the descriptors, or the
+    first refusal's message as the whole ledger's record would give it."""
+    descriptors = []
+    for i, p in enumerate(protocols):
+        try:
+            descriptors.append(parse_ledger(_ledger(p))[0].protocol)
+        except SchemaError as exc:
+            return str(exc).replace("record 0:", f"record {i}:", 1)
+    return descriptors
+
+
+# Protocol objects of one set of keys, so that a ledger's protocols are often
+# equal but for a value's type (1, 1.0 and True), and some values hash not at all.
+_values = st.sampled_from([1, True, 1.0, [1], {}, "unknown", "zero-fill", "bogus"])
+_pools = st.lists(st.sampled_from(["runs", "relaxed", "policy"]), unique=True, max_size=2).flatmap(
+    lambda keys: st.lists(
+        st.fixed_dictionaries({k: _values for k in keys}) | st.sampled_from(["x", None]),
+        min_size=1,
+        max_size=3,
+    )
+)
+
+
+@given(_pools.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6)))
+@settings(max_examples=examples(100))
+def test_records_sharing_a_protocol_parse_as_each_alone(protocols):
+    """Each distinct protocol object is parsed once a ledger; its records get
+    the descriptors, and a bad one the refusal, of parsing each record alone."""
+    expected = _outcome_alone(protocols)
+    try:
+        assert [r.protocol for r in parse_ledger(_ledger(*protocols))] == expected
+    except SchemaError as exc:
+        assert str(exc) == expected
+
+
+def test_records_sharing_a_protocol_share_its_descriptor():
+    a, b = {"split": "60:20", "runs": 5}, {"relaxed": True, "omega": 10}
+    results = parse_ledger(_ledger(a, b, a, {"runs": 5, "split": "60:20"}, b))
+    assert results[0].protocol is results[2].protocol
+    assert results[1].protocol is results[4].protocol
+    assert results[3].protocol == results[0].protocol
+    for r, p in zip(results, (a, b, a, a, b)):
+        assert r.protocol == parse_ledger(_ledger(p))[0].protocol
+
+
+@pytest.mark.parametrize(
+    "first, then, refusal",
+    [
+        # 1 == 1.0 == True and all three hash alike; the memo tells them apart
+        ({"runs": 1}, {"runs": True}, "protocol field 'runs' must be an integer, got True"),
+        ({"omega": 10}, {"omega": 10.0}, "protocol field 'omega' must be an integer, got 10.0"),
+        (
+            {"relaxed": True},
+            {"relaxed": 1},
+            "protocol field 'relaxed' must be true or false, got 1",
+        ),
+        # members no dict can key, and a protocol that is not an object
+        ({"runs": 1}, {"runs": [1]}, "protocol field 'runs' must be an integer, got [1]"),
+        ({"split": "a"}, {"split": {}}, "protocol field 'split' must be a string, got {}"),
+        ({}, [], "protocol must be an object"),
+    ],
+)
+def test_a_protocol_equal_to_a_parsed_one_in_another_type_is_refused(first, then, refusal):
+    with pytest.raises(SchemaError) as info:
+        parse_ledger(_ledger(first, then))
+    assert str(info.value) == f"record 1: {refusal}"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"policy": "bogus"}, "record 2: policy must be one of"),
+        ({"runs": "5"}, "record 2: protocol field 'runs' must be an integer"),
+    ],
+)
+def test_a_bad_protocol_shared_by_records_names_the_first(bad, message):
+    ok = {"split": "60:20"}
+    with pytest.raises(SchemaError) as info:
+        parse_ledger(_ledger(ok, ok, bad, ok, {}, bad))
+    assert str(info.value).startswith(message)
 
 
 @pytest.mark.parametrize(
