@@ -17,6 +17,7 @@ import copyreg
 import csv
 import io as _io
 import os
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -131,9 +132,9 @@ class Corpus:
     """Sequences to score, valid by construction: the same videos in both
     maps, each with runs, one run-id set, every label within `phases`, each
     prediction as long as its annotation, and a split that is None or a
-    non-empty name.  Both maps are held as read-only copies, so a built
-    Corpus stays valid and reports trust it, and its evaluate reports share
-    one count of its frames, `counts`."""
+    non-empty name with no control character.  Both maps are held as
+    read-only copies, so a built Corpus stays valid and reports trust it,
+    and its evaluate reports share one count of its frames, `counts`."""
 
     phases: PhaseSet
     annotations: Mapping[int, LabelSequence]
@@ -145,6 +146,9 @@ class Corpus:
     def __post_init__(self):
         if self.split is not None and not (isinstance(self.split, str) and self.split):
             raise SchemaError("split must be a non-empty string if present")
+        # A control character (Unicode category Cc) would break a md report's lines.
+        if self.split and re.search(r"[\x00-\x1f\x7f-\x9f]", self.split):
+            raise SchemaError(f"split {self.split!r} holds a control character")
         annotations = dict(self.annotations)
         predictions = {v: MappingProxyType(dict(runs)) for v, runs in self.predictions.items()}
         videos = tuple(sorted(annotations))
@@ -188,13 +192,8 @@ class Corpus:
         return type(self), (self.phases, dict(self.annotations), predictions, self.split)
 
 
-def _is_int(value) -> bool:
-    """JSON integers only: true and false are not numbers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-_MANIFEST_KEYS = ("phase_count", "videos", "split")
-_VIDEO_KEYS = ("id", "annotation", "predictions")
+_MANIFEST_KEYS = frozenset(("phase_count", "videos", "split"))
+_VIDEO_KEYS = frozenset(("id", "annotation", "predictions"))
 
 
 def load_manifest(path: str | Path) -> Corpus:
@@ -202,8 +201,9 @@ def load_manifest(path: str | Path) -> Corpus:
     vocab.read_file and the manifest decoded by vocab.parse_json.
 
     Checks the JSON shape here, refusing any key but _MANIFEST_KEYS at the
-    top level and _VIDEO_KEYS in a video entry, and parses each label file
-    as it is read, so a parse error names its file.  The Corpus it builds
+    top level and _VIDEO_KEYS in a video entry, and a phase_count or video id
+    whose type is not exactly int (true is not 1, as in a ledger), and parses
+    each label file as it is read, so a parse error names its file.  The Corpus it builds
     holds the one label check and the split's, with run-id agreement and
     that each prediction covers exactly the annotated frames.  Labels are range-checked only
     once every file is read, so a schema or parse error in any entry wins
@@ -215,7 +215,7 @@ def load_manifest(path: str | Path) -> Corpus:
         raise SchemaError("manifest must be a JSON object")
     known_keys(doc, _MANIFEST_KEYS, "manifest: unknown key")
     phase_count = doc.get("phase_count")
-    if not _is_int(phase_count) or not 1 <= phase_count <= MAX_PHASES:
+    if type(phase_count) is not int or not 1 <= phase_count <= MAX_PHASES:
         raise SchemaError(f"phase_count must be an integer within 1..{MAX_PHASES}")
     videos = doc.get("videos")
     if not isinstance(videos, list) or not videos:
@@ -240,7 +240,7 @@ def load_manifest(path: str | Path) -> Corpus:
             raise SchemaError("each video entry must be an object")
         known_keys(entry, _VIDEO_KEYS, f"video entry {i}: unknown key")
         vid = entry.get("id")
-        if not _is_int(vid):
+        if type(vid) is not int:
             raise SchemaError("video id must be an integer")
         if vid in annotations:
             raise SchemaError(f"video id {vid} listed twice")

@@ -251,21 +251,12 @@ def resolve(values, state, policy: UndefinedPolicy, present) -> Cells:
 
 
 def apply_policy(
-    tensor: "ResultTensor",
-    policy: UndefinedPolicy,
-    annotated: np.ndarray | Mapping[int, Collection[int]],
+    tensor: "ResultTensor", policy: UndefinedPolicy, annotated: Mapping[int, Collection[int]]
 ) -> "ResultTensor":
-    """Resolve every undefined cell of a phase/video/run tensor.
-
-    `annotated` marks the phases each video's annotation contains: a bool
-    array broadcastable to the tensor's (phase, video, run) shape, or a
-    mapping from video id to those phases.
-    """
-    if isinstance(annotated, Mapping):
-        annotated = np.array(
-            [[p in annotated[v] for v in tensor.videos] for p in tensor.phases]
-        )[:, :, None]
-    values, state = resolve(tensor.values, tensor.state, policy, annotated)
+    """Resolve every undefined cell of a phase/video/run tensor; `annotated`
+    maps each video id to the phases its annotation contains."""
+    marks = np.array([[p in annotated[v] for v in tensor.videos] for p in tensor.phases])
+    values, state = resolve(tensor.values, tensor.state, policy, marks[:, :, None])
     return replace(tensor, values=values, state=state)
 
 

@@ -199,7 +199,7 @@ _FROM_TEXT = {str: str, int: decimal, bool: {"true": True, "false": False}.__get
 def _parse_protocol(obj, where: str) -> ProtocolDescriptor:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: protocol must be an object")
-    known_keys(obj, PROTOCOL_FIELDS, f"{where}: unknown protocol field")
+    known_keys(obj, PROTOCOL_FIELDS.keys(), f"{where}: unknown protocol field")
     kwargs = {}
     for key, value in obj.items():
         if value == "unknown" or value is None:
@@ -271,15 +271,14 @@ def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
         raise SchemaError("ledger must be a JSON list of records")
     results = []
     seen = set()
-    # Each distinct protocol object is parsed once.  Its members with their
-    # exact types key it, since 1, 1.0 and True are equal and hash alike.
-    protocols: dict[tuple, ProtocolDescriptor] = {}
+    # Each distinct protocol object is parsed once, keyed by its repr, which
+    # tells 1, 1.0 and True apart where equality and hashing do not.
+    protocols: dict[str, ProtocolDescriptor] = {}
     for i, rec in enumerate(doc):
         where = f"record {i}"
         if not isinstance(rec, dict):
             raise SchemaError(f"{where}: must be an object")
-        if not rec.keys() <= _RECORD_KEYS:
-            known_keys(rec, _RECORD_KEYS, f"{where}: unknown record key")
+        known_keys(rec, _RECORD_KEYS, f"{where}: unknown record key")
         method = rec.get("method")
         source = rec.get("source")
         if not isinstance(method, str) or not isinstance(source, str):
@@ -289,15 +288,9 @@ def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
             raise DuplicateEntry(f"{where}: duplicate entry {method!r} / {source!r}")
         seen.add(key)
         obj = rec.get("protocol", {})
-        try:
-            memo = (tuple(obj.items()), tuple(map(type, obj.values())))
-            protocol = protocols.get(memo)
-        except (AttributeError, TypeError):  # not an object, or a list or object member
-            memo = protocol = None
+        protocol = protocols.get(memo := repr(obj))
         if protocol is None:
-            protocol = _parse_protocol(obj, where)
-            if memo is not None:
-                protocols[memo] = protocol
+            protocol = protocols[memo] = _parse_protocol(obj, where)
         metrics_obj = rec.get("metrics")
         if not isinstance(metrics_obj, dict) or not metrics_obj:
             raise SchemaError(f"{where}: metrics must be a non-empty object")
@@ -307,8 +300,7 @@ def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
                 raise SchemaError(f"{where}: unknown metric name {name!r}")
             if not isinstance(mv, dict) or "mean" not in mv:
                 raise SchemaError(f"{where}: metric {name!r} needs a mean")
-            if not mv.keys() <= _METRIC_KEYS:
-                known_keys(mv, _METRIC_KEYS, f"{where}: metric {name!r} has unknown key")
+            known_keys(mv, _METRIC_KEYS, f"{where}: metric {name!r} has unknown key")
             mean, spread = mv["mean"], mv.get("spread")
             if not _amount(mean) or not (spread is None or _amount(spread)):
                 field, x = ("mean", mean) if not _amount(mean) else ("spread", spread)

@@ -133,36 +133,27 @@ def parse_json(data: str | bytes, what: str):
         if not isinstance(data, str):  # decoded as json.loads decodes, to see the text
             data = data.decode(json.detect_encoding(data), "surrogatepass")
         doc = json.loads(data, object_pairs_hook=unique_keys)
+        # A surrogate is in the text itself or spelt by a \u escape, so an ASCII
+        # text with no backslash, such as the seed ledger, is not re-encoded;
+        # the one-character search is the fast one.  The re-encoding writes
+        # keys and values in document order and fails on a lone surrogate only.
+        if not data.isascii() or ("\\" in data and "\\u" in data):
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise SchemaError(
+            f"{what} is not valid JSON: a string holds the lone surrogate {e.object[e.start]!r}"
+        ) from None
     except (ValueError, RecursionError) as e:  # not decodable, not JSON, or nested too deep
         raise SchemaError(f"{what} is not valid JSON: {e}") from None
-    # A surrogate is in the text itself or spelt by a \u escape, so an ASCII
-    # text with no backslash, such as the seed ledger, needs no walk; the
-    # one-character search is the fast one.
-    if not data.isascii() or ("\\" in data and "\\u" in data):
-        todo = [doc]
-        while todo:
-            x = todo.pop()
-            if type(x) is dict:
-                todo += x
-                todo += x.values()
-            elif type(x) is list:
-                todo += x
-            elif type(x) is str and not x.isascii():
-                try:
-                    x.encode("utf-8")  # fails on a surrogate, and only on one
-                except UnicodeEncodeError as e:
-                    raise SchemaError(
-                        f"{what} is not valid JSON: a string holds the lone surrogate "
-                        f"{x[e.start]!r}"
-                    ) from None
     return doc
 
 
 def known_keys(obj: dict, keys, message: str) -> None:
-    """Refuse the first key of obj not in keys: SchemaError(f"{message} {key!r}")."""
-    for key in obj:
-        if key not in keys:
-            raise SchemaError(f"{message} {key!r}")
+    """Refuse the first key of obj not in keys, a frozenset or a dict's keys:
+    SchemaError(f"{message} {key!r}")."""
+    if not obj.keys() <= keys:
+        key = next(k for k in obj if k not in keys)
+        raise SchemaError(f"{message} {key!r}")
 
 
 class RaggedRuns(PhaseEvalError):

@@ -260,3 +260,23 @@ def oracle_canonical_json(obj, indent=0):
         items = [f"{inner}{oracle_canonical_json(x, indent + 1)}" for x in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def oracle_lone_surrogate(doc):
+    """A lone surrogate that a key or string of a decoded JSON document
+    holds, or None: a walk of every key and value, each string encoded
+    alone in UTF-8, which fails on a surrogate and only on one."""
+    todo = [doc]
+    while todo:
+        x = todo.pop()
+        if type(x) is dict:
+            todo += x
+            todo += x.values()
+        elif type(x) is list:
+            todo += x
+        elif type(x) is str:
+            try:
+                x.encode("utf-8")
+            except UnicodeEncodeError as e:
+                return x[e.start]
+    return None

@@ -365,6 +365,17 @@ def test_unknown_manifest_key_exits_1(tmp_path, capsys, argv):
     assert captured.err == "error: manifest: unknown key 'splt'\n" and captured.out == ""
 
 
+def test_a_split_with_a_line_break_exits_1(tmp_path, capsys):
+    """The md report would cut its Protocol line at the split's line break
+    and go on with a heading of the manifest's making."""
+    y = [0, 0, 1]
+    path = _write_corpus(tmp_path, {1: (y, {"r0": y})}, split="x\n# injected")
+    assert main(["evaluate", str(path), "--format", "md"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: split 'x\\n# injected' holds a control character\n"
+    assert captured.out == ""
+
+
 def test_compare_missing_ledger_exits_1(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["compare", "--ledger", str(missing)]) == 1

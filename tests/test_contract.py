@@ -5,6 +5,8 @@ OSError, which the CLI reports as exit 1 on its own."""
 
 import json
 import os
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from phaseeval.errors import PhaseEvalError
 from phaseeval.io import MissingFile, SchemaError, load_manifest
 from phaseeval.protocol import METRIC_NAMES, PROTOCOL_FIELDS, dump_ledger, ingest_ledger
 from phaseeval.protocol import parse_ledger, seed_ledger
+from phaseeval.vocab import parse_json
 
 # Any JSON value, with the ints that typed fields must tell from bools and
 # floats, and the huge ones a count must not be trusted with.
@@ -131,24 +134,46 @@ def test_undecodable_or_deeply_nested_documents_are_schema_errors(tmp_path):
     video = {"id": 1, "annotation": "a", "predictions": {"r0": "a"}}
     record = {"method": "m", "source": "s", "metrics": {"accuracy": {"mean": 0.9}}}
 
+    def loads(text):
+        """Whether parse_json returns a document for the text rather than
+        raising SchemaError; any other error propagates."""
+        try:
+            return parse_json(text, "document") is not None
+        except SchemaError:
+            return False
+
     def manifest_with(split):
         return json.dumps({"phase_count": 1, "split": split, "videos": [video]})
 
     def ledger_with(method):
         return json.dumps([{**record, "method": method}])
 
-    # A lone surrogate, escaped or passed through by the decoding, has no
-    # UTF-8 form, so no report or leaderboard could carry it.
-    for data in (
-        manifest_with("\ud800").encode(),
-        ledger_with("\udc80").encode(),
-        manifest_with("x").replace('"x"', '"\ud800"').encode("utf-8", "surrogatepass"),
-        ledger_with("x").replace('"x"', '"\udfff"').encode("utf-16", "surrogatepass"),
+    # A lone surrogate, escaped or passed through by the decoding, in a key
+    # or a value at any depth, has no UTF-8 form, so no report or leaderboard
+    # could carry it; the first in document order is named.
+    for data, first in (
+        (manifest_with("\ud800").encode(), "\ud800"),
+        (ledger_with("\udc80").encode(), "\udc80"),
+        (manifest_with("x").replace('"x"', '"\ud800"').encode("utf-8", "surrogatepass"), "\ud800"),
+        (ledger_with("x").replace('"x"', '"\udfff"').encode("utf-16", "surrogatepass"), "\udfff"),
+        (json.dumps({"phase_count": 1, "\udc00": "\ud800", "videos": [video]}).encode(), "\udc00"),
+        (json.dumps([{**record, "provenance": [["x", ["\udbff"]]]}]).encode(), "\udbff"),
+        (json.dumps({"b": [["x", "\udfff"]], "a": "\ud800"}).encode(), "\udfff"),
     ):
         path.write_bytes(data)
         for load in (load_manifest, ingest_ledger):
-            with pytest.raises(SchemaError, match="lone surrogate"):
+            with pytest.raises(SchemaError, match=f"lone surrogate {re.escape(repr(first))}$"):
                 load(path)
+    # A non-ASCII document as deep as the decoder takes is re-encoded to look
+    # for a surrogate: it loads, or is a SchemaError, never a RecursionError.
+    for nest in (
+        lambda depth, s: "[" * depth + f'"{s}"' + "]" * depth,
+        lambda depth, s: f'{{"{s}": ' * depth + "0" + "}" * depth,
+    ):
+        deepest = next(d for d in range(sys.getrecursionlimit(), 0, -1) if loads(nest(d, "e")))
+        assert loads(nest(deepest, "\xe9"))
+        for depth in range(deepest - 3, deepest + 4):
+            loads(nest(depth, "\xe9"))
     # An escaped surrogate pair spells one character, which loads.
     assert json.dumps("\U0001f600") == '"\\ud83d\\ude00"'
     path.write_text(manifest_with("\U0001f600"))

@@ -9,12 +9,13 @@ import pickle
 import pkgutil
 import re
 import sys
+import unicodedata
 
 import numpy as np
 import pytest
 from conftest import examples
-from hypothesis import given, settings, strategies as st
-from reference import oracle_canonical_json
+from hypothesis import assume, given, settings, strategies as st
+from reference import oracle_canonical_json, oracle_lone_surrogate
 
 import phaseeval
 from phaseeval import core, io, vocab
@@ -444,6 +445,7 @@ def test_load_time_parse_error_survives_pickle_and_copy(tmp_path):
         lambda d: d["videos"][0].update(id=True),
         lambda d: d.update(split=5),
         lambda d: d.update(split=""),  # a stated split names one; leave it out if unknown
+        lambda d: d.update(split="a\nb"),
     ],
 )
 def test_load_manifest_schema_errors(tmp_path, mutate):
@@ -534,6 +536,20 @@ def test_hand_built_corpus_with_an_empty_or_non_string_split_is_refused(split):
     with pytest.raises(SchemaError, match="split must be a non-empty string if present"):
         Corpus(PhaseSet(7), {1: _Y}, {1: {"r": _Y}}, split)
     assert Corpus(PhaseSet(7), {1: _Y}, {1: {"r": _Y}}, "test").split == "test"
+
+
+def test_a_split_is_refused_exactly_when_it_holds_a_control_character():
+    """A md report writes the split raw into its one Protocol line, where a
+    line break would start a line, or a heading, of the split's making."""
+    controls = [chr(i) for i in range(0x110000) if unicodedata.category(chr(i)) == "Cc"]
+    for c in controls:
+        split = f"x{c}# y"
+        message = f"^split {re.escape(repr(split))} holds a control character$"
+        with pytest.raises(SchemaError, match=message):
+            Corpus(PhaseSet(7), {1: _Y}, {1: {"r": _Y}}, split)
+    for c in map(chr, range(0x3000)):
+        if c not in controls:
+            assert Corpus(PhaseSet(7), {1: _Y}, {1: {"r": _Y}}, f"x{c}y").split == f"x{c}y"
 
 
 @pytest.mark.parametrize("run", _RUNNERS, ids=["evaluate", "graph-relaxed", "bug-compat"])
@@ -702,6 +718,37 @@ _LEAVES = st.one_of(
 @settings(max_examples=examples(100))
 def test_canonical_json_matches_the_recursive_oracle(obj):
     assert canonical_json(obj) == oracle_canonical_json(obj)
+
+
+def _distinct_keys(pairs):
+    # "\ud83d\ude00" and "\U0001f600" are two keys, but escaped alike.
+    assume(len(dict(pairs)) == len(pairs))
+    return dict(pairs)
+
+
+@given(
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | _TEXT,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+        max_leaves=12,
+    ),
+    st.sampled_from(["escaped", "text", "utf-8", "utf-16", "utf-32"]),
+)
+@settings(max_examples=examples(100))
+def test_parse_json_refuses_exactly_the_documents_with_a_lone_surrogate(doc, form):
+    """Escaped, or raw in a str or in bytes of each JSON encoding; an
+    adjacent high and low surrogate decode to one character from an escape
+    or UTF-16 bytes, and stay two lone ones in a str or UTF-8 or UTF-32 bytes."""
+    text = json.dumps(doc, ensure_ascii=form == "escaped")
+    data = text if form in ("escaped", "text") else text.encode(form, "surrogatepass")
+    decoded = json.loads(data, object_pairs_hook=_distinct_keys)
+    try:
+        got = vocab.parse_json(data, "document")
+    except SchemaError as e:
+        assert oracle_lone_surrogate(decoded) is not None
+        assert str(e).startswith("document is not valid JSON: a string holds the lone surrogate ")
+    else:
+        assert oracle_lone_surrogate(decoded) is None and got == decoded
 
 
 def _report():
