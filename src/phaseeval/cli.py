@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .errors import PhaseEvalError
 from .vocab import MAX_PHASES, OMEGA_MAX, SchemaError, UnknownSplit  # noqa: F401  (re-exported)
-from .vocab import METRIC_NAMES, REPORT_FORMATS
+from .vocab import CONTROL_CHARACTERS, METRIC_NAMES, REPORT_FORMATS
 from .vocab import AveragingOrder, MatrixMode, StdMode, UndefinedPolicy, decimal
 from .vocab import builtin_split_names, canonical_json, cv_folds, resolve_split
 
@@ -243,7 +243,10 @@ def main(argv=None) -> int:
             return cmd_splits(args)
         raise AssertionError(args.command)
     except (PhaseEvalError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A message may quote input raw, such as a label path holding a NUL:
+        # each control character is escaped, so the error is one line.
+        message = CONTROL_CHARACTERS.sub(lambda c: repr(c[0])[1:-1], str(exc))
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -17,7 +17,6 @@ import copyreg
 import csv
 import io as _io
 import os
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -30,7 +29,8 @@ from .core import LABEL_MAX, MAX_PHASES, LabelSequence, OutOfRangeLabel, PhaseSe
 from .errors import PhaseEvalError
 from .vocab import MissingFile  # noqa: F401  (re-exported)
 from .vocab import REPORT_FORMATS, SUMMARY_STATS, LengthMismatch, MetricSummary, RaggedRuns
-from .vocab import SchemaError, canonical_json, fmt_float, known_keys, parse_json, read_file
+from .vocab import CONTROL_CHARACTERS, SchemaError, canonical_json, fmt_float, known_keys
+from .vocab import parse_json, read_file
 
 FORMAT_VERSION = "1"
 
@@ -132,9 +132,10 @@ class Corpus:
     """Sequences to score, valid by construction: the same videos in both
     maps, each with runs, one run-id set, every label within `phases`, each
     prediction as long as its annotation, and a split that is None or a
-    non-empty name with no control character.  Both maps are held as
-    read-only copies, so a built Corpus stays valid and reports trust it,
-    and its evaluate reports share one count of its frames, `counts`."""
+    non-empty name with no control character or line separator.  Both maps
+    are held as read-only copies, so a built Corpus stays valid and reports
+    trust it, and its evaluate reports share one count of its frames,
+    `counts`."""
 
     phases: PhaseSet
     annotations: Mapping[int, LabelSequence]
@@ -146,8 +147,8 @@ class Corpus:
     def __post_init__(self):
         if self.split is not None and not (isinstance(self.split, str) and self.split):
             raise SchemaError("split must be a non-empty string if present")
-        # A control character (Unicode category Cc) would break a md report's lines.
-        if self.split and re.search(r"[\x00-\x1f\x7f-\x9f]", self.split):
+        # Any of them would break a md report's lines.
+        if self.split and CONTROL_CHARACTERS.search(self.split):
             raise SchemaError(f"split {self.split!r} holds a control character")
         annotations = dict(self.annotations)
         predictions = {v: MappingProxyType(dict(runs)) for v, runs in self.predictions.items()}
@@ -238,7 +239,7 @@ def load_manifest(path: str | Path) -> Corpus:
     for i, entry in enumerate(videos):
         if not isinstance(entry, dict):
             raise SchemaError("each video entry must be an object")
-        known_keys(entry, _VIDEO_KEYS, f"video entry {i}: unknown key")
+        known_keys(entry, _VIDEO_KEYS, "video entry {}: unknown key", i)
         vid = entry.get("id")
         if type(vid) is not int:
             raise SchemaError("video id must be an integer")

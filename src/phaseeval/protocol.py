@@ -199,7 +199,7 @@ _FROM_TEXT = {str: str, int: decimal, bool: {"true": True, "false": False}.__get
 def _parse_protocol(obj, where: str) -> ProtocolDescriptor:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: protocol must be an object")
-    known_keys(obj, PROTOCOL_FIELDS.keys(), f"{where}: unknown protocol field")
+    known_keys(obj, PROTOCOL_FIELDS.keys(), "{}: unknown protocol field", where)
     kwargs = {}
     for key, value in obj.items():
         if value == "unknown" or value is None:
@@ -278,7 +278,7 @@ def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
         where = f"record {i}"
         if not isinstance(rec, dict):
             raise SchemaError(f"{where}: must be an object")
-        known_keys(rec, _RECORD_KEYS, f"{where}: unknown record key")
+        known_keys(rec, _RECORD_KEYS, "{}: unknown record key", where)
         method = rec.get("method")
         source = rec.get("source")
         if not isinstance(method, str) or not isinstance(source, str):
@@ -300,7 +300,7 @@ def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
                 raise SchemaError(f"{where}: unknown metric name {name!r}")
             if not isinstance(mv, dict) or "mean" not in mv:
                 raise SchemaError(f"{where}: metric {name!r} needs a mean")
-            known_keys(mv, _METRIC_KEYS, f"{where}: metric {name!r} has unknown key")
+            known_keys(mv, _METRIC_KEYS, "{}: metric {!r} has unknown key", where, name)
             mean, spread = mv["mean"], mv.get("spread")
             if not _amount(mean) or not (spread is None or _amount(spread)):
                 field, x = ("mean", mean) if not _amount(mean) else ("spread", spread)

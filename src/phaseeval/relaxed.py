@@ -122,7 +122,7 @@ def check_omega(omega: int) -> int:
     return int(omega)
 
 
-Flags = Callable[[LabelSequence], np.ndarray]
+Flags = Callable[[Sequence[LabelSequence]], np.ndarray]
 
 
 def _segments(annotations: Sequence[LabelSequence]):
@@ -134,41 +134,56 @@ def _segments(annotations: Sequence[LabelSequence]):
 
 def _rules(annotations, segments, counts, w, accept, end_on_head: bool) -> list[Flags]:
     """The flag rule of each of `annotations`, from the _segments of them
-    and each segment's window width w: prediction -> bool mask, exact
-    agreement set True where `accept` forgives.  A segment's start window,
-    its first w frames, reads the start rows of `accept` (first half, by
-    phase), its end window, its last w frames, the end rows; with
-    `end_on_head` the end verdict lands on the start frame at the same
-    offset (the legacy defect).  The all-False last column of `accept` takes
-    every predicted label past the table."""
+    and each segment's window width w: the predictions of its runs -> a
+    (runs, frames) bool mask, exact agreement set True where `accept`
+    forgives.  A segment's start window, its first w frames, reads the
+    start rows of `accept` (first half, by phase), its end window, its last
+    w frames, the end rows; with `end_on_head` the end verdict lands on the
+    start frame at the same offset (the legacy defect).  The all-False last
+    column of `accept` takes every predicted label past the table."""
     phase, first, last = segments
     tail = last - w + 1
-    # The frame each window's verdicts start landing on, the frame it starts
-    # reading at, and its row of `accept`: both windows of each segment in
-    # segment order, so the frames of one annotation's windows are one slice.
-    put = first if end_on_head else tail
-    row = np.add(phase, len(accept) // 2, dtype=np.intp)  # uint8 phases would wrap
-    table = np.array(((first, put), (first, tail), (phase, row)))
+    p = len(accept) // 2
+    # Both windows of each segment in segment order, so the frames of one
+    # annotation's windows are one slice: the frames each window reads, the
+    # frames its verdicts land on, and each frame's row of `accept` as its
+    # offset into the flat table.
     width = np.repeat(w, 2)
-    ends = np.cumsum(width)
-    frames = np.repeat(table.transpose(0, 2, 1).reshape(3, -1), width, axis=1)
-    frames[:2] += np.arange(ends[-1]) - np.repeat(ends - width, width)  # within each window
-    cuts = ends[2 * np.cumsum(counts)[:-1] - 1]  # each later annotation's first frame
-    return [_flags(y, *part, accept) for y, part in zip(annotations, np.split(frames, cuts, 1))]
+    read = _ramps(np.stack((first, tail), 1).ravel(), width)
+    put = _ramps(np.repeat(first, 2), width) if end_on_head else read
+    rows = np.stack((phase, np.add(phase, p, dtype=np.intp)), 1).ravel()  # uint8 would wrap
+    start = np.repeat(rows * accept.shape[1], width)
+    cuts = np.cumsum(width)[2 * np.cumsum(counts)[:-1] - 1]  # each later annotation's first frame
+    parts = (np.split(frames, cuts) for frames in (put, read, start))
+    return [_flags(y, *part, accept) for y, part in zip(annotations, zip(*parts))]
 
 
-def _flags(annotation: LabelSequence, put, read, row, accept) -> Flags:
+def _ramps(starts, width) -> np.ndarray:
+    """The frames starts[i] .. starts[i] + width[i] - 1 of every window, in
+    order, in one array: a cumsum of ones, with each window's first step
+    jumping from the last frame of the window before to its start."""
+    starts, width = starts[width > 0], width[width > 0]
+    steps = np.ones(width.sum(), np.intp)
+    steps[np.cumsum(width) - width] = starts - np.concatenate(([0], (starts + width - 1)[:-1]))
+    return np.cumsum(steps, out=steps)
+
+
+def _flags(annotation: LabelSequence, put, read, start, accept) -> Flags:
     top = accept.shape[1] - 1
     table = accept.ravel()
-    start = row * (top + 1)  # each window frame's row of `accept`, in `table`
+    frames = len(annotation)
 
-    def flags(prediction: LabelSequence) -> np.ndarray:
-        _check_lengths(annotation, prediction)
-        mask = annotation.labels == prediction.labels
-        column = prediction.labels[read]
-        if prediction.max_label > top:  # then top fits the labels' dtype
+    def flags(predictions: Sequence[LabelSequence]) -> np.ndarray:
+        for prediction in predictions:
+            _check_lengths(annotation, prediction)
+        labels = np.array([prediction.labels for prediction in predictions])
+        mask = annotation.labels == labels
+        column = np.take(labels, read, 1)  # one gather: the runs share the windows
+        if max(prediction.max_label for prediction in predictions) > top:  # then top fits
             column = np.minimum(column, column.dtype.type(top))
-        mask[put[table[start + column]]] = True
+        # The verdicts land in the flat mask, where each run follows the last.
+        at = put + np.arange(0, mask.size, frames)[:, None]
+        mask.reshape(-1)[at[table[start + column]]] = True
         return mask
 
     return flags
@@ -224,7 +239,7 @@ def relax_flags(
     of `accept` take the predicted phase, or symmetrically in the last
     omega frames via the end rows.  Windows clamp to the segment and may overlap.
     """
-    return tuple(graph_rules((annotation,), omega, accept)[0](prediction).tolist())
+    return tuple(graph_rules((annotation,), omega, accept)[0]((prediction,))[0].tolist())
 
 
 def relax_flags_legacy(
@@ -243,7 +258,7 @@ def relax_flags_legacy(
     accept d in {-1,-2} / d in {1,2}.  Phases beyond 6 are left untouched,
     as the script never visits them.
     """
-    return tuple(legacy_rules((annotation,), omega)[0](prediction).tolist())
+    return tuple(legacy_rules((annotation,), omega)[0]((prediction,))[0].tolist())
 
 
 class RelaxedCounts(NamedTuple):
@@ -260,14 +275,18 @@ class RelaxedCounts(NamedTuple):
 # stalls on runs of one bin, while on shorter pairs the lanes' two extra
 # numpy calls cost as much as they save (the table in CHANGES.md).
 _LANE_FRAMES = 4096
-# Times the size of a square, added to a uint64 view of uint16 bins: frame k
-# of each aligned group of four moves k squares up.
+# Times the size of a block, added to a uint64 view of uint16 bins: frame k
+# of each aligned group of four moves k blocks up.
 _LANE_STEPS = 0x0003_0002_0001_0000
+# A group of runs holds at most this many frames, or one run: the arrays of
+# a longer group cost more in fresh pages than the calls they save (at 25
+# fps, 563 against 322 minor faults a relaxed report, CHANGES.md).
+_GROUP_FRAMES = 1 << 16
 
 
 def relaxed_counts(
     annotation: LabelSequence,
-    prediction: LabelSequence,
+    prediction: LabelSequence | Sequence[LabelSequence],
     flags: Sequence[bool],
     phase: int | range,
 ) -> RelaxedCounts:
@@ -276,15 +295,26 @@ def relaxed_counts(
 
     Given `range(n)`, counts phases 0..n-1 at once, each field an (n,)
     int64 array, from the pair's (annotated, predicted) counts of the
-    unflagged and the flagged frames.  A pair of at least _LANE_FRAMES
-    frames counts them in four lanes when their 4 * 2 * (n + 1)**2 bins fit
-    a uint16 index, that is for n up to 89.
+    unflagged and the flagged frames.  `prediction` may then also be the
+    runs of `annotation`, with a (runs, frames) mask, each field (n, runs).
+    One bincount counts a group of runs, each run's bins a square above the
+    run's before, in a block of the group's squares; pairs of at least
+    _LANE_FRAMES frames count in four such blocks, for n up to 89.  A
+    group holds as many runs as a uint16 index holds the bins of, and of
+    _GROUP_FRAMES, and at least one run, so no bincount holds more than
+    max(2**16, 2 * (n + 1)**2) bins.
     """
-    _check_lengths(annotation, prediction)
+    single = isinstance(prediction, LabelSequence)
+    runs = (prediction,) if single else tuple(prediction)
+    for run in runs:
+        _check_lengths(annotation, run)
+    frames = len(annotation)
     flags = np.asarray(flags, dtype=bool)
-    if len(flags) != len(annotation):
+    if flags.shape != ((frames,) if single else (len(runs), frames)):
         raise LengthMismatch("flags do not cover the sequence")
     if not isinstance(phase, range):
+        if not single:
+            raise TypeError("one phase is counted in one prediction")
         a, b = annotation.labels == phase, prediction.labels == phase
         return RelaxedCounts(*(int(np.count_nonzero(m)) for m in ((a | b) & flags, a | b, b, a)))
     if phase.start != 0 or phase.step != 1:
@@ -293,44 +323,62 @@ def relaxed_counts(
     if width > MAX_PHASES:
         raise UnsupportedPhaseCount(f"cannot count {width} phases at once, at most {MAX_PHASES}")
 
-    # Each pair's bin: the annotated and the predicted label, then the flag
-    # as the lowest bit, so one bincount counts the unflagged and the flagged
-    # (annotated, predicted) squares.  Labels at or past `width` share the
-    # bin after the range.  The index is the narrowest unsigned type that
-    # holds all 2 * (width + 1)**2 bins.
+    # Each frame's bin: its run's square in its group, the annotated and the
+    # predicted label, then the flag as the lowest bit, so one bincount
+    # counts the unflagged and the flagged (annotated, predicted) squares of
+    # every run of a group.  Labels at or past `width` share the bin after
+    # the range.  The index is the narrowest unsigned type that holds a
+    # group's bins.
     square = 2 * (width + 1) ** 2
-    lanes = 4 if len(flags) >= _LANE_FRAMES and 4 * square <= 1 << 16 else 1
+    lanes = 4 if frames >= _LANE_FRAMES and 4 * square <= 1 << 16 else 1
+    group = max(1, min((1 << 16) // (lanes * square), _GROUP_FRAMES // frames))
     index = np.uint16 if square <= 1 << 16 else np.uint32
-    a, b = annotation.labels, prediction.labels
-    if max(annotation.max_label, prediction.max_label) >= width:  # so width fits their dtype
-        a, b = (np.minimum(labels, labels.dtype.type(width)) for labels in (a, b))
-    pair = a.astype(index)
-    pair *= index(width + 1)
-    np.add(pair, b, out=pair, casting="unsafe")
-    pair <<= index(1)
-    pair |= flags
-    if lanes == 4:
-        # Each frame of an aligned group of four counts in a square of its
-        # own, summed below: most frames fall in the bin of the frame before,
-        # and in one square each increment waits for the store before it.
-        # 4 * square bins fit 16 bits, so no carry crosses a field; byte order
-        # only permutes the lanes, and the last len % 4 frames stay in lane 0.
-        groups = pair[: len(pair) // 4 * 4].view(np.uint64)
-        groups += np.uint64(_LANE_STEPS * square)
-    bins = np.bincount(pair, minlength=lanes * square)
-    if lanes == 4:
-        bins = np.add.reduce(bins.reshape(4, square), 0)
-    bins = bins.reshape(width + 1, width + 1, 2)
-    # By label and flag: the frames annotated, predicted, and either (their
-    # sum less the diagonal, counted in both).  A phase's relaxed true
-    # positives are the flagged frames of either, its union all of them.
-    sums = np.empty((3, width + 1, 2), np.int64)
-    either, predicted, annotated = sums
-    np.add.reduce(bins, 1, out=annotated)
-    np.add.reduce(bins, 0, out=predicted)
-    np.add(annotated, predicted, out=either)
-    either -= bins.reshape(-1, 2)[:: width + 2]
-    return RelaxedCounts(either[:width, 1], *np.add.reduce(sums[:, :width], 2))
+    a = annotation.labels
+    if annotation.max_label >= width:  # so width fits their dtype
+        a = np.minimum(a, a.dtype.type(width))
+    scaled = a.astype(index)
+    scaled *= index(width + 1)
+    flags = flags.reshape(-1, frames)
+    counts = np.empty((4, width, len(runs)), np.int64)
+    for first in range(0, len(runs), group):
+        members = runs[first : first + group]
+        held = len(members)
+        pair = np.add.outer(np.arange(held, dtype=index) * index(square // 2), scaled)
+        for row, run in zip(pair, members):
+            b = run.labels
+            if run.max_label >= width:
+                b = np.minimum(b, b.dtype.type(width))
+            np.add(row, b, out=row, casting="unsafe")  # b <= width: the cast is exact
+        pair += pair
+        pair |= flags[first : first + group]
+        flat = pair.reshape(-1)
+        block = held * square
+        if lanes == 4:
+            # Each frame of an aligned group of four counts in a block of its
+            # own, summed below: most frames fall in the bin of the frame
+            # before, and in one block each increment waits for the store
+            # before it.  4 * block bins fit 16 bits, so no carry crosses a
+            # field; byte order only permutes the lanes, and the last
+            # len % 4 frames stay in lane 0.
+            quads = flat[: len(flat) // 4 * 4].view(np.uint64)
+            quads += np.uint64(_LANE_STEPS * block)
+        bins = np.bincount(flat, minlength=lanes * block)
+        if lanes == 4:
+            bins = np.add.reduce(bins.reshape(4, block), 0)
+        bins = bins.reshape(held, width + 1, width + 1, 2)
+        # By run, label and flag: the frames annotated, predicted, and either
+        # (their sum less the diagonal, counted in both).  A phase's relaxed
+        # true positives are the flagged frames of either, its union all of them.
+        sums = np.empty((3, held, width + 1, 2), np.int64)
+        either, predicted, annotated = sums
+        np.add.reduce(bins, 2, out=annotated)
+        np.add.reduce(bins, 1, out=predicted)
+        np.add(annotated, predicted, out=either)
+        either -= bins.reshape(held, -1, 2)[:, :: width + 2]
+        part = counts[:, :, first : first + group].transpose(0, 2, 1)
+        part[0] = either[:, :width, 1]
+        np.add.reduce(sums[:, :, :width], 3, out=part[1:])
+    return RelaxedCounts(*(counts[..., 0] if single else counts))
 
 
 def relaxed_cells(kind: str, counts: RelaxedCounts, truncate: bool) -> Cells:
@@ -374,20 +422,25 @@ def relaxed_tensors(
     """Relaxed precision, recall and jaccard (phase, video, run) cells, with
     the phases missing from a video's annotation excluded, and the relaxed
     accuracy (1, video, run) cells of every pair.  `rules_of(annotations)`
-    gives the flag rule of each annotation in video order, shared by every
-    run of its video."""
+    gives the flag rule of each annotation in video order, which flags all
+    runs of its video at once, every frame that agrees with its annotation
+    among them; one relaxed_counts call counts each video."""
     videos, runs, phases = corpus.videos, corpus.runs, corpus.phases
     annotations = [corpus.annotations[v] for v in videos]
-    shape = (len(videos), len(runs))
-    counts = np.empty((4, phases.count, *shape), np.int64)
-    acc = np.empty((1, *shape))
+    counts = np.empty((4, phases.count, len(videos), len(runs)), np.int64)
     for i, (v, y, flags_of) in enumerate(zip(videos, annotations, rules_of(annotations))):
-        for j, r in enumerate(runs):
-            yhat = corpus.predictions[v][r]
-            flags = flags_of(yhat)
-            acc[0, i, j] = np.count_nonzero(flags) / len(flags)  # relaxed_accuracy(flags).value
-            counts[:, :, i, j] = relaxed_counts(y, yhat, flags, range(phases.count))
+        predictions = [corpus.predictions[v][r] for r in runs]
+        counts[:, :, i] = relaxed_counts(y, predictions, flags_of(predictions), range(phases.count))
     grid = RelaxedCounts(*counts)
+    # Summed over the phases, relaxed true positives plus agreements
+    # (annotated + predicted - union) count each flagged frame twice: one
+    # that disagrees in each of its two phases' true positives, one that
+    # agrees in its phase's true positives and agreements.  That needs every
+    # label to be a phase, as a Corpus holds, and every agreeing frame
+    # flagged, as the rules flag it.
+    flagged = np.add.reduce(grid.r_tp + grid.annotated + grid.predicted - grid.union, 0) // 2
+    frames = np.array([len(y) for y in annotations])
+    acc = flagged[None] / frames[:, None]  # relaxed_accuracy(flags).value, pair by pair
     cells = {
         kind: resolve(*relaxed_cells(kind, grid, truncate), RELAXED_POLICY, grid.annotated > 0)
         for kind in RELAXED_KINDS

@@ -71,6 +71,10 @@ METRIC_NAMES = (
 REPORT_FORMATS = ("json", "csv", "md")
 
 _DECIMAL = re.compile("-?[0-9]+")
+# The control characters (Unicode category Cc), and the line and paragraph
+# separators at which str.splitlines also breaks: text that must stay on one
+# line holds none of them.
+CONTROL_CHARACTERS = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 def decimal(text: str) -> int:
@@ -148,12 +152,12 @@ def parse_json(data: str | bytes, what: str):
     return doc
 
 
-def known_keys(obj: dict, keys, message: str) -> None:
+def known_keys(obj: dict, keys, message: str, *args) -> None:
     """Refuse the first key of obj not in keys, a frozenset or a dict's keys:
-    SchemaError(f"{message} {key!r}")."""
+    SchemaError(f"{message.format(*args)} {key!r}"), formatted only then."""
     if not obj.keys() <= keys:
         key = next(k for k in obj if k not in keys)
-        raise SchemaError(f"{message} {key!r}")
+        raise SchemaError(f"{message.format(*args)} {key!r}")
 
 
 class RaggedRuns(PhaseEvalError):

@@ -376,6 +376,37 @@ def test_a_split_with_a_line_break_exits_1(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029"])
+def test_a_split_with_a_unicode_line_separator_exits_1(tmp_path, capsys, separator):
+    """str.splitlines breaks at U+2028 and U+2029 too, so the md report's
+    Protocol line would split in two."""
+    y = [0, 0, 1]
+    path = _write_corpus(tmp_path, {1: (y, {"r0": y})}, split=f"x{separator}# injected")
+    assert main(["evaluate", str(path), "--format", "md"]) == 1
+    captured = capsys.readouterr()
+    escaped = repr(separator)[1:-1]
+    assert captured.err == f"error: split 'x{escaped}# injected' holds a control character\n"
+    assert captured.out == ""
+
+
+def test_an_error_line_escapes_the_control_characters_of_its_message(tmp_path, capsys):
+    """A label path holding a NUL, a tab and a line separator is named in
+    the error line with each of them escaped, so the line holds no control
+    character but its final newline."""
+    y = [0, 0, 1]
+    path = _write_corpus(tmp_path, {1: (y, {"r0": y})})
+    manifest = json.loads(path.read_text())
+    manifest["videos"][0]["annotation"] = "c/x\x00y\t\u2028z.txt"
+    path.write_text(json.dumps(manifest))
+    assert main(["evaluate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("c/x\\x00y\\t\\u2028z.txt\n")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.splitlines()) == 1
+    assert all(c.isprintable() for c in captured.err[:-1])
+
+
 def test_compare_missing_ledger_exits_1(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["compare", "--ledger", str(missing)]) == 1

@@ -269,7 +269,7 @@ def test_relaxed_matches_oracles(data, truncate):
                 flags = oracle_relax_flags(annotations[v], yhat, omega, *grids)
                 pred = seq(yhat)
                 assert list(relax_flags(y, pred, omega, mx)) == flags
-                mask = graph_rules((y,), omega, mx)[0](pred)
+                (mask,) = graph_rules((y,), omega, mx)[0]((pred,))
                 wide = range(10)  # phases past the grids too
                 got = np.array(relaxed_counts(y, pred, mask, wide))
                 assert np.array_equal(got, relaxed_counts(y, pred, tuple(flags), wide))

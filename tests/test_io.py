@@ -540,8 +540,12 @@ def test_hand_built_corpus_with_an_empty_or_non_string_split_is_refused(split):
 
 def test_a_split_is_refused_exactly_when_it_holds_a_control_character():
     """A md report writes the split raw into its one Protocol line, where a
-    line break would start a line, or a heading, of the split's making."""
+    line break would start a line, or a heading, of the split's making: a
+    control character, or U+2028 or U+2029, at which str.splitlines breaks
+    too, is refused as a control character."""
     controls = [chr(i) for i in range(0x110000) if unicodedata.category(chr(i)) == "Cc"]
+    controls += ["\u2028", "\u2029"]
+    assert all(c in controls for c in map(chr, range(0x110000)) if len(f"x{c}y".splitlines()) > 1)
     for c in controls:
         split = f"x{c}# y"
         message = f"^split {re.escape(repr(split))} holds a control character$"

@@ -221,8 +221,9 @@ def test_relaxed_accuracy_is_never_below_accuracy(corpus, omega):
         pass  # the bug-compatible rule refuses a segment shorter than omega
     for flags_of in rules:
         for v, y, flags in zip(corpus.videos, annotations, flags_of):
-            for yhat in corpus.predictions[v].values():
-                assert np.all(flags(yhat)[y.labels == yhat.labels])
+            runs = list(corpus.predictions[v].values())
+            for yhat, mask in zip(runs, flags(runs)):
+                assert np.all(mask[y.labels == yhat.labels])
     summary, _ = _outcome(EVALUATE[0], corpus, omega)
     for call in RELAXED:
         outcome = _outcome(call, corpus, omega)

@@ -26,6 +26,7 @@ from phaseeval.core import (
 from phaseeval.io import Corpus, write_report
 from phaseeval.metrics import DEFINED, CellState, JACCARD, PRECISION, RECALL
 from phaseeval.relaxed import (
+    _GROUP_FRAMES,
     _LANE_FRAMES,
     LEGACY_WATERMARK,
     InvalidGrids,
@@ -195,6 +196,10 @@ def test_flags_match_scanning_oracle_past_the_last_column(top, segs, data):
             want = oracle_relax_flags(y, yhat, omega, mx[:7, :7], mx[7:, :7])
             assert list(relax_flags(a, b, omega, mx)) == want
         assert list(relax_flags_legacy(a, b, omega)) == oracle_legacy_flags(y, yhat, omega)
+        # A run of one-byte labels flagged with b at once flags as each alone.
+        both = (_seq(yhat[::-1]), b)
+        for rule in (graph_rules((a,), omega, GRAPH_MX)[0], legacy_rules((a,), omega)[0]):
+            assert [m.tolist() for m in rule(both)] == [rule((x,))[0].tolist() for x in both]
 
 
 def test_legacy_bug_visible_on_short_phase3_segment():
@@ -490,6 +495,58 @@ def test_long_pairs_count_in_lanes_as_each_phase(width, n, data):
 
 
 @given(
+    st.sampled_from([1, 7, 15, 63, 89, 90, 127, 180, 181]),
+    st.sampled_from([1, 170, _LANE_FRAMES - 1, _LANE_FRAMES, _LANE_FRAMES + 3, 12289]),
+    st.integers(1, 12),
+    st.data(),
+)
+@settings(max_examples=examples(40), deadline=None)
+def test_counts_of_a_videos_runs_are_each_runs_own(width, n, runs, data):
+    """relaxed_counts over the runs of one annotation, with a (runs, frames)
+    mask, is each run's own single-prediction call, field by field, and no
+    bincount of it holds more than max(2**16, 2 * (width + 1)**2) bins, nor
+    more than _GROUP_FRAMES frames unless one run has more (12,289 frames:
+    five runs a group).  Pairs lie on both sides of _LANE_FRAMES, labels
+    reach past the range (some past one byte), and the widths' groups of
+    runs fill the two-byte index (63 phases: 8 runs a group, or 2 in four
+    lanes; 127: 2 runs), fall short of it (90: 3 runs), hold one run (89 in
+    four lanes, 180) or need four bytes (181)."""
+    labels = st.integers(0, width + 2) | st.sampled_from([0, width - 1, width, 1000])
+    y = _seq(_runs(data, labels, n))
+    yhats = [_seq(_runs(data, labels, n)) for _ in range(runs)]
+    flags = np.array([_runs(data, st.booleans(), n) for _ in range(runs)], dtype=bool)
+    bincount, bins, frames = np.bincount, [], []
+
+    def spy(x, minlength=0):
+        got = bincount(x, minlength=minlength)
+        bins.append(len(got))
+        frames.append(len(x))
+        return got
+
+    with mock.patch.object(np, "bincount", spy):
+        got = relaxed_counts(y, yhats, flags, range(width))
+    assert isinstance(got, RelaxedCounts)
+    assert all(f.shape == (width, runs) and f.dtype == np.int64 for f in got)
+    assert 1 <= len(bins) <= runs and max(bins) <= max(1 << 16, 2 * (width + 1) ** 2)
+    assert sum(frames) == runs * n and max(frames) <= max(_GROUP_FRAMES, n)
+    if width <= 15 and runs * n <= _GROUP_FRAMES:
+        assert len(bins) == 1  # every run in one group
+    for r, (yhat, mask) in enumerate(zip(yhats, flags)):
+        want = relaxed_counts(y, yhat, mask, range(width))
+        assert all(np.array_equal(f[:, r], w) for f, w in zip(got, want))
+
+
+def test_counts_of_runs_need_a_mask_of_each_and_a_range():
+    y = _seq([0, 1, 1])
+    with pytest.raises(LengthMismatch, match="flags do not cover"):
+        relaxed_counts(y, [y, y], [True, True, True], range(2))
+    with pytest.raises(LengthMismatch, match="prediction has 2$"):
+        relaxed_counts(y, [y, _seq([0, 1])], np.ones((2, 3), bool), range(2))
+    with pytest.raises(TypeError, match="one prediction"):
+        relaxed_counts(y, [y, y], np.ones((2, 3), bool), 1)
+
+
+@given(
     st.lists(segmented, min_size=1, max_size=3),
     st.integers(1, 3),
     st.integers(0, 4),
@@ -527,7 +584,7 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
     for v in anns:
         (flags_of,) = rules_of((anns[v],))
         for ri, r in enumerate(sorted(preds[v])):
-            flags = flags_of(preds[v][r])
+            (flags,) = flags_of((preds[v][r],))
             want = relaxed_counts(anns[v], preds[v][r], flags, range(9))
             for counts in seen:
                 assert all(np.array_equal(f[:, v, ri], w) for f, w in zip(counts, want))
@@ -547,22 +604,28 @@ _VIDEOS = {
 @pytest.mark.parametrize("bug_compatible", [False, True], ids=["graph", "bug-compat"])
 def test_a_reports_flags_are_each_pairs_own(omega, bug_compatible):
     """The flags a report counts, with every annotation's windows found in
-    one pass, are relax_flags (or relax_flags_legacy) of each pair alone."""
+    one pass and all runs of a video flagged and counted in one call, are
+    relax_flags (or relax_flags_legacy) of each pair alone."""
     rng = np.random.default_rng(omega)
     anns = {v: _seq([p for p, n in segs for _ in range(n)]) for v, segs in _VIDEOS.items()}
     preds = {v: {r: _seq(rng.integers(0, 7, len(y))) for r in "ab"} for v, y in anns.items()}
     seen = []
 
-    def spy(y, yhat, flags, phases):
-        seen.append((y, yhat, tuple(flags.tolist())))
-        return relaxed_counts(y, yhat, flags, phases)
+    def spy(y, yhats, flags, phases):
+        seen.append((y, yhats, flags.copy()))
+        return relaxed_counts(y, yhats, flags, phases)
 
     mode = MatrixMode.LEGACY if bug_compatible else MatrixMode.GRAPH_DERIVED
     with mock.patch.object(phaseeval.relaxed, "relaxed_counts", spy):
         run_relaxed(Corpus(PhaseSet(7), anns, preds), omega, mode, bug_compatible, bug_compatible)
-    pairs = [(anns[v], preds[v][r]) for v in anns for r in "ab"]
-    assert [(y, yhat) for y, yhat, _ in seen] == pairs
-    for (y, yhat), (_, _, flags) in zip(pairs, seen):
+    assert [y for y, _, _ in seen] == list(anns.values())  # one call a video
+    pairs = [
+        (y, yhat, tuple(flags.tolist()))
+        for y, yhats, masks in seen
+        for yhat, flags in zip(yhats, masks, strict=True)
+    ]
+    assert [(y, yhat) for y, yhat, _ in pairs] == [(anns[v], preds[v][r]) for v in anns for r in "ab"]
+    for y, yhat, flags in pairs:
         if bug_compatible:
             assert flags == relax_flags_legacy(y, yhat, omega)
         else:
