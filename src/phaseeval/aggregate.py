@@ -263,24 +263,6 @@ def ordered_mean(tensor: ResultTensor, order: AveragingOrder) -> float:
     return mean
 
 
-def stack_confusions(
-    matrices: Mapping[int, Mapping[str, np.ndarray]],
-) -> tuple[tuple[int, ...], tuple[str, ...], np.ndarray]:
-    """Sorted video ids, sorted run ids and the (video, run, phase, phase)
-    count stack of a video/run grid of confusion matrices."""
-    videos = tuple(sorted(matrices))
-    if not videos:
-        raise ValueError("need at least one video")
-    runs = tuple(sorted(matrices[videos[0]]))
-    for v in videos:
-        if tuple(sorted(matrices[v])) != runs:
-            raise RaggedRuns(f"video {v} has a different run set")
-    if not runs:
-        raise ValueError("need at least one run")
-    counts = np.array([[matrices[v][r] for r in runs] for v in videos])
-    return videos, runs, counts
-
-
 def phase_metric_tensor(
     kind: str,
     matrices: Mapping[int, Mapping[str, np.ndarray]],
@@ -288,7 +270,14 @@ def phase_metric_tensor(
 ) -> ResultTensor:
     """Raw per-phase cells (no policy applied) for a video/run grid of
     confusion matrices."""
-    videos, runs, counts = stack_confusions(matrices)
+    videos = tuple(sorted(matrices))
+    runs = tuple(sorted(matrices[videos[0]])) if videos else ()
+    for v in videos:
+        if tuple(sorted(matrices[v])) != runs:
+            raise RaggedRuns(f"video {v} has a different run set")
+    if not runs:
+        raise ValueError("need at least one video and run")
+    counts = np.array([[matrices[v][r] for r in runs] for v in videos])
     return ResultTensor.build(
         range(phase_count), videos, runs, phase_cells(kind, *phase_counts(counts))
     )

@@ -27,7 +27,7 @@ from .errors import PhaseEvalError
 from .vocab import MAX_PHASES, OMEGA_MAX, SchemaError, UnknownSplit  # noqa: F401  (re-exported)
 from .vocab import CONTROL_CHARACTERS, METRIC_NAMES, REPORT_FORMATS
 from .vocab import AveragingOrder, MatrixMode, StdMode, UndefinedPolicy, decimal
-from .vocab import builtin_split_names, canonical_json, cv_folds, resolve_split
+from .vocab import builtin_split_names, canonical_json, cv_folds, read_file, resolve_split
 
 if TYPE_CHECKING:
     from .protocol import ProtocolDescriptor
@@ -82,9 +82,9 @@ def cmd_relaxed(args) -> int:
 
 
 def cmd_compare(args, reference: ProtocolDescriptor) -> int:
-    from .protocol import ingest_ledger, render_leaderboard, seed_ledger
+    from .protocol import parse_ledger, render_leaderboard, seed_ledger
 
-    results = ingest_ledger(args.ledger) if args.ledger else seed_ledger()
+    results = parse_ledger(read_file(args.ledger)) if args.ledger else seed_ledger()
     board = render_leaderboard(results, reference, sort_metric=args.sort_metric)
     _emit(canonical_json(board) + "\n", args.out)
     return 0

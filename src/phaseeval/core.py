@@ -9,6 +9,7 @@ time indices are 0-based frame positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,17 +148,12 @@ def validate_sequence(seq: LabelSequence, phases: PhaseSet) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """Maximal run of one phase; start and end are inclusive frame indices."""
 
     phase: int
     start: int
     end: int
-
-    def __post_init__(self):
-        if self.end < self.start:
-            raise ValueError("segment end precedes start")
 
 
 def segment_bounds(seq: LabelSequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,9 +172,7 @@ def extract_segments(seq: LabelSequence) -> tuple[Segment, ...]:
     Consecutive segments always carry distinct phases, and concatenating
     the segments reproduces the sequence exactly.
     """
-    return tuple(
-        Segment(*fields) for fields in zip(*(a.tolist() for a in segment_bounds(seq)))
-    )
+    return tuple(map(Segment, *(a.tolist() for a in segment_bounds(seq))))
 
 
 @dataclass(frozen=True)

@@ -56,12 +56,8 @@ _ZERO = ord("0")
 _WIDTH = len(str(LABEL_MAX))
 
 
-def parse_labels(text: str | bytes) -> LabelSequence:
-    """Parse label-file content; see load_labels."""
-    if isinstance(text, str):
-        data, errors = text.encode("utf-8", "surrogatepass"), "surrogatepass"
-    else:
-        data, errors = text, "backslashreplace"
+def parse_labels(data: bytes) -> LabelSequence:
+    """Parse the bytes of a label file, as vocab.read_file returns them."""
     if not data:
         raise EmptyFile("no frames")
     # One digit a line, the usual layout: each (digit, newline) byte pair, read
@@ -86,7 +82,7 @@ def parse_labels(text: str | bytes) -> LabelSequence:
         i = int(min(first_junk, first_blank))
         if lengths[i] == 0:
             raise ParseError("blank line", line=i + 1)
-        line = data[starts[i] : ends[i]].decode("utf-8", errors)
+        line = data[starts[i] : ends[i]].decode("utf-8", "backslashreplace")
         raise ParseError(f"not a non-negative integer: {line!r}", line=i + 1)
     # Each line's value from its last _WIDTH digits, one place value at a time.
     values = digit[ends - 1].astype(np.int64)
@@ -103,11 +99,6 @@ def parse_labels(text: str | bytes) -> LabelSequence:
         label = data[starts[i] : ends[i]].decode("ascii")
         raise OutOfRangeLabel(f"line {i + 1}: label {label} exceeds {LABEL_MAX}")
     return LabelSequence(values)
-
-
-def load_labels(path: str | Path) -> LabelSequence:
-    """Read and parse one label file, through vocab.read_file."""
-    return parse_labels(read_file(path))
 
 
 def dump_labels(seq: LabelSequence) -> str:
@@ -228,7 +219,7 @@ def load_manifest(path: str | Path) -> Corpus:
     def load(rel: str) -> LabelSequence:
         path = os.path.join(base, rel)
         try:
-            seq = load_labels(path)
+            seq = parse_labels(read_file(path))
         except (EmptyFile, ParseError, OutOfRangeLabel) as e:
             e.args = (f"{Path(path)}: {e}",)  # name the file, keep the class
             raise

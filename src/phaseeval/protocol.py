@@ -19,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from pathlib import Path
 from sys import float_info
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import PhaseEvalError
-from .vocab import METRIC_NAMES, SchemaError, StdMode, UndefinedPolicy, canonical_json, decimal
-from .vocab import known_keys, parse_json, read_file
+from .vocab import METRIC_NAMES, SchemaError, StdMode, UndefinedPolicy, decimal
+from .vocab import known_keys, parse_json
+from .vocab import canonical_json  # noqa: F401  (re-exported)
 
 
 class DuplicateEntry(PhaseEvalError):
@@ -314,27 +314,6 @@ def parse_ledger(text: str | bytes) -> tuple[ReportedResult, ...]:
             raise SchemaError(f"{where}: provenance must be a string")
         results.append(ReportedResult(method, source, protocol, metrics, provenance))
     return tuple(results)
-
-
-def ingest_ledger(path: str | Path) -> tuple[ReportedResult, ...]:
-    """Read a ledger file by vocab.read_file and parse it."""
-    return parse_ledger(read_file(path))
-
-
-def dump_ledger(results: Iterable[ReportedResult]) -> str:
-    """Canonical serialization; dump(parse(dump(x))) is byte-identical."""
-    records = []
-    for r in results:
-        rec = {
-            "method": r.method,
-            "source": r.source,
-            "protocol": _protocol_obj(r.protocol),
-            "metrics": _metrics_obj(r),
-        }
-        if r.provenance is not None:
-            rec["provenance"] = r.provenance
-        records.append(rec)
-    return canonical_json(records) + "\n"
 
 
 def seed_ledger() -> tuple[ReportedResult, ...]:

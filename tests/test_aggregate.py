@@ -17,7 +17,6 @@ from phaseeval.aggregate import (
     ordered_mean,
     phase_metric_tensor,
     RaggedRuns,
-    stack_confusions,
     summarize,
 )
 from phaseeval.confusion import confusion_of
@@ -332,15 +331,17 @@ def test_phase_tensor_from_matrices():
     assert t.cell_at(2, 1, 0).value == 0.0
 
 
-def test_stack_confusions_rejects_a_different_run_set():
+def test_phase_metric_tensor_rejects_a_different_run_set():
     matrices = _matrices()
     matrices[2] = {"other": matrices[2]["a"]}
-    with pytest.raises(RaggedRuns):
-        stack_confusions(matrices)
+    with pytest.raises(RaggedRuns, match="^video 2 has a different run set$"):
+        phase_metric_tensor(PRECISION, matrices, 3)
 
 
 def test_accuracy_and_macro_tensors():
-    videos, runs, counts = stack_confusions(_matrices())
+    videos, runs = (1, 2), ("a",)
+    matrices = _matrices()
+    counts = np.array([[matrices[v]["a"]] for v in videos])
     values, state = accuracy_cells(counts)
     acc = ResultTensor.build((None,), videos, runs, (values[None], state[None]))
     assert acc.phases == (None,)

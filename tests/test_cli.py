@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,8 @@ import pytest
 from phaseeval import cli
 from phaseeval.cli import main
 from phaseeval.errors import PhaseEvalError
-from phaseeval.protocol import dump_ledger, seed_ledger
 from phaseeval.synth import MAX_FRAMES, InvalidSynthSettings, check_settings, generate_corpus
+from phaseeval.vocab import canonical_json
 
 README = Path(__file__).parents[1] / "README.md"
 GOLDEN_CLI = Path(__file__).parent / "data" / "cli"
@@ -588,8 +589,12 @@ def test_cli_output_matches_golden_bytes(golden, argv, capsys):
 
 
 def test_seed_ledger_dump_matches_golden_bytes():
-    dumped = dump_ledger(seed_ledger()).encode("utf-8")
-    assert dumped == (GOLDEN_CLI / "seed-ledger.json").read_bytes()
+    """The packaged seed ledger is the golden byte for byte, so `compare
+    --ledger` of the golden above reads what `compare` alone reads, and it
+    is in the one canonical JSON layout."""
+    packaged = (resources.files("phaseeval") / "data" / "seed_ledger.json").read_bytes()
+    assert packaged == (GOLDEN_CLI / "seed-ledger.json").read_bytes()
+    assert (canonical_json(json.loads(packaged)) + "\n").encode("utf-8") == packaged
 
 
 def _readme_block(lang, heading):

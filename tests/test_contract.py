@@ -16,9 +16,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import examples
 from phaseeval.errors import PhaseEvalError
 from phaseeval.io import MissingFile, SchemaError, load_manifest
-from phaseeval.protocol import METRIC_NAMES, PROTOCOL_FIELDS, dump_ledger, ingest_ledger
-from phaseeval.protocol import parse_ledger, seed_ledger
-from phaseeval.vocab import parse_json
+from phaseeval.protocol import METRIC_NAMES, PROTOCOL_FIELDS, parse_ledger, seed_ledger
+from phaseeval.vocab import parse_json, read_file
+
+pytestmark = pytest.mark.thorough
+
+SEED_LEDGER = Path(__file__).parent / "data" / "cli" / "seed-ledger.json"
 
 # Any JSON value, with the ints that typed fields must tell from bools and
 # floats, and the huge ones a count must not be trusted with.
@@ -115,22 +118,23 @@ def test_parse_ledger_returns_or_raises_a_typed_error(text):
 
 
 def test_undecodable_or_deeply_nested_documents_are_schema_errors(tmp_path):
-    """A manifest and a ledger are read and decoded alike: the same path or
-    bytes get the same error class from both, and the same encodings load."""
+    """A manifest and a ledger are read and decoded alike: both files are
+    read by read_file, the same bytes get the same error class from
+    load_manifest and parse_ledger, and the same encodings load."""
     (tmp_path / "a").write_text("0\n")
     (tmp_path / "dir").mkdir()
     os.mkfifo(tmp_path / "fifo")
     for name in ("missing.json", "dir", "fifo", "a/x"):
-        for load in (load_manifest, ingest_ledger):
+        for read in (load_manifest, read_file):
             with pytest.raises(MissingFile):
-                load(tmp_path / name)
+                read(tmp_path / name)
     path = tmp_path / "doc.json"
     for data in (b"[\x80]", b"[" * 100_000, b'{"a": 1, "a": 1}'):
         path.write_bytes(data)
         with pytest.raises(SchemaError):
             load_manifest(path)
         with pytest.raises(SchemaError):
-            ingest_ledger(path)
+            parse_ledger(data)
     video = {"id": 1, "annotation": "a", "predictions": {"r0": "a"}}
     record = {"method": "m", "source": "s", "metrics": {"accuracy": {"mean": 0.9}}}
 
@@ -161,9 +165,10 @@ def test_undecodable_or_deeply_nested_documents_are_schema_errors(tmp_path):
         (json.dumps({"b": [["x", "\udfff"]], "a": "\ud800"}).encode(), "\udfff"),
     ):
         path.write_bytes(data)
-        for load in (load_manifest, ingest_ledger):
-            with pytest.raises(SchemaError, match=f"lone surrogate {re.escape(repr(first))}$"):
-                load(path)
+        with pytest.raises(SchemaError, match=f"lone surrogate {re.escape(repr(first))}$"):
+            load_manifest(path)
+        with pytest.raises(SchemaError, match=f"lone surrogate {re.escape(repr(first))}$"):
+            parse_ledger(data)
     # A non-ASCII document as deep as the decoder takes is re-encoded to look
     # for a surrogate: it loads, or is a SchemaError, never a RecursionError.
     for nest in (
@@ -179,10 +184,10 @@ def test_undecodable_or_deeply_nested_documents_are_schema_errors(tmp_path):
     path.write_text(manifest_with("\U0001f600"))
     assert load_manifest(path).split == "\U0001f600"
     path.write_text(ledger_with("\U0001f600"))
-    assert ingest_ledger(path)[0].method == "\U0001f600"
+    assert parse_ledger(read_file(path))[0].method == "\U0001f600"
     manifest = json.dumps({"phase_count": 1, "videos": [video]})
+    seed = SEED_LEDGER.read_text(encoding="utf-8")
     for encoding in ("utf-8-sig", "utf-16", "utf-16-le", "utf-32"):
         path.write_bytes(manifest.encode(encoding))
         assert load_manifest(path).videos == (1,)
-        path.write_bytes(dump_ledger(seed_ledger()).encode(encoding))
-        assert ingest_ledger(path) == seed_ledger()
+        assert parse_ledger(seed.encode(encoding)) == seed_ledger()

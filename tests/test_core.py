@@ -145,11 +145,9 @@ def test_validate_sequence_reports_frame():
 
 def test_extract_segments_known_case():
     seq = LabelSequence((0, 0, 1, 1, 1, 0))
-    assert extract_segments(seq) == (
-        Segment(0, 0, 1),
-        Segment(1, 2, 4),
-        Segment(0, 5, 5),
-    )
+    segs = extract_segments(seq)
+    assert segs == (Segment(0, 0, 1), Segment(1, 2, 4), Segment(0, 5, 5))
+    assert all(type(s) is Segment for s in segs)
 
 
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=120))

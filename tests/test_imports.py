@@ -113,7 +113,6 @@ KEPT = {
     "metrics.apply_policy": "acceptance import and bench hook",
     "metrics.macro_metric": "acceptance import and bench hook",
     "metrics.phase_metric": "acceptance import and bench hook",
-    "protocol.dump_ledger": "the ledger writer that ROADMAP item 1 gives a caller",
     "relaxed.relax_flags": "acceptance import and bench hook",
     "relaxed.relax_flags_legacy": "acceptance import and bench hook",
     "relaxed.relaxed_accuracy": "acceptance import",

@@ -35,7 +35,6 @@ from phaseeval.io import (
     SchemaError,
     canonical_json,
     dump_labels,
-    load_labels,
     load_manifest,
     parse_labels,
     write_report,
@@ -47,25 +46,25 @@ from phaseeval.synth import generate_corpus
 
 
 def test_parse_labels_plain():
-    seq = parse_labels("0\n0\n3\n2\n")
+    seq = parse_labels(b"0\n0\n3\n2\n")
     assert tuple(seq) == (0, 0, 3, 2)
 
 
 def test_parse_labels_without_trailing_newline():
-    assert tuple(parse_labels("1\n2")) == (1, 2)
+    assert tuple(parse_labels(b"1\n2")) == (1, 2)
 
 
 @pytest.mark.parametrize(
     "text,want",
     [
-        ("5", (5,)),
-        ("5\n", (5,)),
-        ("9\n0\n12\n", (9, 0, 12)),  # one wider line leaves the one-digit layout
-        ("12\n3", (12, 3)),
-        ("5\n\n", 2),  # a second newline is a blank line, not a label
-        ("\n", 1),
-        ("4\n:\n", 2),  # ':' sits just past '9'
-        ("4\n/\n", 2),  # '/' sits just before '0'
+        (b"5", (5,)),
+        (b"5\n", (5,)),
+        (b"9\n0\n12\n", (9, 0, 12)),  # one wider line leaves the one-digit layout
+        (b"12\n3", (12, 3)),
+        (b"5\n\n", 2),  # a second newline is a blank line, not a label
+        (b"\n", 1),
+        (b"4\n:\n", 2),  # ':' sits just past '9'
+        (b"4\n/\n", 2),  # '/' sits just before '0'
     ],
 )
 def test_parse_labels_one_digit_layout_and_its_edges(text, want):
@@ -82,11 +81,11 @@ def test_parse_labels_one_digit_layout_and_its_edges(text, want):
 @pytest.mark.parametrize(
     "text,line",
     [
-        ("0\n\n1\n", 2),   # blank interior line
-        ("0\nx\n", 2),     # junk token
-        ("-1\n", 1),       # sign is not a digit
-        ("1.0\n", 1),      # not an integer
-        (" 3\n", 1),       # stray whitespace
+        (b"0\n\n1\n", 2),   # blank interior line
+        (b"0\nx\n", 2),     # junk token
+        (b"-1\n", 1),       # sign is not a digit
+        (b"1.0\n", 1),      # not an integer
+        (b" 3\n", 1),       # stray whitespace
     ],
 )
 def test_parse_labels_rejects_junk(text, line):
@@ -98,9 +97,9 @@ def test_parse_labels_rejects_junk(text, line):
 @pytest.mark.parametrize(
     "short,padded,dtype",
     [
-        ("7\n", "07\n", np.uint8),
-        ("3\n255", "3\n0255", np.uint8),
-        ("256\n1\n", "0256\n1\n", np.int32),
+        (b"7\n", b"07\n", np.uint8),
+        (b"3\n255", b"3\n0255", np.uint8),
+        (b"256\n1\n", b"0256\n1\n", np.int32),
     ],
 )
 def test_leading_zeros_parse_to_an_equal_sequence_of_one_dtype(short, padded, dtype):
@@ -111,8 +110,8 @@ def test_leading_zeros_parse_to_an_equal_sequence_of_one_dtype(short, padded, dt
 
 
 def test_parse_labels_rejects_labels_wider_than_int32():
-    assert tuple(parse_labels("2147483647\n00000000000000000007\n")) == (2147483647, 7)
-    for text in ("0\n2147483648\n", "0\n99999999999999999999999\n"):
+    assert tuple(parse_labels(b"2147483647\n00000000000000000007\n")) == (2147483647, 7)
+    for text in (b"0\n2147483648\n", b"0\n99999999999999999999999\n"):
         with pytest.raises(PhaseEvalError) as exc:
             parse_labels(text)
         assert "line 2" in str(exc.value)
@@ -142,34 +141,34 @@ def _line_oracle(data: bytes) -> list[int] | int:
     return bad[0] + 1 if bad else [int(line) for line in lines]
 
 
-def _assert_parses_as_oracle(data: bytes, text: str | bytes) -> None:
-    """parse_labels(text), where text is data or its decoding, against _line_oracle."""
+def _assert_parses_as_oracle(data: bytes) -> None:
+    """parse_labels(data) against _line_oracle."""
     want = _line_oracle(data)
     if isinstance(want, int):
         with pytest.raises(ParseError) as exc:
-            parse_labels(text)
+            parse_labels(data)
         assert exc.value.line == want
     elif any(label > LABEL_MAX for label in want):
         first = next(i for i, label in enumerate(want) if label > LABEL_MAX)
         with pytest.raises(OutOfRangeLabel, match=f"^line {first + 1}: "):
-            parse_labels(text)
+            parse_labels(data)
     else:
-        seq = parse_labels(text)
+        seq = parse_labels(data)
         assert seq.labels.dtype == (np.uint8 if max(want) < 256 else np.int32)
         assert not seq.labels.flags.writeable
         assert list(seq) == want and seq.max_label == max(want)
 
 
-@given(label_text, st.booleans())
-def test_parse_labels_fuzz(text, as_bytes):
+@given(label_text)
+def test_parse_labels_fuzz(text):
     """Either every line is read as int() reads it, or a typed error naming
     the first line that is not."""
     data = text.encode("utf-8", "surrogatepass")
     if not data:
         with pytest.raises(EmptyFile):
-            parse_labels(data if as_bytes else text)
+            parse_labels(data)
         return
-    _assert_parses_as_oracle(data, data if as_bytes else text)
+    _assert_parses_as_oracle(data)
 
 
 @pytest.mark.parametrize("base", [b"3\n1\n4\n1\n5\n", b"3\n1\n4\n1\n5", b"2\n", b"7"])
@@ -182,18 +181,18 @@ def test_one_digit_layout_edits_parse_as_the_line_oracle(base):
         edits = [base[:i] + bytes([b]) + base[i + 1 :] for b in b"/:\n\r09"]
         edits.append(base[:i] + b"\n5" + base[i + 2 :])
         for data in edits:
-            _assert_parses_as_oracle(data, data)
+            _assert_parses_as_oracle(data)
 
 
 def test_parse_labels_empty():
     with pytest.raises(EmptyFile):
-        parse_labels("")
+        parse_labels(b"")
 
 
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=200))
 def test_labels_round_trip(labels):
     seq = LabelSequence(tuple(labels))
-    assert tuple(parse_labels(dump_labels(seq))) == tuple(labels)
+    assert tuple(parse_labels(dump_labels(seq).encode("ascii"))) == tuple(labels)
 
 
 @pytest.mark.parametrize("phase_count", [7, 12])  # 12: every phase, so two-digit labels
@@ -206,44 +205,49 @@ def test_synth_writes_its_label_files_through_dump_labels(tmp_path, phase_count)
     for path in files:
         data = path.read_bytes()
         assert re.fullmatch(rb"([0-9]+\n)+", data)
-        assert data == dump_labels(load_labels(path)).encode("ascii")
+        assert data == dump_labels(parse_labels(vocab.read_file(path))).encode("ascii")
 
 
 def test_load_labels_missing(tmp_path):
-    """A missing path or one that is not a regular file, reported as pathlib
-    names it.  A FIFO is never waited on for a writer."""
+    """A label file is read by vocab.read_file: a missing path or one that
+    is not a regular file is MissingFile, reported as pathlib names it.  A
+    FIFO is never waited on for a writer."""
     with pytest.raises(MissingFile, match=f"^{re.escape(str(tmp_path / 'nope.txt'))}$"):
-        load_labels(f"{tmp_path}/./nope.txt/")
+        vocab.read_file(f"{tmp_path}/./nope.txt/")
     fifo = tmp_path / "fifo.txt"
     os.mkfifo(fifo)
     for path in (tmp_path, fifo, f"{fifo}/"):
         with pytest.raises(MissingFile):
-            load_labels(path)
+            vocab.read_file(path)
 
 
 def test_load_labels_through_symlinks(tmp_path):
-    """A link to a label file loads it; a link to a directory is MissingFile."""
+    """vocab.read_file follows a link to a label file; a link to a directory
+    is MissingFile."""
     (tmp_path / "labels.txt").write_text("0\n3\n")
     (tmp_path / "to-file").symlink_to(tmp_path / "labels.txt")
     (tmp_path / "to-dir").symlink_to(tmp_path, target_is_directory=True)
-    assert tuple(load_labels(tmp_path / "to-file")) == (0, 3)
+    data = vocab.read_file(tmp_path / "to-file")
+    assert data == b"0\n3\n" and tuple(parse_labels(data)) == (0, 3)
     with pytest.raises(MissingFile, match=f"^{re.escape(str(tmp_path / 'to-dir'))}$"):
-        load_labels(tmp_path / "to-dir")
+        vocab.read_file(tmp_path / "to-dir")
 
 
 @pytest.mark.parametrize("stale", [False, True], ids=["as-stat", "grown-after-fstat"])
 def test_load_labels_reads_a_large_file_whole(tmp_path, monkeypatch, stale):
-    """A million frames, also when fstat gave a size the file has outgrown."""
+    """vocab.read_file reads a million frames whole, also when fstat gave a
+    size the file has outgrown."""
     path = tmp_path / "long.txt"
-    path.write_bytes(b"1\n" * 999_999 + b"6\n")
+    data = b"1\n" * 999_999 + b"6\n"
+    path.write_bytes(data)
     if stale:
         fstat = os.fstat
 
         def stale_fstat(fd):  # st_size, field 6, says 3 bytes
             return os.stat_result([*fstat(fd)[:6], 3, *fstat(fd)[7:10]])
         monkeypatch.setattr(os, "fstat", stale_fstat)
-    seq = load_labels(path)
-    assert len(seq) == 1_000_000 and seq[0] == 1 and seq[999_999] == 6
+    assert vocab.read_file(path) == data
+    assert len(parse_labels(data)) == 1_000_000
 
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file whatever its mode")
@@ -253,7 +257,7 @@ def test_load_labels_unreadable_is_a_permission_error(tmp_path):
     path.write_text("0\n")
     path.chmod(0)
     with pytest.raises(PermissionError):
-        load_labels(path)
+        vocab.read_file(path)
 
 
 def _write_corpus(tmp_path, *, lengths=None, runs=("r0", "r1")):
@@ -276,7 +280,7 @@ def _write_corpus(tmp_path, *, lengths=None, runs=("r0", "r1")):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to count descriptors in")
 def test_loading_leaves_no_descriptor_open(tmp_path):
-    """load_labels reads through a raw os.open descriptor, which no
+    """read_file reads through a raw os.open descriptor, which no
     ResourceWarning reports if it leaks: count them, on success and on a
     label file that does not parse."""
     path = _write_corpus(tmp_path)
@@ -704,6 +708,7 @@ _LEAVES = st.one_of(
 )
 
 
+@pytest.mark.thorough
 @given(
     st.recursive(
         _LEAVES,
@@ -730,6 +735,7 @@ def _distinct_keys(pairs):
     return dict(pairs)
 
 
+@pytest.mark.thorough
 @given(
     st.recursive(
         st.none() | st.booleans() | st.integers() | _TEXT,

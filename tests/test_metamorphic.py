@@ -36,6 +36,8 @@ from phaseeval.relaxed import (
     legacy_rules,
 )
 
+pytestmark = pytest.mark.thorough
+
 PHASES = PhaseSet(7)  # the legacy grids exist for seven phases only
 
 # Every evaluate protocol, then graph, legacy-grid and bug-compatible relaxed.

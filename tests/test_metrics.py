@@ -253,6 +253,7 @@ def _cells(shape, seed=0):
     return rng.integers(0, den + 1) / den
 
 
+@pytest.mark.thorough
 @given(sum_rows())
 @settings(max_examples=examples(200), deadline=None)
 # Rows the array path cannot sum on its own: its two levels keep 2b = 102
@@ -274,6 +275,7 @@ def test_row_fsum_is_fsum_of_every_row(rows):
     )
 
 
+@pytest.mark.thorough
 @given(st.integers(3, 3500), st.integers(0, 3), st.integers(0, 2**32 - 1))
 @settings(max_examples=examples(50), deadline=None)
 def test_row_fsum_sums_cells_without_fsum(width, extra_rows, seed):

@@ -116,6 +116,7 @@ def test_malformed_grids_are_a_typed_error():
 labels7 = st.lists(st.integers(0, 6), min_size=1, max_size=80)
 
 
+@pytest.mark.thorough
 @given(st.tuples(labels7, labels7), st.sampled_from([GRAPH_MX, LEGACY_MX]))
 @settings(max_examples=examples(200))
 def test_flags_match_scanning_oracle(pair, mx):
@@ -373,6 +374,7 @@ def _assert_range_is_each_phase(a, b, flags, width):
     assert [tuple(int(f[p]) for f in got) for p in range(width)] == want
 
 
+@pytest.mark.thorough
 @given(st.data(), st.integers(1, 12), st.booleans())
 @settings(max_examples=examples(200))
 def test_counts_by_phase_match_oracle(data, phase_count, wide):
@@ -476,6 +478,7 @@ def _runs(data, values, n):
     return np.resize(frames, n)  # repeated from the start to n frames
 
 
+@pytest.mark.thorough
 @pytest.mark.parametrize("n", range(_LANE_FRAMES - 1, _LANE_FRAMES + 5))
 @pytest.mark.parametrize("width", [89, 90])
 @given(st.data())
@@ -494,6 +497,7 @@ def test_long_pairs_count_in_lanes_as_each_phase(width, n, data):
     _assert_oracle_counts(a, b, flags, sorted({0, width - 1, *seen}))
 
 
+@pytest.mark.thorough
 @given(
     st.sampled_from([1, 7, 15, 63, 89, 90, 127, 180, 181]),
     st.sampled_from([1, 170, _LANE_FRAMES - 1, _LANE_FRAMES, _LANE_FRAMES + 3, 12289]),
