@@ -70,33 +70,38 @@ def parse_labels(data: bytes) -> LabelSequence:
     buf = np.frombuffer(data, dtype=np.uint8)
     digit = buf - np.uint8(_ZERO)  # non-digit bytes wrap to values above 9
     newline = buf == _NEWLINE
-    ends = np.flatnonzero(newline)  # one past each line's last byte
+    # int32 line indices while they fit: frame-long int64 arrays are fresh pages.
+    index = np.int32 if buf.size < 1 << 31 else np.int64
+    ends = np.flatnonzero(newline).astype(index)  # one past each line's last byte
+    junk = np.count_nonzero(digit > 9) > len(ends)  # a byte neither digit nor newline
     if not newline[-1]:
-        ends = np.concatenate((ends, [buf.size]))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    lengths = ends - starts
-    junk = (digit > 9) & ~newline
-    if junk.any() or not lengths.all():
-        first_junk = np.searchsorted(ends, np.argmax(junk)) if junk.any() else ends.size
-        first_blank = np.argmin(lengths) if not lengths.all() else ends.size
-        i = int(min(first_junk, first_blank))
+        ends = np.append(ends, index(buf.size))
+    lengths = np.diff(ends, prepend=index(-1)) - index(1)
+    if junk or not lengths.all():
+        bad = lengths == 0  # blank, or holding a byte that is not a digit
+        bad[np.searchsorted(ends, np.flatnonzero((digit > 9) & ~newline))] = True
+        i = int(np.argmax(bad))
         if lengths[i] == 0:
             raise ParseError("blank line", line=i + 1)
-        line = data[starts[i] : ends[i]].decode("utf-8", "backslashreplace")
+        line = data[ends[i] - lengths[i] : ends[i]].decode("utf-8", "backslashreplace")
         raise ParseError(f"not a non-negative integer: {line!r}", line=i + 1)
-    # Each line's value from its last _WIDTH digits, one place value at a time.
-    values = digit[ends - 1].astype(np.int64)
-    for place in range(1, min(int(lengths.max()), _WIDTH)):
-        longer = lengths > place
-        values[longer] += digit[ends[longer] - 1 - place].astype(np.int64) * 10**place
+    # Each line's value from its last _WIDTH digits, one place value at a
+    # time, `at` stepping left; below ten digits a value fits int32.
+    wide = int(lengths.max())
+    value = np.int64 if wide >= _WIDTH else np.int32
+    at = ends - index(1)
+    values = np.take(digit, at).astype(value)  # take: fancy indexing converts int32 indices
+    for place in range(1, min(wide, _WIDTH)):
+        at -= index(1)
+        values += np.multiply((lengths > place) * np.take(digit, at), 10**place, dtype=value)
     too_wide = values > LABEL_MAX
-    if lengths.max() > _WIDTH:
+    if wide > _WIDTH:
         nonzero = np.flatnonzero((digit >= 1) & (digit <= 9))
         owner = np.searchsorted(ends, nonzero)
         too_wide[owner[nonzero < ends[owner] - _WIDTH]] = True
     if too_wide.any():
         i = int(np.argmax(too_wide))
-        label = data[starts[i] : ends[i]].decode("ascii")
+        label = data[ends[i] - lengths[i] : ends[i]].decode("ascii")
         raise OutOfRangeLabel(f"line {i + 1}: label {label} exceeds {LABEL_MAX}")
     return LabelSequence(values)
 

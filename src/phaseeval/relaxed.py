@@ -19,6 +19,7 @@ is applied to the *first* omega positions of each segment.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ from .core import (
     UnsupportedPhaseCount,
     WorkflowGraph,
     cholec80_graph,
-    segment_bounds,
     validate_sequence,
 )
 from .errors import PhaseEvalError
@@ -122,40 +122,72 @@ def check_omega(omega: int) -> int:
     return int(omega)
 
 
-Flags = Callable[[Sequence[LabelSequence]], np.ndarray]
+class Windows(NamedTuple):
+    """Each window frame of annotations laid end to end: the frame its
+    verdict reads and the frame it lands on, counted from its annotation's
+    first frame, and its row's offset into the flat table `accept`.
+    Annotation i holds frames frames[i] .. frames[i + 1] - 1 and window
+    frames cuts[i] .. cuts[i + 1] - 1."""
+
+    put: np.ndarray
+    read: np.ndarray
+    row: np.ndarray
+    accept: np.ndarray
+    frames: list[int]
+    cuts: list[int]
+
+
+def _chunks(frames: list[int], cap: int):
+    """(i, j) of each chunk, in order, of the items i .. j - 1 laid end to
+    end at `frames`: at most `cap` frames, or one item."""
+    i = 0
+    while i < len(frames) - 1:
+        j = max(i + 1, bisect_right(frames, frames[i] + cap) - 1)
+        yield i, j
+        i = j
 
 
 def _segments(annotations: Sequence[LabelSequence]):
-    """The phase, first and last frame of every segment of `annotations`,
-    concatenated in their order, and how many segments each one has."""
-    bounds = [segment_bounds(y) for y in annotations]
-    return tuple(map(np.concatenate, zip(*bounds))), [len(phase) for phase, _, _ in bounds]
+    """The phase, first and last frame of every segment of `annotations`
+    laid end to end, cut at each annotation's first frame, and those frames
+    then their total; found in chunks of _GROUP_FRAMES frames."""
+    frames = np.cumsum([0, *map(len, annotations)]).tolist()
+    phase, first = [], []
+    for i, j in _chunks(frames, _GROUP_FRAMES):
+        ys = [y.labels for y in annotations[i:j]]
+        labels = np.concatenate(ys) if len(ys) > 1 else ys[0]
+        cut = np.empty(len(labels), bool)
+        np.not_equal(labels[1:], labels[:-1], out=cut[1:])
+        cut[np.subtract(frames[i:j], frames[i])] = True  # each annotation's first frame
+        starts = np.flatnonzero(cut)
+        phase.append(labels[starts])
+        first.append(starts + frames[i])
+    first = np.concatenate(first)
+    return np.concatenate(phase), first, np.append(first[1:] - 1, frames[-1] - 1), frames
 
 
-def _rules(annotations, segments, counts, w, accept, end_on_head: bool) -> list[Flags]:
-    """The flag rule of each of `annotations`, from the _segments of them
-    and each segment's window width w: the predictions of its runs -> a
-    (runs, frames) bool mask, exact agreement set True where `accept`
-    forgives.  A segment's start window, its first w frames, reads the
-    start rows of `accept` (first half, by phase), its end window, its last
-    w frames, the end rows; with `end_on_head` the end verdict lands on the
-    start frame at the same offset (the legacy defect).  The all-False last
-    column of `accept` takes every predicted label past the table."""
-    phase, first, last = segments
-    tail = last - w + 1
+def _rules(segments, w, accept, end_on_head: bool) -> Windows:
+    """The Windows of annotations from the _segments of them and each
+    segment's window width w.  A segment's start window, its first w
+    frames, reads the start rows of `accept` (first half, by phase), its
+    end window, its last w frames, the end rows; with `end_on_head` the
+    end verdict lands on the start frame at the same offset (the legacy
+    defect)."""
+    phase, first, last, frames = segments
     p = len(accept) // 2
     # Both windows of each segment in segment order, so the frames of one
-    # annotation's windows are one slice: the frames each window reads, the
-    # frames its verdicts land on, and each frame's row of `accept` as its
-    # offset into the flat table.
+    # annotation's windows are one slice.
     width = np.repeat(w, 2)
-    read = _ramps(np.stack((first, tail), 1).ravel(), width)
-    put = _ramps(np.repeat(first, 2), width) if end_on_head else read
+    segs = np.searchsorted(first, frames)  # each annotation's first segment, then their count
+    origin = np.repeat(frames[:-1], np.diff(segs))  # the first frame of each segment's annotation
+    head, tail = first - origin, last - origin - w + 1
+    read = _ramps(np.stack((head, tail), 1).ravel(), width)
+    put = _ramps(np.repeat(head, 2), width) if end_on_head else read
     rows = np.stack((phase, np.add(phase, p, dtype=np.intp)), 1).ravel()  # uint8 would wrap
-    start = np.repeat(rows * accept.shape[1], width)
-    cuts = np.cumsum(width)[2 * np.cumsum(counts)[:-1] - 1]  # each later annotation's first frame
-    parts = (np.split(frames, cuts) for frames in (put, read, start))
-    return [_flags(y, *part, accept) for y, part in zip(annotations, zip(*parts))]
+    row = np.repeat(rows * accept.shape[1], width)
+    # Each annotation's first window frame: the windows before its first segment.
+    cuts = np.concatenate(([0], np.cumsum(width)))[2 * segs]
+    return Windows(put, read, row, accept, frames, cuts.tolist())
 
 
 def _ramps(starts, width) -> np.ndarray:
@@ -168,32 +200,38 @@ def _ramps(starts, width) -> np.ndarray:
     return np.cumsum(steps, out=steps)
 
 
-def _flags(annotation: LabelSequence, put, read, start, accept) -> Flags:
-    top = accept.shape[1] - 1
-    table = accept.ravel()
-    frames = len(annotation)
+def window_flags(windows: Windows, start: int, annotations, videos) -> np.ndarray:
+    """The (runs, frames) bool mask of `annotations`, those of `windows`
+    from `start` on, and `videos`, the runs of each in one dtype, laid end
+    to end: exact agreement, set True where the table forgives.  Its
+    all-False last column takes every predicted label past the table."""
+    end, top = start + len(annotations), windows.accept.shape[1] - 1
+    lo, hi = windows.cuts[start], windows.cuts[end]
+    read, put = windows.read[lo:hi], windows.put[lo:hi]
+    if len(videos) == 1:  # as it is, with no copy to lay it end to end
+        y, labels = annotations[0].labels, np.array([run.labels for run in videos[0]])
+    else:
+        y = np.concatenate([a.labels for a in annotations])
+        labels = np.empty((len(videos[0]), len(y)), videos[0][0].labels.dtype)
+        for r in range(len(labels)):  # each run's labels, video after video
+            np.concatenate([runs[r].labels for runs in videos], out=labels[r])
+        # Each window frame counted from the chunk's first frame.
+        offsets = np.subtract(windows.frames[start:end], windows.frames[start])
+        shift = np.repeat(offsets, np.diff(windows.cuts[start : end + 1]))
+        read, put = read + shift, put + shift
+    mask = y == labels
+    column = np.take(labels, read, 1)  # one gather for all runs
+    if max(run.max_label for runs in videos for run in runs) > top:  # then top fits
+        column = np.minimum(column, column.dtype.type(top))
+    # The verdicts land in the flat mask, where each run follows the last.
+    at = put + np.arange(0, mask.size, mask.shape[1])[:, None]
+    mask.reshape(-1)[at[windows.accept.ravel()[windows.row[lo:hi] + column]]] = True
+    return mask
 
-    def flags(predictions: Sequence[LabelSequence]) -> np.ndarray:
-        for prediction in predictions:
-            _check_lengths(annotation, prediction)
-        labels = np.array([prediction.labels for prediction in predictions])
-        mask = annotation.labels == labels
-        column = np.take(labels, read, 1)  # one gather: the runs share the windows
-        if max(prediction.max_label for prediction in predictions) > top:  # then top fits
-            column = np.minimum(column, column.dtype.type(top))
-        # The verdicts land in the flat mask, where each run follows the last.
-        at = put + np.arange(0, mask.size, frames)[:, None]
-        mask.reshape(-1)[at[table[start + column]]] = True
-        return mask
 
-    return flags
-
-
-def graph_rules(
-    annotations: Sequence[LabelSequence], omega: int, accept: np.ndarray
-) -> list[Flags]:
-    """The relax_flags rule of each of `annotations` on the acceptance
-    table `accept`, with the windows of all of them found in one pass."""
+def graph_rules(annotations: Sequence[LabelSequence], omega: int, accept: np.ndarray) -> Windows:
+    """The relax_flags Windows of `annotations` on the acceptance table
+    `accept`, found in one pass."""
     omega = check_omega(omega)
     accept = np.asarray(accept)
     p = len(accept) // 2 if accept.ndim == 2 else 0
@@ -202,19 +240,15 @@ def graph_rules(
     phases = PhaseSet(p)
     for y in annotations:
         validate_sequence(y, phases)  # a row for every phase
-    segments, counts = _segments(annotations)
-    _, first, last = segments
-    w = np.minimum(omega, last - first + 1)
-    return _rules(annotations, segments, counts, w, accept, False)
+    segments = _, first, last, _ = _segments(annotations)
+    return _rules(segments, np.minimum(omega, last - first + 1), accept, False)
 
 
-def legacy_rules(annotations: Sequence[LabelSequence], omega: int) -> list[Flags]:
-    """The relax_flags_legacy rule of each of `annotations`, with the
-    windows of all of them found in one pass; the first segment shorter
-    than omega, in their order, is refused."""
+def legacy_rules(annotations: Sequence[LabelSequence], omega: int) -> Windows:
+    """The relax_flags_legacy Windows of `annotations`, found in one pass;
+    the first segment shorter than omega, in their order, is refused."""
     omega = check_omega(omega)
-    segments, counts = _segments(annotations)
-    phase, first, last = segments
+    segments = phase, first, last, _ = _segments(annotations)
     w = np.where(phase <= 6, omega, 0)
     short = np.flatnonzero(last - first + 1 < w)
     if len(short):
@@ -223,7 +257,7 @@ def legacy_rules(annotations: Sequence[LabelSequence], omega: int) -> list[Flags
             f"segment of phase {phase[i]} has {last[i] - first[i] + 1} frames, "
             f"shorter than omega={omega}"
         )
-    return _rules(annotations, segments, counts, w, _LEGACY_ACCEPT, True)
+    return _rules(segments, w, _LEGACY_ACCEPT, True)
 
 
 def relax_flags(
@@ -239,7 +273,9 @@ def relax_flags(
     of `accept` take the predicted phase, or symmetrically in the last
     omega frames via the end rows.  Windows clamp to the segment and may overlap.
     """
-    return tuple(graph_rules((annotation,), omega, accept)[0]((prediction,))[0].tolist())
+    windows = graph_rules((annotation,), omega, accept)
+    _check_lengths(annotation, prediction)
+    return tuple(window_flags(windows, 0, (annotation,), ((prediction,),))[0].tolist())
 
 
 def relax_flags_legacy(
@@ -258,7 +294,9 @@ def relax_flags_legacy(
     accept d in {-1,-2} / d in {1,2}.  Phases beyond 6 are left untouched,
     as the script never visits them.
     """
-    return tuple(legacy_rules((annotation,), omega)[0]((prediction,))[0].tolist())
+    windows = legacy_rules((annotation,), omega)
+    _check_lengths(annotation, prediction)
+    return tuple(window_flags(windows, 0, (annotation,), ((prediction,),))[0].tolist())
 
 
 class RelaxedCounts(NamedTuple):
@@ -271,8 +309,8 @@ class RelaxedCounts(NamedTuple):
     annotated: int
 
 
-# Pairs of at least this many frames count in four lanes: one bincount
-# stalls on runs of one bin, while on shorter pairs the lanes' two extra
+# Groups of at least this many frames count in four lanes: one bincount
+# stalls on runs of one bin, while on shorter groups the lanes' two extra
 # numpy calls cost as much as they save (the table in CHANGES.md).
 _LANE_FRAMES = 4096
 # Times the size of a block, added to a uint64 view of uint16 bins: frame k
@@ -298,11 +336,11 @@ def relaxed_counts(
     unflagged and the flagged frames.  `prediction` may then also be the
     runs of `annotation`, with a (runs, frames) mask, each field (n, runs).
     One bincount counts a group of runs, each run's bins a square above the
-    run's before, in a block of the group's squares; pairs of at least
-    _LANE_FRAMES frames count in four such blocks, for n up to 89.  A
-    group holds as many runs as a uint16 index holds the bins of, and of
-    _GROUP_FRAMES, and at least one run, so no bincount holds more than
-    max(2**16, 2 * (n + 1)**2) bins.
+    run's before, in a block of the group's squares; when a group in four
+    such blocks holds at least _LANE_FRAMES frames, for n up to 89, every
+    group counts in four.  A group holds as many runs as a uint16 index
+    holds the bins of, and of _GROUP_FRAMES, and at least one run, so no
+    bincount holds more than max(2**16, 2 * (n + 1)**2) bins.
     """
     single = isinstance(prediction, LabelSequence)
     runs = (prediction,) if single else tuple(prediction)
@@ -330,7 +368,8 @@ def relaxed_counts(
     # the range.  The index is the narrowest unsigned type that holds a
     # group's bins.
     square = 2 * (width + 1) ** 2
-    lanes = 4 if frames >= _LANE_FRAMES and 4 * square <= 1 << 16 else 1
+    group = max(1, min((1 << 16) // (4 * square), _GROUP_FRAMES // frames, len(runs)))
+    lanes = 4 if group * frames >= _LANE_FRAMES and 4 * square <= 1 << 16 else 1
     group = max(1, min((1 << 16) // (lanes * square), _GROUP_FRAMES // frames))
     index = np.uint16 if square <= 1 << 16 else np.uint32
     a = annotation.labels
@@ -415,22 +454,25 @@ def relaxed_accuracy(flags: Sequence[bool]) -> MetricCell:
 
 
 def relaxed_tensors(
-    corpus: Corpus,
-    rules_of: Callable[[Sequence[LabelSequence]], Sequence[Flags]],
-    truncate: bool,
+    corpus: Corpus, rules_of: Callable[[Sequence[LabelSequence]], Windows], truncate: bool
 ) -> tuple[dict[str, Cells], Cells]:
     """Relaxed precision, recall and jaccard (phase, video, run) cells, with
     the phases missing from a video's annotation excluded, and the relaxed
     accuracy (1, video, run) cells of every pair.  `rules_of(annotations)`
-    gives the flag rule of each annotation in video order, which flags all
-    runs of its video at once, every frame that agrees with its annotation
-    among them; one relaxed_counts call counts each video."""
+    gives their Windows.  Whole videos are flagged in chunks of at most
+    _GROUP_FRAMES (run, frame) pairs, or one video, and each video is
+    counted in one relaxed_counts call."""
     videos, runs, phases = corpus.videos, corpus.runs, corpus.phases
     annotations = [corpus.annotations[v] for v in videos]
+    windows = rules_of(annotations)
+    frames = windows.frames
     counts = np.empty((4, phases.count, len(videos), len(runs)), np.int64)
-    for i, (v, y, flags_of) in enumerate(zip(videos, annotations, rules_of(annotations))):
-        predictions = [corpus.predictions[v][r] for r in runs]
-        counts[:, :, i] = relaxed_counts(y, predictions, flags_of(predictions), range(phases.count))
+    for i, j in _chunks(frames, _GROUP_FRAMES // len(runs)):
+        chunk = [[corpus.predictions[v][r] for r in runs] for v in videos[i:j]]
+        mask = window_flags(windows, i, annotations[i:j], chunk)
+        for k, predictions in enumerate(chunk, i):
+            part = mask[:, frames[k] - frames[i] : frames[k + 1] - frames[i]]
+            counts[:, :, k] = relaxed_counts(annotations[k], predictions, part, range(phases.count))
     grid = RelaxedCounts(*counts)
     # Summed over the phases, relaxed true positives plus agreements
     # (annotated + predicted - union) count each flagged frame twice: one
@@ -439,8 +481,7 @@ def relaxed_tensors(
     # label to be a phase, as a Corpus holds, and every agreeing frame
     # flagged, as the rules flag it.
     flagged = np.add.reduce(grid.r_tp + grid.annotated + grid.predicted - grid.union, 0) // 2
-    frames = np.array([len(y) for y in annotations])
-    acc = flagged[None] / frames[:, None]  # relaxed_accuracy(flags).value, pair by pair
+    acc = flagged[None] / np.diff(frames)[:, None]  # relaxed_accuracy(flags).value, pair by pair
     cells = {
         kind: resolve(*relaxed_cells(kind, grid, truncate), RELAXED_POLICY, grid.annotated > 0)
         for kind in RELAXED_KINDS

@@ -3,8 +3,9 @@
 Whatever a user hands the `evaluate` and `relaxed` commands, `main` exits 0
 with output that parses back, exits 1 with one error line, or raises
 SystemExit(2) for a usage error, and only a command that succeeds writes
-its `--out` file.  Generated corpora are tiny and often valid, so both the
-report writers and the refusals are reached."""
+its `--out` file, the same bytes each time it runs.  Generated corpora are
+tiny and often valid, so both the report writers and the refusals are
+reached."""
 
 import contextlib
 import csv
@@ -120,9 +121,25 @@ def _check_output(data: bytes, fmt: str) -> None:
         assert data.decode("utf-8").startswith("# Evaluation report\n")
 
 
+def _run(argv: list[str]) -> tuple[int, bytes, str]:
+    """cli.main(argv) in process: its exit code, stdout bytes and stderr."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, exc.code
+            code = 2
+    stdout.flush()
+    return code, stdout.buffer.getvalue(), stderr.getvalue()
+
+
 @given(corpora(), commands, mostly(st.just("manifest.json"), st.sampled_from(["missing", "."])))
 @settings(max_examples=examples(150), deadline=None)
 def test_main_exits_0_1_or_2_and_its_output_reads_back(corpus, argv, manifest):
+    """An exit-0 draw, run again in the same directory, writes the same
+    stdout and `--out` bytes."""
     manifest_bytes, files = corpus
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -132,16 +149,7 @@ def test_main_exits_0_1_or_2_and_its_output_reads_back(corpus, argv, manifest):
         argv = [argv[0], str(root / manifest)] + [
             str(root / a) if a in (OUT, UNWRITABLE) else a for a in argv[1:]
         ]
-        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                assert exc.code == 2, exc.code
-                code = 2
-        stdout.flush()
-        out, err = stdout.buffer.getvalue(), stderr.getvalue()
+        code, out, err = _run(argv)
         written = root / OUT
         assert code in (0, 1, 2)
         if code:
@@ -152,4 +160,8 @@ def test_main_exits_0_1_or_2_and_its_output_reads_back(corpus, argv, manifest):
             assert not CONTROL_CHARACTERS.search(err[:-1]), err
         if code == 0:
             fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
-            _check_output(written.read_bytes() if written.exists() else out, fmt)
+            report = written.read_bytes() if written.exists() else out
+            _check_output(report, fmt)
+            again = _run(argv)
+            assert again == (0, out, err)
+            assert (written.read_bytes() if written.exists() else again[1]) == report

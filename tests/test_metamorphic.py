@@ -34,6 +34,7 @@ from phaseeval.relaxed import (
     build_matrices,
     graph_rules,
     legacy_rules,
+    window_flags,
 )
 
 pytestmark = pytest.mark.thorough
@@ -221,10 +222,11 @@ def test_relaxed_accuracy_is_never_below_accuracy(corpus, omega):
         rules.append(legacy_rules(annotations, omega))
     except SegmentShorterThanOmega:
         pass  # the bug-compatible rule refuses a segment shorter than omega
-    for flags_of in rules:
-        for v, y, flags in zip(corpus.videos, annotations, flags_of):
-            runs = list(corpus.predictions[v].values())
-            for yhat, mask in zip(runs, flags(runs)):
+    videos = [[corpus.predictions[v][r] for r in corpus.runs] for v in corpus.videos]
+    for windows in rules:
+        masks = window_flags(windows, 0, annotations, videos)
+        for i, (y, runs) in enumerate(zip(annotations, videos)):
+            for yhat, mask in zip(runs, masks[:, windows.frames[i] : windows.frames[i + 1]]):
                 assert np.all(mask[y.labels == yhat.labels])
     summary, _ = _outcome(EVALUATE[0], corpus, omega)
     for call in RELAXED:

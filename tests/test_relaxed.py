@@ -44,6 +44,7 @@ from phaseeval.relaxed import (
     relaxed_counts,
     relaxed_metric,
     relaxed_tensors,
+    window_flags,
 )
 from conftest import examples
 from reference import oracle_legacy_flags, oracle_relax_flags, oracle_relaxed_counts
@@ -199,8 +200,9 @@ def test_flags_match_scanning_oracle_past_the_last_column(top, segs, data):
         assert list(relax_flags_legacy(a, b, omega)) == oracle_legacy_flags(y, yhat, omega)
         # A run of one-byte labels flagged with b at once flags as each alone.
         both = (_seq(yhat[::-1]), b)
-        for rule in (graph_rules((a,), omega, GRAPH_MX)[0], legacy_rules((a,), omega)[0]):
-            assert [m.tolist() for m in rule(both)] == [rule((x,))[0].tolist() for x in both]
+        for windows in (graph_rules((a,), omega, GRAPH_MX), legacy_rules((a,), omega)):
+            got = window_flags(windows, 0, (a,), (both,)).tolist()
+            assert got == [window_flags(windows, 0, (a,), ((x,),))[0].tolist() for x in both]
 
 
 def test_legacy_bug_visible_on_short_phase3_segment():
@@ -500,7 +502,7 @@ def test_long_pairs_count_in_lanes_as_each_phase(width, n, data):
 @pytest.mark.thorough
 @given(
     st.sampled_from([1, 7, 15, 63, 89, 90, 127, 180, 181]),
-    st.sampled_from([1, 170, _LANE_FRAMES - 1, _LANE_FRAMES, _LANE_FRAMES + 3, 12289]),
+    st.sampled_from([1, 170, 1000, 2200, _LANE_FRAMES - 1, _LANE_FRAMES, _LANE_FRAMES + 3, 12289]),
     st.integers(1, 12),
     st.data(),
 )
@@ -514,7 +516,9 @@ def test_counts_of_a_videos_runs_are_each_runs_own(width, n, runs, data):
     reach past the range (some past one byte), and the widths' groups of
     runs fill the two-byte index (63 phases: 8 runs a group, or 2 in four
     lanes; 127: 2 runs), fall short of it (90: 3 runs), hold one run (89 in
-    four lanes, 180) or need four bytes (181)."""
+    four lanes, 180) or need four bytes (181).  A group counts in four
+    lanes by its frames, not one run's: runs of 1,000 or 2,200 frames,
+    each short of _LANE_FRAMES, do once a group of them reaches it."""
     labels = st.integers(0, width + 2) | st.sampled_from([0, width - 1, width, 1000])
     y = _seq(_runs(data, labels, n))
     yhats = [_seq(_runs(data, labels, n)) for _ in range(runs)]
@@ -535,6 +539,13 @@ def test_counts_of_a_videos_runs_are_each_runs_own(width, n, runs, data):
     assert sum(frames) == runs * n and max(frames) <= max(_GROUP_FRAMES, n)
     if width <= 15 and runs * n <= _GROUP_FRAMES:
         assert len(bins) == 1  # every run in one group
+    square = 2 * (width + 1) ** 2
+    lanes = {b // (f // n * square) for b, f in zip(bins, frames)}
+    assert all(b == next(iter(lanes)) * f // n * square for b, f in zip(bins, frames))
+    if width > 89 or runs * n < _LANE_FRAMES:
+        assert lanes == {1}
+    elif n >= _LANE_FRAMES or width <= 15 and min(runs, _GROUP_FRAMES // n) * n >= _LANE_FRAMES:
+        assert lanes == {4}
     for r, (yhat, mask) in enumerate(zip(yhats, flags)):
         want = relaxed_counts(y, yhat, mask, range(width))
         assert all(np.array_equal(f[:, r], w) for f, w in zip(got, want))
@@ -586,13 +597,95 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
     assert len(seen) == 3  # precision, recall and jaccard, all of one stack
     assert acc.shape == acc_state.shape == (1, len(anns), runs) and (acc_state == DEFINED).all()
     for v in anns:
-        (flags_of,) = rules_of((anns[v],))
+        windows = rules_of((anns[v],))
         for ri, r in enumerate(sorted(preds[v])):
-            (flags,) = flags_of((preds[v][r],))
+            (flags,) = window_flags(windows, 0, (anns[v],), ((preds[v][r],),))
             want = relaxed_counts(anns[v], preds[v][r], flags, range(9))
             for counts in seen:
                 assert all(np.array_equal(f[:, v, ri], w) for f, w in zip(counts, want))
             assert acc[0, v, ri] == relaxed_accuracy(flags).value
+
+
+@pytest.mark.thorough
+@pytest.mark.parametrize("held", ["one", "two", "all"])
+@given(
+    st.lists(segmented, min_size=3, max_size=5),
+    st.lists(st.integers(1, 6), min_size=4, max_size=4),
+    st.integers(1, 3),
+    st.integers(0, 4),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=examples(30), deadline=None)
+def test_chunks_of_videos_flag_and_count_as_each_pair(held, videos, joins, runs, omega, legacy, data):
+    """relaxed_tensors flags videos laid end to end in chunks of at most
+    _GROUP_FRAMES (runs, frames) items, set here so that a chunk holds one
+    video, the first two, or all of them: every pair's flags and counts
+    are still the oracles'.  Each video begins with a segment of the phase
+    the one before ends on, so a segment or window that crossed from one
+    to the next would show; windows touch each video's first and last
+    frame; the first video is the longest; and the corpus declares nine
+    phases, so predicted labels 7 and 8 pass the 7-phase grids."""
+    ys = [[p for p, n in segs for _ in range(n)] for segs in videos]
+    ys.insert(0, ys.pop(max(range(len(ys)), key=lambda v: len(ys[v]))))
+    for v in range(1, len(ys)):
+        ys[v][:0] = [ys[v - 1][-1]] * joins[v - 1]
+    ys[0].append(ys[0][-1])  # longer than any after it
+    preds = {
+        v: {r: data.draw(st.lists(st.integers(0, 8), min_size=len(y), max_size=len(y)))
+            for r in range(runs)}
+        for v, y in enumerate(ys)
+    }
+    frames = {"one": 1, "two": len(ys[0]) + len(ys[1]), "all": sum(map(len, ys))}[held]
+    corpus = Corpus(
+        PhaseSet(9),
+        {v: _seq(y) for v, y in enumerate(ys)},
+        {v: {r: _seq(p) for r, p in row.items()} for v, row in preds.items()},
+    )
+    if legacy:
+        rules_of, oracle = partial(legacy_rules, omega=omega), oracle_legacy_flags
+    else:
+        rules_of = partial(graph_rules, omega=omega, accept=GRAPH_MX)
+        oracle = partial(oracle_relax_flags, start_grid=GRAPH_MX[:7, :7], end_grid=GRAPH_MX[7:, :7])
+    chunks, masks, cells = [], [], []
+    flag, count, scored = window_flags, relaxed_counts, phaseeval.relaxed.relaxed_cells
+
+    def flag_spy(windows, start, annotations, videos):
+        chunks.append(len(annotations))
+        return flag(windows, start, annotations, videos)
+
+    def count_spy(y, yhats, flags, phases):
+        masks.append(flags.tolist())
+        return count(y, yhats, flags, phases)
+
+    def cells_spy(kind, counts, truncate):
+        cells.append(counts)
+        return scored(kind, counts, truncate)
+
+    try:
+        want = [[oracle(y, preds[v][r], omega) for r in range(runs)] for v, y in enumerate(ys)]
+    except ValueError:  # a segment shorter than omega, refused by the legacy rule
+        want = None
+    with mock.patch.multiple(
+        phaseeval.relaxed,
+        _GROUP_FRAMES=runs * frames,
+        window_flags=flag_spy,
+        relaxed_counts=count_spy,
+        relaxed_cells=cells_spy,
+    ):
+        if want is None:
+            with pytest.raises(SegmentShorterThanOmega):
+                relaxed_tensors(corpus, rules_of, legacy)
+            return
+        relaxed_tensors(corpus, rules_of, legacy)
+    assert sum(chunks) == len(ys)
+    assert chunks[0] == {"one": 1, "two": 2, "all": len(ys)}[held]
+    assert masks == want
+    for v, y in enumerate(ys):
+        for r in range(runs):
+            for p in range(9):
+                got = tuple(int(f[p, v, r]) for f in cells[0])
+                assert got == oracle_relaxed_counts(y, preds[v][r], want[v][r], p)
 
 
 # Videos of 1, 3 and 7 segments, some of them 2 or 3 frames long, each
@@ -608,8 +701,9 @@ _VIDEOS = {
 @pytest.mark.parametrize("bug_compatible", [False, True], ids=["graph", "bug-compat"])
 def test_a_reports_flags_are_each_pairs_own(omega, bug_compatible):
     """The flags a report counts, with every annotation's windows found in
-    one pass and all runs of a video flagged and counted in one call, are
-    relax_flags (or relax_flags_legacy) of each pair alone."""
+    one pass, the runs of all three videos flagged in one chunk and each
+    video counted in one call, are relax_flags (or relax_flags_legacy) of
+    each pair alone."""
     rng = np.random.default_rng(omega)
     anns = {v: _seq([p for p, n in segs for _ in range(n)]) for v, segs in _VIDEOS.items()}
     preds = {v: {r: _seq(rng.integers(0, 7, len(y))) for r in "ab"} for v, y in anns.items()}
