@@ -23,7 +23,7 @@ from sys import float_info
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import PhaseEvalError
-from .vocab import METRIC_NAMES, SchemaError, StdMode, UndefinedPolicy, decimal
+from .vocab import METRIC_NAMES, OMEGA_MAX, SchemaError, StdMode, UndefinedPolicy, decimal
 from .vocab import known_keys, parse_json
 from .vocab import canonical_json  # noqa: F401  (re-exported)
 
@@ -99,8 +99,8 @@ class ProtocolDescriptor:
             value = getattr(self, f.attr)
             if value is not None and value not in f.vocabulary:
                 raise SchemaError(f"{f.attr} must be one of {f.vocabulary}, got {value!r}")
-        if self.omega is not None and self.omega < 0:
-            raise SchemaError("omega must be non-negative")
+        if self.omega is not None and not 0 <= self.omega <= OMEGA_MAX:
+            raise SchemaError(f"omega must be non-negative and at most {OMEGA_MAX}")
         if self.runs is not None and self.runs < 1:
             raise SchemaError("runs must be positive")
 

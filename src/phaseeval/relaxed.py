@@ -124,17 +124,15 @@ def check_omega(omega: int) -> int:
 
 class Windows(NamedTuple):
     """Each window frame of annotations laid end to end: the frame its
-    verdict reads and the frame it lands on, counted from its annotation's
-    first frame, and its row's offset into the flat table `accept`.
-    Annotation i holds frames frames[i] .. frames[i + 1] - 1 and window
-    frames cuts[i] .. cuts[i + 1] - 1."""
+    verdict reads and the frame it lands on, and its row's offset into the
+    flat table `accept`; and the annotations' labels laid end to end, one
+    annotation's as they are."""
 
     put: np.ndarray
     read: np.ndarray
     row: np.ndarray
     accept: np.ndarray
-    frames: list[int]
-    cuts: list[int]
+    labels: np.ndarray
 
 
 def _chunks(frames: list[int], cap: int):
@@ -148,22 +146,16 @@ def _chunks(frames: list[int], cap: int):
 
 
 def _segments(annotations: Sequence[LabelSequence]):
-    """The phase, first and last frame of every segment of `annotations`
-    laid end to end, cut at each annotation's first frame, and those frames
-    then their total; found in chunks of _GROUP_FRAMES frames."""
-    frames = np.cumsum([0, *map(len, annotations)]).tolist()
-    phase, first = [], []
-    for i, j in _chunks(frames, _GROUP_FRAMES):
-        ys = [y.labels for y in annotations[i:j]]
-        labels = np.concatenate(ys) if len(ys) > 1 else ys[0]
-        cut = np.empty(len(labels), bool)
-        np.not_equal(labels[1:], labels[:-1], out=cut[1:])
-        cut[np.subtract(frames[i:j], frames[i])] = True  # each annotation's first frame
-        starts = np.flatnonzero(cut)
-        phase.append(labels[starts])
-        first.append(starts + frames[i])
-    first = np.concatenate(first)
-    return np.concatenate(phase), first, np.append(first[1:] - 1, frames[-1] - 1), frames
+    """The labels of `annotations` laid end to end, one annotation's as
+    they are, then the phase, first and last frame of every segment of
+    them, cut at each annotation's first frame."""
+    ys = [y.labels for y in annotations]
+    labels = np.concatenate(ys) if len(ys) > 1 else ys[0]
+    cut = np.empty(len(labels), bool)
+    np.not_equal(labels[1:], labels[:-1], out=cut[1:])
+    cut[np.cumsum([0, *map(len, ys[:-1])])] = True  # each annotation's first frame
+    first = np.flatnonzero(cut)
+    return labels, labels[first], first, np.append(first[1:] - 1, len(labels) - 1)
 
 
 def _rules(segments, w, accept, end_on_head: bool) -> Windows:
@@ -173,65 +165,49 @@ def _rules(segments, w, accept, end_on_head: bool) -> Windows:
     end window, its last w frames, the end rows; with `end_on_head` the
     end verdict lands on the start frame at the same offset (the legacy
     defect)."""
-    phase, first, last, frames = segments
+    labels, phase, first, last = segments
     p = len(accept) // 2
-    # Both windows of each segment in segment order, so the frames of one
-    # annotation's windows are one slice.
-    width = np.repeat(w, 2)
-    segs = np.searchsorted(first, frames)  # each annotation's first segment, then their count
-    origin = np.repeat(frames[:-1], np.diff(segs))  # the first frame of each segment's annotation
-    head, tail = first - origin, last - origin - w + 1
-    read = _ramps(np.stack((head, tail), 1).ravel(), width)
-    put = _ramps(np.repeat(head, 2), width) if end_on_head else read
-    rows = np.stack((phase, np.add(phase, p, dtype=np.intp)), 1).ravel()  # uint8 would wrap
+    width = np.concatenate((w, w))  # every start window, then every end window
+    read = _ramps(np.concatenate((first, last - w + 1)), width)
+    put = _ramps(np.concatenate((first, first)), width) if end_on_head else read
+    rows = np.concatenate((phase, np.add(phase, p, dtype=np.intp)))  # uint8 would wrap
     row = np.repeat(rows * accept.shape[1], width)
-    # Each annotation's first window frame: the windows before its first segment.
-    cuts = np.concatenate(([0], np.cumsum(width)))[2 * segs]
-    return Windows(put, read, row, accept, frames, cuts.tolist())
+    return Windows(put, read, row, accept, labels)
 
 
 def _ramps(starts, width) -> np.ndarray:
     """The frames starts[i] .. starts[i] + width[i] - 1 of every window, in
-    order, in one array: a cumsum of ones, with each window's first step
-    jumping from the last frame of the window before to its start."""
-    starts, width = starts[width > 0], width[width > 0]
-    steps = np.ones(width.sum(), np.intp)
-    steps[np.cumsum(width) - width] = starts - np.concatenate(([0], (starts + width - 1)[:-1]))
-    return np.cumsum(steps, out=steps)
+    order, in one array: each frame's place in it, plus its window's start
+    less the window's first place."""
+    ends = np.cumsum(width)
+    return np.repeat(starts - ends + width, width) + np.arange(ends[-1])
 
 
-def window_flags(windows: Windows, start: int, annotations, videos) -> np.ndarray:
-    """The (runs, frames) bool mask of `annotations`, those of `windows`
-    from `start` on, and `videos`, the runs of each in one dtype, laid end
-    to end: exact agreement, set True where the table forgives.  Its
-    all-False last column takes every predicted label past the table."""
-    end, top = start + len(annotations), windows.accept.shape[1] - 1
-    lo, hi = windows.cuts[start], windows.cuts[end]
-    read, put = windows.read[lo:hi], windows.put[lo:hi]
-    if len(videos) == 1:  # as it is, with no copy to lay it end to end
-        y, labels = annotations[0].labels, np.array([run.labels for run in videos[0]])
+def window_flags(windows: Windows, videos) -> np.ndarray:
+    """The (runs, frames) bool mask of the annotations of `windows` and
+    `videos`, the runs of each in one dtype, laid end to end: exact
+    agreement, set True where the table forgives.  Its all-False last
+    column takes every predicted label past the table."""
+    top = windows.accept.shape[1] - 1
+    if len(videos) == 1:  # its runs stacked in one call
+        labels = np.array([run.labels for run in videos[0]])
     else:
-        y = np.concatenate([a.labels for a in annotations])
-        labels = np.empty((len(videos[0]), len(y)), videos[0][0].labels.dtype)
+        labels = np.empty((len(videos[0]), len(windows.labels)), videos[0][0].labels.dtype)
         for r in range(len(labels)):  # each run's labels, video after video
             np.concatenate([runs[r].labels for runs in videos], out=labels[r])
-        # Each window frame counted from the chunk's first frame.
-        offsets = np.subtract(windows.frames[start:end], windows.frames[start])
-        shift = np.repeat(offsets, np.diff(windows.cuts[start : end + 1]))
-        read, put = read + shift, put + shift
-    mask = y == labels
-    column = np.take(labels, read, 1)  # one gather for all runs
+    mask = windows.labels == labels
+    column = np.take(labels, windows.read, 1)  # one gather for all runs
     if max(run.max_label for runs in videos for run in runs) > top:  # then top fits
         column = np.minimum(column, column.dtype.type(top))
     # The verdicts land in the flat mask, where each run follows the last.
-    at = put + np.arange(0, mask.size, mask.shape[1])[:, None]
-    mask.reshape(-1)[at[windows.accept.ravel()[windows.row[lo:hi] + column]]] = True
+    at = windows.put + np.arange(0, mask.size, mask.shape[1])[:, None]
+    mask.reshape(-1)[at[windows.accept.ravel()[windows.row + column]]] = True
     return mask
 
 
 def graph_rules(annotations: Sequence[LabelSequence], omega: int, accept: np.ndarray) -> Windows:
     """The relax_flags Windows of `annotations` on the acceptance table
-    `accept`, found in one pass."""
+    `accept`."""
     omega = check_omega(omega)
     accept = np.asarray(accept)
     p = len(accept) // 2 if accept.ndim == 2 else 0
@@ -240,15 +216,15 @@ def graph_rules(annotations: Sequence[LabelSequence], omega: int, accept: np.nda
     phases = PhaseSet(p)
     for y in annotations:
         validate_sequence(y, phases)  # a row for every phase
-    segments = _, first, last, _ = _segments(annotations)
+    segments = *_, first, last = _segments(annotations)
     return _rules(segments, np.minimum(omega, last - first + 1), accept, False)
 
 
 def legacy_rules(annotations: Sequence[LabelSequence], omega: int) -> Windows:
-    """The relax_flags_legacy Windows of `annotations`, found in one pass;
-    the first segment shorter than omega, in their order, is refused."""
+    """The relax_flags_legacy Windows of `annotations`; the first segment
+    shorter than omega, in their order, is refused."""
     omega = check_omega(omega)
-    segments = phase, first, last, _ = _segments(annotations)
+    segments = _, phase, first, last = _segments(annotations)
     w = np.where(phase <= 6, omega, 0)
     short = np.flatnonzero(last - first + 1 < w)
     if len(short):
@@ -275,7 +251,7 @@ def relax_flags(
     """
     windows = graph_rules((annotation,), omega, accept)
     _check_lengths(annotation, prediction)
-    return tuple(window_flags(windows, 0, (annotation,), ((prediction,),))[0].tolist())
+    return tuple(window_flags(windows, ((prediction,),))[0].tolist())
 
 
 def relax_flags_legacy(
@@ -296,7 +272,7 @@ def relax_flags_legacy(
     """
     windows = legacy_rules((annotation,), omega)
     _check_lengths(annotation, prediction)
-    return tuple(window_flags(windows, 0, (annotation,), ((prediction,),))[0].tolist())
+    return tuple(window_flags(windows, ((prediction,),))[0].tolist())
 
 
 class RelaxedCounts(NamedTuple):
@@ -459,17 +435,16 @@ def relaxed_tensors(
     """Relaxed precision, recall and jaccard (phase, video, run) cells, with
     the phases missing from a video's annotation excluded, and the relaxed
     accuracy (1, video, run) cells of every pair.  `rules_of(annotations)`
-    gives their Windows.  Whole videos are flagged in chunks of at most
-    _GROUP_FRAMES (run, frame) pairs, or one video, and each video is
-    counted in one relaxed_counts call."""
+    gives their Windows, found here for each chunk of whole videos, of at
+    most _GROUP_FRAMES (run, frame) pairs or one video, as it is flagged;
+    each video is counted in one relaxed_counts call."""
     videos, runs, phases = corpus.videos, corpus.runs, corpus.phases
     annotations = [corpus.annotations[v] for v in videos]
-    windows = rules_of(annotations)
-    frames = windows.frames
+    frames = np.cumsum([0, *map(len, annotations)]).tolist()
     counts = np.empty((4, phases.count, len(videos), len(runs)), np.int64)
     for i, j in _chunks(frames, _GROUP_FRAMES // len(runs)):
         chunk = [[corpus.predictions[v][r] for r in runs] for v in videos[i:j]]
-        mask = window_flags(windows, i, annotations[i:j], chunk)
+        mask = window_flags(rules_of(annotations[i:j]), chunk)
         for k, predictions in enumerate(chunk, i):
             part = mask[:, frames[k] - frames[i] : frames[k + 1] - frames[i]]
             counts[:, :, k] = relaxed_counts(annotations[k], predictions, part, range(phases.count))

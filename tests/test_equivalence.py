@@ -270,7 +270,7 @@ def test_relaxed_matches_oracles(data, truncate):
                 flags = oracle_relax_flags(annotations[v], yhat, omega, *grids)
                 pred = seq(yhat)
                 assert list(relax_flags(y, pred, omega, mx)) == flags
-                (mask,) = window_flags(graph_rules((y,), omega, mx), 0, (y,), ((pred,),))
+                (mask,) = window_flags(graph_rules((y,), omega, mx), ((pred,),))
                 wide = range(10)  # phases past the grids too
                 got = np.array(relaxed_counts(y, pred, mask, wide))
                 assert np.array_equal(got, relaxed_counts(y, pred, tuple(flags), wide))

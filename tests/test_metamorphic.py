@@ -223,10 +223,11 @@ def test_relaxed_accuracy_is_never_below_accuracy(corpus, omega):
     except SegmentShorterThanOmega:
         pass  # the bug-compatible rule refuses a segment shorter than omega
     videos = [[corpus.predictions[v][r] for r in corpus.runs] for v in corpus.videos]
+    frames = np.cumsum([0, *map(len, annotations)])
     for windows in rules:
-        masks = window_flags(windows, 0, annotations, videos)
+        masks = window_flags(windows, videos)
         for i, (y, runs) in enumerate(zip(annotations, videos)):
-            for yhat, mask in zip(runs, masks[:, windows.frames[i] : windows.frames[i + 1]]):
+            for yhat, mask in zip(runs, masks[:, frames[i] : frames[i + 1]]):
                 assert np.all(mask[y.labels == yhat.labels])
     summary, _ = _outcome(EVALUATE[0], corpus, omega)
     for call in RELAXED:

@@ -34,6 +34,7 @@ from phaseeval.protocol import (
 )
 from phaseeval.relaxed import MatrixMode
 from phaseeval.synth import generate_corpus
+from phaseeval.vocab import OMEGA_MAX
 
 FULL = ProtocolDescriptor(
     split_name="32:8:40",
@@ -232,7 +233,9 @@ def test_ledger_rejects_ill_typed_protocol_fields(field, value):
         parse_ledger(json.dumps([ok, bad]))
 
 
-@pytest.mark.parametrize("field, value", [("policy", "bogus"), ("omega", -1), ("runs", 0)])
+@pytest.mark.parametrize(
+    "field, value", [("policy", "bogus"), ("omega", -1), ("omega", OMEGA_MAX + 1), ("runs", 0)]
+)
 def test_ledger_protocol_value_errors_name_their_record(field, value):
     ok = {"method": "m", "source": "s", "metrics": {"accuracy": {"mean": 0.9}}}
     bad = {**ok, "method": "n", "protocol": {field: value}}

@@ -201,8 +201,8 @@ def test_flags_match_scanning_oracle_past_the_last_column(top, segs, data):
         # A run of one-byte labels flagged with b at once flags as each alone.
         both = (_seq(yhat[::-1]), b)
         for windows in (graph_rules((a,), omega, GRAPH_MX), legacy_rules((a,), omega)):
-            got = window_flags(windows, 0, (a,), (both,)).tolist()
-            assert got == [window_flags(windows, 0, (a,), ((x,),))[0].tolist() for x in both]
+            got = window_flags(windows, (both,)).tolist()
+            assert got == [window_flags(windows, ((x,),))[0].tolist() for x in both]
 
 
 def test_legacy_bug_visible_on_short_phase3_segment():
@@ -292,9 +292,8 @@ def test_legacy_rejects_short_segments():
 
 
 def test_a_report_names_the_first_short_segment_in_video_order():
-    """The windows of every annotation are found in one pass; the segment
-    it refuses is still the first short one of the first video that has
-    one, whatever order the corpus was built in."""
+    """The segment a report refuses is the first short one of the first
+    video that has one, whatever order the corpus was built in."""
     ok = _seq([0] * 3 + [1] * 4)
     first = _seq([0] * 3 + [4] * 2 + [5] * 3)  # video 2: phase 4 has 2 frames
     later = _seq([0] * 3 + [1] * 1 + [2] * 4)  # video 3: phase 1 has 1 frame
@@ -306,6 +305,33 @@ def test_a_report_names_the_first_short_segment_in_video_order():
     with pytest.raises(SegmentShorterThanOmega) as alone:
         relax_flags_legacy(first, first, 3)
     assert str(alone.value) == str(exc.value)
+
+
+def test_legacy_refusal_names_the_first_short_segment_across_chunks():
+    """With a chunk of one video each, the rules of each chunk are found
+    as it is flagged: the first video's chunk is flagged, and the second's
+    refuses its short segment with the message the rules give over every
+    annotation, not the third video's."""
+    anns = [
+        _seq([0] * 3 + [1] * 4),
+        _seq([0] * 3 + [4] * 2 + [5] * 3),  # phase 4 has 2 frames
+        _seq([0] * 3 + [1] * 1 + [2] * 4),  # phase 1 has 1 frame
+    ]
+    corpus = Corpus(PhaseSet(7), dict(enumerate(anns)), {v: {"r": y} for v, y in enumerate(anns)})
+    with pytest.raises(SegmentShorterThanOmega) as whole:
+        legacy_rules(anns, 3)
+    assert str(whole.value) == "segment of phase 4 has 2 frames, shorter than omega=3"
+    flagged = []
+
+    def flag_spy(windows, videos):
+        flagged.append(len(videos))
+        return window_flags(windows, videos)
+
+    with mock.patch.multiple(phaseeval.relaxed, _GROUP_FRAMES=1, window_flags=flag_spy):
+        with pytest.raises(SegmentShorterThanOmega) as exc:
+            relaxed_tensors(corpus, partial(legacy_rules, omega=3), True)
+    assert str(exc.value) == str(whole.value)
+    assert flagged == [1]
 
 
 def test_legacy_ignores_out_of_range_phases():
@@ -580,7 +606,7 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
         anns[v] = _seq(y)
         labels = st.lists(st.integers(0, 8), min_size=len(y), max_size=len(y))
         preds[v] = {f"r{r}": _seq(data.draw(labels)) for r in range(runs)}
-    # the corpus's rules, found in one pass, against each annotation's own
+    # the rules of each chunk of videos against each annotation's own
     rules_of = (
         partial(legacy_rules, omega=omega)
         if legacy
@@ -599,7 +625,7 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
     for v in anns:
         windows = rules_of((anns[v],))
         for ri, r in enumerate(sorted(preds[v])):
-            (flags,) = window_flags(windows, 0, (anns[v],), ((preds[v][r],),))
+            (flags,) = window_flags(windows, ((preds[v][r],),))
             want = relaxed_counts(anns[v], preds[v][r], flags, range(9))
             for counts in seen:
                 assert all(np.array_equal(f[:, v, ri], w) for f, w in zip(counts, want))
@@ -650,9 +676,9 @@ def test_chunks_of_videos_flag_and_count_as_each_pair(held, videos, joins, runs,
     chunks, masks, cells = [], [], []
     flag, count, scored = window_flags, relaxed_counts, phaseeval.relaxed.relaxed_cells
 
-    def flag_spy(windows, start, annotations, videos):
-        chunks.append(len(annotations))
-        return flag(windows, start, annotations, videos)
+    def flag_spy(windows, videos):
+        chunks.append(len(videos))
+        return flag(windows, videos)
 
     def count_spy(y, yhats, flags, phases):
         masks.append(flags.tolist())
