@@ -131,13 +131,13 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
         (["omega= 7"], "takes an integer or unknown"),
         (["runs=\u0665"], "takes an integer or unknown"),  # an Arabic-Indic five
         (["omega=-1"], "omega must be non-negative"),
-        (["omega=99999999999999999999999"], f"omega must be non-negative and at most {2**63 - 1}"),
-        (["omega=9223372036854775808"], f"and at most {2**63 - 1}"),
         (["split=a", "split=b"], "'split' given twice"),
         (["runs=unknown", "runs=3"], "'runs' given twice"),
         (["omega=\u0663"], "takes an integer or unknown"),
         (["omega=1_0"], "takes an integer or unknown"),
         (["split="], "reference: split_name must not be empty"),
+        (["omega=99999999999999999999999"], f"omega must be non-negative and at most {2**63 - 1}"),
+        (["omega=9223372036854775808"], f"and at most {2**63 - 1}"),
     ],
 )
 def test_bad_reference_exits_2(refs, message, capsys):
