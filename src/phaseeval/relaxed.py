@@ -20,6 +20,7 @@ is applied to the *first* omega positions of each segment.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -151,11 +152,11 @@ def _segments(annotations: Sequence[LabelSequence]):
     them, cut at each annotation's first frame."""
     ys = [y.labels for y in annotations]
     labels = np.concatenate(ys) if len(ys) > 1 else ys[0]
-    cut = np.empty(len(labels), bool)
-    np.not_equal(labels[1:], labels[:-1], out=cut[1:])
-    cut[np.cumsum([0, *map(len, ys[:-1])])] = True  # each annotation's first frame
-    first = np.flatnonzero(cut)
-    return labels, labels[first], first, np.append(first[1:] - 1, len(labels) - 1)
+    cut = np.empty(len(labels) + 1, bool)
+    np.not_equal(labels[1:], labels[:-1], out=cut[1:-1])
+    cut[[0, *accumulate(map(len, ys))]] = True  # each annotation's first frame, and the end
+    bounds = cut.nonzero()[0]
+    return labels, labels[bounds[:-1]], bounds[:-1], bounds[1:] - 1
 
 
 def _rules(segments, w, accept, end_on_head: bool) -> Windows:
@@ -169,9 +170,9 @@ def _rules(segments, w, accept, end_on_head: bool) -> Windows:
     p = len(accept) // 2
     width = np.concatenate((w, w))  # every start window, then every end window
     read = _ramps(np.concatenate((first, last - w + 1)), width)
-    put = _ramps(np.concatenate((first, first)), width) if end_on_head else read
+    put = np.concatenate([read[: len(read) // 2]] * 2) if end_on_head else read  # start windows twice
     rows = np.concatenate((phase, np.add(phase, p, dtype=np.intp)))  # uint8 would wrap
-    row = np.repeat(rows * accept.shape[1], width)
+    row = (rows * accept.shape[1]).repeat(width)
     return Windows(put, read, row, accept, labels)
 
 
@@ -179,8 +180,8 @@ def _ramps(starts, width) -> np.ndarray:
     """The frames starts[i] .. starts[i] + width[i] - 1 of every window, in
     order, in one array: each frame's place in it, plus its window's start
     less the window's first place."""
-    ends = np.cumsum(width)
-    return np.repeat(starts - ends + width, width) + np.arange(ends[-1])
+    ends = width.cumsum()
+    return (starts - ends + width).repeat(width) + np.arange(ends[-1])
 
 
 def window_flags(windows: Windows, videos) -> np.ndarray:
@@ -226,7 +227,7 @@ def legacy_rules(annotations: Sequence[LabelSequence], omega: int) -> Windows:
     omega = check_omega(omega)
     segments = _, phase, first, last = _segments(annotations)
     w = np.where(phase <= 6, omega, 0)
-    short = np.flatnonzero(last - first + 1 < w)
+    short = (last - first + 1 < w).nonzero()[0]
     if len(short):
         i = short[0]
         raise SegmentShorterThanOmega(
@@ -292,15 +293,16 @@ _LANE_FRAMES = 4096
 # Times the size of a block, added to a uint64 view of uint16 bins: frame k
 # of each aligned group of four moves k blocks up.
 _LANE_STEPS = 0x0003_0002_0001_0000
-# A group of runs holds at most this many frames, or one run: the arrays of
+# A chunk of whole videos holds at most this many (run, frame) pairs, or one
+# video, and a group of its runs this many frames, or one run: the arrays of
 # a longer group cost more in fresh pages than the calls they save (at 25
 # fps, 563 against 322 minor faults a relaxed report, CHANGES.md).
 _GROUP_FRAMES = 1 << 16
 
 
 def relaxed_counts(
-    annotation: LabelSequence,
-    prediction: LabelSequence | Sequence[LabelSequence],
+    annotation: LabelSequence | Sequence[LabelSequence],
+    prediction: LabelSequence | Sequence[LabelSequence] | Sequence[Sequence[LabelSequence]],
     flags: Sequence[bool],
     phase: int | range,
 ) -> RelaxedCounts:
@@ -310,21 +312,29 @@ def relaxed_counts(
     Given `range(n)`, counts phases 0..n-1 at once, each field an (n,)
     int64 array, from the pair's (annotated, predicted) counts of the
     unflagged and the flagged frames.  `prediction` may then also be the
-    runs of `annotation`, with a (runs, frames) mask, each field (n, runs).
-    One bincount counts a group of runs, each run's bins a square above the
-    run's before, in a block of the group's squares; when a group in four
-    such blocks holds at least _LANE_FRAMES frames, for n up to 89, every
+    runs of `annotation`, with a (runs, frames) mask, each field (n, runs),
+    or `annotation` a chunk's annotations laid end to end, `prediction` the
+    runs of each and `flags` the chunk's mask, as window_flags gives it,
+    each field (n, videos, runs).  One bincount counts a group of runs, each
+    (video, run) pair's bins a square of its own; when a group in four
+    blocks of its squares holds _LANE_FRAMES frames, for n up to 89, every
     group counts in four.  A group holds as many runs as a uint16 index
-    holds the bins of, and of _GROUP_FRAMES, and at least one run, so no
-    bincount holds more than max(2**16, 2 * (n + 1)**2) bins.
+    holds the bins of, and of _GROUP_FRAMES, and at least one; each video's
+    runs count apart when a run's squares pass that index, so no bincount
+    holds more than max(2**16, 2 * (n + 1)**2) bins.
     """
-    single = isinstance(prediction, LabelSequence)
-    runs = (prediction,) if single else tuple(prediction)
-    for run in runs:
-        _check_lengths(annotation, run)
-    frames = len(annotation)
+    single, chunk = isinstance(prediction, LabelSequence), not isinstance(annotation, LabelSequence)
+    annotations = tuple(annotation) if chunk else (annotation,)
+    videos = [tuple(runs) for runs in (prediction if chunk else [[prediction] if single else prediction])]
+    if len(videos) != len(annotations) or len({len(runs) for runs in videos}) != 1:
+        raise LengthMismatch("each annotation needs runs of its own, as many as the others")
+    for y, runs in zip(annotations, videos):
+        for run in runs:
+            _check_lengths(y, run)
+    lengths = [len(y) for y in annotations]
+    edges, runs = [0, *accumulate(lengths)], len(videos[0])
     flags = np.asarray(flags, dtype=bool)
-    if flags.shape != ((frames,) if single else (len(runs), frames)):
+    if flags.shape != ((edges[-1],) if single else (runs, edges[-1])):
         raise LengthMismatch("flags do not cover the sequence")
     if not isinstance(phase, range):
         if not single:
@@ -336,38 +346,45 @@ def relaxed_counts(
     width = len(phase)
     if width > MAX_PHASES:
         raise UnsupportedPhaseCount(f"cannot count {width} phases at once, at most {MAX_PHASES}")
+    square = 2 * (width + 1) ** 2
+    unit = len(videos) * square  # a run's squares
+    counts = np.empty((4, width, len(videos), runs), np.int64)
+    if len(videos) > 1 and unit > 1 << 16:
+        for v, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            counts[:, :, v] = relaxed_counts(annotations[v], videos[v], flags[:, lo:hi], phase)
+        return RelaxedCounts(*counts)
 
-    # Each frame's bin: its run's square in its group, the annotated and the
-    # predicted label, then the flag as the lowest bit, so one bincount
+    # Each frame's bin: its pair's square in its group, the annotated and
+    # the predicted label, then the flag as the lowest bit, so one bincount
     # counts the unflagged and the flagged (annotated, predicted) squares of
-    # every run of a group.  Labels at or past `width` share the bin after
+    # every pair of a group.  Labels at or past `width` share the bin after
     # the range.  The index is the narrowest unsigned type that holds a
     # group's bins.
-    square = 2 * (width + 1) ** 2
-    group = max(1, min((1 << 16) // (4 * square), _GROUP_FRAMES // frames, len(runs)))
-    lanes = 4 if group * frames >= _LANE_FRAMES and 4 * square <= 1 << 16 else 1
-    group = max(1, min((1 << 16) // (lanes * square), _GROUP_FRAMES // frames))
+    group = max(1, min((1 << 16) // (4 * unit), _GROUP_FRAMES // edges[-1], runs))
+    lanes = 4 if group * edges[-1] >= _LANE_FRAMES and 4 * unit <= 1 << 16 else 1
+    group = max(1, min((1 << 16) // (lanes * unit), _GROUP_FRAMES // edges[-1]))
     index = np.uint16 if square <= 1 << 16 else np.uint32
-    a = annotation.labels
-    if annotation.max_label >= width:  # so width fits their dtype
+    ys = [y.labels for y in annotations]
+    a = np.concatenate(ys) if len(ys) > 1 else ys[0]
+    if max(y.max_label for y in annotations) >= width:  # so width fits their dtype
         a = np.minimum(a, a.dtype.type(width))
     scaled = a.astype(index)
     scaled *= index(width + 1)
-    flags = flags.reshape(-1, frames)
-    counts = np.empty((4, width, len(runs)), np.int64)
-    for first in range(0, len(runs), group):
-        members = runs[first : first + group]
-        held = len(members)
-        pair = np.add.outer(np.arange(held, dtype=index) * index(square // 2), scaled)
-        for row, run in zip(pair, members):
-            b = run.labels
-            if run.max_label >= width:
+    if len(videos) > 1:  # video v's frames move v squares up
+        scaled += np.repeat(np.arange(len(videos), dtype=index) * index(square // 2), lengths)
+    for first in range(0, runs, group):
+        held = min(group, runs - first)
+        pair = np.add.outer(np.arange(held, dtype=index) * index(unit // 2), scaled)
+        for row, r in zip(pair, range(first, first + held)):
+            run = [each[r] for each in videos]  # its prediction of each video
+            b = np.concatenate([seq.labels for seq in run]) if len(run) > 1 else run[0].labels
+            if max(seq.max_label for seq in run) >= width:
                 b = np.minimum(b, b.dtype.type(width))
             np.add(row, b, out=row, casting="unsafe")  # b <= width: the cast is exact
         pair += pair
-        pair |= flags[first : first + group]
+        pair |= flags.reshape(runs, -1)[first : first + held]
         flat = pair.reshape(-1)
-        block = held * square
+        block = held * unit
         if lanes == 4:
             # Each frame of an aligned group of four counts in a block of its
             # own, summed below: most frames fall in the bin of the frame
@@ -380,20 +397,20 @@ def relaxed_counts(
         bins = np.bincount(flat, minlength=lanes * block)
         if lanes == 4:
             bins = np.add.reduce(bins.reshape(4, block), 0)
-        bins = bins.reshape(held, width + 1, width + 1, 2)
-        # By run, label and flag: the frames annotated, predicted, and either
+        bins = bins.reshape(held, len(videos), width + 1, width + 1, 2)
+        # By pair, label and flag: the frames annotated, predicted, and either
         # (their sum less the diagonal, counted in both).  A phase's relaxed
         # true positives are the flagged frames of either, its union all of them.
-        sums = np.empty((3, held, width + 1, 2), np.int64)
+        sums = np.empty((3, *bins.shape[:3], 2), np.int64)
         either, predicted, annotated = sums
-        np.add.reduce(bins, 2, out=annotated)
-        np.add.reduce(bins, 1, out=predicted)
+        np.add.reduce(bins, 3, out=annotated)
+        np.add.reduce(bins, 2, out=predicted)
         np.add(annotated, predicted, out=either)
-        either -= bins.reshape(held, -1, 2)[:, :: width + 2]
-        part = counts[:, :, first : first + group].transpose(0, 2, 1)
-        part[0] = either[:, :width, 1]
-        np.add.reduce(sums[:, :, :width], 3, out=part[1:])
-    return RelaxedCounts(*(counts[..., 0] if single else counts))
+        either -= bins.reshape(held, len(videos), -1, 2)[:, :, :: width + 2]
+        part = counts[..., first : first + held].transpose(0, 3, 2, 1)
+        part[0] = either[..., :width, 1]
+        np.add.reduce(sums[..., :width, :], 4, out=part[1:])
+    return RelaxedCounts(*(counts if chunk else counts[..., 0, 0] if single else counts[:, :, 0]))
 
 
 def relaxed_cells(kind: str, counts: RelaxedCounts, truncate: bool) -> Cells:
@@ -437,7 +454,7 @@ def relaxed_tensors(
     accuracy (1, video, run) cells of every pair.  `rules_of(annotations)`
     gives their Windows, found here for each chunk of whole videos, of at
     most _GROUP_FRAMES (run, frame) pairs or one video, as it is flagged;
-    each video is counted in one relaxed_counts call."""
+    each chunk is counted in one relaxed_counts call."""
     videos, runs, phases = corpus.videos, corpus.runs, corpus.phases
     annotations = [corpus.annotations[v] for v in videos]
     frames = np.cumsum([0, *map(len, annotations)]).tolist()
@@ -445,9 +462,7 @@ def relaxed_tensors(
     for i, j in _chunks(frames, _GROUP_FRAMES // len(runs)):
         chunk = [[corpus.predictions[v][r] for r in runs] for v in videos[i:j]]
         mask = window_flags(rules_of(annotations[i:j]), chunk)
-        for k, predictions in enumerate(chunk, i):
-            part = mask[:, frames[k] - frames[i] : frames[k + 1] - frames[i]]
-            counts[:, :, k] = relaxed_counts(annotations[k], predictions, part, range(phases.count))
+        counts[:, :, i:j] = relaxed_counts(annotations[i:j], chunk, mask, range(phases.count))
     grid = RelaxedCounts(*counts)
     # Summed over the phases, relaxed true positives plus agreements
     # (annotated + predicted - union) count each flagged frame twice: one

@@ -577,6 +577,49 @@ def test_counts_of_a_videos_runs_are_each_runs_own(width, n, runs, data):
         assert all(np.array_equal(f[:, r], w) for f, w in zip(got, want))
 
 
+@pytest.mark.thorough
+@pytest.mark.parametrize("width", [1, 7, 15, 63, 89, 90, 127, 180, 181])
+@given(st.integers(1, 6), st.integers(1, 4), st.sampled_from([1, 3000, _GROUP_FRAMES]), st.data())
+@settings(max_examples=examples(6), deadline=None)
+def test_a_chunks_counts_are_each_pairs_own(width, size, runs, cap, data):
+    """relaxed_counts over a chunk of videos, their annotations laid end to
+    end with a (runs, frames) mask, gives each (video, run) pair its own
+    call's counts, field by field, and the oracle's, and no bincount of it
+    holds more than max(2**16, 2 * (width + 1)**2) bins.  Labels reach past
+    the range (some past one byte); _GROUP_FRAMES, set here, splits a
+    chunk's runs into groups of one run or of a few.  The widths count in
+    four lanes (up to 89), in one (90 to 180) or in a uint32 index (181),
+    and 89 phases on five videos, 127 on three and 180 on two do not fit
+    one run's squares in a uint16 index, so each video's runs count apart."""
+    lengths = data.draw(st.lists(st.sampled_from([1, 2, 170, 900, 2200]), min_size=size, max_size=size))
+    labels = st.integers(0, width + 2) | st.sampled_from([0, width - 1, width, 1000])
+    ys = [_seq(_runs(data, labels, n)) for n in lengths]
+    videos = [[_seq(_runs(data, labels, n)) for _ in range(runs)] for n in lengths]
+    flags = np.array([_runs(data, st.booleans(), sum(lengths)) for _ in range(runs)], dtype=bool)
+    bincount, bins, frames = np.bincount, [], []
+
+    def spy(x, minlength=0):
+        got = bincount(x, minlength=minlength)
+        bins.append(len(got))
+        frames.append(len(x))
+        return got
+
+    with mock.patch.object(np, "bincount", spy), mock.patch.object(phaseeval.relaxed, "_GROUP_FRAMES", cap):
+        got = relaxed_counts(ys, videos, flags, range(width))
+    assert all(f.shape == (width, len(ys), runs) and f.dtype == np.int64 for f in got)
+    assert max(bins) <= max(1 << 16, 2 * (width + 1) ** 2)
+    assert sum(frames) == runs * sum(lengths) and max(frames) <= max(cap, sum(lengths))
+    edges = np.cumsum([0, *lengths])
+    for v, (y, yhats) in enumerate(zip(ys, videos)):
+        for r, yhat in enumerate(yhats):
+            mask = flags[r, edges[v] : edges[v + 1]]
+            want = relaxed_counts(y, yhat, mask, range(width))
+            assert all(np.array_equal(f[:, v, r], w) for f, w in zip(got, want))
+            for p in {0, width - 1, data.draw(st.integers(0, width - 1))}:
+                oracle = oracle_relaxed_counts(y.labels.tolist(), yhat.labels.tolist(), mask.tolist(), p)
+                assert tuple(int(f[p, v, r]) for f in got) == oracle
+
+
 def test_counts_of_runs_need_a_mask_of_each_and_a_range():
     y = _seq([0, 1, 1])
     with pytest.raises(LengthMismatch, match="flags do not cover"):
@@ -585,6 +628,17 @@ def test_counts_of_runs_need_a_mask_of_each_and_a_range():
         relaxed_counts(y, [y, _seq([0, 1])], np.ones((2, 3), bool), range(2))
     with pytest.raises(TypeError, match="one prediction"):
         relaxed_counts(y, [y, y], np.ones((2, 3), bool), 1)
+    z = _seq([2, 2])
+    with pytest.raises(LengthMismatch, match="as many as the others"):
+        relaxed_counts([y, z], [[y, y]], np.ones((2, 5), bool), range(3))
+    with pytest.raises(LengthMismatch, match="as many as the others"):
+        relaxed_counts([y, z], [[y, y], [z]], np.ones((2, 5), bool), range(3))
+    with pytest.raises(LengthMismatch, match="prediction has 3$"):
+        relaxed_counts([y, z], [[y], [y]], np.ones((1, 5), bool), range(3))
+    with pytest.raises(LengthMismatch, match="flags do not cover"):
+        relaxed_counts([y, z], [[y], [z]], np.ones((1, 3), bool), range(3))
+    with pytest.raises(TypeError, match="one prediction"):
+        relaxed_counts([y, z], [[y], [z]], np.ones((1, 5), bool), 1)
 
 
 @given(
@@ -646,12 +700,14 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
 def test_chunks_of_videos_flag_and_count_as_each_pair(held, videos, joins, runs, omega, legacy, data):
     """relaxed_tensors flags videos laid end to end in chunks of at most
     _GROUP_FRAMES (runs, frames) items, set here so that a chunk holds one
-    video, the first two, or all of them: every pair's flags and counts
-    are still the oracles'.  Each video begins with a segment of the phase
-    the one before ends on, so a segment or window that crossed from one
-    to the next would show; windows touch each video's first and last
-    frame; the first video is the longest; and the corpus declares nine
-    phases, so predicted labels 7 and 8 pass the 7-phase grids."""
+    video, the first two, or all of them, and counts each chunk in one
+    relaxed_counts call: every pair's flags and counts, split back from
+    the chunk's, are still the oracles'.  Each video begins with a segment
+    of the phase the one before ends on, so a segment or window that
+    crossed from one to the next would show; windows touch each video's
+    first and last frame; the first video is the longest; and the corpus
+    declares nine phases, so predicted labels 7 and 8 pass the 7-phase
+    grids."""
     ys = [[p for p, n in segs for _ in range(n)] for segs in videos]
     ys.insert(0, ys.pop(max(range(len(ys)), key=lambda v: len(ys[v]))))
     for v in range(1, len(ys)):
@@ -673,16 +729,22 @@ def test_chunks_of_videos_flag_and_count_as_each_pair(held, videos, joins, runs,
     else:
         rules_of = partial(graph_rules, omega=omega, accept=GRAPH_MX)
         oracle = partial(oracle_relax_flags, start_grid=GRAPH_MX[:7, :7], end_grid=GRAPH_MX[7:, :7])
-    chunks, masks, cells = [], [], []
+    chunks, counted, masks, pairs, cells = [], [], [], [], []
     flag, count, scored = window_flags, relaxed_counts, phaseeval.relaxed.relaxed_cells
 
     def flag_spy(windows, videos):
         chunks.append(len(videos))
         return flag(windows, videos)
 
-    def count_spy(y, yhats, flags, phases):
-        masks.append(flags.tolist())
-        return count(y, yhats, flags, phases)
+    def count_spy(anns, videos, flags, phases):
+        """The chunk's mask and counts, split back by (video, run)."""
+        counted.append((list(anns), videos))
+        got = count(anns, videos, flags, phases)
+        edges = np.cumsum([0, *map(len, anns)])
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            masks.append(flags[:, lo:hi].tolist())
+            pairs.append([[int(f[p, k, r]) for f in got] for r in range(runs) for p in range(9)])
+        return got
 
     def cells_spy(kind, counts, truncate):
         cells.append(counts)
@@ -706,12 +768,19 @@ def test_chunks_of_videos_flag_and_count_as_each_pair(held, videos, joins, runs,
         relaxed_tensors(corpus, rules_of, legacy)
     assert sum(chunks) == len(ys)
     assert chunks[0] == {"one": 1, "two": 2, "all": len(ys)}[held]
+    # one count a chunk, of the chunk's videos in order
+    assert [len(anns) for anns, _ in counted] == chunks
+    assert [y for anns, _ in counted for y in anns] == [corpus.annotations[v] for v in range(len(ys))]
+    assert [list(row) for _, videos in counted for row in videos] == [
+        [corpus.predictions[v][r] for r in range(runs)] for v in range(len(ys))
+    ]
     assert masks == want
     for v, y in enumerate(ys):
         for r in range(runs):
             for p in range(9):
                 got = tuple(int(f[p, v, r]) for f in cells[0])
                 assert got == oracle_relaxed_counts(y, preds[v][r], want[v][r], p)
+                assert list(got) == pairs[v][r * 9 + p]
 
 
 # Videos of 1, 3 and 7 segments, some of them 2 or 3 frames long, each
@@ -726,34 +795,39 @@ _VIDEOS = {
 @pytest.mark.parametrize("omega", [0, 2], ids=["omega-0", "overlapping-windows"])
 @pytest.mark.parametrize("bug_compatible", [False, True], ids=["graph", "bug-compat"])
 def test_a_reports_flags_are_each_pairs_own(omega, bug_compatible):
-    """The flags a report counts, with every annotation's windows found in
-    one pass, the runs of all three videos flagged in one chunk and each
-    video counted in one call, are relax_flags (or relax_flags_legacy) of
-    each pair alone."""
+    """The flags a report counts, with the runs of all three videos flagged
+    in one chunk and the chunk counted in one call, are relax_flags (or
+    relax_flags_legacy) of each pair alone, and each pair's counts are its
+    own call's."""
     rng = np.random.default_rng(omega)
     anns = {v: _seq([p for p, n in segs for _ in range(n)]) for v, segs in _VIDEOS.items()}
     preds = {v: {r: _seq(rng.integers(0, 7, len(y))) for r in "ab"} for v, y in anns.items()}
     seen = []
 
-    def spy(y, yhats, flags, phases):
-        seen.append((y, yhats, flags.copy()))
-        return relaxed_counts(y, yhats, flags, phases)
+    def spy(ys, videos, flags, phases):
+        got = relaxed_counts(ys, videos, flags, phases)
+        seen.append((list(ys), videos, flags.copy(), got))
+        return got
 
     mode = MatrixMode.LEGACY if bug_compatible else MatrixMode.GRAPH_DERIVED
     with mock.patch.object(phaseeval.relaxed, "relaxed_counts", spy):
         run_relaxed(Corpus(PhaseSet(7), anns, preds), omega, mode, bug_compatible, bug_compatible)
-    assert [y for y, _, _ in seen] == list(anns.values())  # one call a video
+    assert [ys for ys, *_ in seen] == [list(anns.values())]  # one call a chunk
+    ((ys, videos, mask, got),) = seen
+    edges = np.cumsum([0, *map(len, ys)])
     pairs = [
-        (y, yhat, tuple(flags.tolist()))
-        for y, yhats, masks in seen
-        for yhat, flags in zip(yhats, masks, strict=True)
+        (y, yhat, tuple(flags.tolist()), [f[:, k, r] for f in got])
+        for k, (y, yhats, lo, hi) in enumerate(zip(ys, videos, edges, edges[1:]))
+        for r, (yhat, flags) in enumerate(zip(yhats, mask[:, lo:hi], strict=True))
     ]
-    assert [(y, yhat) for y, yhat, _ in pairs] == [(anns[v], preds[v][r]) for v in anns for r in "ab"]
-    for y, yhat, flags in pairs:
+    assert [(y, yhat) for y, yhat, *_ in pairs] == [(anns[v], preds[v][r]) for v in anns for r in "ab"]
+    for y, yhat, flags, counts in pairs:
         if bug_compatible:
             assert flags == relax_flags_legacy(y, yhat, omega)
         else:
             assert flags == relax_flags(y, yhat, omega, GRAPH_MX)
+        want = relaxed_counts(y, yhat, flags, range(7))
+        assert all(np.array_equal(f, w) for f, w in zip(counts, want))
 
 
 def test_relaxed_metric_undefined_on_zero_denominator():
