@@ -94,15 +94,8 @@ def cmd_synth(args) -> int:
     from .synth import generate_corpus
 
     manifest = generate_corpus(
-        Path(args.out_dir),
-        args.phase_count,
-        args.videos,
-        args.runs,
-        args.min_len,
-        args.max_len,
-        args.boundary_shift,
-        args.flip_rate,
-        args.seed,
+        Path(args.out_dir), args.phase_count, args.videos, args.runs, args.min_len,
+        args.max_len, args.boundary_shift, args.flip_rate, args.seed,
     )
     sys.stdout.flush()  # the path's bytes, whatever the locale can encode
     sys.stdout.buffer.write(os.fsencode(manifest) + b"\n")
@@ -231,17 +224,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     reference = _validate(parser, args)
     try:
-        if args.command == "evaluate":
-            return cmd_evaluate(args)
-        if args.command == "relaxed":
-            return cmd_relaxed(args)
-        if args.command == "compare":
-            return cmd_compare(args, reference)
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "splits":
-            return cmd_splits(args)
-        raise AssertionError(args.command)
+        commands = {"evaluate": cmd_evaluate, "relaxed": cmd_relaxed, "synth": cmd_synth,
+                    "splits": cmd_splits, "compare": lambda a: cmd_compare(a, reference)}
+        return commands[args.command](args)
     except (PhaseEvalError, OSError) as exc:
         # A message may quote input raw, such as a label path holding a NUL:
         # each control character is escaped, so the error is one line.

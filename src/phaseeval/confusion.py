@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable
 
 import numpy as np
@@ -18,32 +19,36 @@ class DimensionMismatch(PhaseEvalError):
 
 def confusion_stack(corpus: Corpus) -> np.ndarray:
     """The (video, run, phase, phase) int64 counts of each prediction
-    against its video's annotation, in the corpus's video and run order,
-    one bincount per pair.
+    against its video's annotation, in the corpus's video and run order:
+    one bincount per run of each chunk of whole videos, at most 2**16
+    frames or one video, video k of a chunk in its k-th block of squares.
 
-    Frame t of a video is counted in lane t mod `lanes`, a p * p square of
+    Frame t of a chunk is counted in lane t mod `lanes`, a p * p square of
     its own, and the lanes are summed once per corpus: most frames fall in
     the same bin as the frame before, and with one square each such
-    increment waits for the previous store to the same counter. `lanes`
-    is the largest of 4, 2 and 1 whose lanes * p * p bins fit the uint16
-    index (4 up to 128 phases, 2 up to 181, then 1)."""
-    videos, runs, p = corpus.videos, corpus.runs, corpus.phases.count
+    increment waits for the previous store to the same counter. `lanes` is
+    the largest of 4, 2 and 1 whose lanes * p * p bins fit the uint16 index
+    (4 up to 128 phases, 2 up to 181, then 1), and so do a chunk's blocks."""
+    labels, edges, p = corpus.labels, corpus.edges.tolist(), corpus.phases.count
     square = p * p
     lanes = next(k for k in (4, 2, 1) if k * square <= 1 << 16)
-    longest = max(len(a) for a in corpus.annotations.values())
-    offsets = np.tile(
-        np.array([k * square for k in range(lanes)], np.uint16), -(-longest // lanes)
-    )
-    counts = np.empty((len(videos), len(runs), lanes * square), np.int64)
-    for v, video in zip(videos, counts):
-        # A corpus's labels are uint8 and the largest index, lanes * p * p - 1,
+    block, longest = lanes * square, min(edges[-1], max(1 << 16, *np.diff(edges).tolist()))
+    offsets = np.tile(np.arange(0, block, square, dtype=np.uint16), -(-longest // lanes))
+    counts = np.empty((len(edges) - 1, len(labels) - 1, block), np.int64)
+    i = 0
+    while i < len(counts):
+        j = max(i + 1, min(bisect_right(edges, edges[i] + (1 << 16)) - 1, i + (1 << 16) // block))
+        lo, hi, held = edges[i], edges[j], j - i
+        # A corpus's labels are uint8 and the largest index, held * block - 1,
         # fits uint16; a wider index made 25 fps reports re-fault pages.
-        base = np.multiply(corpus.annotations[v].labels, p, dtype=np.uint16)
-        base += offsets[: len(base)]
-        for r, pair in zip(runs, video):
-            index = np.add(base, corpus.predictions[v][r].labels, dtype=np.uint16)
-            pair[:] = np.bincount(index, minlength=lanes * square)
-    return counts.reshape(len(videos), len(runs), lanes, p, p).sum(axis=2)
+        base = np.multiply(labels[0, lo:hi], p, dtype=np.uint16)
+        base += offsets[: hi - lo]
+        if held > 1:  # video k's frames move k blocks up
+            base += (np.arange(held, dtype=np.uint16) * block).repeat(np.diff(edges[i : j + 1]))
+        for run, pairs in zip(labels[1:, lo:hi], counts[i:j].swapaxes(0, 1)):
+            pairs.flat = np.bincount(np.add(base, run, dtype=np.uint16), minlength=held * block)
+        i = j
+    return counts.reshape(*counts.shape[:2], lanes, p, p).sum(axis=2)
 
 
 def confusion_of(

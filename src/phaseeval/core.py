@@ -104,21 +104,17 @@ class LabelSequence:
         max_label = int(labels.max())
         if max_label > LABEL_MAX:
             raise OutOfRangeLabel(f"labels must not exceed {LABEL_MAX}")
-        self._hold(labels.astype(np.uint8 if max_label < 256 else np.int32), max_label)
-
-    def _hold(self, labels: np.ndarray, max_label: int) -> None:
+        labels = labels.astype(np.uint8 if max_label < 256 else np.int32)
         labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "max_label", max_label)
+        vars(self).update(labels=labels, max_label=max_label)  # past the frozen __setattr__
 
     @classmethod
     def _adopt(cls, labels: np.ndarray, max_label: int) -> "LabelSequence":
-        """A sequence that takes `labels`, a flat, non-empty array of
-        non-negative labels in the dtype the constructor would give them,
-        that nothing else holds, and its largest label, without the checks
-        or the copy."""
+        """A sequence that takes `labels`, a read-only, flat, non-empty array
+        of non-negative labels in the dtype the constructor would give them,
+        and its largest label, without the checks or the copy."""
         seq = object.__new__(cls)
-        seq._hold(labels, max_label)
+        vars(seq).update(labels=labels, max_label=max_label)
         return seq
 
     def __eq__(self, other):

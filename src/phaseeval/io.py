@@ -66,7 +66,8 @@ def parse_labels(data: bytes) -> LabelSequence:
     pairs = np.frombuffer(data + b"\n"[: len(data) % 2], "<u2")
     digits = np.subtract(pairs, 0x0A30, dtype=np.uint16)
     if (max_label := int(digits.max())) <= 9:
-        return LabelSequence._adopt(digits.astype(np.uint8), max_label)
+        (labels := digits.astype(np.uint8)).flags.writeable = False
+        return LabelSequence._adopt(labels, max_label)
     buf = np.frombuffer(data, dtype=np.uint8)
     digit = buf - np.uint8(_ZERO)  # non-digit bytes wrap to values above 9
     newline = buf == _NEWLINE
@@ -128,10 +129,12 @@ class Corpus:
     """Sequences to score, valid by construction: the same videos in both
     maps, each with runs, one run-id set, every label within `phases`, each
     prediction as long as its annotation, and a split that is None or a
-    non-empty name with no control character or line separator.  Both maps
-    are held as read-only copies, so a built Corpus stays valid and reports
-    trust it, and its evaluate reports share one count of its frames,
-    `counts`."""
+    non-empty name with no control character or line separator.  Every
+    label is held once, in `labels`, a read-only uint8 (1 + runs, frames)
+    array: annotations in row 0, run r of `runs` in row 1 + r, the videos
+    laid end to end in `videos` order, video k from frame edges[k] on.
+    Both maps hold read-only views of it, so a built Corpus stays valid and
+    reports trust it; its evaluate reports share one count, `counts`."""
 
     phases: PhaseSet
     annotations: Mapping[int, LabelSequence]
@@ -139,6 +142,8 @@ class Corpus:
     split: str | None = None
     videos: tuple[int, ...] = field(init=False)
     runs: tuple[str, ...] = field(init=False)
+    labels: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.split is not None and not (isinstance(self.split, str) and self.split):
@@ -147,7 +152,7 @@ class Corpus:
         if self.split and CONTROL_CHARACTERS.search(self.split):
             raise SchemaError(f"split {self.split!r} holds a control character")
         annotations = dict(self.annotations)
-        predictions = {v: MappingProxyType(dict(runs)) for v, runs in self.predictions.items()}
+        predictions = {v: dict(runs) for v, runs in self.predictions.items()}
         videos = tuple(sorted(annotations))
         if not videos or set(videos) != predictions.keys() or not all(predictions.values()):
             raise SchemaError(
@@ -158,7 +163,7 @@ class Corpus:
             if (got := tuple(sorted(predictions[v]))) != runs:
                 raise RaggedRuns(f"video {v} has runs {list(got)}, expected {list(runs)}")
             annotation = annotations[v]
-            validate_sequence(annotation, self.phases)
+            validate_sequence(annotation, self.phases)  # so no label wraps in the copy
             for r in runs:
                 pred = predictions[v][r]
                 validate_sequence(pred, self.phases)
@@ -167,10 +172,21 @@ class Corpus:
                         f"video {v} run {r}: prediction has {len(pred)} frames, "
                         f"annotation has {len(annotation)}"
                     )
-        object.__setattr__(self, "annotations", MappingProxyType(annotations))
-        object.__setattr__(self, "predictions", MappingProxyType(predictions))
-        object.__setattr__(self, "videos", videos)
-        object.__setattr__(self, "runs", runs)
+        rows = [[annotations[v] for v in videos], *([predictions[v][r] for v in videos] for r in runs)]
+        edges = np.cumsum([0, *map(len, rows[0])])
+        labels = np.empty((len(rows), edges[-1]), np.uint8)  # MAX_PHASES labels fit a byte
+        for row, seqs in zip(labels, rows):
+            np.concatenate([seq.labels for seq in seqs], out=row)
+        labels.flags.writeable = edges.flags.writeable = False
+        for v, at in zip(videos, map(slice, edges.tolist(), edges[1:].tolist())):  # in map order
+            annotations[v] = LabelSequence._adopt(labels[0, at], annotations[v].max_label)
+            for row, r in enumerate(runs, 1):
+                predictions[v][r] = LabelSequence._adopt(labels[row, at], predictions[v][r].max_label)
+        vars(self).update(  # past the frozen __setattr__
+            annotations=MappingProxyType(annotations),
+            predictions=MappingProxyType({v: MappingProxyType(p) for v, p in predictions.items()}),
+            videos=videos, runs=runs, labels=labels, edges=edges,
+        )
 
     @cached_property
     def counts(self) -> CorpusCounts:

@@ -146,7 +146,7 @@ def run_relaxed(
         cells, acc = legacy_pipeline(corpus, omega)
         spec = SummarySpec(order=AveragingOrder.VIDEO_FIRST)
     else:
-        cells, acc = relaxed_tensors(corpus, lambda ys: graph_rules(ys, omega, accept), truncate)
+        cells, acc = relaxed_tensors(corpus, lambda y, e: graph_rules(y, omega, accept, e), truncate)
         spec = SummarySpec()  # flat order, corrected spread
 
     scores, accuracy, phase = _SCRIPT_PRINTS if bug_compatible else (SUMMARY_STATS,) * 3

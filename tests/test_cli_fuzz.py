@@ -35,8 +35,11 @@ def mostly(valid, invalid):
 
 SIZES = [1, 2, 7, 10, 256]
 phase_counts = mostly(st.sampled_from(SIZES), st.sampled_from([0, -1, 257, True, 7.0, "7", None]))
+# Splits of any script, and ones holding a character at which
+# str.splitlines breaks a line.
 splits = mostly(
-    st.sampled_from([None, "32:8:40", "any"]), st.sampled_from(["", "a\nb", "a\u2028b", 5])
+    st.sampled_from([None, "32:8:40", "any", "café", "분할", "a\u00a0b", "\U0001d7d8"]),
+    st.sampled_from(["", "a\nb", "a\u2028b", "a\x85b", "a\x1cb", "a\x0bb", 5]),
 )
 # A path that names no label file, or one that an error line must escape.
 odd_paths = st.sampled_from(["missing.txt", ".", "", "v\x00.txt", "v\n.txt"])
@@ -152,7 +155,29 @@ def test_main_exits_0_1_or_2_and_its_output_reads_back(corpus, argv, manifest):
             str(root / a) if a in (OUT, UNWRITABLE) else a for a in argv[1:]
         ]
         fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
-        _check_main(root, argv, lambda report: _check_output(report, fmt))
+
+        def read_back(report: bytes) -> None:
+            _check_output(report, fmt)
+            if fmt == "md":
+                _check_md_lines(root, argv, report)
+
+        _check_main(root, argv, read_back)
+
+
+def _check_md_lines(root: Path, argv: list[str], report: bytes) -> None:
+    """`report`, a md report of root/manifest.json, has as many lines
+    under str.splitlines() as the same report of the manifest with its
+    split, if it has one, named in ASCII."""
+    doc = json.loads((root / "manifest.json").read_bytes())
+    if "split" in doc:
+        doc["split"] = "ascii"
+    (root / "ascii.json").write_text(json.dumps(doc))
+    plain = [argv[0], str(root / "ascii.json"), *argv[2:]]
+    if "--out" in plain:
+        plain[plain.index("--out") + 1] = "-"
+    code, out, _ = _run(plain)
+    assert code == 0
+    assert len(report.decode("utf-8").splitlines()) == len(out.decode("utf-8").splitlines())
 
 
 def _check_main(root: Path, argv: list[str], read_back) -> None:

@@ -118,6 +118,30 @@ def test_stack_equals_each_pair_counted_alone(phase_count, videos, runs, data):
     assert got.dtype == np.int64 and np.array_equal(got, np.array(want, np.int64))
 
 
+@pytest.mark.parametrize(
+    "phase_count, lengths",
+    [(90, [5, 1, 7, 3, 2]), (64, [1] * 9), (7, [30000, 30000, 6000, 70000, 3])],
+    ids=["two-videos-fill-the-index", "four-videos-fill-the-index", "frame-capped"],
+)
+def test_a_stack_counted_in_chunks_of_videos_is_each_pairs_own(phase_count, lengths):
+    """Videos whose blocks of squares fill the two-byte index (two of them at
+    90 phases, four at 64), more frames than a chunk holds, and a video
+    longer than that alone: every pair's counts are its own."""
+    rng = np.random.default_rng(phase_count)
+    anns = {v: rng.integers(0, phase_count, n) for v, n in enumerate(lengths)}
+    preds = {v: {r: rng.integers(0, phase_count, len(y)) for r in "ab"} for v, y in anns.items()}
+    corpus = Corpus(
+        PhaseSet(phase_count),
+        {v: _seq(y) for v, y in anns.items()},
+        {v: {r: _seq(p) for r, p in row.items()} for v, row in preds.items()},
+    )
+    want = np.zeros((len(lengths), 2, phase_count, phase_count), np.int64)
+    for v, y in anns.items():
+        for r, yhat in enumerate(preds[v].values()):
+            np.add.at(want[v, r], (y, yhat), 1)
+    assert np.array_equal(confusion_stack(corpus), want)
+
+
 def test_sum_rejects_mixed_sizes():
     a = np.zeros((3, 3), dtype=np.int64)
     b = np.zeros((4, 4), dtype=np.int64)

@@ -326,6 +326,8 @@ def test_load_manifest_rejects_length_mismatch(tmp_path):
         ("0\nx\n", ParseError, "line 2: not a non-negative integer: 'x'"),
         ("0\n2147483648\n", OutOfRangeLabel, "line 2: label 2147483648 exceeds 2147483647"),
         ("9\n0\n", OutOfRangeLabel, "label 9 at frame 0 exceeds phase range 0..6"),
+        # checked before the one-byte copy, so it never wraps to 44
+        ("0\n300\n", OutOfRangeLabel, "label 300 at frame 1 exceeds phase range 0..6"),
     ],
 )
 def test_load_manifest_errors_name_the_label_file(tmp_path, content, error, message):
@@ -604,10 +606,36 @@ def test_a_corpus_validates_each_sequence_once_and_reports_trust_it(monkeypatch)
     calls = _count_validations(monkeypatch)
     corpus = _corpus_2x3()
     assert len(calls) == 2 + 2 * 3
-    for run, count in zip(_RUNNERS, (0, 2)):  # graph relaxed: each annotation against the grids
+    for run in _RUNNERS:  # the graph rule checks its segments' phases against the grids
         calls.clear()
         run(corpus)
-        assert len(calls) == count
+        assert not calls
+
+
+def test_a_corpus_holds_its_labels_once_in_one_read_only_array():
+    """Row 0 holds the annotations and row 1 + r run r, in one-byte labels,
+    the videos laid end to end in video order at `edges`; each map entry is
+    a read-only view of its slice, in the order the caller's maps give."""
+    y1, a1, b1 = (LabelSequence(x) for x in ([2, 2, 3, 3, 3], [2, 3, 3, 3, 4], [6] * 5))
+    grid = {2: {"b": _Y, "a": LabelSequence([1] * 8)}, 1: {"b": b1, "a": a1}}
+    corpus = Corpus(PhaseSet(7), {2: _Y, 1: y1}, grid)
+    assert corpus.labels.dtype == np.uint8 and corpus.labels.shape == (3, 13)
+    assert corpus.edges.tolist() == [0, 5, 13]
+    assert not corpus.labels.flags.writeable and not corpus.edges.flags.writeable
+    assert list(corpus.annotations) == [2, 1] and list(corpus.predictions[1]) == ["b", "a"]
+    assert corpus.annotations == {1: y1, 2: _Y} and corpus.predictions == grid
+    for v, lo, hi in zip(corpus.videos, corpus.edges, corpus.edges[1:]):
+        seqs = [corpus.annotations[v], *(corpus.predictions[v][r] for r in corpus.runs)]
+        for row, seq in zip(corpus.labels[:, lo:hi], seqs, strict=True):
+            assert row.tolist() == seq.labels.tolist() and seq.labels.dtype == np.uint8
+            assert np.shares_memory(seq.labels, corpus.labels)
+            with pytest.raises(ValueError, match="read-only"):
+                seq.labels[0] = 1
+            with pytest.raises(ValueError):
+                seq.labels.flags.writeable = True
+    top = LabelSequence([255, 0, 17])  # the largest label of MAX_PHASES phases fits
+    wide = Corpus(PhaseSet(256), {1: top}, {1: {"r": LabelSequence([0, 255, 255])}})
+    assert wide.labels.tolist() == [[255, 0, 17], [0, 255, 255]]
 
 
 def test_corpus_survives_pickle_and_copy():

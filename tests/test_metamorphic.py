@@ -212,23 +212,18 @@ def test_relaxed_accuracy_is_never_below_accuracy(corpus, omega):
     prediction equals its annotation, so relaxed accuracy is never below
     accuracy: per pair, and as the mean of each report."""
     corpus = _corpus(*corpus)
-    annotations = [corpus.annotations[v] for v in corpus.videos]
+    labels, edges = corpus.labels, corpus.edges
     graph = assumed_workflow(PHASES)[1]
     rules = [
-        graph_rules(annotations, omega, build_matrices(graph, mode, PHASES.count))
+        graph_rules(labels[0], omega, build_matrices(graph, mode, PHASES.count), edges)
         for mode in (MatrixMode.GRAPH_DERIVED, MatrixMode.LEGACY)
     ]
     try:
-        rules.append(legacy_rules(annotations, omega))
+        rules.append(legacy_rules(labels[0], omega, edges))
     except SegmentShorterThanOmega:
         pass  # the bug-compatible rule refuses a segment shorter than omega
-    videos = [[corpus.predictions[v][r] for r in corpus.runs] for v in corpus.videos]
-    frames = np.cumsum([0, *map(len, annotations)])
     for windows in rules:
-        masks = window_flags(windows, videos)
-        for i, (y, runs) in enumerate(zip(annotations, videos)):
-            for yhat, mask in zip(runs, masks[:, frames[i] : frames[i + 1]]):
-                assert np.all(mask[y.labels == yhat.labels])
+        assert np.all(window_flags(windows, labels[1:])[labels[1:] == labels[0]])
     summary, _ = _outcome(EVALUATE[0], corpus, omega)
     for call in RELAXED:
         outcome = _outcome(call, corpus, omega)

@@ -12,8 +12,8 @@ import pytest
 
 from phaseeval import confusion
 from phaseeval.aggregate import AveragingOrder, ResultTensor, StdMode
-from phaseeval.core import segment_bounds
-from phaseeval.io import load_manifest, write_report
+from phaseeval.core import LabelSequence, segment_bounds
+from phaseeval.io import Corpus, load_manifest, write_report
 from phaseeval.metrics import UndefinedPolicy
 from phaseeval.pipeline import run_evaluate, run_relaxed
 from phaseeval.relaxed import MatrixMode
@@ -85,6 +85,27 @@ def test_reports_build_no_tensor(golden_corpus, monkeypatch):
         run, *args = CALLS[stem]
         text = write_report(run(golden_corpus, *args), "json")
         assert text.encode("utf-8") == (REPORTS / f"{stem}.json").read_bytes(), stem
+
+
+def test_a_pickled_or_hand_built_corpus_gives_every_committed_report(golden_corpus):
+    """A corpus restored from a pickle, rebuilt through its checks, and one
+    built by hand from plain label lists both equal the loaded one, label
+    array and video edges too, and give every json golden's bytes."""
+    plain = {v: (list(y), {r: list(p) for r, p in golden_corpus.predictions[v].items()})
+             for v, y in golden_corpus.annotations.items()}
+    hand = Corpus(
+        golden_corpus.phases,
+        {v: LabelSequence(y) for v, (y, _) in plain.items()},
+        {v: {r: LabelSequence(p) for r, p in runs.items()} for v, (_, runs) in plain.items()},
+        golden_corpus.split,
+    )
+    for corpus in (pickle.loads(pickle.dumps(golden_corpus)), hand):
+        assert corpus == golden_corpus and corpus.labels is not golden_corpus.labels
+        assert np.array_equal(corpus.labels, golden_corpus.labels)
+        assert np.array_equal(corpus.edges, golden_corpus.edges)
+        for stem, (run, *args) in CALLS.items():
+            text = write_report(run(corpus, *args), "json")
+            assert text.encode("utf-8") == (REPORTS / f"{stem}.json").read_bytes(), stem
 
 
 def test_cached_counts_are_read_only_and_shared(golden_corpus, counted):

@@ -109,7 +109,7 @@ def test_malformed_grids_are_a_typed_error():
         True,
     ):
         with pytest.raises(InvalidGrids, match="bool table"):
-            graph_rules((y,), 1, bad)
+            graph_rules(y.labels, 1, bad)
         with pytest.raises(InvalidGrids, match="bool table"):
             relax_flags(y, y, 1, bad)
 
@@ -198,11 +198,11 @@ def test_flags_match_scanning_oracle_past_the_last_column(top, segs, data):
             want = oracle_relax_flags(y, yhat, omega, mx[:7, :7], mx[7:, :7])
             assert list(relax_flags(a, b, omega, mx)) == want
         assert list(relax_flags_legacy(a, b, omega)) == oracle_legacy_flags(y, yhat, omega)
-        # A run of one-byte labels flagged with b at once flags as each alone.
-        both = (_seq(yhat[::-1]), b)
-        for windows in (graph_rules((a,), omega, GRAPH_MX), legacy_rules((a,), omega)):
-            got = window_flags(windows, (both,)).tolist()
-            assert got == [window_flags(windows, ((x,),))[0].tolist() for x in both]
+        # b flagged with another run at once flags as each alone.
+        both = np.array([b.labels[::-1], b.labels])
+        for windows in (graph_rules(a.labels, omega, GRAPH_MX), legacy_rules(a.labels, omega)):
+            got = window_flags(windows, both).tolist()
+            assert got == [window_flags(windows, x[None])[0].tolist() for x in both]
 
 
 def test_legacy_bug_visible_on_short_phase3_segment():
@@ -319,19 +319,19 @@ def test_legacy_refusal_names_the_first_short_segment_across_chunks():
     ]
     corpus = Corpus(PhaseSet(7), dict(enumerate(anns)), {v: {"r": y} for v, y in enumerate(anns)})
     with pytest.raises(SegmentShorterThanOmega) as whole:
-        legacy_rules(anns, 3)
+        legacy_rules(corpus.labels[0], 3, corpus.edges)
     assert str(whole.value) == "segment of phase 4 has 2 frames, shorter than omega=3"
     flagged = []
 
-    def flag_spy(windows, videos):
-        flagged.append(len(videos))
-        return window_flags(windows, videos)
+    def flag_spy(windows, predictions):
+        flagged.append(predictions.shape[1])
+        return window_flags(windows, predictions)
 
     with mock.patch.multiple(phaseeval.relaxed, _GROUP_FRAMES=1, window_flags=flag_spy):
         with pytest.raises(SegmentShorterThanOmega) as exc:
-            relaxed_tensors(corpus, partial(legacy_rules, omega=3), True)
+            relaxed_tensors(corpus, lambda y, e: legacy_rules(y, 3, e), True)
     assert str(exc.value) == str(whole.value)
-    assert flagged == [1]
+    assert flagged == [len(anns[0])]  # the first video's chunk alone
 
 
 def test_legacy_ignores_out_of_range_phases():
@@ -577,25 +577,35 @@ def test_counts_of_a_videos_runs_are_each_runs_own(width, n, runs, data):
         assert all(np.array_equal(f[:, r], w) for f, w in zip(got, want))
 
 
+def _laid(ys, videos):
+    """The array form of a chunk: the annotations `ys` laid end to end, the
+    (runs, frames) labels of their runs `videos` (one list a video) laid
+    alike, in the dtype that holds them all, and the video edges."""
+    runs = [np.concatenate([row[r].labels for row in videos]) for r in range(len(videos[0]))]
+    return np.concatenate([y.labels for y in ys]), np.array(runs), np.cumsum([0, *map(len, ys)])
+
+
 @pytest.mark.thorough
 @pytest.mark.parametrize("width", [1, 7, 15, 63, 89, 90, 127, 180, 181])
 @given(st.integers(1, 6), st.integers(1, 4), st.sampled_from([1, 3000, _GROUP_FRAMES]), st.data())
 @settings(max_examples=examples(6), deadline=None)
 def test_a_chunks_counts_are_each_pairs_own(width, size, runs, cap, data):
-    """relaxed_counts over a chunk of videos, their annotations laid end to
-    end with a (runs, frames) mask, gives each (video, run) pair its own
-    call's counts, field by field, and the oracle's, and no bincount of it
-    holds more than max(2**16, 2 * (width + 1)**2) bins.  Labels reach past
-    the range (some past one byte); _GROUP_FRAMES, set here, splits a
-    chunk's runs into groups of one run or of a few.  The widths count in
-    four lanes (up to 89), in one (90 to 180) or in a uint32 index (181),
-    and 89 phases on five videos, 127 on three and 180 on two do not fit
-    one run's squares in a uint16 index, so each video's runs count apart."""
+    """relaxed_counts over a chunk of videos in the array form, their
+    annotations laid end to end with a (runs, frames) mask, gives each
+    (video, run) pair its own call's counts, field by field, and the
+    oracle's, and no bincount of it holds more than max(2**16, 2 * (width +
+    1)**2) bins.  Labels reach past the range (some past one byte, so a
+    chunk's runs may be int32); _GROUP_FRAMES, set here, splits a chunk's
+    runs into groups of one run or of a few.  The widths count in four
+    lanes (up to 89), in one (90 to 180) or in a uint32 index (181), and
+    89 phases on five videos, 127 on three and 180 on two do not fit one
+    run's squares in a uint16 index, so each video's runs count apart."""
     lengths = data.draw(st.lists(st.sampled_from([1, 2, 170, 900, 2200]), min_size=size, max_size=size))
     labels = st.integers(0, width + 2) | st.sampled_from([0, width - 1, width, 1000])
     ys = [_seq(_runs(data, labels, n)) for n in lengths]
     videos = [[_seq(_runs(data, labels, n)) for _ in range(runs)] for n in lengths]
     flags = np.array([_runs(data, st.booleans(), sum(lengths)) for _ in range(runs)], dtype=bool)
+    a, b, edges = _laid(ys, videos)
     bincount, bins, frames = np.bincount, [], []
 
     def spy(x, minlength=0):
@@ -605,11 +615,10 @@ def test_a_chunks_counts_are_each_pairs_own(width, size, runs, cap, data):
         return got
 
     with mock.patch.object(np, "bincount", spy), mock.patch.object(phaseeval.relaxed, "_GROUP_FRAMES", cap):
-        got = relaxed_counts(ys, videos, flags, range(width))
+        got = relaxed_counts(a, b, flags, range(width), edges)
     assert all(f.shape == (width, len(ys), runs) and f.dtype == np.int64 for f in got)
     assert max(bins) <= max(1 << 16, 2 * (width + 1) ** 2)
     assert sum(frames) == runs * sum(lengths) and max(frames) <= max(cap, sum(lengths))
-    edges = np.cumsum([0, *lengths])
     for v, (y, yhats) in enumerate(zip(ys, videos)):
         for r, yhat in enumerate(yhats):
             mask = flags[r, edges[v] : edges[v + 1]]
@@ -628,17 +637,53 @@ def test_counts_of_runs_need_a_mask_of_each_and_a_range():
         relaxed_counts(y, [y, _seq([0, 1])], np.ones((2, 3), bool), range(2))
     with pytest.raises(TypeError, match="one prediction"):
         relaxed_counts(y, [y, y], np.ones((2, 3), bool), 1)
-    z = _seq([2, 2])
-    with pytest.raises(LengthMismatch, match="as many as the others"):
-        relaxed_counts([y, z], [[y, y]], np.ones((2, 5), bool), range(3))
-    with pytest.raises(LengthMismatch, match="as many as the others"):
-        relaxed_counts([y, z], [[y, y], [z]], np.ones((2, 5), bool), range(3))
-    with pytest.raises(LengthMismatch, match="prediction has 3$"):
-        relaxed_counts([y, z], [[y], [y]], np.ones((1, 5), bool), range(3))
+    # with video edges, one annotation's counts are the chunk form's
+    got = relaxed_counts(y, y, np.ones(3, bool), range(2), [0, 1, 3])
+    assert [f.shape for f in got] == [(2, 2, 1)] * 4 and got.r_tp[:, :, 0].tolist() == [[1, 0], [0, 2]]
+    # the array form of a chunk of two videos, of 3 and 2 frames
+    a, b, edges = _laid([y, _seq([2, 2])], [[y, y], [_seq([2, 2]), _seq([0, 2])]])
+    ones = np.ones(b.shape, bool)
+    with pytest.raises(LengthMismatch, match="annotation has 5 frames, prediction has 4$"):
+        relaxed_counts(a, b[:, :4], ones[:, :4], range(3), edges)
     with pytest.raises(LengthMismatch, match="flags do not cover"):
-        relaxed_counts([y, z], [[y], [z]], np.ones((1, 3), bool), range(3))
+        relaxed_counts(a, b, ones[:1], range(3), edges)
     with pytest.raises(TypeError, match="one prediction"):
-        relaxed_counts([y, z], [[y], [z]], np.ones((1, 5), bool), 1)
+        relaxed_counts(a, b[:1], ones[:1], 1, edges)
+    for bad in ([0, 3, 4], [0, 3, 3, 5], [1, 3, 5], [0, 5, 3, 5], [0.0, 5.0], [5], [[0, 5]]):
+        with pytest.raises(LengthMismatch, match="video edges must be integers rising from 0 to the 5 frames"):
+            relaxed_counts(a, b, ones, range(3), bad)
+    for bad_a, bad_b in ((a.astype(float), b), (a, b[0]), (a, b[:0]), (a[None], b)):
+        with pytest.raises(TypeError, match="integer array"):
+            relaxed_counts(bad_a, bad_b, ones, range(3), edges)
+    with pytest.raises(OutOfRangeLabel, match="non-negative"):
+        relaxed_counts(a, b.astype(np.int64) - 1, ones, range(3), edges)
+
+
+def test_window_flags_of_runs_of_any_integer_dtype_are_the_oracles():
+    """A chunk whose runs hold labels past one byte (300) beside one-byte
+    runs is one int32 array in the array form, and flags as the scanning
+    oracle flags each pair; labels that are not non-negative integers of
+    the annotations' frames are a typed error."""
+    ys = [_seq([0, 0, 1, 1, 2]), _seq([2, 3, 3, 3])]
+    videos = [[_seq([0, 1, 1, 2, 2])], [_seq([300, 3, 2, 3])]]
+    assert [row[0].labels.dtype for row in videos] == [np.uint8, np.int32]
+    a, b, edges = _laid(ys, videos)
+    assert b.dtype == np.int32
+    for omega in (0, 1, 2):
+        mask = window_flags(graph_rules(a, omega, GRAPH_MX, edges), b)
+        for y, (yhat,), lo, hi in zip(ys, videos, edges, edges[1:]):
+            want = oracle_relax_flags(y.labels.tolist(), yhat.labels.tolist(), omega, GRAPH_MX[:7, :7], GRAPH_MX[7:, :7])
+            assert mask[0, lo:hi].tolist() == want
+    windows = graph_rules(a, 1, GRAPH_MX, edges)
+    with pytest.raises(LengthMismatch, match="annotation has 9 frames, prediction has 8$"):
+        window_flags(windows, b[:, :8])
+    for bad in (b.astype(float), b.astype(str), b[0]):
+        with pytest.raises(TypeError, match="integer array"):
+            window_flags(windows, bad)
+    with pytest.raises(OutOfRangeLabel, match="non-negative"):
+        window_flags(windows, b - 1)
+    with pytest.raises(OutOfRangeLabel, match="label 7 at frame 2 exceeds phase range 0..6"):
+        graph_rules(np.array([0, 0, 7]), 1, GRAPH_MX)
 
 
 @given(
@@ -661,11 +706,9 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
         labels = st.lists(st.integers(0, 8), min_size=len(y), max_size=len(y))
         preds[v] = {f"r{r}": _seq(data.draw(labels)) for r in range(runs)}
     # the rules of each chunk of videos against each annotation's own
-    rules_of = (
-        partial(legacy_rules, omega=omega)
-        if legacy
-        else partial(graph_rules, omega=omega, accept=GRAPH_MX)
-    )
+    def rules_of(y, edges=None):
+        return legacy_rules(y, omega, edges) if legacy else graph_rules(y, omega, GRAPH_MX, edges)
+
     scored, seen = phaseeval.relaxed.relaxed_cells, []
 
     def spy(kind, counts, truncate):
@@ -677,9 +720,9 @@ def test_relaxed_tensors_stack_the_per_pair_counts(videos, runs, omega, legacy, 
     assert len(seen) == 3  # precision, recall and jaccard, all of one stack
     assert acc.shape == acc_state.shape == (1, len(anns), runs) and (acc_state == DEFINED).all()
     for v in anns:
-        windows = rules_of((anns[v],))
+        windows = rules_of(anns[v].labels)
         for ri, r in enumerate(sorted(preds[v])):
-            (flags,) = window_flags(windows, ((preds[v][r],),))
+            (flags,) = window_flags(windows, preds[v][r].labels[None])
             want = relaxed_counts(anns[v], preds[v][r], flags, range(9))
             for counts in seen:
                 assert all(np.array_equal(f[:, v, ri], w) for f, w in zip(counts, want))
@@ -724,23 +767,24 @@ def test_chunks_of_videos_flag_and_count_as_each_pair(held, videos, joins, runs,
         {v: _seq(y) for v, y in enumerate(ys)},
         {v: {r: _seq(p) for r, p in row.items()} for v, row in preds.items()},
     )
+    def rules_of(y, edges):
+        return legacy_rules(y, omega, edges) if legacy else graph_rules(y, omega, GRAPH_MX, edges)
+
     if legacy:
-        rules_of, oracle = partial(legacy_rules, omega=omega), oracle_legacy_flags
+        oracle = oracle_legacy_flags
     else:
-        rules_of = partial(graph_rules, omega=omega, accept=GRAPH_MX)
         oracle = partial(oracle_relax_flags, start_grid=GRAPH_MX[:7, :7], end_grid=GRAPH_MX[7:, :7])
-    chunks, counted, masks, pairs, cells = [], [], [], [], []
+    flagged, counted, masks, pairs, cells = [], [], [], [], []
     flag, count, scored = window_flags, relaxed_counts, phaseeval.relaxed.relaxed_cells
 
-    def flag_spy(windows, videos):
-        chunks.append(len(videos))
-        return flag(windows, videos)
+    def flag_spy(windows, predictions):
+        flagged.append(predictions.shape[1])
+        return flag(windows, predictions)
 
-    def count_spy(anns, videos, flags, phases):
+    def count_spy(annotation, prediction, flags, phases, edges):
         """The chunk's mask and counts, split back by (video, run)."""
-        counted.append((list(anns), videos))
-        got = count(anns, videos, flags, phases)
-        edges = np.cumsum([0, *map(len, anns)])
+        counted.append((annotation, prediction, edges))
+        got = count(annotation, prediction, flags, phases, edges)
         for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
             masks.append(flags[:, lo:hi].tolist())
             pairs.append([[int(f[p, k, r]) for f in got] for r in range(runs) for p in range(9)])
@@ -766,13 +810,17 @@ def test_chunks_of_videos_flag_and_count_as_each_pair(held, videos, joins, runs,
                 relaxed_tensors(corpus, rules_of, legacy)
             return
         relaxed_tensors(corpus, rules_of, legacy)
+    chunks = [len(edges) - 1 for *_, edges in counted]
     assert sum(chunks) == len(ys)
     assert chunks[0] == {"one": 1, "two": 2, "all": len(ys)}[held]
-    # one count a chunk, of the chunk's videos in order
-    assert [len(anns) for anns, _ in counted] == chunks
-    assert [y for anns, _ in counted for y in anns] == [corpus.annotations[v] for v in range(len(ys))]
-    assert [list(row) for _, videos in counted for row in videos] == [
-        [corpus.predictions[v][r] for r in range(runs)] for v in range(len(ys))
+    # one count a chunk, of the chunk's videos in order, each flagged first
+    assert flagged == [edges[-1] for *_, edges in counted]
+    assert [np.diff(edges).tolist() for *_, edges in counted] == [
+        list(map(len, ys[sum(chunks[:k]) : sum(chunks[: k + 1])])) for k in range(len(chunks))
+    ]
+    assert np.concatenate([a for a, *_ in counted]).tolist() == sum(ys, [])
+    assert np.concatenate([b for _, b, _ in counted], 1).tolist() == [
+        sum((preds[v][r] for v in range(len(ys))), []) for r in range(runs)
     ]
     assert masks == want
     for v, y in enumerate(ys):
@@ -804,30 +852,28 @@ def test_a_reports_flags_are_each_pairs_own(omega, bug_compatible):
     preds = {v: {r: _seq(rng.integers(0, 7, len(y))) for r in "ab"} for v, y in anns.items()}
     seen = []
 
-    def spy(ys, videos, flags, phases):
-        got = relaxed_counts(ys, videos, flags, phases)
-        seen.append((list(ys), videos, flags.copy(), got))
+    def spy(annotation, prediction, flags, phases, edges):
+        got = relaxed_counts(annotation, prediction, flags, phases, edges)
+        seen.append((annotation, prediction, flags.copy(), edges, got))
         return got
 
     mode = MatrixMode.LEGACY if bug_compatible else MatrixMode.GRAPH_DERIVED
     with mock.patch.object(phaseeval.relaxed, "relaxed_counts", spy):
         run_relaxed(Corpus(PhaseSet(7), anns, preds), omega, mode, bug_compatible, bug_compatible)
-    assert [ys for ys, *_ in seen] == [list(anns.values())]  # one call a chunk
-    ((ys, videos, mask, got),) = seen
-    edges = np.cumsum([0, *map(len, ys)])
-    pairs = [
-        (y, yhat, tuple(flags.tolist()), [f[:, k, r] for f in got])
-        for k, (y, yhats, lo, hi) in enumerate(zip(ys, videos, edges, edges[1:]))
-        for r, (yhat, flags) in enumerate(zip(yhats, mask[:, lo:hi], strict=True))
-    ]
-    assert [(y, yhat) for y, yhat, *_ in pairs] == [(anns[v], preds[v][r]) for v in anns for r in "ab"]
-    for y, yhat, flags, counts in pairs:
-        if bug_compatible:
-            assert flags == relax_flags_legacy(y, yhat, omega)
-        else:
-            assert flags == relax_flags(y, yhat, omega, GRAPH_MX)
-        want = relaxed_counts(y, yhat, flags, range(7))
-        assert all(np.array_equal(f, w) for f, w in zip(counts, want))
+    ((a, b, mask, edges, got),) = seen  # one call a chunk
+    assert edges.tolist() == [0, *np.cumsum([len(y) for y in anns.values()])]
+    for k, (v, lo, hi) in enumerate(zip(anns, edges, edges[1:])):
+        y = anns[v]
+        assert a[lo:hi].tolist() == y.labels.tolist()
+        for r, (labels, flags) in enumerate(zip(b[:, lo:hi], mask[:, lo:hi], strict=True)):
+            yhat = preds[v]["ab"[r]]
+            assert labels.tolist() == yhat.labels.tolist()
+            if bug_compatible:
+                assert tuple(flags.tolist()) == relax_flags_legacy(y, yhat, omega)
+            else:
+                assert tuple(flags.tolist()) == relax_flags(y, yhat, omega, GRAPH_MX)
+            want = relaxed_counts(y, yhat, flags, range(7))
+            assert all(np.array_equal(f[:, k, r], w) for f, w in zip(got, want))
 
 
 def test_relaxed_metric_undefined_on_zero_denominator():
